@@ -28,7 +28,7 @@ from .discrete import (
     sinkhorn_step,
     uniform_grid,
 )
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .gaussian import (
     AffineGaussianMap,
     GaussianMeasure,

@@ -9,9 +9,7 @@ outputs.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from . import bounds, discrete, models, riccati, spd, verify
 from . import gaussian as g
 from .bounds import CurvatureSpec
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .riccati import INFINITE
 
 SCHEMA = "sinkbridge/v1"
@@ -92,14 +90,6 @@ def _tol_overrides(args) -> dict:
             print(f"bad --tol-override value {val!r}", file=sys.stderr)
             raise SystemExit(2)
     return out
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("SINKBRIDGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_varpi(doc):
@@ -216,13 +206,11 @@ def cmd_gaussian(args) -> int:
         t_grid = [float(t) for t in model.get("t_grid", [10.0, 1.0, 0.1, 0.01, 0.001])]
         lim = g.ot_limit_map(mu, eta, k.tau, k.beta)
 
-        def sweep_entry(t):
+        sweep_rows = []
+        for t in t_grid:
             fwd, _ = g.bridge_solve(mu, eta, k.rescaled(t))
             gap = spd.spectral_norm(fwd.slope - lim.slope)
-            return f"{_fmt(t)},{_fmt(gap)},{_fmt(spd.spectral_norm(fwd.slope))}"
-
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            sweep_rows = list(pool.map(sweep_entry, t_grid))
+            sweep_rows.append(f"{_fmt(t)},{_fmt(gap)},{_fmt(spd.spectral_norm(fwd.slope))}")
         _write_csv(out.parent / (out.name + "_ot_sweep.csv"), "t,slope_gap_to_limit,slope_norm", sweep_rows)
 
         a, b = bounds.proximal_rates(k, spec)
@@ -276,7 +264,8 @@ def cmd_discrete(args) -> int:
 
     try:
         trace = discrete.run(model, n_sweeps, tol=tol)
-        oracle = discrete.bridge_oracle(model, tol=1e-13)
+        # resume from the trace's last even state instead of redoing its sweeps
+        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
     except DomainError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
@@ -351,7 +340,11 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     overrides = dict(config.get("tolerances", {}))
     overrides.update(_tol_overrides(args))
-    results = verify.run_criteria(seed=seed, name_filter=args.filter, tol_overrides=overrides)
+    try:
+        results = verify.run_criteria(seed=seed, name_filter=args.filter, tol_overrides=overrides)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     if (not args.filter) or (args.filter in "determinism"):
         results.append(verify.criterion_determinism(seed))
     results.sort(key=lambda r: r["id"])

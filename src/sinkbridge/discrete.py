@@ -6,6 +6,32 @@ exp(-V), the reference channel has row densities proportional to exp(-W).
 The iteration updates potential tables, never raw kernels, so it survives
 sharp channels (W growing like squared distance over a small noise scale)
 without overflow.  All quadrature is midpoint-rule with uniform weights.
+
+Two identities keep the hot loops at O(N) work beyond the kernel passes.
+
+Increments are marginal log-ratios.  The second marginal of the plan
+(U, V) has log density -V + log K(exp(-U)), and the update that corrects
+it is V_next = V_pot + log K(exp(-U)), so that marginal is
+log eta + (V_next - V); likewise the first marginal of an odd plan (U, V)
+is log mu + (U_next - U).  Every half-step's residual and marginal
+entropies therefore come from the next half-step's increment, and a sweep
+costs two N x N passes.
+
+Bridge gaps are linear in the potentials.  For the reference coupling
+exp(-(U* + W + V*)) with marginals ref_1, ref_2, the W terms cancel in
+the log-ratio and
+    H(ref | P_n) = <ref_1, U_n - U*> + <ref_2, V_n - V*>,
+so each gap is two weighted dot products once the reference marginals are
+known.  ``joint_relative_entropy`` keeps the dense N x N form as the
+independent check.
+
+A +inf potential is a hard zero of its density.  Residuals, entropies and
+bridge gaps are taken over the support of the marginal they refer to,
+where every quantity is finite; a non-finite residual there (a NaN in a
+table, or a target node the channel cannot reach) raises DomainError.
+Off the support a half-step's marginal is taken as zero, which is exact
+from n = 1 on; the reference plan P_0 may still put mass off supp(eta),
+and H(pi_0 | eta) counts only the part on the support.
 """
 
 from dataclasses import dataclass, field
@@ -125,14 +151,66 @@ class SinkhornState:
     v: np.ndarray
 
 
+def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(-t) along ``axis``, consuming the N x N table ``t``.
+
+    The kernel pass of the engine: a min-shift, an in-place exp and a sum,
+    with no N x N temporary beyond ``t``.  As with scipy's logsumexp, a
+    slice that is +inf throughout (no mass) gives -inf, and a NaN gives NaN.
+    """
+    shift = t.min(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    np.subtract(shift, t, out=t)
+    np.exp(t, out=t)
+    with np.errstate(divide="ignore"):
+        return np.log(t.sum(axis=axis)) - shift.reshape(-1)
+
+
+def _row_lse(model: DiscreteModel, v: np.ndarray) -> np.ndarray:
+    # log K_W(exp(-V)): log sum_j w_j exp(-W_ij - V_j) for every row i
+    return _neg_lse(model.w_pot + (v - model.log_w)[None, :], axis=1)
+
+
+def _col_lse(model: DiscreteModel, u: np.ndarray) -> np.ndarray:
+    # log K_{W-flat}(exp(-U)): log sum_i w_i exp(-U_i - W_ij) for every column j
+    return _neg_lse(model.w_pot + (u - model.log_w)[:, None], axis=0)
+
+
 def _update_u(model: DiscreteModel, v: np.ndarray) -> np.ndarray:
-    # U <- U + log K_W(exp(-V))
-    return model.u_pot + logsumexp(-model.w_pot - v[None, :] + model.log_w[None, :], axis=1)
+    return model.u_pot + _row_lse(model, v)
 
 
 def _update_v(model: DiscreteModel, u: np.ndarray) -> np.ndarray:
-    # V <- V + log K_{W-flat}(exp(-U))
-    return model.v_pot + logsumexp(-model.w_pot - u[:, None] + model.log_w[:, None], axis=0)
+    return model.v_pot + _col_lse(model, u)
+
+
+def _support(pot: np.ndarray) -> np.ndarray:
+    """Nodes where the density exp(-pot) is not a hard zero (NaN counts as support)."""
+    return pot != np.inf
+
+
+def _residual(log_ratio: np.ndarray) -> float:
+    """Sup-norm of a marginal log-ratio on a support; non-finite raises."""
+    r = float(np.max(np.abs(log_ratio)))
+    if not np.isfinite(r):
+        raise DomainError(
+            "non-finite marginal residual on the support: a table holds NaN, "
+            "or the channel cannot reach a node of a marginal's support"
+        )
+    return r
+
+
+def _corrected_marginal(log_target, new, old, support) -> tuple[np.ndarray, float]:
+    """Log marginal that the half-step old -> new corrected, and its residual.
+
+    On the target's support the marginal is log_target + (new - old); off it
+    the marginal is taken as zero.
+    """
+    inc = new[support] - old[support]
+    r = _residual(inc)
+    marginal = np.full(log_target.shape, -np.inf)
+    marginal[support] = log_target[support] + inc
+    return marginal, r
 
 
 def initial_state(model: DiscreteModel) -> SinkhornState:
@@ -162,32 +240,36 @@ def plan_log_density(state: SinkhornState) -> np.ndarray:
 
 def plan_marginals(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
     """Log densities of the two marginals of the state's coupling."""
-    lp = plan_log_density(state)
-    log_w = state.model.log_w
-    first = logsumexp(lp + log_w[None, :], axis=1)
-    second = logsumexp(lp + log_w[:, None], axis=0)
-    return first, second
+    model = state.model
+    return _row_lse(model, state.v) - state.u, _col_lse(model, state.u) - state.v
 
 
 def marginal_residuals(state: SinkhornState) -> tuple[float, float]:
-    """Sup-norm of the marginal log-ratios against mu and eta."""
+    """Sup-norm of the marginal log-ratios against mu and eta, each on its support."""
+    model = state.model
     first, second = plan_marginals(state)
-    r_mu = float(np.max(np.abs(first - state.model.log_mu)))
-    r_eta = float(np.max(np.abs(second - state.model.log_eta)))
+    mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
+    r_mu = _residual(first[mu_supp] - model.log_mu[mu_supp])
+    r_eta = _residual(second[eta_supp] - model.log_eta[eta_supp])
     return r_mu, r_eta
 
 
 def relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) -> float:
-    """KL divergence between two densities tabulated on the same nodes."""
+    """KL divergence between two densities tabulated on the same nodes.
+
+    Nodes where p vanishes contribute nothing (0 log 0 = 0).
+    """
+    on = log_p != -np.inf
+    if not on.all():
+        log_p, log_q, weights = log_p[on], log_q[on], weights[on]
     p = np.exp(log_p)
     val = float(np.sum(weights * p * (log_p - log_q)))
     return max(val, 0.0)
 
 
 def joint_relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) -> float:
-    w2 = weights[:, None] * weights[None, :]
-    p = np.exp(log_p)
-    return max(float(np.sum(w2 * p * (log_p - log_q))), 0.0)
+    """KL divergence between two couplings tabulated on the product grid (dense)."""
+    return relative_entropy(log_p, log_q, weights[:, None] * weights[None, :])
 
 
 @dataclass
@@ -226,52 +308,73 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
         States for every half-step plus the four marginal entropy
         sequences.  ``converged`` is False when n_sweeps ran out first; the
         partial trace is still returned.
+
+    Raises
+    ------
+    DomainError
+        In the sweep where a residual turns non-finite on the support.
     """
     if n_sweeps < 1:
         raise DomainError("n_sweeps must be >= 1")
-    log_w = model.log_w
+    w = model.grid.weights
+    log_mu, log_eta = model.log_mu, model.log_eta
+    mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
     trace = SinkhornTrace(model)
     state = initial_state(model)
 
     for _ in range(n_sweeps + 1):
-        # state has even index 2n here
+        # state has even index 2n here; each marginal comes from the
+        # increment of the half-step that corrects it
+        odd = sinkhorn_step(state)
+        pi_even, r_eta = _corrected_marginal(log_eta, odd.v, state.v, eta_supp)
         trace.states.append(state)
-        _, pi_even = plan_marginals(state)
-        trace.h_pi2n_eta.append(relative_entropy(pi_even, model.log_eta, model.grid.weights))
-        trace.h_eta_pi2n.append(relative_entropy(model.log_eta, pi_even, model.grid.weights))
+        trace.h_pi2n_eta.append(relative_entropy(pi_even, log_eta, w))
+        trace.h_eta_pi2n.append(relative_entropy(log_eta, pi_even, w))
 
-        state = sinkhorn_step(state)
-        trace.states.append(state)
-        pi_odd, _ = plan_marginals(state)
-        trace.h_mu_pi2n1.append(relative_entropy(model.log_mu, pi_odd, model.grid.weights))
-        trace.h_pi2n1_mu.append(relative_entropy(pi_odd, model.log_mu, model.grid.weights))
+        following = sinkhorn_step(odd)
+        pi_odd, r_mu = _corrected_marginal(log_mu, following.u, odd.u, mu_supp)
+        trace.states.append(odd)
+        trace.h_mu_pi2n1.append(relative_entropy(log_mu, pi_odd, w))
+        trace.h_pi2n1_mu.append(relative_entropy(pi_odd, log_mu, w))
 
-        r_eta = float(np.max(np.abs(pi_even - model.log_eta)))
-        r_mu = float(np.max(np.abs(pi_odd - model.log_mu)))
         trace.residuals.append(max(r_eta, r_mu))
         if trace.residuals[-1] < tol:
             trace.converged = True
             break
-        state = sinkhorn_step(state)
+        state = following
     return trace
 
 
-def bridge_oracle(model: DiscreteModel, tol: float = 1e-13, max_sweeps: int = 100000) -> SinkhornState:
+def bridge_oracle(
+    model: DiscreteModel,
+    tol: float = 1e-13,
+    max_sweeps: int = 100000,
+    start: SinkhornState | None = None,
+) -> SinkhornState:
     """Brute-force converged coupling, the reference for bridge-gap entropies.
 
     Iterates until both marginal residuals of the even-type plan are below
     tol (the first marginal is exact by construction, the second is driven
-    to eta).  Raises on non-convergence.
+    to eta).  ``start``, an even state of this model's iteration such as
+    the last even state of a ``run`` trace, resumes the iteration there;
+    the result is then the same state a cold start reaches, unless the
+    cold start would have stopped before ``start``.  Raises on
+    non-convergence and on a non-finite residual.
     """
-    state = initial_state(model)
+    state = initial_state(model) if start is None else start
+    if state.n % 2:
+        raise DomainError("bridge_oracle resumes from an even state")
+    eta_supp = _support(model.v_pot)
     for _ in range(max_sweeps):
-        _, second = plan_marginals(state)
-        gap = float(np.max(np.abs(np.exp(second - model.log_eta) - 1.0)))
+        odd = sinkhorn_step(state)
+        log_ratio = odd.v[eta_supp] - state.v[eta_supp]  # log(pi_2n / eta)
+        _residual(log_ratio)
+        gap = float(np.max(np.abs(np.exp(log_ratio) - 1.0)))
         if gap < tol:
             r_mu, r_eta = marginal_residuals(state)
             if max(r_mu, r_eta) < 10 * tol:
                 return state
-        state = sinkhorn_step(sinkhorn_step(state))
+        state = sinkhorn_step(odd)
     raise DomainError(f"bridge oracle did not converge to {tol} in {max_sweeps} sweeps")
 
 
@@ -283,15 +386,21 @@ def entropy_report(trace: SinkhornTrace, oracle: SinkhornState) -> dict:
     the residuals of the two telescoping identities
         H(ref|P_{2n}) = H(ref|P_{2n-1}) - H(mu|pi_{2n-1})
         H(ref|P_{2n+1}) = H(ref|P_{2n}) - H(eta|pi_{2n}).
+    Each bridge gap is O(N) (module docstring); the reference marginals
+    cost two kernel passes, once.
     """
     model = trace.model
     w = model.grid.weights
-    ref = plan_log_density(oracle)
+    mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
+    first, second = plan_marginals(oracle)
+    ref_1 = (w * np.exp(first))[mu_supp]
+    ref_2 = (w * np.exp(second))[eta_supp]
+    u_star, v_star = oracle.u[mu_supp], oracle.v[eta_supp]
     h_even = []
     h_odd = []
     for state in trace.states:
-        val = joint_relative_entropy(ref, plan_log_density(state), w)
-        (h_even if state.n % 2 == 0 else h_odd).append(val)
+        val = np.sum(ref_1 * (state.u[mu_supp] - u_star)) + np.sum(ref_2 * (state.v[eta_supp] - v_star))
+        (h_even if state.n % 2 == 0 else h_odd).append(max(float(val), 0.0))
 
     tele_even = []  # n >= 1: H(ref|P_2n) vs H(ref|P_{2n-1}) - H(mu|pi_{2n-1})
     for n in range(1, len(h_even)):

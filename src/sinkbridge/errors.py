@@ -4,3 +4,7 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""
+
+
+class ConfigError(ValueError):
+    """A configuration names an unknown setting."""

@@ -6,6 +6,7 @@ dict {id, name, passed, details}.  All randomness is seed-fixed; results
 are deterministic for a given seed.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from . import bounds, discrete, models, riccati, spd
 from . import gaussian as g
 from .bounds import CurvatureSpec
+from .errors import ConfigError
 
 
 def _spd_family(seed):
@@ -315,6 +317,7 @@ def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
     chains_ok = True
     worst_plan_gap = 0.0
     worst_marginal = 0.0
+    worst_gap_diff = 0.0
     for name, model in _desk_models().items():
         plans = discrete.matrix_scaling_plans(model, 10)
         state = discrete.initial_state(model)
@@ -329,8 +332,16 @@ def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
             state = discrete.sinkhorn_step(state)
 
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, tol=1e-13)
+        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
         rep = discrete.entropy_report(trace, oracle)
+        # the report's O(N) bridge gaps against the dense joint relative entropies
+        ref = discrete.plan_log_density(oracle)
+        dense = [
+            discrete.joint_relative_entropy(ref, discrete.plan_log_density(s), model.grid.weights)
+            for s in trace.states
+        ]
+        fast = [x for pair in zip(rep["H_bridge_even"], rep["H_bridge_odd"]) for x in pair]
+        worst_gap_diff = max(worst_gap_diff, max(abs(a - b) for a, b in zip(dense, fast)))
         for key in ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu", "H_bridge_even", "H_bridge_odd"):
             seq = rep[key]
             chains_ok = chains_ok and all(y <= x + 1e-12 for x, y in zip(seq, seq[1:]))
@@ -341,7 +352,7 @@ def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
             chains_ok = chains_ok and rep["H_eta_pi2n"][n] <= rep["H_pi2n1_mu"][n - 1] + 1e-12
         tele = rep["telescope_even_residuals"] + rep["telescope_odd_residuals"]
         chains_ok = chains_ok and max(abs(x) for x in tele) < 1e-9
-    passed = scaling_ok and marginal_ok and chains_ok
+    passed = scaling_ok and marginal_ok and chains_ok and worst_gap_diff < tol_plans
     return {
         "id": 9,
         "name": "discrete-sinkhorn-correctness",
@@ -349,6 +360,7 @@ def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
         "details": {
             "max_scaling_gap": worst_plan_gap,
             "max_marginal_residual": worst_marginal,
+            "max_bridge_gap_diff": worst_gap_diff,
             "entropy_chains_ok": chains_ok,
         },
     }
@@ -402,20 +414,36 @@ def run_criteria(
     """Run the numbered checks, optionally restricted by a name substring.
 
     tol_overrides maps "criterion-name.param" to a value forwarded to that
-    criterion's keyword argument, e.g. "riccati-fixed-point.tol_map".
+    criterion's keyword argument, e.g. "riccati-fixed-point.tol_map".  An
+    unknown criterion or parameter raises ConfigError before any check runs.
     """
-    tol_overrides = tol_overrides or {}
+    kwargs = _criterion_kwargs(tol_overrides or {})
     results = []
     for name, fn in CRITERIA:
         if name_filter and name_filter not in name:
             continue
-        kwargs = {}
-        for key, val in tol_overrides.items():
-            crit, _, param = key.partition(".")
-            if crit == name and param:
-                kwargs[param] = val
-        results.append(fn(seed=seed, **kwargs))
+        results.append(fn(seed=seed, **kwargs[name]))
     return results
+
+
+def _criterion_kwargs(tol_overrides: dict) -> dict:
+    """Group overrides by criterion; the tolerances are the float-valued keywords."""
+    tunable = {
+        name: [p.name for p in inspect.signature(fn).parameters.values() if isinstance(p.default, float)]
+        for name, fn in CRITERIA
+    }
+    kwargs = {name: {} for name in tunable}
+    for key, val in tol_overrides.items():
+        crit, _, param = key.partition(".")
+        if crit not in tunable:
+            raise ConfigError(
+                f"tolerance override {key!r}: unknown criterion {crit!r}; valid: {', '.join(tunable)}"
+            )
+        if param not in tunable[crit]:
+            valid = ", ".join(tunable[crit]) or "none, this criterion has no tolerances"
+            raise ConfigError(f"tolerance override {key!r}: unknown parameter {param!r}; valid: {valid}")
+        kwargs[crit][param] = val
+    return kwargs
 
 
 def summary_document(results: list[dict], seed: int) -> str:

@@ -1,0 +1,18 @@
+import numpy as np
+import pytest
+
+from sinkbridge import discrete, models
+
+
+@pytest.fixture
+def hard_zero_target_model():
+    """The default 1-d grid with eta a standard normal cut off below x = -3 (V = +inf there)."""
+    grid = discrete.uniform_grid(1, 64, 8.0)
+    quad = models.quadratic_potential([0.0], [[1.0]])
+
+    def v_fn(points):
+        out = quad(points)
+        out[points[:, 0] < -3.0] = np.inf
+        return out
+
+    return discrete.build_model(quad, v_fn, models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]]), grid)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sinkbridge import cli
+from sinkbridge import cli, models
 
 
 def run_cli(args):
@@ -165,3 +165,50 @@ def test_entry_point_help():
     assert proc.returncode == 0
     for name in ("riccati", "gaussian", "discrete", "bounds", "verify"):
         assert name in proc.stdout
+
+
+def test_discrete_hard_zero_target_exit_0(tmp_path, monkeypatch, hard_zero_target_model):
+    monkeypatch.setattr(models, "model_from_spec", lambda doc: hard_zero_target_model)
+    out = tmp_path / "hard"
+    assert run_cli(["discrete", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.with_suffix(".csv").read_text().strip().splitlines()[1:]]
+    # row 0 of H_mu_pi2n1 is NaN by construction: pi_{-1} does not exist
+    cells = [float(c) for row in rows for j, c in enumerate(row) if (row[0], j) != ("0", 2)]
+    assert np.all(np.isfinite(cells))
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["converged"] and doc["entropy_monotone"] and np.isfinite(doc["final_residual"])
+
+
+def test_discrete_repeat_runs_byte_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "discrete",
+        "model": {
+            "grid": {"dim": 2, "n": 12, "radius": 5.0},
+            "U": {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}},
+            "V": {"kind": "gaussian-mixture", "params": {
+                "weights": [0.5, 0.5], "means": [[-1.5, 0.0], [1.5, 0.0]],
+                "covs": [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]}},
+            "W": {"kind": "linear-gaussian", "alpha": [0.0, 0.0],
+                  "beta": [[0.9, 0.0], [0.0, 0.9]], "tau": [[0.5, 0.0], [0.0, 0.5]]},
+        },
+    }))
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run_cli(["discrete", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_unknown_override_criterion_exit_2(capsys):
+    assert run_cli(["verify", "--filter", "ot-limit", "--tol-override", "ot-limt.final_gap=1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "'ot-limt'" in err and "ot-limit" in err and "riccati-fixed-point" in err
+
+
+def test_verify_unknown_override_parameter_exit_2(capsys):
+    assert run_cli(["verify", "--filter", "ot-limit", "--tol-override", "ot-limit.finl_gap=1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "'finl_gap'" in err and "final_gap" in err
+    assert "Traceback" not in err

@@ -1,8 +1,11 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, logsumexp
 
-from sinkbridge import discrete, models
+from sinkbridge import discrete, models, verify
 from sinkbridge import gaussian as g
 from sinkbridge.errors import DomainError, ShapeError
 
@@ -359,3 +362,157 @@ def test_two_dimensional_grid_runs():
     state = discrete.initial_state(model)
     r_mu, _ = discrete.marginal_residuals(state)
     assert r_mu < 1e-12
+
+
+def two_dimensional_model(n=16):
+    grid = discrete.uniform_grid(2, n, 5.0)
+    return discrete.build_model(
+        models.quadratic_potential([0.0, 0.0], np.eye(2)),
+        models.quadratic_potential([0.5, -0.5], [[0.8, 0.2], [0.2, 0.6]]),
+        models.linear_gaussian_channel_potential([0.0, 0.0], 0.9 * np.eye(2), 0.7 * np.eye(2)),
+        grid,
+    )
+
+
+def test_lean_reduction_matches_logsumexp():
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-40.0, 60.0, size=(37, 53))
+    t[rng.uniform(size=t.shape) < 0.2] = np.inf
+    t[5, :] = np.inf  # a row with no mass
+    t[:, 11] = np.inf  # a column with no mass
+    for axis in (0, 1):
+        want = logsumexp(-t, axis=axis)
+        got = discrete._neg_lse(t.copy(), axis)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert np.isneginf(got).any()
+        finite = np.isfinite(want)
+        assert np.all(np.isfinite(got[finite]))
+        assert np.max(np.abs(got[finite] - want[finite])) < 1e-13
+
+
+def test_fused_residuals_and_entropies_match_plan_marginals():
+    for model in (verify._desk_models()["bimodal-v"], two_dimensional_model(12)):
+        w = model.grid.weights
+        trace = discrete.run(model, 200, tol=1e-11)
+        assert trace.converged
+        for n in range(trace.n_sweeps + 1):
+            even, odd = trace.states[2 * n], trace.states[2 * n + 1]
+            pi_even = discrete.plan_marginals(even)[1]
+            pi_odd = discrete.plan_marginals(odd)[0]
+            expected = [
+                discrete.relative_entropy(pi_even, model.log_eta, w),
+                discrete.relative_entropy(model.log_eta, pi_even, w),
+                discrete.relative_entropy(model.log_mu, pi_odd, w),
+                discrete.relative_entropy(pi_odd, model.log_mu, w),
+                max(discrete.marginal_residuals(even)[1], discrete.marginal_residuals(odd)[0]),
+            ]
+            fused = [
+                trace.h_pi2n_eta[n], trace.h_eta_pi2n[n], trace.h_mu_pi2n1[n], trace.h_pi2n1_mu[n],
+                trace.residuals[n],
+            ]
+            assert np.max(np.abs(np.subtract(fused, expected))) < 1e-12
+
+
+def test_bridge_gaps_match_dense_joint_entropy():
+    cases = list(verify._desk_models().values()) + [two_dimensional_model(16)]
+    for model in cases:
+        trace = discrete.run(model, 300, tol=1e-11)
+        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        rep = discrete.entropy_report(trace, oracle)
+        ref = discrete.plan_log_density(oracle)
+        for state in trace.states:
+            dense = discrete.joint_relative_entropy(ref, discrete.plan_log_density(state), model.grid.weights)
+            key = "H_bridge_even" if state.n % 2 == 0 else "H_bridge_odd"
+            assert abs(rep[key][state.n // 2] - dense) < 1e-12
+
+
+def test_resumed_oracle_equals_cold_oracle():
+    model = verify._desk_models()["double-well-u"]
+    trace = discrete.run(model, 300, tol=1e-10)
+    cold = discrete.bridge_oracle(model, tol=1e-13)
+    warm = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    assert warm.n == cold.n
+    assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.v, cold.v)
+    with pytest.raises(DomainError, match="even state"):
+        discrete.bridge_oracle(model, start=trace.states[-1])
+
+
+def test_hard_zero_target_converges_on_its_support(hard_zero_target_model):
+    model = hard_zero_target_model
+    assert np.isinf(model.v_pot).any()
+    trace = discrete.run(model, 500, tol=1e-13)
+    assert trace.converged and trace.n_sweeps <= 40
+    for seq in (trace.h_pi2n_eta, trace.h_eta_pi2n, trace.h_mu_pi2n1, trace.h_pi2n1_mu, trace.residuals):
+        assert np.all(np.isfinite(seq))
+    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    r_mu, r_eta = discrete.marginal_residuals(oracle)
+    assert max(r_mu, r_eta) < 1e-12
+    # the converged plan puts no mass where eta has a hard zero
+    assert np.all(discrete.plan_mass(oracle)[:, np.isinf(model.v_pot)] == 0.0)
+    rep = discrete.entropy_report(trace, oracle)
+    assert np.all(np.isfinite(rep["H_bridge_even"] + rep["H_bridge_odd"]))
+    assert max(abs(x) for x in rep["telescope_even_residuals"] + rep["telescope_odd_residuals"]) < 1e-9
+
+
+def test_relative_entropy_zero_log_zero():
+    # a common hard zero contributes 0 log 0 = 0; mass where q vanishes costs +inf
+    w = np.full(3, 0.5)
+    log_p = np.array([-np.inf, 0.0, 0.0])
+    log_q = np.array([-np.inf, np.log(1.5), np.log(0.5)])
+    assert abs(discrete.relative_entropy(log_p, log_q, w) - 0.5 * np.log(4.0 / 3.0)) < 1e-15
+    assert discrete.relative_entropy(log_p, np.array([0.0, 0.0, -np.inf]), w) == np.inf
+
+
+def test_injected_nan_raises_within_the_sweep():
+    model = gaussian_desk_model()
+    w_pot = model.w_pot.copy()
+    w_pot[3, 5] = np.nan
+    broken = dataclasses.replace(model, w_pot=w_pot)
+    for call in (lambda: discrete.run(broken, 100000), lambda: discrete.bridge_oracle(broken)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="non-finite"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+def counted_passes(monkeypatch):
+    """Count the engine's N x N kernel passes."""
+    calls = []
+    inner = discrete._neg_lse
+
+    def counting(t, axis):
+        calls.append(t.shape)
+        return inner(t, axis)
+
+    monkeypatch.setattr(discrete, "_neg_lse", counting)
+    return calls
+
+
+def test_kernel_passes_per_sweep(monkeypatch):
+    model = verify._desk_models()["bimodal-v"]
+    passes = counted_passes(monkeypatch)
+    for budget in (3, 300):
+        passes.clear()
+        trace = discrete.run(model, budget, tol=1e-11)
+        # one pass for U_0, then two per sweep
+        assert len(passes) == 1 + 2 * (trace.n_sweeps + 1)
+        assert all(shape == (model.grid.size,) * 2 for shape in passes)
+    assert trace.converged
+
+    # the oracle makes two per sweep, plus the closing sweep's first
+    # half-step and the two-pass final marginal check; a cold start adds U_0
+    passes.clear()
+    cold = discrete.bridge_oracle(model, tol=1e-13)
+    assert len(passes) == 2 * (cold.n // 2) + 4
+    start = trace.states[-2]
+    passes.clear()
+    warm = discrete.bridge_oracle(model, tol=1e-13, start=start)
+    assert len(passes) == 2 * ((warm.n - start.n) // 2) + 3
+
+    counts = []
+    for budget in (2, 300):
+        trace = discrete.run(model, budget, tol=1e-11)
+        passes.clear()
+        discrete.entropy_report(trace, warm)
+        counts.append(len(passes))
+    assert counts == [2, 2]
