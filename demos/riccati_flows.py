@@ -16,7 +16,6 @@ print("quadratic identity r + r^2 =", r_star[0, 0] + r_star[0, 0] ** 2)
 
 delta, c_bound = riccati.decay_params(varpi)
 print(f"decay rate delta = {delta:.10f}, certified prefactor c = {c_bound:.4f}")
-print(f"closed-form prefactor estimate  = {riccati.prefactor_closed_form(varpi):.4f}")
 
 # --- iteration vs envelope ---------------------------------------------------
 traj = riccati.iterate(varpi, np.zeros((1, 1)), 20)

@@ -46,21 +46,12 @@ class CurvatureSpec:
 
     u_plus and v_plus bound the Hessians below (as u_plus^{-1}, v_plus^{-1});
     u_minus and v_minus bound them above, with ZERO meaning unbounded.
-    rho_u / rho_v hold user-supplied log-Sobolev constants for the
-    convex-at-infinity case together with the (delta, bar) data describing
-    where convexity kicks in.
     """
 
     u_plus: np.ndarray
     v_plus: np.ndarray
     u_minus: object = ZERO
     v_minus: object = ZERO
-    delta_u: float = 0.0
-    delta_v: float = 0.0
-    u_bar: object = None
-    v_bar: object = None
-    rho_u: float | None = None
-    rho_v: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u_plus", spd.require_spd(np.atleast_2d(np.asarray(self.u_plus, dtype=float))))

@@ -137,7 +137,6 @@ def cmd_riccati(args) -> int:
             "fixed_point": r_star,
             "delta": delta,
             "prefactor_bound": c_bound,
-            "prefactor_closed_form_estimate": riccati.prefactor_closed_form(varpi),
             "prefactor_empirical_fit": fit,
             "identities": report,
         })
@@ -157,6 +156,16 @@ def _kernel(doc) -> g.LinearGaussianKernel:
     return g.LinearGaussianKernel(doc["alpha"], doc["beta"], doc["tau"])
 
 
+def _spec(doc) -> CurvatureSpec:
+    """Curvature spec from a config object; a missing or null upper factor is ZERO."""
+    return CurvatureSpec(
+        u_plus=doc["u_plus"],
+        v_plus=doc["v_plus"],
+        u_minus=bounds.ZERO if doc.get("u_minus") is None else doc["u_minus"],
+        v_minus=bounds.ZERO if doc.get("v_minus") is None else doc["v_minus"],
+    )
+
+
 def cmd_gaussian(args) -> int:
     config = _load_config(args, "gaussian")
     model = config.get("model") or {
@@ -173,14 +182,7 @@ def cmd_gaussian(args) -> int:
         k = _kernel(model["kernel"])
         n_max = int(model.get("n_max", 30))
         spec_doc = model.get("spec")
-        if spec_doc:
-            spec = CurvatureSpec(
-                u_plus=spec_doc["u_plus"], v_plus=spec_doc["v_plus"],
-                u_minus=spec_doc.get("u_minus", bounds.ZERO) if spec_doc.get("u_minus") is not None else bounds.ZERO,
-                v_minus=spec_doc.get("v_minus", bounds.ZERO) if spec_doc.get("v_minus") is not None else bounds.ZERO,
-            )
-        else:
-            spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
+        spec = _spec(spec_doc) if spec_doc else CurvatureSpec.gaussian(mu.cov, eta.cov)
 
         eps = bounds.eps_lg(k, spec)
         ph = bounds.phi(eps)
@@ -315,13 +317,7 @@ def cmd_bounds(args) -> int:
     out = Path(args.out or "out/bounds")
     try:
         k = _kernel(model["kernel"])
-        sdoc = model["spec"]
-        spec = CurvatureSpec(
-            u_plus=sdoc["u_plus"],
-            v_plus=sdoc["v_plus"],
-            u_minus=sdoc.get("u_minus") if sdoc.get("u_minus") is not None else bounds.ZERO,
-            v_minus=sdoc.get("v_minus") if sdoc.get("v_minus") is not None else bounds.ZERO,
-        )
+        spec = _spec(model["spec"])
         report = bounds.rate_table(k, spec, int(model.get("n_max", 20)), p=int(model.get("p", 1)))
     except (DomainError, ShapeError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -345,8 +341,10 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if (not args.filter) or (args.filter in "determinism"):
-        results.append(verify.criterion_determinism(seed))
+    if not args.filter or args.filter in "determinism":
+        # the full suite at default tolerances is itself the first of the two runs compared
+        first = None if args.filter or overrides else verify.summary_document(results, seed)
+        results.append(verify.criterion_determinism(seed, first=first))
     results.sort(key=lambda r: r["id"])
     doc = verify.summary_document(results, seed)
     if args.json:
@@ -377,10 +375,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output path prefix")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--filter", help="restrict verify to criteria whose name contains this")
-        p.add_argument("--json", action="store_true", help="print machine-readable summary")
-        p.add_argument("--tol-override", action="append", metavar="KEY=VAL")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--filter", help="restrict verify to criteria whose name contains this")
+            p.add_argument("--json", action="store_true", help="print machine-readable summary")
+            p.add_argument("--tol-override", action="append", metavar="KEY=VAL")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     return args.fn(args)

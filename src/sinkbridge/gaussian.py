@@ -216,25 +216,23 @@ def sinkhorn_run(mu, eta, k, n_max: int, tol: float = 0.0):
     u_half = spd.principal_sqrt(u)
     u_ihalf = spd.sym_inv(u_half)
 
-    def even_state(n, tau_even, m_even):
-        sigma_pi = spd.symmetrize(tau_even @ chi @ u @ chi.T @ tau_even + tau_even)
-        return GaussianSinkhornState(n, tau_even, m_even, sigma_pi)
-
-    def odd_state(n, tau_odd, m_odd):
-        sigma_pi = spd.symmetrize(tau_odd @ chi.T @ v @ chi @ tau_odd + tau_odd)
-        return GaussianSinkhornState(n, tau_odd, m_odd, sigma_pi)
+    def state(n, tau_n, m_n):
+        # even states push u through x -> y, odd states push v through y -> x
+        a, cov = (chi, u) if n % 2 == 0 else (chi.T, v)
+        sigma_pi = spd.symmetrize(tau_n @ a @ cov @ a.T @ tau_n + tau_n)
+        return GaussianSinkhornState(n, tau_n, m_n, sigma_pi)
 
     # n = 0: the reference channel itself, pi_0 = mu K
     r_even = spd.symmetrize(v_ihalf @ k.tau @ v_ihalf)
     tau_even = k.tau
     m_even = k.alpha + k.beta @ m
-    states = [even_state(0, tau_even, m_even)]
+    states = [state(0, tau_even, m_even)]
 
     # n = 1: first conjugate transition
     tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
     r_odd = spd.symmetrize(u_ihalf @ tau_odd @ u_ihalf)
     m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
-    states.append(odd_state(1, tau_odd, m_odd))
+    states.append(state(1, tau_odd, m_odd))
 
     for j in range(1, n_max + 1):
         prev_tau_even, prev_tau_odd = tau_even, tau_odd
@@ -243,12 +241,12 @@ def sinkhorn_run(mu, eta, k, n_max: int, tol: float = 0.0):
         r_even = riccati.ricc_map(w0, r_even)
         tau_even = spd.symmetrize(v_half @ r_even @ v_half)
         m_even = mbar + tau_even @ chi @ (m - m_odd)
-        states.append(even_state(2 * j, tau_even, m_even))
+        states.append(state(2 * j, tau_even, m_even))
 
         r_odd = riccati.ricc_map(w1, r_odd)
         tau_odd = spd.symmetrize(u_half @ r_odd @ u_half)
         m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
-        states.append(odd_state(2 * j + 1, tau_odd, m_odd))
+        states.append(state(2 * j + 1, tau_odd, m_odd))
 
         if tol > 0.0:
             moved = max(

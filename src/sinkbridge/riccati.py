@@ -146,29 +146,6 @@ def decay_params(varpi) -> tuple[float, float]:
     return delta, float(c_bound)
 
 
-def prefactor_closed_form(varpi) -> float:
-    """Closed-form prefactor estimate built from norms of varpi and u.
-
-    Cheap to evaluate but NOT a certified bound: for small scalar varpi it
-    undershoots the constant the envelope actually needs (varpi = 0.1 needs
-    c >= 2 - r while this expression gives 0.399).  Kept for reporting
-    alongside the certified product constant of decay_params.
-    """
-    varpi = _as_varpi(varpi)
-    r = fixed_point(varpi)
-    u = varpi + r
-    lo_u, _ = spd.eig_range(u)
-    delta = float((1.0 + lo_u) ** -2)
-    varpi_inv = spd.sym_inv(varpi)
-    n_w = spd.spectral_norm(varpi)
-    n_wi = spd.spectral_norm(varpi_inv)
-    n_u = spd.spectral_norm(u)
-    n_ui = spd.spectral_norm(spd.sym_inv(u))
-    return float(
-        (1.0 / delta) * (n_w * n_wi / (1.0 + n_wi)) ** 2 * ((1.0 + n_u) * (1.0 + n_ui)) ** 2
-    )
-
-
 def iterate(varpi, r0, n: int) -> list[np.ndarray]:
     """Trajectory [r0, Ricc(r0), ..., Ricc^n(r0)] of the Riccati recursion."""
     r = spd.clamp_psd(np.atleast_2d(np.asarray(r0, dtype=float)))
@@ -186,7 +163,9 @@ def scalar_closed_form(varpi: float, r0: float, n: int) -> float:
     if r0 < 0:
         raise DomainError("scalar r0 must be nonnegative")
     r = float(fixed_point(varpi)[0, 0])
-    delta, _ = decay_params(varpi)
+    # decay_params' rate (1 + l_min(varpi + r))^{-2}; for a scalar the
+    # eigenvalue is varpi + r itself, so this is the same float
+    delta = (1.0 + (varpi + r)) ** -2
     dn = delta**n
     gap = (r0 - r) * (varpi + 2.0 * r) * dn / ((r0 + varpi + r) * (1.0 - dn) + (varpi + 2.0 * r) * dn)
     return r + gap

@@ -4,6 +4,13 @@ Everything here goes through the symmetric eigendecomposition rather than
 Cholesky so that near-singular positive semi-definite inputs are handled
 gracefully.  All constructors symmetrize with (A + A')/2 to kill round-off
 drift, and all tolerance checks are relative to the spectral scale.
+
+One decomposition per operation: each validating primitive symmetrizes
+once, calls ``eigh`` once, and runs its SPD or PSD check on that same
+spectrum before building its result from it.  The check is then nearly
+free, so there are no unchecked twins of these functions: a second,
+unvalidated path per primitive would buy little speed and let a non-SPD
+input through silently.
 """
 
 import numpy as np
@@ -49,20 +56,30 @@ def clamp_psd(a) -> np.ndarray:
     """
     a = symmetrize(a)
     w, u = np.linalg.eigh(a)
-    floor = -PSD_ATOL * (1.0 + spectral_norm(a))
+    # the spectral radius of a symmetric matrix is its spectral norm
+    floor = -PSD_ATOL * (1.0 + max(-w[0], w[-1]))
     if w[0] < floor:
         raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.maximum(w, 0.0)
     return symmetrize((u * w) @ u.T)
 
 
-def require_spd(a) -> np.ndarray:
-    """Validated SPD constructor: symmetrize and check eig_min > rtol*eig_max."""
+def _spd_eigh(a):
+    """Symmetrize, decompose once and check eig_min > rtol*eig_max.
+
+    Returns the symmetrized matrix with its eigenvalues and eigenvectors.
+    """
     a = symmetrize(a)
-    lo, hi = eig_range(a)
+    w, u = np.linalg.eigh(a)
+    lo, hi = float(w[0]), float(w[-1])
     if not (lo > SPD_RTOL * max(hi, 0.0)):
         raise DomainError(f"matrix is not SPD: eigenvalue range [{lo:.3e}, {hi:.3e}]")
-    return a
+    return a, w, u
+
+
+def require_spd(a) -> np.ndarray:
+    """Validated SPD constructor: symmetrize and check eig_min > rtol*eig_max."""
+    return _spd_eigh(a)[0]
 
 
 def is_spd(a) -> bool:
@@ -75,15 +92,13 @@ def is_spd(a) -> bool:
 
 def sym_inv(a) -> np.ndarray:
     """Inverse of an SPD matrix via eigendecomposition; preserves symmetry exactly."""
-    a = require_spd(a)
-    w, u = np.linalg.eigh(a)
+    _, w, u = _spd_eigh(a)
     return symmetrize((u / w) @ u.T)
 
 
 def principal_sqrt(a) -> np.ndarray:
     """Principal symmetric square root of an SPD matrix."""
-    a = require_spd(a)
-    w, u = np.linalg.eigh(a)
+    _, w, u = _spd_eigh(a)
     return symmetrize((u * np.sqrt(w)) @ u.T)
 
 
@@ -101,9 +116,8 @@ def geometric_mean(u, v) -> np.ndarray:
     arguments, and equal to (uv)^{1/2} when u and v commute.
     """
     u = require_spd(u)
-    v = require_spd(v)
+    v, w, q = _spd_eigh(v)
     check_same_dim(u, v)
-    w, q = np.linalg.eigh(v)
     v_half = (q * np.sqrt(w)) @ q.T
     v_inv_half = (q / np.sqrt(w)) @ q.T
     inner = principal_sqrt(v_inv_half @ u @ v_inv_half)

@@ -477,9 +477,14 @@ def _canonical(v):
     return str(v)
 
 
-def criterion_determinism(seed: int = 0) -> dict:
-    """Criterion 11: two full runs with one seed serialize identically."""
-    first = summary_document(run_criteria(seed=seed), seed)
+def criterion_determinism(seed: int = 0, first: str | None = None) -> dict:
+    """Criterion 11: two full runs with one seed serialize identically.
+
+    ``first`` is the summary of a full default-tolerance run the caller
+    already made; it stands in for the first of the two runs.
+    """
+    if first is None:
+        first = summary_document(run_criteria(seed=seed), seed)
     second = summary_document(run_criteria(seed=seed), seed)
     passed = first == second
     return {

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,22 @@ def hard_zero_target_model():
         return out
 
     return discrete.build_model(quad, v_fn, models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]]), grid)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts of numpy eigh, eigvalsh and svd calls made while the test runs."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    # np.linalg.norm(a, 2) reaches svd through the implementation module
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting("svd", np.linalg._linalg.svd))
+    return counts

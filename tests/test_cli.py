@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sinkbridge import cli, models
+from sinkbridge import cli, models, verify
 
 
 def run_cli(args):
@@ -212,3 +212,39 @@ def test_verify_unknown_override_parameter_exit_2(capsys):
     err = capsys.readouterr().err
     assert "'finl_gap'" in err and "final_gap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["riccati", "gaussian", "discrete", "bounds"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "1"], ["--filter", "ot-limit"], ["--json"], ["--tol-override", "ot-limit.final_gap=1"]],
+    ids=["seed", "filter", "json", "tol-override"],
+)
+def test_verify_only_flags_rejected_elsewhere(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--out", str(tmp_path / command), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_full_suite_runs_two_passes(monkeypatch, capsys):
+    def one(seed=0):
+        return {"id": 1, "name": "one", "passed": True, "details": {"seed": seed}}
+
+    def two(seed=0):
+        return {"id": 2, "name": "two", "passed": True, "details": {}}
+
+    passes = []
+    run_criteria = verify.run_criteria
+
+    def counting(**kwargs):
+        passes.append(kwargs)
+        return run_criteria(**kwargs)
+
+    monkeypatch.setattr(verify, "CRITERIA", [("one", one), ("two", two)])
+    monkeypatch.setattr(verify, "run_criteria", counting)
+    assert run_cli(["verify", "--json", "--seed", "3"]) == 0
+    assert len(passes) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["criteria"]] == ["one", "two", "determinism"]
+    assert doc["criteria"][2]["passed"] is True

@@ -132,6 +132,26 @@ def test_scalar_closed_form_matches_iteration():
             assert abs(riccati.scalar_closed_form(varpi, r0, n) - traj[n][0, 0]) < 1e-12
 
 
+def test_scalar_closed_form_computes_rate_directly(monkeypatch):
+    traj = {varpi: riccati.iterate(np.array([[varpi]]), np.array([[1.5]]), 40) for varpi in (0.1, 1.0, 10.0)}
+
+    def no_decay_params(varpi):
+        raise AssertionError("scalar_closed_form must not call decay_params")
+
+    monkeypatch.setattr(riccati, "decay_params", no_decay_params)
+    for varpi, states in traj.items():
+        for n in range(41):
+            assert abs(riccati.scalar_closed_form(varpi, 1.5, n) - states[n][0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_ricc_map_decompositions(d, decompositions):
+    rng = np.random.default_rng(d)
+    riccati.ricc_map(random_spd(rng, d), random_spd(rng, d))
+    assert decompositions["eigh"] + decompositions["eigvalsh"] <= 4
+    assert decompositions["svd"] == 0
+
+
 def test_monotone_in_state():
     rng = np.random.default_rng(8)
     for _ in range(200):

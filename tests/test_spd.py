@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sinkbridge import spd
+from sinkbridge import gaussian, riccati, spd
+from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError, ShapeError
 
 
@@ -107,3 +108,39 @@ def test_ando_hemmen_property_sweep():
         u = random_spd(rng, d, scale=rng.uniform(0.05, 2.0))
         v = random_spd(rng, d, scale=rng.uniform(0.05, 2.0))
         assert spd.ando_hemmen_check(u, v)
+
+
+INDEFINITE = np.diag([1.0, -0.5])
+EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spd.require_spd(INDEFINITE),
+        lambda: spd.sym_inv(INDEFINITE),
+        lambda: spd.principal_sqrt(INDEFINITE),
+        lambda: spd.geometric_mean(INDEFINITE, EYE2),
+        lambda: spd.geometric_mean(EYE2, INDEFINITE),
+        lambda: riccati.ricc_map(INDEFINITE, np.zeros((2, 2))),
+        lambda: riccati.ricc_map(EYE2, INDEFINITE),
+        lambda: gaussian.GaussianMeasure([0.0, 0.0], INDEFINITE),
+        lambda: gaussian.LinearGaussianKernel([0.0, 0.0], EYE2, INDEFINITE),
+        lambda: CurvatureSpec(u_plus=INDEFINITE, v_plus=EYE2),
+        lambda: CurvatureSpec(u_plus=EYE2, v_plus=EYE2, u_minus=INDEFINITE),
+    ],
+    ids=[
+        "require_spd", "sym_inv", "principal_sqrt", "geometric_mean-u", "geometric_mean-v",
+        "ricc_map-varpi", "ricc_map-s", "GaussianMeasure", "LinearGaussianKernel-tau",
+        "CurvatureSpec-u_plus", "CurvatureSpec-u_minus",
+    ],
+)
+def test_validating_entry_points_reject_non_spd(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("fn", [spd.sym_inv, spd.principal_sqrt])
+def test_spd_primitive_decomposes_once(fn, decompositions):
+    fn(random_spd(np.random.default_rng(1), 4))
+    assert sum(decompositions.values()) == 1
