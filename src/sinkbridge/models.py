@@ -9,13 +9,20 @@ A model document looks like
 
 W may instead be {"kind": "tabulated", "path": "table.npy"} with an (N, N)
 array stored as .npy or delimited text.
+
+Every vector or matrix parameter must be sized for the grid's dimension;
+a mismatch raises ShapeError before anything is tabulated.  A
+linear-Gaussian channel whose beta and tau have zero off-diagonal entries
+is separable: it is stored as one factor table per grid axis (see the
+``discrete`` module docstring), which on a 2-d grid never forms the
+(N, N) table.  Every other channel is one dense (N, N) table.
 """
 
 import numpy as np
 
 from . import spd
-from .discrete import DiscreteModel, build_model, uniform_grid
-from .errors import DomainError
+from .discrete import DiscreteModel, build_model, channel_table, uniform_grid
+from .errors import DomainError, ShapeError
 
 
 def quadratic_potential(mean, cov):
@@ -119,14 +126,49 @@ def channel_potential_from_spec(doc: dict):
     raise DomainError(f"unknown channel kind: {kind!r}")
 
 
+# spec parameters sized by the state dimension: (name, trailing axes of size dim)
+_DIM_PARAMS = {
+    "quadratic": (("mean", 1), ("cov", 2)),
+    "gaussian-mixture": (("means", 1), ("covs", 2)),
+    "linear-gaussian": (("alpha", 1), ("beta", 2), ("tau", 2)),
+}
+
+
+def _check_dim(what: str, kind: str, params: dict, dim: int):
+    for name, axes in _DIM_PARAMS.get(kind, ()):
+        shape = (1,) * axes + np.shape(params[name])
+        if shape[-axes:] != (dim,) * axes:
+            raise ShapeError(f"{what} {name} has shape {np.shape(params[name])}, the grid is {dim}-dimensional")
+
+
+def _axis_factors(doc: dict, n: int, radius: float):
+    """Per-axis factor tables of a linear-Gaussian channel with diagonal beta and tau, else None."""
+    alpha = np.atleast_1d(np.asarray(doc["alpha"], dtype=float))
+    beta = np.atleast_2d(np.asarray(doc["beta"], dtype=float))
+    tau = np.atleast_2d(np.asarray(doc["tau"], dtype=float))
+    if np.any(beta != np.diag(np.diag(beta))) or np.any(tau != np.diag(np.diag(tau))):
+        return None
+    axis = uniform_grid(1, n, radius)
+    return tuple(
+        channel_table(linear_gaussian_channel_potential(alpha[k], beta[k, k], tau[k, k]), axis)
+        for k in range(alpha.size)
+    )
+
+
 def model_from_spec(doc: dict) -> DiscreteModel:
     """Build a DiscreteModel from a JSON-style model document."""
     try:
         gdoc = doc["grid"]
-        grid = uniform_grid(int(gdoc["dim"]), int(gdoc["n"]), float(gdoc["radius"]))
+        dim, n, radius = int(gdoc["dim"]), int(gdoc["n"]), float(gdoc["radius"])
+        grid = uniform_grid(dim, n, radius)
         u_fn = marginal_potential_from_spec(doc["U"])
         v_fn = marginal_potential_from_spec(doc["V"])
-        w_fn = channel_potential_from_spec(doc["W"])
+        wdoc = doc["W"]
+        _check_dim("U", doc["U"]["kind"], doc["U"].get("params", {}), dim)
+        _check_dim("V", doc["V"]["kind"], doc["V"].get("params", {}), dim)
+        _check_dim("W", wdoc.get("kind"), wdoc, dim)
+        factors = _axis_factors(wdoc, n, radius) if wdoc.get("kind") == "linear-gaussian" else None
+        w_fn = factors or channel_potential_from_spec(wdoc)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed model spec: {exc}") from exc
     return build_model(u_fn, v_fn, w_fn, grid)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sinkbridge import cli, models, verify
+from sinkbridge import cli, discrete, models, verify
 
 
 def run_cli(args):
@@ -248,3 +248,44 @@ def test_verify_full_suite_runs_two_passes(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in doc["criteria"]] == ["one", "two", "determinism"]
     assert doc["criteria"][2]["passed"] is True
+
+
+def _discrete_config(tmp_path, grid, u, w):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "discrete", "model": {"grid": grid, "U": u, "V": u, "W": w}}))
+    return cfg
+
+
+QUAD_1D = {"kind": "quadratic", "params": {"mean": [0.0], "cov": [[1.0]]}}
+QUAD_2D = {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+LG_1D = {"kind": "linear-gaussian", "alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]}
+LG_2D = {"kind": "linear-gaussian", "alpha": [0.0, 0.0],
+         "beta": [[0.9, 0.0], [0.0, 0.8]], "tau": [[0.5, 0.0], [0.0, 0.7]]}
+
+
+@pytest.mark.parametrize("dim, u, w, bad", [
+    (2, QUAD_2D, LG_1D, "W alpha"),
+    (2, QUAD_2D, dict(LG_2D, beta=[[0.9]]), "W beta"),
+    (2, QUAD_2D, dict(LG_2D, tau=[[0.5]]), "W tau"),
+    (1, QUAD_2D, LG_1D, "U mean"),
+    (1, {"kind": "gaussian-mixture",
+         "params": {"weights": [1.0], "means": [[0.0]], "covs": [[[1.0, 0.0], [0.0, 1.0]]]}}, LG_1D, "U covs"),
+])
+def test_discrete_spec_dimension_mismatch_exit_2(tmp_path, capsys, dim, u, w, bad):
+    cfg = _discrete_config(tmp_path, {"dim": dim, "n": 8, "radius": 4.0}, u, w)
+    assert run_cli(["discrete", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and bad in err and f"{dim}-dimensional" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_discrete_diagonal_2d_never_forms_dense_table(tmp_path, monkeypatch):
+    def dense_table(model):
+        raise AssertionError("the (N, N) channel table was formed")
+
+    monkeypatch.setattr(discrete.DiscreteModel, "w_pot", property(dense_table))
+    cfg = _discrete_config(tmp_path, {"dim": 2, "n": 16, "radius": 5.0}, QUAD_2D, LG_2D)
+    out = tmp_path / "diag"
+    assert run_cli(["discrete", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["converged"] and doc["entropy_monotone"]

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,7 +468,7 @@ def test_injected_nan_raises_within_the_sweep():
     model = gaussian_desk_model()
     w_pot = model.w_pot.copy()
     w_pot[3, 5] = np.nan
-    broken = dataclasses.replace(model, w_pot=w_pot)
+    broken = dataclasses.replace(model, channel=(w_pot,))
     for call in (lambda: discrete.run(broken, 100000), lambda: discrete.bridge_oracle(broken)):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="non-finite"):
@@ -516,3 +517,164 @@ def test_kernel_passes_per_sweep(monkeypatch):
         discrete.entropy_report(trace, warm)
         counts.append(len(passes))
     assert counts == [2, 2]
+
+
+# separable channels: a linear-Gaussian channel with diagonal beta and tau on
+# a 2-d grid is stored as one factor table per axis
+
+
+def diagonal_spec(n=16, radius=6.0, alpha=(0.3, -0.2), beta=(0.9, 0.7), tau=(0.6, 1.1),
+                  v_cov=((1.2, 0.3), (0.3, 0.9))):
+    return {
+        "grid": {"dim": 2, "n": n, "radius": radius},
+        "U": {"kind": "quadratic", "params": {"mean": [0.2, -0.1], "cov": [[1.0, 0.0], [0.0, 0.8]]}},
+        "V": {"kind": "quadratic", "params": {"mean": [-0.3, 0.1], "cov": [list(r) for r in v_cov]}},
+        "W": {"kind": "linear-gaussian", "alpha": list(alpha),
+              "beta": np.diag(beta).tolist(), "tau": np.diag(tau).tolist()},
+    }
+
+
+def dense_twin(doc, v_fn=None):
+    """The same model as a spec, built with one dense (N, N) channel table."""
+    grid = discrete.uniform_grid(2, doc["grid"]["n"], doc["grid"]["radius"])
+    w = doc["W"]
+    return discrete.build_model(
+        models.marginal_potential_from_spec(doc["U"]),
+        v_fn or models.marginal_potential_from_spec(doc["V"]),
+        models.linear_gaussian_channel_potential(w["alpha"], w["beta"], w["tau"]),
+        grid,
+    )
+
+
+def axis_factors(doc):
+    axis = discrete.uniform_grid(1, doc["grid"]["n"], doc["grid"]["radius"])
+    w = doc["W"]
+    return tuple(
+        discrete.channel_table(
+            models.linear_gaussian_channel_potential(w["alpha"][k], w["beta"][k][k], w["tau"][k][k]), axis
+        )
+        for k in range(2)
+    )
+
+
+def test_model_from_spec_routes_diagonal_channels_to_factors(tmp_path):
+    doc = diagonal_spec(n=8)
+    model = models.model_from_spec(doc)
+    assert [f.shape for f in model.channel] == [(8, 8), (8, 8)]
+    # the on-demand dense table is the dense model's table
+    assert np.max(np.abs(model.w_pot - dense_twin(doc).w_pot)) < 1e-12
+
+    correlated = diagonal_spec(n=8)
+    correlated["W"]["beta"] = [[0.9, 0.1], [0.0, 0.7]]
+    assert [f.shape for f in models.model_from_spec(correlated).channel] == [(64, 64)]
+    correlated_noise = diagonal_spec(n=8)
+    correlated_noise["W"]["tau"] = [[0.6, 0.2], [0.2, 1.1]]
+    assert [f.shape for f in models.model_from_spec(correlated_noise).channel] == [(64, 64)]
+
+    path = tmp_path / "w.npy"
+    np.save(path, dense_twin(doc).w_pot)
+    tabulated = dict(doc, W={"kind": "tabulated", "path": str(path)})
+    assert [f.shape for f in models.model_from_spec(tabulated).channel] == [(64, 64)]
+
+    one_d = {
+        "grid": {"dim": 1, "n": 32, "radius": 6.0},
+        "U": {"kind": "quadratic", "params": {"mean": [0.0], "cov": [[1.0]]}},
+        "V": {"kind": "quadratic", "params": {"mean": [0.0], "cov": [[1.0]]}},
+        "W": {"kind": "linear-gaussian", "alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]},
+    }
+    model = models.model_from_spec(one_d)
+    assert [f.shape for f in model.channel] == [(32, 32)]
+    assert np.array_equal(model.w_pot, gaussian_desk_model(n=32, radius=6.0).w_pot)
+
+
+def test_factored_kernel_pass_matches_dense_pass():
+    doc = diagonal_spec(n=12)
+    factored, dense = models.model_from_spec(doc), dense_twin(doc)
+    rng = np.random.default_rng(3)
+    pot = rng.uniform(-5.0, 5.0, size=factored.grid.size)
+    pot[rng.uniform(size=pot.size) < 0.1] = np.inf
+    pot[:12] = np.inf  # a whole grid line without mass
+    for axis in (0, 1):
+        got = discrete._kernel_pass(factored, pot, axis)
+        want = discrete._kernel_pass(dense, pot, axis)
+        assert np.all(np.isfinite(want))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    diagonal_spec(),
+    diagonal_spec(n=20, alpha=(-0.4, 0.5), beta=(1.1, 0.6), tau=(0.5, 0.9), v_cov=((0.7, 0.0), (0.0, 1.3))),
+])
+def test_factored_and_dense_forms_agree(spec):
+    factored = models.model_from_spec(spec)
+    assert len(factored.channel) == 2
+    results = []
+    for model in (factored, dense_twin(spec)):
+        trace = discrete.run(model, 300, tol=1e-11)
+        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        results.append((trace, oracle, discrete.entropy_report(trace, oracle)))
+    (t_f, o_f, rep_f), (t_d, o_d, rep_d) = results
+    assert t_f.converged and t_f.n_sweeps == t_d.n_sweeps and o_f.n == o_d.n
+    for s_f, s_d in zip(t_f.states, t_d.states):
+        assert np.max(np.abs(s_f.u - s_d.u)) < 1e-12 and np.max(np.abs(s_f.v - s_d.v)) < 1e-12
+    assert np.max(np.abs(o_f.u - o_d.u)) < 1e-12 and np.max(np.abs(o_f.v - o_d.v)) < 1e-12
+    assert rep_f.keys() == rep_d.keys()
+    for key in rep_f:
+        assert np.max(np.abs(np.subtract(rep_f[key], rep_d[key]))) < 1e-12, key
+
+
+def test_factored_hard_zero_target_converges():
+    doc = diagonal_spec()
+    quad = models.marginal_potential_from_spec(doc["V"])
+
+    def v_fn(points):
+        out = quad(points)
+        out[points[:, 0] < -2.0] = np.inf  # whole grid lines of the first axis
+        return out
+
+    grid = discrete.uniform_grid(2, 16, 6.0)
+    model = discrete.build_model(models.marginal_potential_from_spec(doc["U"]), v_fn, axis_factors(doc), grid)
+    assert len(model.channel) == 2 and np.isinf(model.v_pot).any()
+    trace = discrete.run(model, 500, tol=1e-12)
+    assert trace.converged
+    for seq in (trace.h_pi2n_eta, trace.h_eta_pi2n, trace.h_mu_pi2n1, trace.h_pi2n1_mu, trace.residuals):
+        assert np.all(np.isfinite(seq))
+    oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    assert max(discrete.marginal_residuals(oracle)) < 1e-12
+    rep = discrete.entropy_report(trace, oracle)
+    assert all(np.all(np.isfinite(seq)) for seq in rep.values())
+    # the dense form of the same model gives the same entropies
+    dense = dense_twin(doc, v_fn)
+    dense_trace = discrete.run(dense, 500, tol=1e-12)
+    dense_oracle = discrete.bridge_oracle(dense, tol=1e-13, start=dense_trace.states[-2])
+    dense_rep = discrete.entropy_report(dense_trace, dense_oracle)
+    for key in rep:
+        assert np.max(np.abs(np.subtract(rep[key], dense_rep[key]))) < 1e-12, key
+
+
+def test_nan_in_one_factor_raises_within_the_sweep():
+    model = models.model_from_spec(diagonal_spec())
+    first, second = model.channel
+    second = second.copy()
+    second[3, 5] = np.nan
+    broken = dataclasses.replace(model, channel=(first, second))
+    for call in (lambda: discrete.run(broken, 100000), lambda: discrete.bridge_oracle(broken)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="non-finite"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_factored_model_at_128_per_axis_stays_small():
+    doc = diagonal_spec(n=128, radius=6.0)
+    tracemalloc.start()
+    try:
+        model = models.model_from_spec(doc)
+        trace = discrete.run(model, 3, tol=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.shape for f in model.channel] == [(128, 128), (128, 128)]
+    assert trace.n_sweeps == 3 and np.all(np.isfinite(trace.residuals))
+    dense_bytes = 8 * model.grid.size**2  # 2.1 GB
+    assert peak < dense_bytes / 20
