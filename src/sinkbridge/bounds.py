@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import riccati, spd
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .gaussian import LinearGaussianKernel
 from .riccati import INFINITE
 
@@ -60,6 +60,9 @@ class CurvatureSpec:
             val = getattr(self, name)
             if not is_zero(val):
                 object.__setattr__(self, name, spd.require_spd(np.atleast_2d(np.asarray(val, dtype=float))))
+        shapes = {f.shape for f in (self.u_plus, self.v_plus, self.u_minus, self.v_minus) if not is_zero(f)}
+        if len(shapes) > 1:
+            raise ShapeError(f"curvature factors disagree in shape: {sorted(shapes)}")
 
     @property
     def dim(self) -> int:

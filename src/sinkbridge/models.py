@@ -10,25 +10,51 @@ A model document looks like
 W may instead be {"kind": "tabulated", "path": "table.npy"} with an (N, N)
 array stored as .npy or delimited text.
 
-Every vector or matrix parameter must be sized for the grid's dimension;
-a mismatch raises ShapeError before anything is tabulated.  A
-linear-Gaussian channel whose beta and tau have zero off-diagonal entries
-is separable: it is stored as one factor table per grid axis (see the
-``discrete`` module docstring), which on a 2-d grid never forms the
-(N, N) table.  Every other channel is one dense (N, N) table.
+Every vector or matrix parameter is read once by ``parse_array`` and must
+be sized for the grid's dimension; a mismatch raises ShapeError before
+anything is tabulated.  A linear-Gaussian channel whose beta and tau have
+zero off-diagonal entries is separable: it is stored as one factor table
+per grid axis (see the ``discrete`` module docstring), which on a 2-d grid
+never forms the (N, N) table.  Every other channel is one dense (N, N)
+table.
 """
+
+import numbers
+import reprlib
 
 import numpy as np
 
 from . import spd
 from .discrete import DiscreteModel, build_model, channel_table, uniform_grid
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
+
+
+def parse_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a float array of rank ``ndim``; a lower rank gains leading unit axes.
+
+    Ragged, non-numeric (strings, booleans, null, objects, NaN) or
+    higher-rank input raises ConfigError naming ``name``; +-inf passes.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} is ragged: {reprlib.repr(value)}") from exc
+    if arr.dtype.kind not in "iuf" or arr.ndim > ndim or np.isnan(arr).any():
+        raise ConfigError(f"{name} must be a numeric array of rank <= {ndim}, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False).reshape((1,) * (ndim - arr.ndim) + arr.shape)
+
+
+def parse_count(value, name: str, low: int) -> int:
+    """``value`` as an integer >= ``low``; booleans, floats and strings raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def quadratic_potential(mean, cov):
     """U(x) = (x - m)' cov^{-1} (x - m) / 2, the Gaussian potential."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    prec = spd.sym_inv(np.atleast_2d(np.asarray(cov, dtype=float)))
+    mean = parse_array(mean, "mean", 1)
+    prec = spd.sym_inv(parse_array(cov, "cov", 2))
 
     def u(points):
         diff = points - mean[None, :]
@@ -50,11 +76,9 @@ def quartic_double_well_potential(a: float, b: float):
 
 def gaussian_mixture_potential(weights, means, covs):
     """U(x) = -log sum_k w_k g_k(x) for Gaussian components g_k."""
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim == 2:
-        covs = covs[None, :, :]
+    weights = parse_array(weights, "weights", 1)
+    means = parse_array(means, "means", 2)
+    covs = parse_array(covs, "covs", 3)
     if weights.shape[0] != means.shape[0] or weights.shape[0] != covs.shape[0]:
         raise DomainError("mixture weights/means/covs lengths disagree")
     precs = [spd.sym_inv(c) for c in covs]
@@ -77,9 +101,9 @@ def gaussian_mixture_potential(weights, means, covs):
 
 def linear_gaussian_channel_potential(alpha, beta, tau):
     """W(x, y) = (y - a - Bx)' tau^{-1} (y - a - Bx) / 2 up to a constant."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    prec = spd.sym_inv(np.atleast_2d(np.asarray(tau, dtype=float)))
+    alpha = parse_array(alpha, "alpha", 1)
+    beta = parse_array(beta, "beta", 2)
+    prec = spd.sym_inv(parse_array(tau, "tau", 2))
 
     def w(xs, ys):
         pred = alpha[None, :] + xs @ beta.T
@@ -90,8 +114,7 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
 
 
 def tabulated_channel_potential(path: str):
-    table = np.load(path) if str(path).endswith(".npy") else np.loadtxt(path)
-    table = np.asarray(table, dtype=float)
+    table = parse_array(np.load(path) if str(path).endswith(".npy") else np.loadtxt(path), str(path), 2)
 
     def w(xs, ys):
         if table.shape != (xs.shape[0], ys.shape[0]):
@@ -126,26 +149,27 @@ def channel_potential_from_spec(doc: dict):
     raise DomainError(f"unknown channel kind: {kind!r}")
 
 
-# spec parameters sized by the state dimension: (name, trailing axes of size dim)
+# spec parameters sized by the state dimension: (name, rank, trailing axes of size dim)
 _DIM_PARAMS = {
-    "quadratic": (("mean", 1), ("cov", 2)),
-    "gaussian-mixture": (("means", 1), ("covs", 2)),
-    "linear-gaussian": (("alpha", 1), ("beta", 2), ("tau", 2)),
+    "quadratic": (("mean", 1, 1), ("cov", 2, 2)),
+    "gaussian-mixture": (("means", 2, 1), ("covs", 3, 2)),
+    "linear-gaussian": (("alpha", 1, 1), ("beta", 2, 2), ("tau", 2, 2)),
 }
 
 
-def _check_dim(what: str, kind: str, params: dict, dim: int):
-    for name, axes in _DIM_PARAMS.get(kind, ()):
-        shape = (1,) * axes + np.shape(params[name])
-        if shape[-axes:] != (dim,) * axes:
-            raise ShapeError(f"{what} {name} has shape {np.shape(params[name])}, the grid is {dim}-dimensional")
+def _parse_params(what: str, kind, params: dict, dim: int) -> dict:
+    """``params`` with every dimension-sized entry parsed and checked against the grid."""
+    out = dict(params)
+    for name, rank, axes in _DIM_PARAMS.get(kind, ()):
+        arr = out[name] = parse_array(params[name], f"{what} {name}", rank)
+        if arr.shape[-axes:] != (dim,) * axes:
+            raise ShapeError(f"{what} {name} has shape {arr.shape}, the grid is {dim}-dimensional")
+    return out
 
 
 def _axis_factors(doc: dict, n: int, radius: float):
     """Per-axis factor tables of a linear-Gaussian channel with diagonal beta and tau, else None."""
-    alpha = np.atleast_1d(np.asarray(doc["alpha"], dtype=float))
-    beta = np.atleast_2d(np.asarray(doc["beta"], dtype=float))
-    tau = np.atleast_2d(np.asarray(doc["tau"], dtype=float))
+    alpha, beta, tau = doc["alpha"], doc["beta"], doc["tau"]
     if np.any(beta != np.diag(np.diag(beta))) or np.any(tau != np.diag(np.diag(tau))):
         return None
     axis = uniform_grid(1, n, radius)
@@ -159,16 +183,16 @@ def model_from_spec(doc: dict) -> DiscreteModel:
     """Build a DiscreteModel from a JSON-style model document."""
     try:
         gdoc = doc["grid"]
-        dim, n, radius = int(gdoc["dim"]), int(gdoc["n"]), float(gdoc["radius"])
+        dim, n = parse_count(gdoc["dim"], "grid dim", 1), parse_count(gdoc["n"], "grid n", 1)
+        radius = float(gdoc["radius"])
         grid = uniform_grid(dim, n, radius)
-        u_fn = marginal_potential_from_spec(doc["U"])
-        v_fn = marginal_potential_from_spec(doc["V"])
-        wdoc = doc["W"]
-        _check_dim("U", doc["U"]["kind"], doc["U"].get("params", {}), dim)
-        _check_dim("V", doc["V"]["kind"], doc["V"].get("params", {}), dim)
-        _check_dim("W", wdoc.get("kind"), wdoc, dim)
+        u_fn, v_fn = (
+            marginal_potential_from_spec(dict(m, params=_parse_params(what, m.get("kind"), m.get("params", {}), dim)))
+            for what, m in (("U", doc["U"]), ("V", doc["V"]))
+        )
+        wdoc = _parse_params("W", doc["W"].get("kind"), doc["W"], dim)
         factors = _axis_factors(wdoc, n, radius) if wdoc.get("kind") == "linear-gaussian" else None
         w_fn = factors or channel_potential_from_spec(wdoc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed model spec: {exc}") from exc
     return build_model(u_fn, v_fn, w_fn, grid)

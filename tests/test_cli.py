@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from sinkbridge import cli, discrete, models, verify
+from sinkbridge import bounds, cli, discrete, gaussian, models, riccati, verify
+from sinkbridge.errors import DomainError
 
 
 def run_cli(args):
@@ -40,9 +41,7 @@ def test_riccati_infinite_param(tmp_path):
 def test_riccati_bad_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["riccati", "--config", str(bad)])
-    assert exc.value.code == 2
+    assert run_cli(["riccati", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -90,7 +89,8 @@ def test_discrete_constant_channel_single_sweep(tmp_path):
     assert doc["sweeps"] <= 1
 
 
-def test_discrete_narrow_grid_underflow_exit_3(tmp_path, capsys):
+def test_discrete_narrow_grid_underflow_exit_2(tmp_path, capsys):
+    # the underflow is raised while the model is built, so it is a config error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "command": "discrete",
@@ -101,10 +101,9 @@ def test_discrete_narrow_grid_underflow_exit_3(tmp_path, capsys):
             "W": {"kind": "linear-gaussian", "alpha": [30.0], "beta": [[1.0]], "tau": [[1e-307]]},
         },
     }))
-    code = run_cli(["discrete", "--config", str(cfg), "--out", str(tmp_path / "x")])
-    assert code == 2 or code == 3
+    assert run_cli(["discrete", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "narrow" in err or "underflow" in err.lower() or "error" in err
+    assert "config error" in err and "underflows" in err
 
 
 def test_discrete_nonconvergence_exit_3(tmp_path):
@@ -135,9 +134,7 @@ def test_bounds_command(tmp_path):
 def test_wrong_command_in_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "gaussian", "model": {}}))
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["riccati", "--config", str(cfg)])
-    assert exc.value.code == 2
+    assert run_cli(["riccati", "--config", str(cfg)]) == 2
 
 
 def test_verify_filter_subset(capsys):
@@ -179,26 +176,35 @@ def test_discrete_hard_zero_target_exit_0(tmp_path, monkeypatch, hard_zero_targe
     assert doc["converged"] and doc["entropy_monotone"] and np.isfinite(doc["final_residual"])
 
 
-def test_discrete_repeat_runs_byte_identical(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "command": "discrete",
-        "model": {
-            "grid": {"dim": 2, "n": 12, "radius": 5.0},
-            "U": {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}},
-            "V": {"kind": "gaussian-mixture", "params": {
-                "weights": [0.5, 0.5], "means": [[-1.5, 0.0], [1.5, 0.0]],
-                "covs": [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]}},
-            "W": {"kind": "linear-gaussian", "alpha": [0.0, 0.0],
-                  "beta": [[0.9, 0.0], [0.0, 0.9]], "tau": [[0.5, 0.0], [0.0, 0.5]]},
-        },
-    }))
+DISCRETE_2D = {
+    "grid": {"dim": 2, "n": 12, "radius": 5.0},
+    "U": {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}},
+    "V": {"kind": "gaussian-mixture", "params": {
+        "weights": [0.5, 0.5], "means": [[-1.5, 0.0], [1.5, 0.0]],
+        "covs": [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]}},
+    "W": {"kind": "linear-gaussian", "alpha": [0.0, 0.0],
+          "beta": [[0.9, 0.0], [0.0, 0.9]], "tau": [[0.5, 0.0], [0.0, 0.5]]},
+}
+
+
+@pytest.mark.parametrize("command, model", [
+    ("riccati", None), ("gaussian", None), ("discrete", None), ("bounds", None), ("discrete", DISCRETE_2D),
+], ids=["riccati", "gaussian", "discrete", "bounds", "discrete-2d"])
+def test_repeat_runs_byte_identical(tmp_path, capsys, command, model):
+    argv = [command]
+    if model is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, "model": model}))
+        argv += ["--config", str(cfg)]
     outputs = []
     for name in ("first", "second"):
-        out = tmp_path / name
-        assert run_cli(["discrete", "--config", str(cfg), "--out", str(out)]) == 0
-        outputs.append((out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()))
+        (tmp_path / name).mkdir()
+        assert run_cli([*argv, "--out", str(tmp_path / name / "out")]) == 0
+        stdout = capsys.readouterr().out.replace(str(tmp_path / name), "<run>")
+        files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+        outputs.append((stdout, files))
     assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) >= 2
 
 
 def test_verify_unknown_override_criterion_exit_2(capsys):
@@ -289,3 +295,119 @@ def test_discrete_diagonal_2d_never_forms_dense_table(tmp_path, monkeypatch):
     assert run_cli(["discrete", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.with_suffix(".json").read_text())
     assert doc["converged"] and doc["entropy_monotone"]
+
+
+GAUSSIAN_2D = {
+    "mu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    "eta": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    "kernel": {"alpha": [0.0, 0.0], "beta": [[1.0, 0.0], [0.0, 1.0]], "tau": [[1.0, 0.0], [0.0, 1.0]]},
+}
+RAGGED_2D = {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}}
+
+# (command, config, text the message must contain); every one of them is a bad config
+MALFORMED = {
+    "ragged-cov": ("discrete", {"model": {"grid": {"dim": 2, "n": 8, "radius": 4.0}, "U": RAGGED_2D,
+                                          "V": QUAD_2D, "W": LG_2D}}, "U cov"),
+    "missing-npy": ("discrete", {"model": {"W": {"kind": "tabulated", "path": "missing-table.npy"}}}, "missing-table"),
+    "n_sweeps-abc": ("discrete", {"n_sweeps": "abc"}, "n_sweeps"),
+    "n_sweeps-0": ("discrete", {"n_sweeps": 0}, "n_sweeps"),
+    "n_sweeps-2.7": ("discrete", {"n_sweeps": 2.7}, "n_sweeps"),
+    "n_sweeps-true": ("discrete", {"n_sweeps": True}, "n_sweeps"),
+    "discrete-tolerances-list": ("discrete", {"tolerances": [1]}, "tolerances"),
+    "marginal-0": ("discrete", {"tolerances": {"marginal": 0.0}}, "marginal"),
+    "grid-n-2.7": ("discrete", {"model": {"grid": {"dim": 1, "n": 2.7, "radius": 4.0}}}, "grid n"),
+    "verify-tolerances-list": ("verify", {"tolerances": [1]}, "tolerances"),
+    "verify-tolerance-str": ("verify", {"tolerances": {"ot-limit.final_gap": "abc"}}, "ot-limit.final_gap"),
+    "seed-x": ("verify", {"seed": "x"}, "seed"),
+    "seed-negative": ("verify", {"seed": -1}, "seed"),
+    "riccati-model-list": ("riccati", {"model": [1]}, "model"),
+    "gaussian-model-str": ("gaussian", {"model": "x"}, "model"),
+    "bounds-model-list": ("bounds", {"model": [1]}, "model"),
+    "discrete-model-str": ("discrete", {"model": "x"}, "model"),
+    "riccati-n-negative": ("riccati", {"model": {"n": -3}}, "n must be"),
+    "riccati-n-2.7": ("riccati", {"model": {"n": 2.7}}, "n must be"),
+    "riccati-varpi-ragged": ("riccati", {"model": {"varpi": [[1.0, 0.0], [0.0]]}}, "varpi"),
+    "riccati-varpi-not-spd": ("riccati", {"model": {"varpi": [[-1.0]]}}, "SPD"),
+    "riccati-r0-nan": ("riccati", {"model": {"r0": [[float("nan")]]}}, "r0"),
+    "riccati-r0-shape": ("riccati", {"model": {"varpi": [[1.0, 0.0], [0.0, 2.0]], "r0": [[1.0, 0.0]]}}, "r0"),
+    "riccati-infinite-dim-true": ("riccati", {"model": {"varpi": "infinite", "dim": True}}, "dim"),
+    "gaussian-n_max-0": ("gaussian", {"model": {"n_max": 0}}, "n_max"),
+    "gaussian-n_max-abc": ("gaussian", {"model": {"n_max": "abc"}}, "n_max"),
+    "gaussian-t_grid-0": ("gaussian", {"model": {"t_grid": [1.0, 0.0]}}, "t_grid"),
+    "gaussian-t_grid-negative": ("gaussian", {"model": {"t_grid": [-1.0]}}, "t_grid"),
+    "gaussian-cov-bool": ("gaussian", {"model": {"mu": {"mean": [0.0], "cov": True}}}, "mu cov"),
+    "gaussian-dims-disagree": ("gaussian", {"model": dict(GAUSSIAN_2D, kernel={"alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]})},
+                               "dimensions disagree"),
+    "bounds-n_max-negative": ("bounds", {"model": {"n_max": -1}}, "n_max"),
+    "bounds-p-2.7": ("bounds", {"model": {"p": 2.7}}, "p must be"),
+    "bounds-spec-shapes": ("bounds", {"model": {"spec": {"u_plus": [[1.0]], "v_plus": [[1.0, 0.0], [0.0, 1.0]]}}},
+                           "curvature factors"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_config_exit_2(tmp_path, capsys, case):
+    command, config, needle = MALFORMED[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, **config}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--config", str(cfg), "--out", str(out / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def _raise_domain_error(*args, **kwargs):
+    raise DomainError("injected domain failure")
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("riccati", riccati, "fixed_point"),
+    ("gaussian", gaussian, "bridge_solve"),
+    ("discrete", discrete, "run"),
+    ("bounds", bounds, "rate_table"),
+    ("verify", verify, "run_criteria"),
+], ids=["riccati", "gaussian", "discrete", "bounds", "verify"])
+def test_compute_domain_error_exit_3(tmp_path, capsys, monkeypatch, command, module, name):
+    monkeypatch.setattr(module, name, _raise_domain_error)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--out", str(out / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "injected domain failure" in err
+    assert list(out.iterdir()) == []
+
+
+def test_compute_bug_propagates(monkeypatch):
+    def bug(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a domain failure")
+
+    monkeypatch.setattr(riccati, "fixed_point", bug)
+    with pytest.raises(ZeroDivisionError):
+        run_cli(["riccati", "--out", "unused"])
+
+
+def test_process_exit_status_follows_the_phase_rule(tmp_path):
+    """``python -m sinkbridge.cli`` exits 2 for a load error and 3 for a compute error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"n": 2.7}}))
+    load = subprocess.run(
+        [sys.executable, "-m", "sinkbridge.cli", "riccati", "--config", str(cfg), "--out", str(tmp_path / "a")],
+        capture_output=True, text=True,
+    )
+    assert load.returncode == 2 and "config error" in load.stderr
+    # the module run as __main__, as -m runs it, after a compute function is made to fail
+    script = (
+        "import runpy, sys\n"
+        "from sinkbridge import errors, riccati\n"
+        "def fail(*args):\n"
+        "    raise errors.DomainError('injected domain failure')\n"
+        "riccati.fixed_point = fail\n"
+        f"sys.argv = ['sinkbridge', 'riccati', '--out', {str(tmp_path / 'b')!r}]\n"
+        "runpy.run_module('sinkbridge.cli', run_name='__main__')\n"
+    )
+    compute = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert compute.returncode == 3 and "runtime error" in compute.stderr
+    assert "Traceback" not in load.stderr + compute.stderr
