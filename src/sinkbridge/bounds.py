@@ -80,7 +80,10 @@ def eps_generic(kappa: float, rho1: float, rho2: float) -> float:
     """Entropy-contraction coefficient kappa^2 * rho1 * rho2."""
     if kappa <= 0 or rho1 <= 0 or rho2 <= 0:
         raise DomainError("eps_generic requires positive arguments")
-    return kappa**2 * rho1 * rho2
+    eps = kappa * kappa * rho1 * rho2
+    if not np.isfinite(eps):
+        raise DomainError(f"contraction coefficient overflows: kappa={kappa:.3e}, rho1={rho1:.3e}, rho2={rho2:.3e}")
+    return eps
 
 
 def eps_lg(k: LinearGaussianKernel, spec: CurvatureSpec) -> float:
@@ -185,10 +188,8 @@ def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
     def ratio_odd(mat):
         return nu / spd.spectral_norm(u_half @ mat @ u_half)
 
-    hat_even = riccati.iterate(w0_bar, np.eye(d), p_max) if not riccati.is_infinite(w0_bar) else [np.eye(d)] * (p_max + 1)
-    hat_odd = riccati.iterate(w1_bar, np.eye(d), p_max) if not riccati.is_infinite(w1_bar) else [np.eye(d)] * (p_max + 1)
-    xi_even = [ratio_even(m) for m in hat_even]
-    xi_odd = [ratio_odd(m) for m in hat_odd]
+    xi_even = [ratio_even(m) for m in riccati.iterate(w0_bar, np.eye(d), p_max)]
+    xi_odd = [ratio_odd(m) for m in riccati.iterate(w1_bar, np.eye(d), p_max)]
 
     iota0 = ratio_even(riccati.fixed_point_like(w0_bar, d))
     iota1 = ratio_odd(riccati.fixed_point_like(w1_bar, d))

@@ -183,11 +183,15 @@ def _riccati(varpi, r0, n):
     delta, c_bound = riccati.decay_params(varpi)
     gaps = [spd.spectral_norm(t - r_star) for t in riccati.iterate(varpi, r0, n)]
     rows = []
+    fit = 0.0
+    floor = 1e-15  # absolute slack of each row's check
     for k, gap in enumerate(gaps):
         env = c_bound * delta**k * gaps[0] if k >= 1 else gaps[0]
-        rows.append(f"{k},{_fmt(gap)},{_fmt(env)},{int(gap <= env * (1 + 1e-12) + 1e-15)}")
-    # empirical prefactor fit: the largest observed gap ratio against delta^n
-    fit = max((gaps[k] / (delta**k * gaps[0]) for k in range(1, n + 1) if gaps[0] > 0), default=0.0)
+        rows.append(f"{k},{_fmt(gap)},{_fmt(env)},{int(gap <= env * (1 + 1e-12) + floor)}")
+        # empirical prefactor fit: the largest gap ratio against delta^k, over the
+        # rows the envelope decides; below the floor the ratio is round-off over delta^k
+        if k >= 1 and env > floor:
+            fit = max(fit, gap / (delta**k * gaps[0]))
     doc = {
         "varpi": varpi,
         "fixed_point": r_star,

@@ -180,7 +180,7 @@ def joint_plan(mu: GaussianMeasure, f: AffineGaussianMap) -> JointGaussian:
         raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
 
 
-def sinkhorn_run(mu, eta, k, n_max: int, tol: float = 0.0):
+def sinkhorn_run(mu, eta, k, n_max: int):
     """Run the closed-form Gaussian Sinkhorn recursion.
 
     Parameters
@@ -190,11 +190,8 @@ def sinkhorn_run(mu, eta, k, n_max: int, tol: float = 0.0):
     k : LinearGaussianKernel
         Reference channel.
     n_max : int
-        Maximum number of half-step pairs; the returned list holds states
-        for n = 0, 1, ..., up to 2*n_max + 1.
-    tol : float
-        Early stop once successive even and odd conditional covariances and
-        marginal means all move by less than tol.  0 disables early stop.
+        Number of half-step pairs; the returned list holds states for
+        n = 0, 1, ..., 2*n_max + 1.
 
     Returns
     -------
@@ -222,41 +219,25 @@ def sinkhorn_run(mu, eta, k, n_max: int, tol: float = 0.0):
         sigma_pi = spd.symmetrize(tau_n @ a @ cov @ a.T @ tau_n + tau_n)
         return GaussianSinkhornState(n, tau_n, m_n, sigma_pi)
 
-    # n = 0: the reference channel itself, pi_0 = mu K
-    r_even = spd.symmetrize(v_ihalf @ k.tau @ v_ihalf)
+    # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
     tau_even = k.tau
-    m_even = k.alpha + k.beta @ m
-    states = [state(0, tau_even, m_even)]
-
-    # n = 1: first conjugate transition
     tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
-    r_odd = spd.symmetrize(u_ihalf @ tau_odd @ u_ihalf)
+    # the rescaled covariance flows do not depend on the means: one Riccati
+    # trajectory each, then the mean recursion runs along them
+    evens = riccati.iterate(w0, v_ihalf @ tau_even @ v_ihalf, n_max)
+    odds = riccati.iterate(w1, u_ihalf @ tau_odd @ u_ihalf, n_max)
+
+    m_even = k.alpha + k.beta @ m
     m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
-    states.append(state(1, tau_odd, m_odd))
-
+    states = [state(0, tau_even, m_even), state(1, tau_odd, m_odd)]
     for j in range(1, n_max + 1):
-        prev_tau_even, prev_tau_odd = tau_even, tau_odd
-        prev_m_even, prev_m_odd = m_even, m_odd
-
-        r_even = riccati.ricc_map(w0, r_even)
-        tau_even = spd.symmetrize(v_half @ r_even @ v_half)
+        tau_even = spd.symmetrize(v_half @ evens[j] @ v_half)
         m_even = mbar + tau_even @ chi @ (m - m_odd)
         states.append(state(2 * j, tau_even, m_even))
 
-        r_odd = riccati.ricc_map(w1, r_odd)
-        tau_odd = spd.symmetrize(u_half @ r_odd @ u_half)
+        tau_odd = spd.symmetrize(u_half @ odds[j] @ u_half)
         m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
         states.append(state(2 * j + 1, tau_odd, m_odd))
-
-        if tol > 0.0:
-            moved = max(
-                np.linalg.norm(tau_even - prev_tau_even, 2),
-                np.linalg.norm(tau_odd - prev_tau_odd, 2),
-                np.linalg.norm(m_even - prev_m_even),
-                np.linalg.norm(m_odd - prev_m_odd),
-            )
-            if moved < tol:
-                break
     return states
 
 

@@ -34,38 +34,42 @@ def is_infinite(varpi) -> bool:
     return varpi is INFINITE
 
 
-def _as_varpi(varpi) -> np.ndarray:
+def _spectrum(varpi):
+    """The one validated decomposition of a finite varpi: (varpi, eigenvalues, eigenvectors)."""
     if is_infinite(varpi):
         raise DomainError("operation requires a finite varpi")
-    return spd.require_spd(np.atleast_2d(np.asarray(varpi, dtype=float)))
+    return spd._spd_eigh(np.atleast_2d(np.asarray(varpi, dtype=float)))
+
+
+def _fixed_scalar(lam):
+    """Per-eigenvalue fixed point 2 / (1 + sqrt(1 + 4/lam)); nothing cancels."""
+    return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / lam))
+
+
+def _rotate(q, s) -> np.ndarray:
+    """q s q', a matrix given in varpi's eigenbasis back in the original basis."""
+    return spd.symmetrize(q @ s @ q.T)
 
 
 def ricc_map(varpi, s) -> np.ndarray:
-    """One application of the Riccati map: (I + (varpi + s)^{-1})^{-1}.
+    """One step of ``iterate``: the Riccati map (I + (varpi + s)^{-1})^{-1}.
 
     Returns the identity when ``varpi`` is INFINITE.  The output is SPD and
     strictly below I in the Loewner order for finite varpi.
     """
-    s = spd.clamp_psd(np.atleast_2d(np.asarray(s, dtype=float)))
-    if is_infinite(varpi):
-        return np.eye(s.shape[0])
-    varpi = _as_varpi(varpi)
-    spd.check_same_dim(varpi, s)
-    eye = np.eye(varpi.shape[0])
-    return spd.sym_inv(eye + spd.sym_inv(varpi + s))
+    return iterate(varpi, s, 1)[1]
 
 
 def fixed_point(varpi) -> np.ndarray:
     """Closed-form fixed point -varpi/2 + (varpi + (varpi/2)^2)^{1/2}.
 
     The unique SPD fixed point of the map; sits strictly between
-    (I + varpi^{-1})^{-1} and I.  INFINITE maps to the identity.
+    (I + varpi^{-1})^{-1} and I.  Evaluated per eigenvalue by _fixed_scalar.
     """
     if is_infinite(varpi):
         raise ShapeError("INFINITE carries no dimension; use fixed_point_like")
-    varpi = _as_varpi(varpi)
-    half = 0.5 * varpi
-    return spd.symmetrize(-half + spd.principal_sqrt(varpi + half @ half))
+    _, w, q = _spectrum(varpi)
+    return _rotate(q, np.diag(_fixed_scalar(w)))
 
 
 def fixed_point_like(varpi, dim: int) -> np.ndarray:
@@ -81,17 +85,22 @@ def fixed_point_identities(varpi, tol: float = 1e-9) -> dict:
     Checks r + r varpi^{-1} r = I, the inverse identity
     r^{-1} = I + (varpi + r)^{-1}, and the strict sandwich
     (I + varpi^{-1})^{-1} < r < I together with I < r^{-1} < I + varpi^{-1}.
+    The map residual applies the dense map, which decomposes varpi + r and
+    never varpi, so it checks r independently of the eigenbasis it came from.
     """
-    varpi = _as_varpi(varpi)
+    varpi, w, q = _spectrum(varpi)
     eye = np.eye(varpi.shape[0])
-    r = fixed_point(varpi)
+    r = _rotate(q, np.diag(_fixed_scalar(w)))
     varpi_inv = spd.sym_inv(varpi)
     r_inv = spd.sym_inv(r)
     u = varpi + r
 
+    # the dense map r -> (I + (varpi + r)^{-1})^{-1}, with I + u^{-1} shared
+    # by the map and the inverse identity
+    step = eye + spd.sym_inv(u)
     quad = spd.spectral_norm(r + r @ varpi_inv @ r - eye)
-    fp = spd.spectral_norm(ricc_map(varpi, r) - r)
-    inv_identity = spd.spectral_norm(r_inv - (eye + spd.sym_inv(u)))
+    fp = spd.spectral_norm(spd.sym_inv(step) - r)
+    inv_identity = spd.spectral_norm(r_inv - step)
     lower = spd.sym_inv(eye + varpi_inv)
     report = {
         "fixed_point_residual": fp,
@@ -125,34 +134,44 @@ def decay_params(varpi) -> tuple[float, float]:
     point stays above Ricc^{n-1}(0) by monotonicity, so step n contracts by
     at least delta_n = (1 + l_min(varpi + Ricc^{n-1}(0)))^{-2}, and
     c_bound = prod_k (delta_k / delta) converges since delta_k drops to
-    delta geometrically.
+    delta geometrically.  Iterates from 0 commute with varpi and increase
+    with its eigenvalues, so each l_min is the scalar flow at l_min(varpi).
     """
-    varpi = _as_varpi(varpi)
-    r = fixed_point(varpi)
-    u = varpi + r
-    lo_u, _ = spd.eig_range(u)
-    delta = float((1.0 + lo_u) ** -2)
+    _, w, _ = _spectrum(varpi)
+    lam = float(w[0])
+    delta = float((1.0 + lam + _fixed_scalar(lam)) ** -2)
 
     c_bound = 1.0
-    m = np.zeros_like(varpi)
+    m = 0.0
     for _ in range(500):
-        lo_m, _ = spd.eig_range(varpi + m)
-        step = float((1.0 + lo_m) ** -2)
-        ratio = max(step / delta, 1.0)
+        ratio = max((1.0 + lam + m) ** -2 / delta, 1.0)
         c_bound *= ratio
         if ratio < 1.0 + 1e-15:
             break
-        m = ricc_map(varpi, m)
+        m = (lam + m) / (lam + m + 1.0)
     return delta, float(c_bound)
 
 
 def iterate(varpi, r0, n: int) -> list[np.ndarray]:
-    """Trajectory [r0, Ricc(r0), ..., Ricc^n(r0)] of the Riccati recursion."""
+    """Trajectory [r0, Ricc(r0), ..., Ricc^n(r0)] of the Riccati recursion.
+
+    r0 is validated once and varpi decomposed once; in varpi's eigenbasis a
+    step is s -> a (a + I)^{-1}, a = diag(lam) + s: one linear solve.
+    """
     r = spd.clamp_psd(np.atleast_2d(np.asarray(r0, dtype=float)))
+    if is_infinite(varpi):
+        return [r] + [np.eye(r.shape[0]) for _ in range(n)]
+    varpi, w, q = _spectrum(varpi)
+    spd.check_same_dim(varpi, r)
+    lam = np.diag(w)
+    eye = np.eye(len(w))
+    s = q.T @ r @ q
     out = [r]
     for _ in range(n):
-        r = ricc_map(varpi, r)
-        out.append(r)
+        a = lam + s
+        s = np.linalg.solve(a + eye, a)
+        s = 0.5 * (s + s.T)
+        out.append(_rotate(q, s))
     return out
 
 

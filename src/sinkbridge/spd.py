@@ -52,13 +52,15 @@ def clamp_psd(a) -> np.ndarray:
     """Validated PSD constructor.
 
     Symmetrizes, then clamps eigenvalue noise in [-atol*(1+||a||), 0) to
-    zero.  Genuinely negative eigenvalues raise a DomainError.
+    zero.  Genuinely negative eigenvalues raise a DomainError, and so does
+    a NaN eigenvalue, which any non-finite entry produces.
     """
     a = symmetrize(a)
     w, u = np.linalg.eigh(a)
-    # the spectral radius of a symmetric matrix is its spectral norm
-    floor = -PSD_ATOL * (1.0 + max(-w[0], w[-1]))
-    if w[0] < floor:
+    # the spectral radius of a symmetric matrix is its spectral norm; a NaN
+    # anywhere in w makes the floor NaN, so the check below raises
+    floor = -PSD_ATOL * (1.0 + np.max(np.abs(w)))
+    if not w[0] >= floor:
         raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.maximum(w, 0.0)
     return symmetrize((u * w) @ u.T)

@@ -59,9 +59,8 @@ def criterion_riccati_fixed_point(seed=0, tol_map=1e-10, tol_identity=1e-9):
     worst_quad = 0.0
     sandwich_ok = True
     for varpi in _spd_family(seed):
-        r = riccati.fixed_point(varpi)
-        worst_map = max(worst_map, spd.spectral_norm(riccati.ricc_map(varpi, r) - r))
         rep = riccati.fixed_point_identities(varpi, tol=tol_identity)
+        worst_map = max(worst_map, rep["fixed_point_residual"])
         worst_quad = max(worst_quad, rep["quadratic_identity_residual"])
         sandwich_ok = sandwich_ok and rep["sandwich_strict"] and rep["inverse_sandwich_strict"]
     passed = worst_map < tol_map and worst_quad < tol_identity and sandwich_ok

@@ -4,7 +4,7 @@ Each test drives the same checks as `sinkbridge verify` and prints a
 PASS/FAIL line so `pytest -s tests/test_acceptance.py` reads as a report.
 """
 
-from sinkbridge import verify
+from sinkbridge import riccati, verify
 
 
 def _check(result):
@@ -19,6 +19,23 @@ def test_criterion_01_riccati_fixed_point():
     _check(res)
     assert res["details"]["max_map_residual"] < 1e-10
     assert res["details"]["max_identity_residual"] < 1e-9
+
+
+def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
+    # a planted defect: the spectral layer rotates with Q' where it should
+    # rotate with Q.  The dense map residual sees it.  Criterion 2 cannot:
+    # every spectral quantity is then that of Q' diag(lam) Q, a consistent
+    # flow whose iterates and fixed point agree with each other.
+    spectrum = riccati._spectrum
+
+    def transposed(varpi):
+        varpi, w, q = spectrum(varpi)
+        return varpi, w, q.T
+
+    monkeypatch.setattr(riccati, "_spectrum", transposed)
+    res = verify.criterion_riccati_fixed_point(seed=0)
+    assert not res["passed"]
+    assert res["details"]["max_map_residual"] > 1e-10
 
 
 def test_criterion_02_riccati_decay():

@@ -28,6 +28,14 @@ def test_riccati_command_outputs(tmp_path):
     assert doc["identities"]["ok"]
 
 
+def test_riccati_prefactor_fit_within_the_bound(tmp_path):
+    # the fit covers only rows whose envelope is above the rows' 1e-15 floor
+    out = tmp_path / "ricc"
+    assert run_cli(["riccati", "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert 0.0 < doc["prefactor_empirical_fit"] <= doc["prefactor_bound"]
+
+
 def test_riccati_infinite_param(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": "infinite", "dim": 2}}))
@@ -378,6 +386,17 @@ def test_compute_domain_error_exit_3(tmp_path, capsys, monkeypatch, command, mod
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "injected domain failure" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gaussian", "bounds"])
+def test_overflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    kernel = {"alpha": [0.0], "beta": [[1e308]], "tau": [[1.0]]}
+    cfg.write_text(json.dumps({"command": command, "model": {"kernel": kernel}}))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "overflows" in err
+    assert "Traceback" not in err
 
 
 def test_compute_bug_propagates(monkeypatch):

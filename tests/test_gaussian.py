@@ -152,7 +152,7 @@ def test_sinkhorn_terminal_matches_bridge():
         d = int(rng.integers(1, 4))
         mu, eta, k = random_model(rng, d)
         fwd, bwd = g.bridge_solve(mu, eta, k)
-        states = g.sinkhorn_run(mu, eta, k, 400, tol=1e-14)
+        states = g.sinkhorn_run(mu, eta, k, 400)
         even = [s for s in states if s.n % 2 == 0][-1]
         odd = [s for s in states if s.n % 2 == 1][-1]
         assert np.linalg.norm(even.tau_n - fwd.noise_cov, 2) < 1e-10

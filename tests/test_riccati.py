@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from sinkbridge import riccati, spd
+from sinkbridge import cli, gaussian, riccati, spd
 from sinkbridge.errors import DomainError, ShapeError
 from sinkbridge.riccati import INFINITE
 
@@ -146,10 +148,48 @@ def test_scalar_closed_form_computes_rate_directly(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 8])
 def test_ricc_map_decompositions(d, decompositions):
+    """varpi is decomposed once per call, so no count grows with the number of steps."""
     rng = np.random.default_rng(d)
-    riccati.ricc_map(random_spd(rng, d), random_spd(rng, d))
+    varpi = random_spd(rng, d)
+    riccati.ricc_map(varpi, random_spd(rng, d))
     assert decompositions["eigh"] + decompositions["eigvalsh"] <= 4
     assert decompositions["svd"] == 0
+
+    def counted(call):
+        decompositions.clear()
+        call()
+        return dict(decompositions)
+
+    assert counted(lambda: riccati.decay_params(varpi)) == {"eigh": 1}
+    zero = np.zeros((d, d))
+    assert counted(lambda: riccati.iterate(varpi, zero, 5)) == counted(lambda: riccati.iterate(varpi, zero, 60))
+    mu = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
+    eta = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
+    k = gaussian.LinearGaussianKernel(np.zeros(d), np.eye(d), random_spd(rng, d))
+    assert counted(lambda: gaussian.sinkhorn_run(mu, eta, k, 5)) == counted(lambda: gaussian.sinkhorn_run(mu, eta, k, 50))
+
+
+def log_spectrum_varpi(d, cond, seed=0):
+    """A seed-fixed varpi whose spectrum is log-spaced over [1, cond]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return spd.symmetrize((q * np.logspace(0.0, np.log10(cond), d)) @ q.T)
+
+
+@pytest.mark.parametrize("d, cond", [(8, 1e1), (32, 1e3), (64, 1e6)])
+def test_fixed_point_accurate_when_ill_conditioned(d, cond, tmp_path):
+    varpi = log_spectrum_varpi(d, cond)
+    r = riccati.fixed_point(varpi)
+    # one step of the oracle's numpy-inv map
+    assert np.linalg.norm(iteration_oracle(varpi, r, n=1) - r, 2) <= 1e-10
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": varpi.tolist()}}))
+    out = tmp_path / "ricc"
+    assert cli.main(["riccati", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",1") for row in rows)
+    assert json.loads(out.with_suffix(".json").read_text())["identities"]["ok"]
 
 
 def test_monotone_in_state():

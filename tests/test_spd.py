@@ -124,6 +124,9 @@ EYE2 = np.eye(2)
         lambda: spd.geometric_mean(EYE2, INDEFINITE),
         lambda: riccati.ricc_map(INDEFINITE, np.zeros((2, 2))),
         lambda: riccati.ricc_map(EYE2, INDEFINITE),
+        lambda: spd.clamp_psd([[float("nan")]]),
+        lambda: riccati.iterate(EYE2, np.diag([1.0, float("nan")]), 3),
+        lambda: riccati.ricc_map(EYE2, np.full((2, 2), float("nan"))),
         lambda: gaussian.GaussianMeasure([0.0, 0.0], INDEFINITE),
         lambda: gaussian.LinearGaussianKernel([0.0, 0.0], EYE2, INDEFINITE),
         lambda: CurvatureSpec(u_plus=INDEFINITE, v_plus=EYE2),
@@ -131,7 +134,7 @@ EYE2 = np.eye(2)
     ],
     ids=[
         "require_spd", "sym_inv", "principal_sqrt", "geometric_mean-u", "geometric_mean-v",
-        "ricc_map-varpi", "ricc_map-s", "GaussianMeasure", "LinearGaussianKernel-tau",
+        "ricc_map-varpi", "ricc_map-s", "clamp_psd-nan", "iterate-r0-nan", "ricc_map-s-nan", "GaussianMeasure", "LinearGaussianKernel-tau",
         "CurvatureSpec-u_plus", "CurvatureSpec-u_minus",
     ],
 )
