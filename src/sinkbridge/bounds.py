@@ -15,7 +15,7 @@ import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
-from .gaussian import LinearGaussianKernel
+from .gaussian import LinearGaussianKernel, bridge_factors
 from .riccati import INFINITE
 
 
@@ -108,33 +108,24 @@ def phi(eps: float) -> float:
     return inv / (np.sqrt(0.25 + inv) + 0.5)
 
 
-def _congruence(factor, core: np.ndarray):
-    """factor^{1/2} core factor^{1/2}, or ZERO when the factor is ZERO."""
-    if is_zero(factor):
-        return ZERO
-    half = spd.principal_sqrt(factor)
-    return spd.symmetrize(half @ core @ half)
-
-
 def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
     """Riccati parameters (w0, w1, w0_bar, w1_bar) of the curvature flows.
 
-    Members whose defining product contains a ZERO factor come back as
-    INFINITE.  For tau = t * tau0 every finite member scales as t^2 times
-    its tau0-normalized counterpart.
+    Two bridge decompositions give them in pairs: v_minus^{1/2} chi
+    u_plus^{1/2} gives (w0, w1_bar) and v_plus^{1/2} chi u_minus^{1/2}
+    gives (w0_bar, w1).  A pair whose product contains a ZERO factor comes
+    back as INFINITE.  For tau = t * tau0 every finite member scales as t^2
+    times its tau0-normalized counterpart.
     """
-    chi = k.chi
-    inv_w0 = _congruence(spec.v_minus, chi @ spec.u_plus @ chi.T)
-    inv_w1 = _congruence(spec.u_minus, chi.T @ spec.v_plus @ chi)
-    inv_w0_bar = _congruence(spec.v_plus, chi @ spec.u_minus @ chi.T) if not is_zero(spec.u_minus) else ZERO
-    inv_w1_bar = _congruence(spec.u_plus, chi.T @ spec.v_minus @ chi) if not is_zero(spec.v_minus) else ZERO
 
-    def invert(m):
-        if is_zero(m):
-            return INFINITE
-        return spd.sym_inv(m)
+    def pair(u, v):
+        if is_zero(u) or is_zero(v):
+            return INFINITE, INFINITE
+        return bridge_factors(u, v, k.chi).varpis()
 
-    return invert(inv_w0), invert(inv_w1), invert(inv_w0_bar), invert(inv_w1_bar)
+    w0, w1_bar = pair(spec.u_plus, spec.v_minus)
+    w0_bar, w1 = pair(spec.u_minus, spec.v_plus)
+    return w0, w1, w0_bar, w1_bar
 
 
 def curvature_flow(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int):

@@ -12,10 +12,11 @@ errors become exit codes:
   ...``, exit 3;
 - any other error is a bug and propagates.
 
-``write`` returns 0 on success, 1 for a verification failure or broken
-invariant, and 3 for a grid run that did not converge.  All emitted floats
-carry 17 significant digits so files round-trip doubles exactly; identical
-config and seed give byte-identical outputs.
+``write`` returns 0 on success, 1 for a verification failure, a broken
+invariant or a written row that reads ``satisfied=0``, and 3 for a grid
+run that did not converge.  All emitted floats carry 17 significant digits
+so files round-trip doubles exactly; identical config and seed give
+byte-identical outputs.
 """
 
 import argparse
@@ -149,12 +150,21 @@ def _out(args) -> Path:
     return Path(args.out or f"out/{args.command}")
 
 
+def _unsatisfied(path: Path, rows) -> int:
+    """0, or 1 with a message on stderr when a row's last column, satisfied, reads 0."""
+    failed = sum(row.rsplit(",", 1)[-1] == "0" for row in rows)
+    if not failed:
+        return 0
+    print(f"{failed} row(s) of {path} read satisfied=0", file=sys.stderr)
+    return 1
+
+
 def _write_pair(args, doc: dict, header: str, rows) -> int:
     out = _out(args)
     _write_json(out.with_suffix(".json"), doc)
     _write_csv(out.with_suffix(".csv"), header, rows)
     print(f"wrote {out.with_suffix('.json')} and {out.with_suffix('.csv')}")
-    return 0
+    return _unsatisfied(out.with_suffix(".csv"), rows)
 
 
 def _load_riccati(args):
@@ -272,7 +282,7 @@ def _write_gaussian(args, trace_rows, sweep_rows, prox_rows, report) -> int:
     _write_csv(out.parent / (out.name + "_proximal.csv"), "n,W2,W2_envelope,KL,KL_envelope", prox_rows)
     _write_json(out.parent / (out.name + "_report.json"), report)
     print(f"wrote {trace} (+ ot_sweep, proximal, report)")
-    return 0
+    return _unsatisfied(trace, trace_rows)
 
 
 def cmd_gaussian(args) -> int:

@@ -8,7 +8,8 @@ recursion for the marginal means.  Everything in this module is exact
 linear algebra: no sampling anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,26 +64,26 @@ class LinearGaussianKernel:
     alpha: np.ndarray
     beta: np.ndarray
     tau: np.ndarray
+    # tau^{-1} beta, the natural coupling matrix of the channel, set once at construction
+    chi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=float)))
         object.__setattr__(self, "beta", np.atleast_2d(np.asarray(self.beta, dtype=float)))
-        object.__setattr__(self, "tau", spd.require_spd(np.atleast_2d(np.asarray(self.tau, dtype=float))))
+        tau, w, q = spd._spd_eigh(np.atleast_2d(np.asarray(self.tau, dtype=float)))
+        object.__setattr__(self, "tau", tau)
         if self.beta.shape[0] != self.beta.shape[1]:
             raise ShapeError("beta must be square")
         if np.linalg.cond(self.beta) >= 1e12:
             raise DomainError("beta is singular or near-singular")
         if self.alpha.shape[0] != self.beta.shape[0] or self.tau.shape[0] != self.beta.shape[0]:
             raise ShapeError("alpha/beta/tau dimensions disagree")
+        # tau^{-1} from the spectrum that validated tau, as spd.sym_inv forms it
+        object.__setattr__(self, "chi", spd.symmetrize((q / w) @ q.T) @ self.beta)
 
     @property
     def dim(self) -> int:
         return self.beta.shape[0]
-
-    @property
-    def chi(self) -> np.ndarray:
-        """tau^{-1} beta, the natural coupling matrix of the channel."""
-        return spd.sym_inv(self.tau) @ self.beta
 
     def rescaled(self, t: float) -> "LinearGaussianKernel":
         """Same channel with noise covariance t * tau."""
@@ -118,21 +119,59 @@ def _check_model(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKer
         raise ShapeError(f"dimension mismatch: mu {mu.dim}, eta {eta.dim}, kernel {k.dim}")
 
 
+class BridgeFactors(NamedTuple):
+    """The decomposition a Gaussian bridge problem is solved from.
+
+    Square roots and inverse square roots of u and v, and the SVD
+    G = v^{1/2} chi u^{1/2} = p diag(s) r' with lam = s^{-2}.  The two
+    Riccati parameters are varpi_0 = (G G')^{-1} = p diag(lam) p' and
+    varpi_1 = (G' G)^{-1} = r diag(lam) r', so p and r are their
+    eigenbases and lam their common spectrum.
+    """
+
+    u_half: np.ndarray
+    u_ihalf: np.ndarray
+    v_half: np.ndarray
+    v_ihalf: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    lam: np.ndarray
+    r: np.ndarray
+
+    def varpis(self):
+        """The Riccati parameters (varpi_0, varpi_1)."""
+        return _congruent(self.p, self.lam), _congruent(self.r, self.lam)
+
+
+def _congruent(a, w) -> np.ndarray:
+    """a diag(w) a'."""
+    return spd.symmetrize((a * w) @ a.T)
+
+
+def bridge_factors(u, v, chi) -> BridgeFactors:
+    """The one decomposition of a bridge between N(., u) and N(., v) through chi.
+
+    One validated eigh each of u and v and one SVD of v^{1/2} chi u^{1/2};
+    no inverse of u, v or a congruence is formed.  Raises DomainError when
+    a singular value lies outside [1e-150, 1e150], where s^2 or s^{-2}
+    would over- or underflow.
+    """
+    u_half, u_ihalf = spd.sqrt_pair(u)
+    v_half, v_ihalf = spd.sqrt_pair(v)
+    p, s, rt = np.linalg.svd(v_half @ chi @ u_half)
+    if not (1e-150 <= s[-1] and s[0] <= 1e150):  # a NaN fails too
+        raise DomainError(f"bridge is degenerate: v^(1/2) chi u^(1/2) has singular values in [{s[-1]:.3e}, {s[0]:.3e}]")
+    return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, s, s**-2.0, rt.T)
+
+
 def varpi_pair(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
     """Riccati parameters of the two conditional-covariance flows.
 
-    Returns (v^{-1/2} (chi u chi')^{-1} v^{-1/2}, u^{-1/2} (chi' v chi)^{-1} u^{-1/2}).
+    Returns (v^{-1/2} (chi u chi')^{-1} v^{-1/2}, u^{-1/2} (chi' v chi)^{-1} u^{-1/2}),
+    taken from one SVD by ``bridge_factors``.
     """
     _check_model(mu, eta, k)
-    u, v = mu.cov, eta.cov
-    chi = k.chi
-    v_ih = spd.sym_inv(spd.principal_sqrt(v))
-    u_ih = spd.sym_inv(spd.principal_sqrt(u))
-    cuc = spd.require_spd(chi @ u @ chi.T)
-    cvc = spd.require_spd(chi.T @ v @ chi)
-    w0 = spd.symmetrize(v_ih @ spd.sym_inv(cuc) @ v_ih)
-    w1 = spd.symmetrize(u_ih @ spd.sym_inv(cvc) @ u_ih)
-    return w0, w1
+    return bridge_factors(mu.cov, eta.cov, k.chi).varpis()
 
 
 def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
@@ -144,17 +183,19 @@ def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKer
     parameter; pushing mu through the forward map reproduces eta exactly.
     """
     _check_model(mu, eta, k)
-    u, v = mu.cov, eta.cov
     m, mbar = mu.mean, eta.mean
     chi = k.chi
-    w0, w1 = varpi_pair(mu, eta, k)
+    f = bridge_factors(mu.cov, eta.cov, chi)
+    # the fixed points are p diag(rho) p' and r diag(rho) r', rho being
+    # riccati's per-eigenvalue fixed point at lam = s^{-2} written in s;
+    # scaling p and r by the square roots before rho is applied keeps the
+    # small entries of rho from drowning in the round-off of the large ones
+    rho = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * f.s**2))
 
-    v_half = spd.principal_sqrt(v)
-    sigma_fwd = spd.symmetrize(v_half @ riccati.fixed_point(w0) @ v_half)
+    sigma_fwd = _congruent(f.v_half @ f.p, rho)
     fwd = AffineGaussianMap(mbar - sigma_fwd @ chi @ m, sigma_fwd @ chi, sigma_fwd)
 
-    u_half = spd.principal_sqrt(u)
-    sigma_bwd = spd.symmetrize(u_half @ riccati.fixed_point(w1) @ u_half)
+    sigma_bwd = _congruent(f.u_half @ f.r, rho)
     bwd = AffineGaussianMap(m - sigma_bwd @ chi.T @ mbar, sigma_bwd @ chi.T, sigma_bwd)
     return fwd, bwd
 
@@ -207,11 +248,7 @@ def sinkhorn_run(mu, eta, k, n_max: int):
     u, v = mu.cov, eta.cov
     m, mbar = mu.mean, eta.mean
     chi = k.chi
-    w0, w1 = varpi_pair(mu, eta, k)
-    v_half = spd.principal_sqrt(v)
-    v_ihalf = spd.sym_inv(v_half)
-    u_half = spd.principal_sqrt(u)
-    u_ihalf = spd.sym_inv(u_half)
+    f = bridge_factors(u, v, chi)
 
     def state(n, tau_n, m_n):
         # even states push u through x -> y, odd states push v through y -> x
@@ -223,19 +260,21 @@ def sinkhorn_run(mu, eta, k, n_max: int):
     tau_even = k.tau
     tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
     # the rescaled covariance flows do not depend on the means: one Riccati
-    # trajectory each, then the mean recursion runs along them
-    evens = riccati.iterate(w0, v_ihalf @ tau_even @ v_ihalf, n_max)
-    odds = riccati.iterate(w1, u_ihalf @ tau_odd @ u_ihalf, n_max)
+    # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
+    # the SVD gave, then the mean recursion runs along them; both starts are
+    # congruences of SPD matrices
+    evens = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ tau_even @ f.v_ihalf), n_max)
+    odds = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
 
     m_even = k.alpha + k.beta @ m
     m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
     states = [state(0, tau_even, m_even), state(1, tau_odd, m_odd)]
     for j in range(1, n_max + 1):
-        tau_even = spd.symmetrize(v_half @ evens[j] @ v_half)
+        tau_even = spd.symmetrize(f.v_half @ evens[j] @ f.v_half)
         m_even = mbar + tau_even @ chi @ (m - m_odd)
         states.append(state(2 * j, tau_even, m_even))
 
-        tau_odd = spd.symmetrize(u_half @ odds[j] @ u_half)
+        tau_odd = spd.symmetrize(f.u_half @ odds[j] @ f.u_half)
         m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
         states.append(state(2 * j + 1, tau_odd, m_odd))
     return states
@@ -278,10 +317,14 @@ def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure) -> float:
     """2-Wasserstein distance between Gaussians in closed form."""
     if p.mean.shape != q.mean.shape:
         raise ShapeError("dimension mismatch")
+    # the covariance part tr(p + q - 2 (p^{1/2} q p^{1/2})^{1/2}) equals
+    # ||p^{1/2} - q^{1/2} V W'||_F^2 for the SVD W S V' of p^{1/2} q^{1/2}:
+    # a sum of squares, so it cannot cancel below round-off
+    p_half = spd.principal_sqrt(p.cov)
     q_half = spd.principal_sqrt(q.cov)
-    cross = spd.psd_sqrt(q_half @ p.cov @ q_half)
-    val = np.sum((p.mean - q.mean) ** 2) + np.trace(p.cov + q.cov - 2.0 * cross)
-    return float(np.sqrt(max(val, 0.0)))
+    w, _, vt = np.linalg.svd(p_half @ q_half)
+    diff = p_half - q_half @ vt.T @ w.T
+    return float(np.sqrt(np.sum((p.mean - q.mean) ** 2) + np.sum(diff**2)))
 
 
 def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
@@ -300,15 +343,15 @@ def ot_limit_map(mu: GaussianMeasure, eta: GaussianMeasure, tau0, beta) -> Affin
 
     The limit transport is deterministic with slope
     ((chi0 u chi0')^{-1} # v) chi0 where chi0 = tau0^{-1} beta and # is the
-    geometric mean; for beta = tau0 = I this is u^{-1} # v.
+    geometric mean; for beta = tau0 = I this is u^{-1} # v.  With
+    v^{1/2} chi0 u^{1/2} = p diag(s) r' the geometric mean is
+    v^{1/2} p diag(1/s) p' v^{1/2}.
     """
-    tau0 = spd.require_spd(np.atleast_2d(np.asarray(tau0, dtype=float)))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    if np.linalg.cond(beta) >= 1e12:
-        raise DomainError("beta is singular or near-singular")
-    chi0 = spd.sym_inv(tau0) @ beta
-    mixed = spd.geometric_mean(spd.sym_inv(spd.require_spd(chi0 @ mu.cov @ chi0.T)), eta.cov)
-    slope = mixed @ chi0
+    k0 = LinearGaussianKernel(np.zeros(beta.shape[0]), beta, tau0)
+    _check_model(mu, eta, k0)
+    f = bridge_factors(mu.cov, eta.cov, k0.chi)
+    slope = _congruent(f.v_half @ f.p, 1.0 / f.s) @ k0.chi
     return AffineGaussianMap(eta.mean - slope @ mu.mean, slope, np.zeros_like(mu.cov))
 
 

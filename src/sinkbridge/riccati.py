@@ -161,12 +161,21 @@ def iterate(varpi, r0, n: int) -> list[np.ndarray]:
     r = spd.clamp_psd(np.atleast_2d(np.asarray(r0, dtype=float)))
     if is_infinite(varpi):
         return [r] + [np.eye(r.shape[0]) for _ in range(n)]
-    varpi, w, q = _spectrum(varpi)
-    spd.check_same_dim(varpi, r)
+    _, w, q = _spectrum(varpi)
+    return _iterate_spectral(w, q, r, n)
+
+
+def _iterate_spectral(w, q, r0, n: int) -> list[np.ndarray]:
+    """``iterate`` for varpi = q diag(w) q', given that spectrum and a PSD r0.
+
+    Neither is checked here: callers pass a spectrum they validated, and a
+    start that is PSD by construction or has been through ``clamp_psd``.
+    """
+    spd.check_same_dim(q, r0)
     lam = np.diag(w)
     eye = np.eye(len(w))
-    s = q.T @ r @ q
-    out = [r]
+    s = q.T @ r0 @ q
+    out = [r0]
     for _ in range(n):
         a = lam + s
         s = np.linalg.solve(a + eye, a)

@@ -104,11 +104,11 @@ def principal_sqrt(a) -> np.ndarray:
     return symmetrize((u * np.sqrt(w)) @ u.T)
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Square root of a PSD matrix, clamping eigenvalue noise to zero."""
-    a = clamp_psd(a)
-    w, u = np.linalg.eigh(a)
-    return symmetrize((u * np.sqrt(np.maximum(w, 0.0))) @ u.T)
+def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
+    """Principal square root of an SPD matrix and its inverse, from one decomposition."""
+    _, w, u = _spd_eigh(a)
+    root = np.sqrt(w)
+    return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
 
 
 def geometric_mean(u, v) -> np.ndarray:
@@ -118,10 +118,8 @@ def geometric_mean(u, v) -> np.ndarray:
     arguments, and equal to (uv)^{1/2} when u and v commute.
     """
     u = require_spd(u)
-    v, w, q = _spd_eigh(v)
-    check_same_dim(u, v)
-    v_half = (q * np.sqrt(w)) @ q.T
-    v_inv_half = (q / np.sqrt(w)) @ q.T
+    v_half, v_inv_half = sqrt_pair(v)
+    check_same_dim(u, v_half)
     inner = principal_sqrt(v_inv_half @ u @ v_inv_half)
     return symmetrize(v_half @ inner @ v_half)
 

@@ -75,6 +75,12 @@ def test_varpi_family_t_rescaling():
             assert np.linalg.norm(w_t / t**2 - w_1, 2) < 1e-12 * max(1.0, spd.spectral_norm(w_1))
 
 
+def dense_varpi(chi, u, v):
+    """Reference Riccati parameter v^{-1/2} (chi u chi')^{-1} v^{-1/2}, by dense inverses."""
+    v_ihalf = np.linalg.inv(spd.principal_sqrt(v))
+    return spd.symmetrize(v_ihalf @ np.linalg.inv(chi @ u @ chi.T) @ v_ihalf)
+
+
 def test_varpi_family_matches_gaussian_module():
     rng = np.random.default_rng(21)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -82,13 +88,32 @@ def test_varpi_family_matches_gaussian_module():
     v = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
     mu = g.GaussianMeasure(np.zeros(3), u)
     eta = g.GaussianMeasure(np.zeros(3), v)
-    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3), np.eye(3))
+    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
+    # both functions come from one decomposition; the dense congruence formula checks them
+    w0_ref, w1_ref = dense_varpi(k.chi, u, v), dense_varpi(k.chi.T, v, u)
     w0g, w1g = g.varpi_pair(mu, eta, k)
     w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(u, v))
-    assert np.linalg.norm(w0 - w0g, 2) < 1e-10
-    assert np.linalg.norm(w1 - w1g, 2) < 1e-10
-    assert np.linalg.norm(w0b - w0g, 2) < 1e-10
-    assert np.linalg.norm(w1b - w1g, 2) < 1e-10
+    for w, ref in ((w0g, w0_ref), (w0, w0_ref), (w0b, w0_ref), (w1g, w1_ref), (w1, w1_ref), (w1b, w1_ref)):
+        assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
+
+
+def test_varpi_family_pairs_each_lower_factor_with_the_opposite_upper_one():
+    rng = np.random.default_rng(22)
+    factors = {}
+    for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        factors[name] = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
+    spec = CurvatureSpec(**factors)
+    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
+    chi = k.chi
+    refs = (
+        dense_varpi(chi, spec.u_plus, spec.v_minus),
+        dense_varpi(chi.T, spec.v_plus, spec.u_minus),
+        dense_varpi(chi, spec.u_minus, spec.v_plus),
+        dense_varpi(chi.T, spec.v_minus, spec.u_plus),
+    )
+    for w, ref in zip(bounds.varpi_family(k, spec), refs):
+        assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
 
 
 def test_curvature_flow_equality_case_matches_sinkhorn():

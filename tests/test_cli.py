@@ -430,3 +430,33 @@ def test_process_exit_status_follows_the_phase_rule(tmp_path):
     compute = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert compute.returncode == 3 and "runtime error" in compute.stderr
     assert "Traceback" not in load.stderr + compute.stderr
+
+
+def test_riccati_unsatisfied_envelope_row_exits_1(tmp_path, capsys, monkeypatch):
+    """A prefactor ten times too small fails envelope rows: the files are written, then exit 1."""
+    decay_params = riccati.decay_params
+
+    def shrunk_prefactor(varpi):
+        delta, c_bound = decay_params(varpi)
+        return delta, c_bound / 10.0
+
+    monkeypatch.setattr(riccati, "decay_params", shrunk_prefactor)
+    out = tmp_path / "ricc"
+    assert run_cli(["riccati", "--out", str(out)]) == 1
+    rows = out.with_suffix(".csv").read_text().strip().splitlines()[1:]
+    assert any(r.endswith(",0") for r in rows)
+    assert out.with_suffix(".json").exists()
+    assert "satisfied=0" in capsys.readouterr().err
+
+
+def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
+    """A contraction coefficient 1e-6 times the true one fails trace rows: files written, then exit 1."""
+    eps_lg = bounds.eps_lg
+    monkeypatch.setattr(bounds, "eps_lg", lambda k, spec: 1e-6 * eps_lg(k, spec))
+    out = tmp_path / "gauss"
+    assert run_cli(["gaussian", "--out", str(out)]) == 1
+    rows = (tmp_path / "gauss_trace.csv").read_text().strip().splitlines()[1:]
+    assert any(r.endswith(",0") for r in rows)
+    for suffix in ("_ot_sweep.csv", "_proximal.csv", "_report.json"):
+        assert (tmp_path / f"gauss{suffix}").exists()
+    assert "satisfied=0" in capsys.readouterr().err

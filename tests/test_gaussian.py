@@ -455,3 +455,123 @@ def test_dimension_mismatch_raises():
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
     with pytest.raises(ShapeError):
         g.bridge_solve(mu, eta, k)
+
+
+def log_spectrum_spd(rng, d, cond):
+    """SPD matrix with a random eigenbasis and eigenvalues log-spaced over [1, cond]."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return spd.symmetrize((q * np.logspace(0.0, np.log10(cond), d)) @ q.T)
+
+
+def push_forward_error(f, p, q):
+    """Relative spectral-norm error of the covariance of p pushed through f, against q."""
+    cov = f.slope @ p.cov @ f.slope.T + f.noise_cov
+    return np.linalg.norm(cov - q.cov, 2) / np.linalg.norm(q.cov, 2)
+
+
+def test_gelbrich_w2_of_a_measure_with_itself_is_round_off():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        p = g.GaussianMeasure(rng.standard_normal(3), random_spd(rng, 3))
+        assert g.gelbrich_w2(p, p) <= 1e-13
+
+
+def test_gelbrich_w2_matches_trace_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = int(rng.integers(1, 6))
+        p = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d, 0.1, 5.0))
+        q = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d, 0.1, 5.0))
+        q_half = spd.principal_sqrt(q.cov)
+        # tr (q^{1/2} p q^{1/2})^{1/2}: the sum of the square roots of its eigenvalues
+        cross = np.sum(np.sqrt(np.linalg.eigvalsh(q_half @ p.cov @ q_half)))
+        trace_form = np.sqrt(np.sum((p.mean - q.mean) ** 2) + np.trace(p.cov + q.cov) - 2.0 * cross)
+        assert abs(g.gelbrich_w2(p, q) - trace_form) <= 1e-12 * trace_form
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
+def test_bridge_matches_janati_closed_form(t):
+    """beta = I, tau = t I: the bridge coupling has cross-covariance
+    C = (u^{1/2} D u^{-1/2} - t I) / 2 with D = (4 u^{1/2} v u^{1/2} + t^2 I)^{1/2}
+    (Janati et al. 2020, "Entropic OT between unbalanced Gaussian measures has
+    a closed form"), so the slope is C' u^{-1} and the noise v - C' u^{-1} C."""
+
+    def sqrtm(a):
+        w, q = np.linalg.eigh(a)
+        return (q * np.sqrt(w)) @ q.T
+
+    rng = np.random.default_rng(2020)
+    for d in range(1, 6):
+        u, v = random_spd(rng, d, 0.3, 3.0), random_spd(rng, d, 0.3, 3.0)
+        mu = g.GaussianMeasure(rng.standard_normal(d), u)
+        eta = g.GaussianMeasure(rng.standard_normal(d), v)
+        k = g.LinearGaussianKernel(np.zeros(d), np.eye(d), t * np.eye(d))
+        u_half = sqrtm(u)
+        dd = sqrtm(4.0 * u_half @ v @ u_half + t**2 * np.eye(d))
+        c = 0.5 * (u_half @ dd @ np.linalg.inv(u_half) - t * np.eye(d))
+        slope = c.T @ np.linalg.inv(u)
+        fwd, _ = g.bridge_solve(mu, eta, k)
+        assert np.max(np.abs(fwd.slope - slope)) <= 1e-12
+        assert np.max(np.abs(fwd.noise_cov - (v - slope @ c))) <= 1e-12
+
+
+@pytest.mark.parametrize("d, cond, tol", [(8, 1e6, 1e-12), (32, 1e8, 1e-11), (64, 1e8, 1e-11)])
+def test_bridge_push_forward_accurate_when_ill_conditioned(d, cond, tol):
+    """Both maps push their marginal onto the other to round-off times a small factor,
+    where forming inverse square roots and a congruence inverse lost the square of cond."""
+    rng = np.random.default_rng(0)
+    mu = g.GaussianMeasure(np.zeros(d), log_spectrum_spd(rng, d, cond))
+    eta = g.GaussianMeasure(np.zeros(d), log_spectrum_spd(rng, d, cond))
+    fwd, bwd = g.bridge_solve(mu, eta, g.LinearGaussianKernel(np.zeros(d), np.eye(d), np.eye(d)))
+    assert push_forward_error(fwd, mu, eta) <= tol
+    assert push_forward_error(bwd, eta, mu) <= tol
+
+
+def test_bridge_and_sinkhorn_take_one_svd(decompositions, monkeypatch):
+    """Every Riccati parameter, fixed point and flow comes from one SVD; no varpi is decomposed."""
+
+    def no_spectrum(varpi):
+        raise AssertionError("a Gaussian bridge must not decompose a varpi matrix")
+
+    monkeypatch.setattr(riccati, "_spectrum", no_spectrum)
+    mu, eta, k = random_model(np.random.default_rng(8), 4)
+    for call in (lambda: g.bridge_solve(mu, eta, k), lambda: g.sinkhorn_run(mu, eta, k, 15)):
+        decompositions.clear()
+        call()
+        assert decompositions["svd"] == 1
+
+
+def test_kernel_chi_computed_once(decompositions):
+    rng = np.random.default_rng(3)
+    beta = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    k = g.LinearGaussianKernel(np.zeros(3), beta, random_spd(rng, 3))
+    decompositions.clear()
+    for kernel, tau in ((k, k.tau), (k.rescaled(2.5), 2.5 * k.tau)):
+        assert np.allclose(kernel.chi, np.linalg.solve(tau, beta), rtol=1e-12, atol=1e-12)
+    assert decompositions["eigh"] == 1  # the rescaled kernel's, at its construction
+
+
+def test_ot_limit_matches_geometric_mean():
+    """The slope is ((chi0 u chi0')^{-1} # v) chi0, # the matrix geometric mean."""
+    rng = np.random.default_rng(41)
+    for d in range(1, 5):
+        mu = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
+        eta = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
+        tau0 = random_spd(rng, d)
+        beta = 0.3 * rng.standard_normal((d, d)) + np.eye(d)
+        chi0 = np.linalg.solve(tau0, beta)
+        slope = spd.geometric_mean(np.linalg.inv(chi0 @ mu.cov @ chi0.T), eta.cov) @ chi0
+        lim = g.ot_limit_map(mu, eta, tau0, beta)
+        assert np.max(np.abs(lim.slope - slope)) <= 1e-12
+        assert np.allclose(lim.intercept + lim.slope @ mu.mean, eta.mean, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau, cov", [(1e300, 1e-10), (1e-300, 1e10), (1e-160, 1.0)])
+def test_bridge_out_of_double_range_raises(tau, cov):
+    """Singular values whose square over- or underflows stop with DomainError, not a zero slope or NaN."""
+    mu = g.GaussianMeasure([0.0], [[cov]])
+    k = g.LinearGaussianKernel([0.0], [[1.0]], [[tau]])
+    for call in (g.bridge_solve, g.varpi_pair, lambda a, b, c: g.sinkhorn_run(a, b, c, 2)):
+        with pytest.raises(DomainError, match="degenerate"):
+            call(mu, mu, k)
