@@ -226,7 +226,9 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
     report.add_scalar(
         "phi_identity_residual", abs((1.0 + ph) ** 2 - (1.0 + 1.0 / eps + ph)), "exponent-identity"
     )
-    strict = bool((1.0 + ph) ** -2 < base_rate)
+    # (1 + phi)^-2 < (1 + 1/eps)^-1 is phi (2 + phi) > 1/eps; both rates
+    # round to 1.0 once eps >~ 1e16, so they cannot be compared directly
+    strict = bool(ph * (2.0 + ph) > 1.0 / eps)
     report.add_scalar("phi_rate_strictly_better", strict, "rate-ordering")
     if not strict:
         raise DomainError("improved rate failed to dominate the basic rate")

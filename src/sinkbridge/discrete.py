@@ -3,9 +3,11 @@
 Models are triples of tabulated potentials (U, V, W) on a uniform midpoint
 grid: the marginals are the normalized Boltzmann densities exp(-U) and
 exp(-V), the reference channel has row densities proportional to exp(-W).
-The iteration updates potential tables, never raw kernels, so it survives
-sharp channels (W growing like squared distance over a small noise scale)
-without overflow.  All quadrature is midpoint-rule with uniform weights.
+The iteration updates potential tables; kernel passes use kernels scaled
+so that nothing overflows and recompute in the log domain whatever could
+underflow (below), so sharp channels (W growing like squared distance over
+a small noise scale) stay exact to round-off.  All quadrature is
+midpoint-rule with uniform weights.
 
 Two identities keep the hot loops at O(N) work beyond the kernel passes.
 
@@ -45,6 +47,29 @@ tau is separable, with F_k its 1-d channel (alpha_k, beta_kk, tau_kk) on
 axis k; ``models.model_from_spec`` picks that form.  On an n x n grid a
 kernel pass then costs O(n^3) instead of O(n^4), and the channel takes
 2 n^2 floats instead of n^4.
+
+Kernel passes are scaled matrix products.  Each factor F keeps its row
+minima m (non-finite ones set to 0) and K = exp(-(F - m)), whose rows peak
+at 1; the model builds both once.  For one slice a of the contracted axis,
+with b = a (axis=1) or b_i = a_i + m_i (axis=0) and c = min b,
+    sum_j exp(-F_ij - a_j) = exp(-c - m_i) s_i,   s = exp(c - b) K^T,
+    sum_i exp(-a_i - F_ij) = exp(-c) s_j,         s = exp(c - b) K,
+so a contraction costs one exp per node and one BLAS product, where a
+log-sum-exp reduction exponentiates a fresh table.  Every factor of s is at
+most 1, so nothing overflows.  Underflow loses accuracy only in the terms
+below the smallest normal double: each of exp(c - b_j), K_ij and their
+product then carries an absolute error below 2^-1022, so a sum of n terms
+is off by less than 3 n 2^-1022 (about 6.7e-308 n).  Above
+_THETA = 1e-280 that is a relative error below 6.7e-28 n, far below
+round-off for any table that fits in memory.  The entries of s below
+_THETA are recomputed by the exact reduction ``_neg_lse`` against F; when
+more than half of a contraction's entries are below it, the whole
+contraction is.  A NaN reaches s and propagates as it does through the
+reduction.  The pass is a pure function of (model, potential): it keeps
+no state between calls (no absorption of large potentials into the
+kernel), so a resumed iteration repeats a cold one bit for bit.
+``matrix_scaling_plans`` forms its own exp(-W), so it stays an
+independent oracle.
 """
 
 import math
@@ -53,6 +78,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
+
+# a scaled kernel sum below this is recomputed in the log domain (module docstring)
+_THETA = 1e-280
 
 
 @dataclass(frozen=True)
@@ -108,6 +136,11 @@ class DiscreteModel:
     u_pot: np.ndarray  # (N,), mu = exp(-u_pot) integrates to 1
     v_pot: np.ndarray  # (N,)
     channel: tuple  # factor tables, see above
+    # one (m, K) pair per factor, the scaled kernel of the module docstring, set once at construction
+    kernels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernels", tuple(_scaled_kernel(f) for f in self.channel))
 
     @property
     def w_pot(self) -> np.ndarray:
@@ -218,6 +251,39 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
         return np.log(t.sum(axis=axis)) - shift.squeeze(axis)
 
 
+def _scaled_kernel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, K) of a factor table: its row minima (non-finite ones set to 0) and exp(-(F - m))."""
+    m = f.min(axis=1)
+    m[~np.isfinite(m)] = 0.0
+    return m, np.exp(m[:, None] - f)
+
+
+def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.ndarray:
+    """-log sum exp(-F - a) over one axis of the factor F, for every row of ``a`` (M, n).
+
+    The scaled product of the module docstring.  The entries whose scaled
+    sum falls below _THETA are recomputed exactly by ``_neg_lse``, and so
+    is the whole contraction when more than half of them fall below it.
+    """
+    m, kern = scaled
+    b = a if axis == 1 else a + m
+    c = b.min(axis=1, keepdims=True)
+    c[~np.isfinite(c)] = 0.0
+    s = np.exp(c - b) @ (kern.T if axis == 1 else kern)
+    low = s < _THETA
+    n_low = np.count_nonzero(low)
+    if 2 * n_low > low.size:
+        return -_neg_lse(f + (a[:, None, :] if axis == 1 else a[:, :, None]), axis - 2)
+    with np.errstate(divide="ignore"):
+        out = c - np.log(s)
+    if axis == 1:
+        out += m
+    if n_low:
+        rows, cols = np.nonzero(low)
+        out[rows, cols] = -_neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
+    return out
+
+
 def _kernel_pass(model: DiscreteModel, pot: np.ndarray, axis: int) -> np.ndarray:
     """log of the channel kernel applied to exp(-pot), one factor at a time.
 
@@ -225,13 +291,13 @@ def _kernel_pass(model: DiscreteModel, pot: np.ndarray, axis: int) -> np.ndarray
     log sum_j w_j exp(-W_ij - pot_j) for every i, that is log K_W(exp(-pot)).
     axis=0 sums over the first: log sum_i w_i exp(-pot_i - W_ij) for every j.
     The potential is reshaped to the factors' tensor shape and each factor
-    contracts its axis (module docstring); one factor is the dense pass.
+    contracts its axis with its scaled kernel (module docstring); one
+    factor is the dense pass.
     """
     t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
-    for k, f in enumerate(model.channel):
+    for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
         a = t.swapaxes(k, -1)
-        table = f + (a[..., None, :] if axis == 1 else a[..., :, None])
-        t = (-_neg_lse(table, axis - 2)).swapaxes(k, -1)
+        t = _factor_pass(f, scaled, a.reshape(-1, a.shape[-1]), axis).reshape(a.shape).swapaxes(k, -1)
     return -t.reshape(-1)
 
 

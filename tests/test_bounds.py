@@ -233,6 +233,17 @@ def test_rate_table_napkin_numbers():
     assert rep2.scalars["phi_rate_squared"]["value"] < rep2.scalars["pair_rate"]["value"]
 
 
+@pytest.mark.parametrize("beta, eps", [(1e8, 1e16), (1e10, 1e20)])
+def test_rate_table_strict_ordering_past_rounding(beta, eps):
+    # both rates round to 1.0 here; the ordering is read from phi (2 + phi) > 1/eps
+    spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
+    k = g.LinearGaussianKernel([0.0], [[beta]], [[1.0]])
+    rep = bounds.rate_table(k, spec, 3)
+    assert rep.scalars["eps"]["value"] == eps
+    assert rep.scalars["pair_rate"]["value"] == rep.scalars["phi_rate_squared"]["value"] == 1.0
+    assert rep.scalars["phi_rate_strictly_better"]["value"] is True
+
+
 def test_rate_table_iota_one_collapse():
     # with u_- = v_- = 0 the composite envelope equals the basic one for large p
     spec = CurvatureSpec(u_plus=[[1.0]], v_plus=[[1.0]])

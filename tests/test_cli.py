@@ -139,6 +139,19 @@ def test_bounds_command(tmp_path):
     assert rows[0] == "n,theorem_tag,bound,empirical,satisfied"
 
 
+@pytest.mark.parametrize("beta", [1e8, 1e10])
+def test_bounds_command_at_huge_eps(tmp_path, beta):
+    one = [[1.0]]
+    model = {"kernel": {"alpha": [0.0], "beta": [[beta]], "tau": one},
+             "spec": {"u_plus": one, "v_plus": one, "u_minus": one, "v_minus": one}, "n_max": 3, "p": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "bounds", "model": model}))
+    out = tmp_path / "bnd"
+    assert run_cli(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    scalars = json.loads(out.with_suffix(".json").read_text())["scalars"]
+    assert scalars["eps"]["value"] == beta**2 and scalars["phi_rate_strictly_better"]["value"] is True
+
+
 def test_wrong_command_in_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "gaussian", "model": {}}))

@@ -476,28 +476,29 @@ def test_injected_nan_raises_within_the_sweep():
         assert time.perf_counter() - start < 1.0
 
 
-def counted_passes(monkeypatch):
-    """Count the engine's N x N kernel passes."""
+def counted_calls(monkeypatch, name):
+    """Record the arguments of every call of ``discrete.<name>``."""
     calls = []
-    inner = discrete._neg_lse
+    inner = getattr(discrete, name)
 
-    def counting(t, axis):
-        calls.append(t.shape)
-        return inner(t, axis)
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(discrete, "_neg_lse", counting)
+    monkeypatch.setattr(discrete, name, counting)
     return calls
 
 
 def test_kernel_passes_per_sweep(monkeypatch):
     model = verify._desk_models()["bimodal-v"]
-    passes = counted_passes(monkeypatch)
+    passes = counted_calls(monkeypatch, "_kernel_pass")
+    exact = counted_calls(monkeypatch, "_neg_lse")
     for budget in (3, 300):
         passes.clear()
         trace = discrete.run(model, budget, tol=1e-11)
         # one pass for U_0, then two per sweep
         assert len(passes) == 1 + 2 * (trace.n_sweeps + 1)
-        assert all(shape == (model.grid.size,) * 2 for shape in passes)
+        assert all(pot.shape == (model.grid.size,) for _, pot, _ in passes)
     assert trace.converged
 
     # the oracle makes two per sweep, plus the closing sweep's first
@@ -517,6 +518,8 @@ def test_kernel_passes_per_sweep(monkeypatch):
         discrete.entropy_report(trace, warm)
         counts.append(len(passes))
     assert counts == [2, 2]
+    # every scaled sum of this model is far above the underflow threshold
+    assert exact == []
 
 
 # separable channels: a linear-Gaussian channel with diagonal beta and tau on
@@ -678,3 +681,87 @@ def test_factored_model_at_128_per_axis_stays_small():
     assert trace.n_sweeps == 3 and np.all(np.isfinite(trace.residuals))
     dense_bytes = 8 * model.grid.size**2  # 2.1 GB
     assert peak < dense_bytes / 20
+
+
+def reference_pass(model, pot, axis):
+    """The kernel pass as log-domain reductions only, one (.., n, n) table per factor."""
+    t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
+    for k, f in enumerate(model.channel):
+        a = t.swapaxes(k, -1)
+        table = f + (a[..., None, :] if axis == 1 else a[..., :, None])
+        t = (-discrete._neg_lse(table, axis - 2)).swapaxes(k, -1)
+    return -t.reshape(-1)
+
+
+def assert_matches_reference(got, want):
+    """Equal off the finite entries; within 1e-13 of them relative to max(1, |want|)."""
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+
+
+def test_scaled_kernel_pass_matches_log_domain_reference():
+    doc = diagonal_spec(n=12)
+    rng = np.random.default_rng(11)
+    for model in (models.model_from_spec(doc), dense_twin(doc)):
+        pot = rng.uniform(-1e3, 1e3, size=model.grid.size)
+        pot[rng.uniform(size=pot.size) < 0.1] = np.inf
+        pot[:12] = np.inf  # a grid line without mass along each axis
+        pot.reshape(12, 12)[:, 5] = np.inf
+        for axis in (0, 1):
+            assert_matches_reference(discrete._kernel_pass(model, pot, axis), reference_pass(model, pot, axis))
+
+
+def far_hard_zero_model():
+    """A sharp channel whose target sits far from most nodes: V = +inf below x = 5, N(6, 0.2^2) above."""
+    grid = discrete.uniform_grid(1, 512, 8.0)
+    quad = models.quadratic_potential([6.0], [[0.04]])
+
+    def v_fn(points):
+        out = quad(points)
+        out[points[:, 0] < 5.0] = np.inf
+        return out
+
+    channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[0.01]])
+    return discrete.build_model(models.quadratic_potential([0.0], [[1.0]]), v_fn, channel, grid)
+
+
+def test_underflowing_rows_take_the_exact_reduction(monkeypatch):
+    model = far_hard_zero_model()
+    x = model.grid.points[:, 0]
+    exact = counted_calls(monkeypatch, "_neg_lse")
+    # mass on [-3, 3]: the rows far outside it underflow, fewer than half of them
+    pot = np.where(np.abs(x) < 3.0, 0.0, np.inf)
+    for axis in (0, 1):
+        exact.clear()
+        got = discrete._kernel_pass(model, pot, axis)
+        ((table, _),) = exact  # one reduction over the underflowing rows only
+        assert table.ndim == 2 and 0 < table.shape[0] <= model.grid.size // 2
+        assert_matches_reference(got, reference_pass(model, pot, axis))
+    # the target's own potential: most rows underflow and the whole pass is exact
+    exact.clear()
+    got = discrete._kernel_pass(model, model.v_pot, 1)
+    ((table, _),) = exact
+    assert table.shape == (1, model.grid.size, model.grid.size)
+    assert_matches_reference(got, reference_pass(model, model.v_pot, 1))
+    # every pass of a run matches the reference
+    passes = counted_calls(monkeypatch, "_kernel_pass")
+    trace = discrete.run(model, 5, tol=0.0)
+    assert len(passes) == 1 + 2 * (trace.n_sweeps + 1)
+    for _, pot, axis in list(passes):
+        assert_matches_reference(discrete._kernel_pass(model, pot, axis), reference_pass(model, pot, axis))
+    assert np.all(np.isfinite(trace.residuals))
+
+
+def test_scaled_kernels_are_built_once_per_model(monkeypatch):
+    built = counted_calls(monkeypatch, "_scaled_kernel")
+    model = models.model_from_spec(diagonal_spec())
+    assert len(built) == len(model.channel) == 2
+    kernels = model.kernels
+    trace = discrete.run(model, 300, tol=1e-11)
+    oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    discrete.entropy_report(trace, oracle)
+    assert len(built) == 2 and model.kernels is kernels
+    for f, (m, kern) in zip(model.channel, kernels):
+        assert kern.shape == f.shape and np.all(kern.max(axis=1) == 1.0)
+        assert np.array_equal(m, f.min(axis=1))
