@@ -18,7 +18,8 @@ print(f"two-step rate (1+1/eps)^-1      = {1/(1+1/eps):.6f}")
 print(f"improved rate (1+phi(eps))^-2   = {(1+bounds.phi(eps))**-2:.6f}")
 
 w0, w1, w0b, w1b = bounds.varpi_family(k, spec)
-print("\nflow parameters:", [repr(w) if riccati.is_infinite(w) else float(w[0, 0]) for w in (w0, w1, w0b, w1b)])
+# each finite member is the spectrum (lam, q) its bridge's SVD gave
+print("\nflow parameters:", [repr(w) if riccati.is_infinite(w) else w.lam.tolist() for w in (w0, w1, w0b, w1b)])
 
 sigma, tau = bounds.curvature_flow(k, spec, 5)
 print("\n n   lower envelope   upper envelope")

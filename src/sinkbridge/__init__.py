@@ -51,6 +51,7 @@ from .gaussian import (
 )
 from .riccati import (
     INFINITE,
+    Spectrum,
     decay_params,
     fixed_point,
     fixed_point_identities,

@@ -113,15 +113,17 @@ def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
 
     Two bridge decompositions give them in pairs: v_minus^{1/2} chi
     u_plus^{1/2} gives (w0, w1_bar) and v_plus^{1/2} chi u_minus^{1/2}
-    gives (w0_bar, w1).  A pair whose product contains a ZERO factor comes
-    back as INFINITE.  For tau = t * tau0 every finite member scales as t^2
-    times its tau0-normalized counterpart.
+    gives (w0_bar, w1).  Each finite member is a ``riccati.Spectrum`` read
+    off its bridge's SVD, so no varpi matrix is assembled or decomposed
+    again.  A pair whose product contains a ZERO factor comes back as
+    INFINITE.  For tau = t * tau0 every finite member's eigenvalues scale
+    as t^2 times its tau0-normalized counterpart's.
     """
 
     def pair(u, v):
         if is_zero(u) or is_zero(v):
             return INFINITE, INFINITE
-        return bridge_factors(u, v, k.chi).varpis()
+        return bridge_factors(u, v, k.chi).spectra()
 
     w0, w1_bar = pair(spec.u_plus, spec.v_minus)
     w0_bar, w1 = pair(spec.u_minus, spec.v_plus)
@@ -167,7 +169,12 @@ def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
     the larger of the two fixed-point norm ratios and is always >= 1.
     """
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    d = k.dim
+    return _xi_iota(spec, w0_bar, w1_bar, p_max)
+
+
+def _xi_iota(spec: CurvatureSpec, w0_bar, w1_bar, p_max: int):
+    """``xi_iota`` from the upper flow parameters of ``varpi_family``."""
+    d = spec.dim
     v_half = spd.principal_sqrt(spec.v_plus)
     u_half = spd.principal_sqrt(spec.u_plus)
     nv = spd.spectral_norm(spec.v_plus)
@@ -234,7 +241,7 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
         raise DomainError("improved rate failed to dominate the basic rate")
 
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    xi_even, xi_odd, iota = xi_iota(k, spec, p)
+    xi_even, xi_odd, iota = _xi_iota(spec, w0_bar, w1_bar, p)
     report.add_scalar("iota", iota, "norm-ratio-limit")
     decays = [riccati.decay_params(w) for w in (w0_bar, w1_bar) if not riccati.is_infinite(w)]
     delta_bar = max((d for d, _ in decays), default=0.0)

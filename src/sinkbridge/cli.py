@@ -172,26 +172,27 @@ def _load_riccati(args):
     n = parse_count(model["n"], "n", 0)
     if isinstance(model["varpi"], str) and model["varpi"].lower() == "infinite":
         # the start carries only the dimension: the map is the identity
-        return INFINITE, np.zeros((parse_count(model["dim"], "dim", 1),) * 2), n
+        return INFINITE, INFINITE, np.zeros((parse_count(model["dim"], "dim", 1),) * 2), n
     varpi = parse_array(model["varpi"], "varpi", 2)
-    spd.require_spd(varpi)
+    # the one validated decomposition every Riccati call below works from
+    spectrum = riccati._spectrum(varpi)
     r0 = parse_array(model["r0"], "r0", 2)
     if r0.shape == (1, 1):
         r0 = r0[0, 0] * np.eye(len(varpi))
     if r0.shape != varpi.shape:
         raise ShapeError(f"r0 has shape {r0.shape}, varpi {varpi.shape}")
     spd.clamp_psd(r0)
-    return varpi, r0, n
+    return varpi, spectrum, r0, n
 
 
-def _riccati(varpi, r0, n):
+def _riccati(varpi, spectrum, r0, n):
     header = "n,error,envelope,satisfied"
     if riccati.is_infinite(varpi):
         note = "map and fixed point are the identity by convention"
         return {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note}, header, ["0,0,0,1"]
-    r_star = riccati.fixed_point(varpi)
-    delta, c_bound = riccati.decay_params(varpi)
-    gaps = [spd.spectral_norm(t - r_star) for t in riccati.iterate(varpi, r0, n)]
+    r_star = riccati.fixed_point(spectrum)
+    delta, c_bound = riccati.decay_params(spectrum)
+    gaps = [spd.spectral_norm(t - r_star) for t in riccati.iterate(spectrum, r0, n)]
     rows = []
     fit = 0.0
     floor = 1e-15  # absolute slack of each row's check
@@ -208,6 +209,7 @@ def _riccati(varpi, r0, n):
         "delta": delta,
         "prefactor_bound": c_bound,
         "prefactor_empirical_fit": fit,
+        # the independent check: it starts again from the dense matrix
         "identities": riccati.fixed_point_identities(varpi),
     }
     return doc, header, rows

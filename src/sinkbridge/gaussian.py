@@ -126,7 +126,7 @@ class BridgeFactors(NamedTuple):
     G = v^{1/2} chi u^{1/2} = p diag(s) r' with lam = s^{-2}.  The two
     Riccati parameters are varpi_0 = (G G')^{-1} = p diag(lam) p' and
     varpi_1 = (G' G)^{-1} = r diag(lam) r', so p and r are their
-    eigenbases and lam their common spectrum.
+    eigenbases and lam, ascending since s descends, their common spectrum.
     """
 
     u_half: np.ndarray
@@ -138,9 +138,9 @@ class BridgeFactors(NamedTuple):
     lam: np.ndarray
     r: np.ndarray
 
-    def varpis(self):
-        """The Riccati parameters (varpi_0, varpi_1)."""
-        return _congruent(self.p, self.lam), _congruent(self.r, self.lam)
+    def spectra(self):
+        """The Riccati parameters (varpi_0, varpi_1), as the spectra the SVD gave."""
+        return riccati.Spectrum(self.lam, self.p), riccati.Spectrum(self.lam, self.r)
 
 
 def _congruent(a, w) -> np.ndarray:
@@ -168,10 +168,13 @@ def varpi_pair(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKerne
     """Riccati parameters of the two conditional-covariance flows.
 
     Returns (v^{-1/2} (chi u chi')^{-1} v^{-1/2}, u^{-1/2} (chi' v chi)^{-1} u^{-1/2}),
-    taken from one SVD by ``bridge_factors``.
+    assembled as matrices from one SVD by ``bridge_factors``.  Their
+    condition number is cond(v^{1/2} chi u^{1/2})^2; the Riccati layer
+    takes ``BridgeFactors.spectra`` instead, which carries no such loss.
     """
     _check_model(mu, eta, k)
-    return bridge_factors(mu.cov, eta.cov, k.chi).varpis()
+    f = bridge_factors(mu.cov, eta.cov, k.chi)
+    return _congruent(f.p, f.lam), _congruent(f.r, f.lam)
 
 
 def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):

@@ -1,11 +1,20 @@
 """Riccati matrix maps s -> (I + (varpi + s)^{-1})^{-1} and their flows.
 
-The map family is parameterized by an SPD matrix ``varpi`` or by the
-distinguished value ``INFINITE`` encoding varpi^{-1} = 0, in which case the
-map and its fixed point are identically the identity matrix.  INFINITE is a
-dedicated sentinel, not a huge-number stand-in: the conventions it encodes
-are exact identities, not limits.
+The map family is parameterized by varpi in one of three forms:
+
+- an SPD matrix, as a user supplies it: each call symmetrizes it,
+  decomposes it once and checks it against the 1e12 bound
+  ``spd.SPD_RTOL``, and only a varpi given this way meets that check;
+- a ``Spectrum`` (lam, q) with varpi = q diag(lam) q', taken as given:
+  ``gaussian.BridgeFactors.spectra`` reads it off the bridge's SVD, and a
+  caller that reuses one varpi across calls gets it from ``_spectrum``;
+- the distinguished value ``INFINITE`` encoding varpi^{-1} = 0, in which
+  case the map and its fixed point are identically the identity matrix.
+  INFINITE is a dedicated sentinel, not a huge-number stand-in: the
+  conventions it encodes are exact identities, not limits.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +43,29 @@ def is_infinite(varpi) -> bool:
     return varpi is INFINITE
 
 
-def _spectrum(varpi):
-    """The one validated decomposition of a finite varpi: (varpi, eigenvalues, eigenvectors)."""
+class Spectrum(NamedTuple):
+    """varpi = q diag(lam) q', lam ascending and positive, q orthogonal.
+
+    A Spectrum is trusted as given: it is built only from a decomposition
+    that was validated where it was made.
+    """
+
+    lam: np.ndarray
+    q: np.ndarray
+
+
+def _spectrum(varpi) -> Spectrum:
+    """The one validated decomposition of a finite varpi.
+
+    A matrix is symmetrized, decomposed and SPD-checked; a Spectrum passes
+    through unchecked.
+    """
     if is_infinite(varpi):
         raise DomainError("operation requires a finite varpi")
-    return spd._spd_eigh(np.atleast_2d(np.asarray(varpi, dtype=float)))
+    if isinstance(varpi, Spectrum):
+        return varpi
+    _, w, q = spd._spd_eigh(np.atleast_2d(np.asarray(varpi, dtype=float)))
+    return Spectrum(w, q)
 
 
 def _fixed_scalar(lam):
@@ -68,7 +95,7 @@ def fixed_point(varpi) -> np.ndarray:
     """
     if is_infinite(varpi):
         raise ShapeError("INFINITE carries no dimension; use fixed_point_like")
-    _, w, q = _spectrum(varpi)
+    w, q = _spectrum(varpi)
     return _rotate(q, np.diag(_fixed_scalar(w)))
 
 
@@ -85,10 +112,12 @@ def fixed_point_identities(varpi, tol: float = 1e-9) -> dict:
     Checks r + r varpi^{-1} r = I, the inverse identity
     r^{-1} = I + (varpi + r)^{-1}, and the strict sandwich
     (I + varpi^{-1})^{-1} < r < I together with I < r^{-1} < I + varpi^{-1}.
-    The map residual applies the dense map, which decomposes varpi + r and
-    never varpi, so it checks r independently of the eigenbasis it came from.
+    varpi is the dense matrix: the map residual applies the dense map, which
+    decomposes varpi + r and never varpi, so it checks r independently of
+    the eigenbasis it came from.
     """
-    varpi, w, q = _spectrum(varpi)
+    w, q = _spectrum(varpi)
+    varpi = spd.symmetrize(varpi)
     eye = np.eye(varpi.shape[0])
     r = _rotate(q, np.diag(_fixed_scalar(w)))
     varpi_inv = spd.sym_inv(varpi)
@@ -137,7 +166,7 @@ def decay_params(varpi) -> tuple[float, float]:
     delta geometrically.  Iterates from 0 commute with varpi and increase
     with its eigenvalues, so each l_min is the scalar flow at l_min(varpi).
     """
-    _, w, _ = _spectrum(varpi)
+    w, _ = _spectrum(varpi)
     lam = float(w[0])
     delta = float((1.0 + lam + _fixed_scalar(lam)) ** -2)
 
@@ -155,13 +184,14 @@ def decay_params(varpi) -> tuple[float, float]:
 def iterate(varpi, r0, n: int) -> list[np.ndarray]:
     """Trajectory [r0, Ricc(r0), ..., Ricc^n(r0)] of the Riccati recursion.
 
-    r0 is validated once and varpi decomposed once; in varpi's eigenbasis a
-    step is s -> a (a + I)^{-1}, a = diag(lam) + s: one linear solve.
+    r0 is validated once and varpi decomposed at most once; in varpi's
+    eigenbasis a step is s -> a (a + I)^{-1}, a = diag(lam) + s: one
+    linear solve.
     """
     r = spd.clamp_psd(np.atleast_2d(np.asarray(r0, dtype=float)))
     if is_infinite(varpi):
         return [r] + [np.eye(r.shape[0]) for _ in range(n)]
-    _, w, q = _spectrum(varpi)
+    w, q = _spectrum(varpi)
     return _iterate_spectral(w, q, r, n)
 
 

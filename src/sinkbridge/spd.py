@@ -84,14 +84,6 @@ def require_spd(a) -> np.ndarray:
     return _spd_eigh(a)[0]
 
 
-def is_spd(a) -> bool:
-    try:
-        require_spd(a)
-    except (DomainError, ShapeError):
-        return False
-    return True
-
-
 def sym_inv(a) -> np.ndarray:
     """Inverse of an SPD matrix via eigendecomposition; preserves symmetry exactly."""
     _, w, u = _spd_eigh(a)

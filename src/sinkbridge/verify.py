@@ -82,10 +82,11 @@ def criterion_riccati_decay(seed=0, n_max=60, tol_closed_form=1e-12):
     worst_margin = -np.inf
     for varpi in _spd_family(seed):
         d = varpi.shape[0]
-        r_star = riccati.fixed_point(varpi)
-        delta, c = riccati.decay_params(varpi)
+        spectrum = riccati._spectrum(varpi)
+        r_star = riccati.fixed_point(spectrum)
+        delta, c = riccati.decay_params(spectrum)
         r0 = spd.clamp_psd(np.diag(rng.uniform(0.0, 2.0, size=d)))
-        traj = riccati.iterate(varpi, r0, n_max)
+        traj = riccati.iterate(spectrum, r0, n_max)
         gap0 = spd.spectral_norm(r0 - r_star)
         for n in range(1, n_max + 1):
             gap = spd.spectral_norm(traj[n] - r_star)
@@ -208,7 +209,8 @@ def criterion_entropic_map_identities(seed=0, tol=1e-10):
             spd.spectral_norm(chi.T @ fwd.noise_cov @ chi - g.entropic_map_gradient(fwd) @ chi),
             spd.spectral_norm(chi @ bwd.noise_cov @ chi.T - g.entropic_map_gradient(bwd) @ chi.T),
         )
-        # equality case: both two-sided bound families collapse onto the gradient
+        # equality case: both two-sided bound families collapse onto the
+        # gradient; the fixed points come from the family's bridge spectra
         w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu.cov, eta.cov))
         v_half = spd.principal_sqrt(eta.cov)
         u_half = spd.principal_sqrt(mu.cov)

@@ -29,8 +29,8 @@ def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
     spectrum = riccati._spectrum
 
     def transposed(varpi):
-        varpi, w, q = spectrum(varpi)
-        return varpi, w, q.T
+        w, q = spectrum(varpi)
+        return riccati.Spectrum(w, q.T)
 
     monkeypatch.setattr(riccati, "_spectrum", transposed)
     res = verify.criterion_riccati_fixed_point(seed=0)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from sinkbridge import bounds, riccati, spd
+from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
@@ -56,11 +58,16 @@ def test_varpi_family_zero_conventions():
     assert not riccati.is_infinite(w0) and not riccati.is_infinite(w1b)
 
 
+def dense(w):
+    """The varpi matrix q diag(lam) q' of a family member's spectrum."""
+    return (w.q * w.lam) @ w.q.T
+
+
 def test_varpi_family_gaussian_equality_identity_model():
     spec = CurvatureSpec.gaussian(np.eye(2), np.eye(2))
     family = bounds.varpi_family(kernel_ti(1.0, 2), spec)
     for w in family:
-        assert np.allclose(w, np.eye(2), atol=1e-12)
+        assert np.allclose(dense(w), np.eye(2), atol=1e-12)
 
 
 def test_varpi_family_t_rescaling():
@@ -72,6 +79,7 @@ def test_varpi_family_t_rescaling():
     for t in [0.1, 1.0, 10.0]:
         fam_t = bounds.varpi_family(kernel_ti(t, 2), spec)
         for w_t, w_1 in zip(fam_t, base):
+            w_t, w_1 = dense(w_t), dense(w_1)
             assert np.linalg.norm(w_t / t**2 - w_1, 2) < 1e-12 * max(1.0, spd.spectral_norm(w_1))
 
 
@@ -92,7 +100,7 @@ def test_varpi_family_matches_gaussian_module():
     # both functions come from one decomposition; the dense congruence formula checks them
     w0_ref, w1_ref = dense_varpi(k.chi, u, v), dense_varpi(k.chi.T, v, u)
     w0g, w1g = g.varpi_pair(mu, eta, k)
-    w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(u, v))
+    w0, w1, w0b, w1b = map(dense, bounds.varpi_family(k, CurvatureSpec.gaussian(u, v)))
     for w, ref in ((w0g, w0_ref), (w0, w0_ref), (w0b, w0_ref), (w1g, w1_ref), (w1, w1_ref), (w1b, w1_ref)):
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
 
@@ -112,8 +120,71 @@ def test_varpi_family_pairs_each_lower_factor_with_the_opposite_upper_one():
         dense_varpi(chi, spec.u_minus, spec.v_plus),
         dense_varpi(chi.T, spec.v_minus, spec.u_plus),
     )
-    for w, ref in zip(bounds.varpi_family(k, spec), refs):
+    for w, ref in zip(map(dense, bounds.varpi_family(k, spec)), refs):
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
+
+
+def test_rate_table_makes_only_the_bridge_decompositions(decompositions, monkeypatch):
+    """One bridge_factors call per finite pair; no varpi is assembled and decomposed again."""
+    rng = np.random.default_rng(23)
+    factors = {}
+    for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        factors[name] = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
+    spec = CurvatureSpec(**factors)
+    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
+
+    pairs = []
+    bridge_factors = bounds.bridge_factors
+    monkeypatch.setattr(bounds, "bridge_factors", lambda *a: pairs.append(a) or bridge_factors(*a))
+    spectrum = riccati._spectrum
+
+    def spectra_only(varpi):
+        assert isinstance(varpi, riccati.Spectrum), "a varpi matrix was decomposed"
+        return spectrum(varpi)
+
+    monkeypatch.setattr(riccati, "_spectrum", spectra_only)
+    decompositions.clear()
+    bounds.rate_table(k, spec, 6, p=2)
+    assert len(pairs) == 2
+    assert decompositions["svd"] - decompositions["norm_svd"] == 2
+
+
+def log_spectrum_spd(d, cond, seed):
+    """A seed-fixed SPD matrix whose spectrum is log-spaced over [1, cond]."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return spd.symmetrize((q * np.logspace(0.0, np.log10(cond), d)) @ q.T)
+
+
+def ill_conditioned_bridge(d, cond):
+    """Gaussian-equality curvature whose flow parameters varpi have condition number ~cond^2."""
+    beta = np.eye(d) + 0.1 * np.random.default_rng(5).standard_normal((d, d))
+    k = g.LinearGaussianKernel(np.zeros(d), beta, np.eye(d))
+    return k, CurvatureSpec.gaussian(log_spectrum_spd(d, cond, 0), log_spectrum_spd(d, cond, 1))
+
+
+@pytest.mark.parametrize("d, cond", [(16, 1e7), (32, 1e8), (64, 1e8)])
+def test_rate_table_on_ill_conditioned_bridges(d, cond):
+    # an assembled varpi here fails the 1e12 SPD check that user input
+    # meets; the family's spectra never meet it
+    rep = bounds.rate_table(*ill_conditioned_bridge(d, cond), 10, p=2)
+    values = {name: s["value"] for name, s in rep.scalars.items()}
+    assert all(np.isfinite(float(v)) for v in values.values())
+    assert values["iota"] >= 1.0 and 0.0 < values["delta_bar"] < 1.0 and values["c_bar"] >= 1.0
+
+
+def test_bounds_command_on_ill_conditioned_bridge(tmp_path):
+    k, spec = ill_conditioned_bridge(32, 1e8)
+    model = {
+        "kernel": {"alpha": k.alpha.tolist(), "beta": k.beta.tolist(), "tau": k.tau.tolist()},
+        "spec": {name: getattr(spec, name).tolist() for name in ("u_plus", "v_plus", "u_minus", "v_minus")},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "bounds", "model": model}))
+    out = tmp_path / "bounds"
+    assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert rows and not any(row.endswith(",0") for row in rows)
 
 
 def test_curvature_flow_equality_case_matches_sinkhorn():
@@ -313,8 +384,6 @@ def test_proximal_crossover_exact_equivalence():
 
 
 def test_bound_report_serialization_roundtrip():
-    import json
-
     spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
     rep = bounds.rate_table(kernel_ti(1.0), spec, 3)
     doc = json.loads(rep.to_json())

@@ -3,15 +3,18 @@
 Every drawn problem (d <= 64, cond(u), cond(v) <= 1e8, a well-conditioned
 channel) must either solve to round-off times its condition number, with
 finite Sinkhorn states, or stop with a DomainError.  A NaN, an overflow or
-any other exception fails the test.
+any other exception fails the test.  Its contraction constants, from
+``bounds.rate_table`` on the Gaussian-equality curvature, must all be
+finite and in range.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sinkbridge import bounds, spd
 from sinkbridge import gaussian as g
-from sinkbridge import spd
+from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
 
 EPS = np.finfo(float).eps
@@ -45,6 +48,24 @@ def bridge_problems(draw):
     return mu, eta, g.LinearGaussianKernel(rng.standard_normal(d), beta, tau)
 
 
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@st.composite
+def curvature_problems(draw):
+    """A bridge problem; half the time eta's spectrum is moved into mu's eigenbasis.
+
+    Aligned, cond(v^{1/2} chi u^{1/2}) nears sqrt(cond(u) cond(v)), so the
+    flow parameters varpi reach condition numbers near 1e16.
+    """
+    mu, eta, k = draw(bridge_problems())
+    if draw(st.booleans()):
+        _, q = np.linalg.eigh(mu.cov)
+        eta = g.GaussianMeasure(eta.mean, spd.symmetrize((q * np.linalg.eigvalsh(eta.cov)) @ q.T))
+    return mu, eta, k
+
+
 def relative_push_forward_error(f, p, q):
     cov = f.slope @ p.cov @ f.slope.T + f.noise_cov
     return np.linalg.norm(cov - q.cov, 2) / np.linalg.norm(q.cov, 2)
@@ -57,8 +78,7 @@ def fixed_point_residual(noise_cov, target_cov, gram):
     return np.linalg.norm(r + r @ gram @ r - np.eye(len(r)), 2)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@PROPERTY_SETTINGS
 @given(bridge_problems())
 def test_bridge_solves_to_round_off_or_raises_domain_error(problem):
     mu, eta, k = problem
@@ -82,3 +102,15 @@ def test_bridge_solves_to_round_off_or_raises_domain_error(problem):
 
     for s in states:
         assert all(np.all(np.isfinite(a)) for a in (s.tau_n, s.m_n, s.sigma_pi_n))
+
+
+@PROPERTY_SETTINGS
+@given(curvature_problems())
+def test_rate_table_constants_are_finite_and_in_range(problem):
+    mu, eta, k = problem
+    rep = bounds.rate_table(k, CurvatureSpec.gaussian(mu.cov, eta.cov), 4, p=2)
+    values = {name: s["value"] for name, s in rep.scalars.items()}
+    assert all(np.isfinite(float(v)) for v in values.values())
+    assert values["iota"] >= 1.0
+    assert 0.0 < values["delta_bar"] < 1.0 and values["c_bar"] >= 1.0
+    assert 0.0 < values["composite_rate"] <= 1.0

@@ -192,6 +192,29 @@ def test_fixed_point_accurate_when_ill_conditioned(d, cond, tmp_path):
     assert json.loads(out.with_suffix(".json").read_text())["identities"]["ok"]
 
 
+def test_riccati_command_decomposes_varpi_once(decompositions, monkeypatch, tmp_path):
+    """Load and compute share one validated decomposition of varpi.
+
+    fixed_point_identities is left out: it is the independent check and
+    starts again from the dense matrix.
+    """
+    varpi = log_spectrum_varpi(4, 1e2)
+    eigh = np.linalg.eigh  # the fixture's counting wrapper
+    of_varpi = []
+
+    def recording(a, *args, **kwargs):
+        of_varpi.append(np.array_equal(a, varpi))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(riccati, "fixed_point_identities", lambda varpi: {"ok": True})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": varpi.tolist(), "n": 30}}))
+    assert cli.main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "ricc")]) == 0
+    assert sum(of_varpi) == 1
+    assert decompositions["svd"] == decompositions["norm_svd"]  # spectral norms only
+
+
 def test_monotone_in_state():
     rng = np.random.default_rng(8)
     for _ in range(200):

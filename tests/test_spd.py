@@ -48,7 +48,7 @@ def test_principal_sqrt_squaring_oracle(d):
     rng = np.random.default_rng(7 + d)
     a = random_spd(rng, d)
     root = spd.principal_sqrt(a)
-    assert spd.is_spd(root)
+    spd.require_spd(root)
     err = np.linalg.norm(root @ root - a) / np.linalg.norm(a)
     assert err < 1e-10
 
