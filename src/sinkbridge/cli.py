@@ -181,8 +181,7 @@ def _load_riccati(args):
         r0 = r0[0, 0] * np.eye(len(varpi))
     if r0.shape != varpi.shape:
         raise ShapeError(f"r0 has shape {r0.shape}, varpi {varpi.shape}")
-    spd.clamp_psd(r0)
-    return varpi, spectrum, r0, n
+    return varpi, spectrum, spd.clamp_psd(r0), n
 
 
 def _riccati(varpi, spectrum, r0, n):
@@ -192,7 +191,7 @@ def _riccati(varpi, spectrum, r0, n):
         return {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note}, header, ["0,0,0,1"]
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
-    gaps = [spd.spectral_norm(t - r_star) for t in riccati.iterate(spectrum, r0, n)]
+    gaps = [spd.spectral_norm(t - r_star) for t in riccati._iterate_spectral(*spectrum, r0, n)]
     rows = []
     fit = 0.0
     floor = 1e-15  # absolute slack of each row's check

@@ -50,7 +50,7 @@ kernel pass then costs O(n^3) instead of O(n^4), and the channel takes
 
 Kernel passes are scaled matrix products.  Each factor F keeps its row
 minima m (non-finite ones set to 0) and K = exp(-(F - m)), whose rows peak
-at 1; the model builds both once.  For one slice a of the contracted axis,
+at 1; they are made once per model.  For one slice a of the contracted axis,
 with b = a (axis=1) or b_i = a_i + m_i (axis=0) and c = min b,
     sum_j exp(-F_ij - a_j) = exp(-c - m_i) s_i,   s = exp(c - b) K^T,
     sum_i exp(-a_i - F_ij) = exp(-c) s_j,         s = exp(c - b) K,
@@ -70,10 +70,20 @@ no state between calls (no absorption of large potentials into the
 kernel), so a resumed iteration repeats a cold one bit for bit.
 ``matrix_scaling_plans`` forms its own exp(-W), so it stays an
 independent oracle.
+
+A factor is built with one exp per entry.  With m_raw the row minima of
+the raw table W_raw, K = exp(m_raw - W_raw) does not depend on the row
+normalisation: the normaliser z = log(K w) - m_raw shifts a whole row,
+so F = W_raw + z and m = m_raw + z are shifts of the raw values and
+exp(m - F) is the same K.  ``channel_table`` therefore returns the
+scaled kernel with the factor, and a model builds kernels only when its
+factors come without them.  Validation reads the row minima: a
+NaN or -inf entry makes its row's minimum NaN or -inf, and an all-+inf
+row (no mass) makes it +inf, so no check passes over the N x N table.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -130,17 +140,23 @@ class DiscreteModel:
     multiply to N); a dense channel is the one factor (N, N).  Every factor
     row integrates to one against its axis weights, so every row of the
     channel does.
+
+    ``scaled`` hands over the (m, K) pairs that ``channel_table`` made with
+    the factors; without it the model builds them.  It is init-only, so a
+    model made with ``dataclasses.replace`` builds its kernels afresh from
+    its own channel.
     """
 
     grid: Grid
     u_pot: np.ndarray  # (N,), mu = exp(-u_pot) integrates to 1
     v_pot: np.ndarray  # (N,)
     channel: tuple  # factor tables, see above
+    scaled: InitVar[tuple | None] = None
     # one (m, K) pair per factor, the scaled kernel of the module docstring, set once at construction
     kernels: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernels", tuple(_scaled_kernel(f) for f in self.channel))
+    def __post_init__(self, scaled):
+        object.__setattr__(self, "kernels", scaled or tuple(_scaled_kernel(f) for f in self.channel))
 
     @property
     def w_pot(self) -> np.ndarray:
@@ -168,33 +184,33 @@ class DiscreteModel:
 
 
 def _normalize_potential(raw: np.ndarray, log_w: np.ndarray, what: str) -> np.ndarray:
-    from scipy.special import logsumexp
-
-    log_z = logsumexp(-raw + log_w)
+    log_z = _neg_lse(raw - log_w, 0)
     if not np.isfinite(log_z):
         raise DomainError(f"{what} underflows to zero total mass; widen the grid or rescale")
     return raw + log_z
 
 
-def channel_table(w_fn, grid: Grid) -> np.ndarray:
+def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Tabulate a channel potential on grid x grid, each kernel row normalized.
 
     w_fn maps two point arrays to the (N, N) table; every row is shifted so
     that its kernel row integrates to one (a normalization the recursion
     tolerates).  On one axis of a tensor grid this gives a factor table.
+    Returns the table F with its scaled kernel (m, K), made with one exp
+    per entry (module docstring).
     """
-    from scipy.special import logsumexp
-
     w_raw = np.asarray(w_fn(grid.points, grid.points), dtype=float)
     if w_raw.shape != (grid.size, grid.size):
         raise ShapeError(f"channel table must be (N, N), got {w_raw.shape}")
-    if np.any(np.isnan(w_raw)) or np.any(w_raw == -np.inf):
+    m_raw = w_raw.min(axis=1)
+    if not np.all(m_raw > -np.inf):  # NaN fails the comparison too
         raise DomainError("W table contains NaN or -inf entries")
-    log_w = np.log(grid.weights)
-    row_log_z = logsumexp(-w_raw + log_w[None, :], axis=1)
-    if not np.all(np.isfinite(row_log_z)):
+    if np.any(m_raw == np.inf):
         raise DomainError("a channel row underflows entirely: grid too narrow for this kernel")
-    return w_raw + row_log_z[:, None]
+    kern = np.subtract(m_raw[:, None], w_raw)
+    np.exp(kern, out=kern)
+    z = np.log(kern @ grid.weights) - m_raw
+    return w_raw + z[:, None], (m_raw + z, kern)
 
 
 def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
@@ -202,9 +218,9 @@ def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
 
     u_fn and v_fn map an (N, dim) array of points to length-N potential
     values.  w_fn maps two point arrays to the (N, N) channel potential
-    table (tabulated by ``channel_table``), or is a tuple of factor tables,
-    each made by ``channel_table`` on one axis of a tensor grid.  The
-    marginal potentials are shifted so the densities integrate to one.
+    table (tabulated by ``channel_table``), or is a tuple of factors, each
+    made by ``channel_table`` on one axis of a tensor grid.  The marginal
+    potentials are shifted so the densities integrate to one.
     """
     pts = grid.points
     log_w = np.log(grid.weights)
@@ -219,10 +235,10 @@ def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
 
     u_pot = _normalize_potential(u_raw, log_w, "mu")
     v_pot = _normalize_potential(v_raw, log_w, "eta")
-    channel = w_fn if isinstance(w_fn, tuple) else (channel_table(w_fn, grid),)
+    channel, scaled = zip(*(w_fn if isinstance(w_fn, tuple) else (channel_table(w_fn, grid),)))
     if math.prod(f.shape[0] for f in channel) != grid.size:
         raise ShapeError(f"channel factors {[f.shape for f in channel]} do not tile a grid of {grid.size} nodes")
-    return DiscreteModel(grid, u_pot, v_pot, channel)
+    return DiscreteModel(grid, u_pot, v_pot, channel, scaled)
 
 
 @dataclass(frozen=True)
@@ -239,9 +255,8 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(-t) along ``axis``, consuming the table ``t``.
 
     The reduction of a kernel pass: a min-shift, an in-place exp and a
-    sum, with no temporary the size of ``t``.  As with scipy's logsumexp,
-    a slice that is +inf throughout (no mass) gives -inf, and a NaN gives
-    NaN.
+    sum, with no temporary the size of ``t``.  A slice that is +inf
+    throughout (no mass) gives -inf, and a NaN gives NaN.
     """
     shift = t.min(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
@@ -580,11 +595,9 @@ def conditional_moments(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
     Returns arrays of shape (N, dim) and (N, dim, dim): the moments of
     y | x = x_i under the coupling.
     """
-    from scipy.special import logsumexp
-
     model = state.model
-    lp = plan_log_density(state)
-    log_cond = lp + model.log_w[None, :] - logsumexp(lp + model.log_w[None, :], axis=1, keepdims=True)
+    log_cond = plan_log_density(state) + model.log_w[None, :]
+    log_cond -= _neg_lse(-log_cond, 1)[:, None]
     cond = np.exp(log_cond)
     pts = model.grid.points
     means = cond @ pts

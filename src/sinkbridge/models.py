@@ -25,7 +25,7 @@ import reprlib
 import numpy as np
 
 from . import spd
-from .discrete import DiscreteModel, build_model, channel_table, uniform_grid
+from .discrete import DiscreteModel, _neg_lse, build_model, channel_table, uniform_grid
 from .errors import ConfigError, DomainError, ShapeError
 
 
@@ -91,10 +91,8 @@ def gaussian_mixture_potential(weights, means, covs):
         comps = []
         for mean, prec, ln in zip(means, precs, log_norms):
             diff = points - mean[None, :]
-            comps.append(ln - 0.5 * np.einsum("ij,jk,ik->i", diff, prec, diff))
-        from scipy.special import logsumexp
-
-        return -logsumexp(np.stack(comps, axis=0), axis=0)
+            comps.append(0.5 * np.einsum("ij,jk,ik->i", diff, prec, diff) - ln)
+        return -_neg_lse(np.stack(comps, axis=0), 0)
 
     return u
 
@@ -168,7 +166,7 @@ def _parse_params(what: str, kind, params: dict, dim: int) -> dict:
 
 
 def _axis_factors(doc: dict, n: int, radius: float):
-    """Per-axis factor tables of a linear-Gaussian channel with diagonal beta and tau, else None."""
+    """Per-axis ``channel_table`` factors of a linear-Gaussian channel with diagonal beta and tau, else None."""
     alpha, beta, tau = doc["alpha"], doc["beta"], doc["tau"]
     if np.any(beta != np.diag(np.diag(beta))) or np.any(tau != np.diag(np.diag(tau))):
         return None

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +475,50 @@ def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
     for suffix in ("_ot_sweep.csv", "_proximal.csv", "_report.json"):
         assert (tmp_path / f"gauss{suffix}").exists()
     assert "satisfied=0" in capsys.readouterr().err
+
+
+def test_tabulated_channel_with_neg_inf_exit_2(tmp_path, capsys):
+    # parse_array lets +-inf through; the channel build rejects -inf
+    table = np.zeros((8, 8))
+    table[2, 6] = -np.inf
+    table[5, 1] = np.inf
+    assert np.array_equal(models.parse_array(table, "W", 2), table)
+    path = tmp_path / "w.npy"
+    np.save(path, table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "discrete", "model": {
+        "grid": {"dim": 1, "n": 8, "radius": 4.0}, "W": {"kind": "tabulated", "path": str(path)}}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["discrete", "--config", str(cfg), "--out", str(out / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "NaN or -inf" in err
+    assert list(out.iterdir()) == []
+
+
+def test_grid_engine_runs_without_scipy(tmp_path):
+    """With scipy unimportable, the grid commands and the grid criteria all exit 0."""
+    mixture = {"command": "discrete", "model": {
+        "grid": {"dim": 1, "n": 64, "radius": 8.0},
+        "V": {"kind": "gaussian-mixture", "params": {
+            "weights": [0.3, 0.7], "means": [[-1.5], [1.0]], "covs": [[[0.5]], [[0.8]]]}}}}
+    cfg = tmp_path / "mixture.json"
+    cfg.write_text(json.dumps(mixture))
+    runs = [
+        ["discrete", "--out", str(tmp_path / "default")],
+        ["discrete", "--config", str(cfg), "--out", str(tmp_path / "mixture")],
+        ["verify", "--filter", "discrete-sinkhorn-correctness"],
+        ["verify", "--filter", "discretization-consistency"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from sinkbridge import cli\n"
+        f"sys.exit(max(cli.main(argv) for argv in {runs!r}))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "mixture.csv").exists()

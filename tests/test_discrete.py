@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erfc, logsumexp
 
 from sinkbridge import discrete, models, verify
@@ -73,13 +74,15 @@ def test_build_model_shape_error():
 
 def test_build_model_underflow_diagnostic():
     grid = discrete.uniform_grid(1, 8, 4.0)
-    with pytest.raises(DomainError):
-        discrete.build_model(
-            lambda pts: 1e6 * np.ones(pts.shape[0]) * np.inf,
-            models.quadratic_potential([0.0], [[1.0]]),
-            models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]]),
-            grid,
-        )
+    quad = models.quadratic_potential([0.0], [[1.0]])
+    channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]])
+
+    def massless(pts):
+        return np.full(pts.shape[0], np.inf)
+
+    for u_fn, v_fn in ((massless, quad), (quad, massless)):
+        with pytest.raises(DomainError, match="underflows to zero total mass"):
+            discrete.build_model(u_fn, v_fn, channel, grid)
     # a channel whose sharpest row overflows off the coarse grid entirely
     def razor_channel(xs, ys):
         # offset keeps every node pair at least half a cell from the ridge
@@ -753,15 +756,145 @@ def test_underflowing_rows_take_the_exact_reduction(monkeypatch):
     assert np.all(np.isfinite(trace.residuals))
 
 
+def counted_exp(monkeypatch):
+    """Number of entries exponentiated by each exp while the test runs.
+
+    ``np.exp`` counts the size of its result; scipy's logsumexp, which
+    makes one exp per entry through its own namespace, the size of its input.
+    """
+    sizes = []
+    exp, lse = np.exp, scipy.special.logsumexp
+
+    def counting(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    def counting_lse(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return lse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    monkeypatch.setattr(scipy.special, "logsumexp", counting_lse)
+    return sizes
+
+
+def dense_specs():
+    """A 1-d channel (one (N, N) factor) with a mixture target, and a correlated 2-d one."""
+    one_d = {
+        "grid": {"dim": 1, "n": 256, "radius": 8.0},
+        "U": {"kind": "quadratic", "params": {"mean": [0.0], "cov": [[1.0]]}},
+        "V": {"kind": "gaussian-mixture", "params": {
+            "weights": [0.5, 0.5], "means": [[-2.0], [2.0]], "covs": [[[0.5]], [[0.5]]]}},
+        "W": {"kind": "linear-gaussian", "alpha": [0.0], "beta": [[1.0]], "tau": [[0.25]]},
+    }
+    correlated = diagonal_spec(n=12)
+    correlated["W"]["beta"] = [[0.9, 0.1], [0.0, 0.7]]
+    return one_d, correlated
+
+
+def test_dense_build_exponentiates_each_channel_entry_once(monkeypatch):
+    exps = counted_exp(monkeypatch)
+    for doc in dense_specs():
+        exps.clear()
+        model = models.model_from_spec(doc)
+        n = model.grid.size
+        assert [f.shape for f in model.channel] == [(n, n)]
+        # the normaliser and the scaled kernel share one exp per entry; the
+        # marginals add O(N) (two exps per entry made 2 N^2 before)
+        assert n * n <= sum(exps) <= n * n + 8 * n
+
+
 def test_scaled_kernels_are_built_once_per_model(monkeypatch):
     built = counted_calls(monkeypatch, "_scaled_kernel")
+    for doc in (diagonal_spec(), *dense_specs()):
+        built.clear()
+        model = models.model_from_spec(doc)
+        assert built == []  # channel_table made every kernel with its factor
+        kernels = model.kernels
+        trace = discrete.run(model, 300, tol=1e-11)
+        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        discrete.entropy_report(trace, oracle)
+        assert built == [] and model.kernels is kernels
+        assert len(kernels) == len(model.channel)
+        for f, (m, kern) in zip(model.channel, kernels):
+            assert kern.shape == f.shape and np.all(kern.max(axis=1) == 1.0)
+            assert np.array_equal(m, f.min(axis=1))
+            assert np.max(np.abs(kern - np.exp(m[:, None] - f))) < 1e-15
+
+    # factors handed over bare get their kernels built, once each
     model = models.model_from_spec(diagonal_spec())
-    assert len(built) == len(model.channel) == 2
-    kernels = model.kernels
-    trace = discrete.run(model, 300, tol=1e-11)
-    oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
-    discrete.entropy_report(trace, oracle)
-    assert len(built) == 2 and model.kernels is kernels
-    for f, (m, kern) in zip(model.channel, kernels):
-        assert kern.shape == f.shape and np.all(kern.max(axis=1) == 1.0)
-        assert np.array_equal(m, f.min(axis=1))
+    built.clear()
+    bare = discrete.DiscreteModel(model.grid, model.u_pot, model.v_pot, model.channel)
+    assert len(built) == 2
+    for (m, kern), (m_bare, kern_bare) in zip(model.kernels, bare.kernels):
+        assert np.array_equal(m, m_bare) and np.max(np.abs(kern - kern_bare)) < 1e-15
+
+
+def test_replaced_channel_gets_fresh_kernels(monkeypatch):
+    model = models.model_from_spec(diagonal_spec())
+    other = models.model_from_spec(diagonal_spec(tau=(0.3, 2.0)))
+    built = counted_calls(monkeypatch, "_scaled_kernel")
+    swapped = dataclasses.replace(model, channel=other.channel)
+    assert len(built) == 2
+    for (m, kern), (m_other, kern_other) in zip(swapped.kernels, other.kernels):
+        assert np.array_equal(m, m_other) and np.max(np.abs(kern - kern_other)) < 1e-15
+    # the swapped model runs as the model built with that channel does
+    want = discrete.run(other, 300, tol=1e-11)
+    got = discrete.run(swapped, 300, tol=1e-11)
+    assert got.n_sweeps == want.n_sweeps
+    assert np.max(np.abs(np.subtract(got.h_pi2n_eta, want.h_pi2n_eta))) < 1e-14
+
+
+# build-time validation reads the row minima of each channel table: a NaN or
+# -inf entry makes its row's minimum NaN or -inf, an all-+inf row +inf
+
+
+def _set_nan(w):
+    w[3, 5] = np.nan
+
+
+def _set_neg_inf(w):
+    w[3, 5] = -np.inf
+
+
+def _set_inf_row(w):
+    w[2] = np.inf
+
+
+BAD_CHANNELS = {
+    "nan": (_set_nan, "NaN or -inf"),
+    "neg-inf": (_set_neg_inf, "NaN or -inf"),
+    "inf-row": (_set_inf_row, "underflows entirely"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHANNELS))
+@pytest.mark.parametrize("beta", [[[0.9, 0.0], [0.0, 0.7]], [[0.9, 0.1], [0.0, 0.7]]], ids=["factor", "dense"])
+def test_channel_build_rejects_bad_entries(monkeypatch, case, beta):
+    """Each bad entry in the second factor of a diagonal 2-d channel, and in a dense (N, N) table.
+
+    Both reach ``channel_table`` with a callable W.
+    """
+    edit, message = BAD_CHANNELS[case]
+    good = models.linear_gaussian_channel_potential
+    made = []
+
+    def poked(*args):
+        w_fn = good(*args)
+        made.append(w_fn)
+        last = len(made)
+
+        def w(xs, ys):
+            table = w_fn(xs, ys)
+            if last == 2 or table.shape[0] > 8:  # the second axis factor, or the (64, 64) table
+                edit(table)
+            return table
+
+        return w
+
+    monkeypatch.setattr(models, "linear_gaussian_channel_potential", poked)
+    doc = diagonal_spec(n=8)
+    doc["W"]["beta"] = beta
+    with pytest.raises(DomainError, match=message):
+        models.model_from_spec(doc)

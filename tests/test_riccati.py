@@ -193,25 +193,29 @@ def test_fixed_point_accurate_when_ill_conditioned(d, cond, tmp_path):
 
 
 def test_riccati_command_decomposes_varpi_once(decompositions, monkeypatch, tmp_path):
-    """Load and compute share one validated decomposition of varpi.
+    """Load and compute share one validated decomposition of varpi, and one clamp of r0.
 
     fixed_point_identities is left out: it is the independent check and
     starts again from the dense matrix.
     """
     varpi = log_spectrum_varpi(4, 1e2)
+    r0 = np.diag([0.1, 0.2, 0.3, 0.4]) + 0.05
     eigh = np.linalg.eigh  # the fixture's counting wrapper
-    of_varpi = []
+    of_varpi, of_r0 = [], []
 
     def recording(a, *args, **kwargs):
         of_varpi.append(np.array_equal(a, varpi))
+        of_r0.append(np.array_equal(a, r0))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     monkeypatch.setattr(riccati, "fixed_point_identities", lambda varpi: {"ok": True})
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": varpi.tolist(), "n": 30}}))
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": varpi.tolist(), "r0": r0.tolist(), "n": 30}}))
     assert cli.main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "ricc")]) == 0
     assert sum(of_varpi) == 1
+    assert sum(of_r0) == 1
+    assert decompositions["eigh"] == 2  # nothing else is decomposed
     assert decompositions["svd"] == decompositions["norm_svd"]  # spectral norms only
 
 
