@@ -41,7 +41,6 @@ from .gaussian import (
     gaussian_kl,
     gelbrich_w2,
     joint_plan,
-    kernel_costs,
     ot_limit_map,
     proximal_step,
     push_through,
@@ -61,7 +60,6 @@ from .riccati import (
     scalar_closed_form,
 )
 from .spd import (
-    ando_hemmen_check,
     geometric_mean,
     loewner_leq,
     principal_sqrt,

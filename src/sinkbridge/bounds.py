@@ -8,7 +8,6 @@ matching Riccati parameters INFINITE).  Log-Sobolev constants that the
 theory only asserts to exist are accepted as user inputs, never computed.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,10 +202,6 @@ class BoundReport:
 
     def add_scalar(self, name: str, value, tag: str):
         self.scalars[name] = {"value": value, "tag": tag}
-
-    def to_json(self) -> str:
-        doc = {"schema": "sinkbridge/v1", "scalars": self.scalars}
-        return json.dumps(doc, indent=2, sort_keys=True, default=float)
 
     def envelope_csv_rows(self):
         yield "n,theorem_tag,bound,empirical,satisfied"

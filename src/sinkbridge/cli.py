@@ -314,7 +314,7 @@ def _discrete(model, n_sweeps, tol):
     summary = {
         "converged": trace.converged,
         "sweeps": trace.n_sweeps,
-        "final_residual": trace.residuals[-1] if trace.residuals else float("nan"),
+        "final_residual": trace.residuals[-1],
         "entropy_monotone": all(y <= x + 1e-12 for key in chains for x, y in zip(rep[key], rep[key][1:])),
     }
     return rows, summary
@@ -357,23 +357,20 @@ def cmd_bounds(args) -> int:
 
 def _load_verify(args):
     config, _ = _config(args)
+    if "tolerances" in config:
+        raise ConfigError("verify takes no tolerances: every criterion pins its own")
     seed = parse_count(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
-    tolerances = _object(config.get("tolerances", {}), "tolerances")
-    overrides = {key: float(parse_array(val, f"tolerance {key}", 0)) for key, val in tolerances.items()}
-    for item in args.tol_override or []:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise ConfigError(f"bad --tol-override {item!r}: expected KEY=VAL")
-        overrides[key] = float(val)
-    verify._criterion_kwargs(overrides)
-    return seed, args.filter, overrides
+    names = [name for name, _ in verify.CRITERIA] + ["determinism"]
+    if args.filter and not any(args.filter in name for name in names):
+        raise ConfigError(f"--filter {args.filter!r} matches no criterion; valid: {', '.join(names)}")
+    return seed, args.filter
 
 
-def _verify(seed, name_filter, overrides):
-    results = verify.run_criteria(seed=seed, name_filter=name_filter, tol_overrides=overrides)
+def _verify(seed, name_filter):
+    results = verify.run_criteria(seed=seed, name_filter=name_filter)
     if not name_filter or name_filter in "determinism":
-        # the full suite at default tolerances is itself the first of the two runs compared
-        first = None if name_filter or overrides else verify.summary_document(results, seed)
+        # the full suite is itself the first of the two runs compared
+        first = None if name_filter else verify.summary_document(results, seed)
         results.append(verify.criterion_determinism(seed, first=first))
     results.sort(key=lambda r: r["id"])
     return verify.summary_document(results, seed), results
@@ -410,7 +407,6 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--filter", help="restrict verify to criteria whose name contains this")
             p.add_argument("--json", action="store_true", help="print machine-readable summary")
-            p.add_argument("--tol-override", action="append", metavar="KEY=VAL")
     args = parser.parse_args(argv)
     # looked up at call time, so a rebound cmd_* (a tracing wrapper, say) is the one that runs
     return globals()[f"cmd_{args.command}"](args)

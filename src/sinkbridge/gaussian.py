@@ -358,24 +358,6 @@ def ot_limit_map(mu: GaussianMeasure, eta: GaussianMeasure, tau0, beta) -> Affin
     return AffineGaussianMap(eta.mean - slope @ mu.mean, slope, np.zeros_like(mu.cov))
 
 
-def kernel_costs(k: LinearGaussianKernel, x1, x2) -> tuple[float, float]:
-    """Entropy and Fisher costs between two channel inputs.
-
-    h is the relative entropy of the two output laws and j the relative
-    Fisher information; they satisfy h <= (||tau||/2) j and
-    j <= ||chi||^2 ||x1 - x2||^2.
-    """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != x2.shape or x1.shape[0] != k.dim:
-        raise ShapeError("input dimension mismatch")
-    db = k.beta @ (x1 - x2)
-    tau_inv = spd.sym_inv(k.tau)
-    h = 0.5 * db @ tau_inv @ db
-    j = db @ tau_inv @ tau_inv @ db
-    return float(h), float(j)
-
-
 def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel) -> GaussianMeasure:
     """One sweep of the forward/backward Gibbs chain targeting mu.
 

@@ -135,19 +135,3 @@ def loewner_lt(a, b, tol: float = 1e-10) -> bool:
     lo, _ = eig_range(diff)
     return lo > tol * (1.0 + spectral_norm(diff))
 
-
-def ando_hemmen_check(u, v) -> bool:
-    """Check the square-root Lipschitz inequality on an SPD pair.
-
-    ||u^{1/2} - v^{1/2}||_2 <= (l_min(u)^{1/2} + l_min(v)^{1/2})^{-1} ||u - v||_2.
-    Returns True when it holds; a False return signals a numerics bug, since
-    the inequality is a theorem.
-    """
-    u = require_spd(u)
-    v = require_spd(v)
-    check_same_dim(u, v)
-    lhs = spectral_norm(principal_sqrt(u) - principal_sqrt(v))
-    lo_u, _ = eig_range(u)
-    lo_v, _ = eig_range(v)
-    rhs = spectral_norm(u - v) / (np.sqrt(lo_u) + np.sqrt(lo_v))
-    return lhs <= rhs * (1.0 + 1e-12) + 1e-14

@@ -6,7 +6,6 @@ dict {id, name, passed, details}.  All randomness is seed-fixed; results
 are deterministic for a given seed.
 """
 
-import inspect
 import json
 
 import numpy as np
@@ -14,7 +13,6 @@ import numpy as np
 from . import bounds, discrete, models, riccati, spd
 from . import gaussian as g
 from .bounds import CurvatureSpec
-from .errors import ConfigError
 
 
 def _spd_family(seed):
@@ -54,16 +52,16 @@ def _std_model():
     return mu, eta, k
 
 
-def criterion_riccati_fixed_point(seed=0, tol_map=1e-10, tol_identity=1e-9):
+def criterion_riccati_fixed_point(seed=0):
     worst_map = 0.0
     worst_quad = 0.0
     sandwich_ok = True
     for varpi in _spd_family(seed):
-        rep = riccati.fixed_point_identities(varpi, tol=tol_identity)
+        rep = riccati.fixed_point_identities(varpi, tol=1e-9)
         worst_map = max(worst_map, rep["fixed_point_residual"])
         worst_quad = max(worst_quad, rep["quadratic_identity_residual"])
         sandwich_ok = sandwich_ok and rep["sandwich_strict"] and rep["inverse_sandwich_strict"]
-    passed = worst_map < tol_map and worst_quad < tol_identity and sandwich_ok
+    passed = worst_map < 1e-10 and worst_quad < 1e-9 and sandwich_ok
     return {
         "id": 1,
         "name": "riccati-fixed-point",
@@ -76,7 +74,8 @@ def criterion_riccati_fixed_point(seed=0, tol_map=1e-10, tol_identity=1e-9):
     }
 
 
-def criterion_riccati_decay(seed=0, n_max=60, tol_closed_form=1e-12):
+def criterion_riccati_decay(seed=0):
+    n_max = 60
     rng = np.random.default_rng(seed + 1)
     envelope_ok = True
     worst_margin = -np.inf
@@ -101,7 +100,7 @@ def criterion_riccati_decay(seed=0, n_max=60, tol_closed_form=1e-12):
         for n in range(101):
             err = abs(riccati.scalar_closed_form(varpi_s, r0_s, n) - traj[n][0, 0])
             worst_cf = max(worst_cf, err)
-            closed_ok = closed_ok and err < tol_closed_form
+            closed_ok = closed_ok and err < 1e-12
     return {
         "id": 2,
         "name": "riccati-decay",
@@ -110,11 +109,11 @@ def criterion_riccati_decay(seed=0, n_max=60, tol_closed_form=1e-12):
     }
 
 
-def criterion_psi_factorization(seed=0, tol=1e-9, n_cases=50):
+def criterion_psi_factorization(seed=0):
     rng = np.random.default_rng(seed + 2)
     worst_fact = 0.0
     worst_transport = 0.0
-    for _ in range(n_cases):
+    for _ in range(50):
         d = int(rng.integers(1, 5))
         q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
         q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -126,7 +125,7 @@ def criterion_psi_factorization(seed=0, tol=1e-9, n_cases=50):
         left = riccati.psi_map(gamma.T, riccati.fixed_point(param))
         right = riccati.fixed_point(spd.sym_inv(spd.symmetrize(gamma.T @ gamma)))
         worst_transport = max(worst_transport, spd.spectral_norm(left - right))
-    passed = worst_fact < tol and worst_transport < tol
+    passed = worst_fact < 1e-9 and worst_transport < 1e-9
     return {
         "id": 3,
         "name": "psi-factorization",
@@ -141,7 +140,7 @@ def _bridge_gaps(mu, eta, k, n_pairs):
     return [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
 
 
-def criterion_bridge_vs_sinkhorn(seed=0, tol_sigma=1e-10):
+def criterion_bridge_vs_sinkhorn(seed=0):
     mu, eta, k = _std_model()
     states = g.sinkhorn_run(mu, eta, k, 25)
     golden = riccati.fixed_point(np.array([[1.0]]))[0, 0]
@@ -162,7 +161,7 @@ def criterion_bridge_vs_sinkhorn(seed=0, tol_sigma=1e-10):
             gaps_r[2 * n] <= rate**n * gaps_r[0] * (1.0 + 1e-9) + 1e-13 for n in range(1, 16)
         )
         rate_ok = rate_ok and mono_r and env_r
-    passed = sigma_err < tol_sigma and monotone and envelope and rate_ok
+    passed = sigma_err < 1e-10 and monotone and envelope and rate_ok
     return {
         "id": 4,
         "name": "gaussian-bridge-vs-sinkhorn",
@@ -198,7 +197,7 @@ def criterion_improved_rate(seed=0):
     }
 
 
-def criterion_entropic_map_identities(seed=0, tol=1e-10):
+def criterion_entropic_map_identities(seed=0):
     worst_bary = 0.0
     worst_sandwich = 0.0
     for mu, eta, k in _gaussian_models(seed + 4):
@@ -224,7 +223,7 @@ def criterion_entropic_map_identities(seed=0, tol=1e-10):
             worst_sandwich = max(
                 worst_sandwich, spd.spectral_norm(g.entropic_map_gradient(bwd) @ chi.T - bound)
             )
-    passed = worst_bary < tol and worst_sandwich < tol
+    passed = worst_bary < 1e-10 and worst_sandwich < 1e-10
     return {
         "id": 6,
         "name": "entropic-map-identities",
@@ -233,7 +232,7 @@ def criterion_entropic_map_identities(seed=0, tol=1e-10):
     }
 
 
-def criterion_ot_limit(seed=0, final_gap=5e-3):
+def criterion_ot_limit(seed=0):
     mu = g.GaussianMeasure([0.0], [[4.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
@@ -244,7 +243,7 @@ def criterion_ot_limit(seed=0, final_gap=5e-3):
         fwd, _ = g.bridge_solve(mu, eta, k.rescaled(t))
         gaps.append(abs(fwd.slope[0, 0] - lim.slope[0, 0]))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    passed = limit_ok and monotone and gaps[-1] < final_gap
+    passed = limit_ok and monotone and gaps[-1] < 5e-3
     return {
         "id": 7,
         "name": "ot-limit",
@@ -312,7 +311,8 @@ def _desk_models():
     return {"gaussian": gauss, "double-well-u": double_well, "bimodal-v": bimodal}
 
 
-def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
+def criterion_discrete_sinkhorn(seed=0):
+    tol_plans = 1e-12
     scaling_ok = True
     marginal_ok = True
     chains_ok = True
@@ -367,7 +367,7 @@ def criterion_discrete_sinkhorn(seed=0, tol_plans=1e-12):
     }
 
 
-def criterion_discretization_consistency(seed=0, min_ratio=3.5):
+def criterion_discretization_consistency(seed=0):
     t = 0.05
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
@@ -386,7 +386,7 @@ def criterion_discretization_consistency(seed=0, min_ratio=3.5):
         cc = discrete.mean_conditional_cov(oracle)
         errs.append(abs(cc[0, 0] - fwd.noise_cov[0, 0]))
     ratio = errs[0] / errs[1] if errs[1] > 0 else np.inf
-    passed = ratio >= min_ratio
+    passed = ratio >= 3.5
     return {
         "id": 10,
         "name": "discretization-consistency",
@@ -409,42 +409,9 @@ CRITERIA = [
 ]
 
 
-def run_criteria(
-    seed: int = 0, name_filter: str | None = None, tol_overrides: dict | None = None
-) -> list[dict]:
-    """Run the numbered checks, optionally restricted by a name substring.
-
-    tol_overrides maps "criterion-name.param" to a value forwarded to that
-    criterion's keyword argument, e.g. "riccati-fixed-point.tol_map".  An
-    unknown criterion or parameter raises ConfigError before any check runs.
-    """
-    kwargs = _criterion_kwargs(tol_overrides or {})
-    results = []
-    for name, fn in CRITERIA:
-        if name_filter and name_filter not in name:
-            continue
-        results.append(fn(seed=seed, **kwargs[name]))
-    return results
-
-
-def _criterion_kwargs(tol_overrides: dict) -> dict:
-    """Group overrides by criterion; the tolerances are the float-valued keywords."""
-    tunable = {
-        name: [p.name for p in inspect.signature(fn).parameters.values() if isinstance(p.default, float)]
-        for name, fn in CRITERIA
-    }
-    kwargs = {name: {} for name in tunable}
-    for key, val in tol_overrides.items():
-        crit, _, param = key.partition(".")
-        if crit not in tunable:
-            raise ConfigError(
-                f"tolerance override {key!r}: unknown criterion {crit!r}; valid: {', '.join(tunable)}"
-            )
-        if param not in tunable[crit]:
-            valid = ", ".join(tunable[crit]) or "none, this criterion has no tolerances"
-            raise ConfigError(f"tolerance override {key!r}: unknown parameter {param!r}; valid: {valid}")
-        kwargs[crit][param] = val
-    return kwargs
+def run_criteria(seed: int = 0, name_filter: str | None = None) -> list[dict]:
+    """Run the numbered checks, optionally restricted by a name substring."""
+    return [fn(seed=seed) for name, fn in CRITERIA if not name_filter or name_filter in name]
 
 
 def summary_document(results: list[dict], seed: int) -> str:
@@ -481,8 +448,8 @@ def _canonical(v):
 def criterion_determinism(seed: int = 0, first: str | None = None) -> dict:
     """Criterion 11: two full runs with one seed serialize identically.
 
-    ``first`` is the summary of a full default-tolerance run the caller
-    already made; it stands in for the first of the two runs.
+    ``first`` is the summary of a full run the caller already made; it
+    stands in for the first of the two runs.
     """
     if first is None:
         first = summary_document(run_criteria(seed=seed), seed)

@@ -163,7 +163,7 @@ def test_wrong_command_in_config(tmp_path, capsys):
 def test_verify_filter_subset(capsys):
     assert run_cli(["verify", "--filter", "ot-limit"]) == 0
     out = capsys.readouterr().out
-    assert "ot-limit" in out and "riccati" not in out
+    assert out.split() == ["PASS", "7", "ot-limit"]
 
 
 def test_verify_json_byte_identical(capsys):
@@ -230,24 +230,34 @@ def test_repeat_runs_byte_identical(tmp_path, capsys, command, model):
     assert len(outputs[0][1]) >= 2
 
 
-def test_verify_unknown_override_criterion_exit_2(capsys):
-    assert run_cli(["verify", "--filter", "ot-limit", "--tol-override", "ot-limt.final_gap=1e-3"]) == 2
-    err = capsys.readouterr().err
-    assert "'ot-limt'" in err and "ot-limit" in err and "riccati-fixed-point" in err
+def test_verify_filter_matching_nothing_exit_2(monkeypatch, capsys):
+    def never(seed=0):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(verify, "CRITERIA", [(name, never) for name, _ in verify.CRITERIA])
+    assert run_cli(["verify", "--json", "--filter", "riccati-fixedpoint"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "'riccati-fixedpoint'" in captured.err
+    for name, _ in verify.CRITERIA:
+        assert name in captured.err
+    assert "determinism" in captured.err
 
 
-def test_verify_unknown_override_parameter_exit_2(capsys):
-    assert run_cli(["verify", "--filter", "ot-limit", "--tol-override", "ot-limit.finl_gap=1e-9"]) == 2
-    err = capsys.readouterr().err
-    assert "'finl_gap'" in err and "final_gap" in err
-    assert "Traceback" not in err
+@pytest.mark.parametrize("command", ["riccati", "gaussian", "discrete", "bounds", "verify"])
+def test_tol_override_flag_rejected(command, tmp_path, capsys):
+    # verify's tolerances are pinned in its criteria; no command takes the flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--out", str(tmp_path / command), "--tol-override", "ot-limit.final_gap=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["riccati", "gaussian", "discrete", "bounds"])
 @pytest.mark.parametrize(
     "flag",
-    [["--seed", "1"], ["--filter", "ot-limit"], ["--json"], ["--tol-override", "ot-limit.final_gap=1"]],
-    ids=["seed", "filter", "json", "tol-override"],
+    [["--seed", "1"], ["--filter", "ot-limit"], ["--json"]],
+    ids=["seed", "filter", "json"],
 )
 def test_verify_only_flags_rejected_elsewhere(command, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -339,8 +349,8 @@ MALFORMED = {
     "discrete-tolerances-list": ("discrete", {"tolerances": [1]}, "tolerances"),
     "marginal-0": ("discrete", {"tolerances": {"marginal": 0.0}}, "marginal"),
     "grid-n-2.7": ("discrete", {"model": {"grid": {"dim": 1, "n": 2.7, "radius": 4.0}}}, "grid n"),
-    "verify-tolerances-list": ("verify", {"tolerances": [1]}, "tolerances"),
-    "verify-tolerance-str": ("verify", {"tolerances": {"ot-limit.final_gap": "abc"}}, "ot-limit.final_gap"),
+    "verify-tolerances": ("verify", {"tolerances": {"ot-limit.final_gap": 1e300}}, "tolerances"),
+    "verify-tolerances-empty": ("verify", {"tolerances": {}}, "tolerances"),
     "seed-x": ("verify", {"seed": "x"}, "seed"),
     "seed-negative": ("verify", {"seed": -1}, "seed"),
     "riccati-model-list": ("riccati", {"model": [1]}, "model"),

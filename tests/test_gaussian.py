@@ -313,32 +313,6 @@ def test_ot_limit_sweep_monotone():
     assert gaps[-1] < 5e-3
 
 
-def test_kernel_costs_values():
-    k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    assert g.kernel_costs(k, [0.3], [0.3]) == (0.0, 0.0)
-    h, j = g.kernel_costs(k, [1.0], [0.0])
-    assert (h, j) == (0.5, 1.0)
-    k2 = g.LinearGaussianKernel([0.0], [[1.0]], [[2.0]])
-    h2, j2 = g.kernel_costs(k2, [1.0], [0.0])
-    assert abs(h2 - 0.25) < 1e-15 and abs(j2 - 0.25) < 1e-15
-    assert abs(h2 - 0.5 * spd.spectral_norm(k2.tau) * j2) < 1e-15
-
-
-def test_kernel_costs_inequalities():
-    rng = np.random.default_rng(33)
-    for _ in range(50):
-        d = int(rng.integers(1, 5))
-        beta = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
-        k = g.LinearGaussianKernel(rng.standard_normal(d), beta, random_spd(rng, d, 0.3))
-        x1 = rng.standard_normal(d)
-        x2 = rng.standard_normal(d)
-        h, j = g.kernel_costs(k, x1, x2)
-        assert h >= 0 and j >= 0
-        assert h <= 0.5 * spd.spectral_norm(k.tau) * j + 1e-12
-        kappa = spd.spectral_norm(k.chi)
-        assert j <= kappa**2 * float(np.sum((x1 - x2) ** 2)) + 1e-12
-
-
 def test_proximal_invariance():
     rng = np.random.default_rng(88)
     for _ in range(5):

@@ -95,21 +95,6 @@ def test_sqrt_monotone_on_commuting_pairs():
         assert spd.loewner_leq(spd.principal_sqrt(a), spd.principal_sqrt(b))
 
 
-def test_ando_hemmen_trivial_and_scalar():
-    assert spd.ando_hemmen_check(np.eye(2), np.eye(2))
-    # scalar equality case: |2-1| = (2+1)^{-1} * |4-1|
-    assert spd.ando_hemmen_check(np.array([[4.0]]), np.array([[1.0]]))
-
-
-def test_ando_hemmen_property_sweep():
-    rng = np.random.default_rng(2024)
-    for _ in range(500):
-        d = int(rng.integers(1, 7))
-        u = random_spd(rng, d, scale=rng.uniform(0.05, 2.0))
-        v = random_spd(rng, d, scale=rng.uniform(0.05, 2.0))
-        assert spd.ando_hemmen_check(u, v)
-
-
 INDEFINITE = np.diag([1.0, -0.5])
 EYE2 = np.eye(2)
 
