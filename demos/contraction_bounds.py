@@ -43,7 +43,7 @@ eta = g.GaussianMeasure([1.0], [[2.0]])
 spec_g = CurvatureSpec.gaussian(mu.cov, eta.cov)
 plan = g.bridge_plan(mu, eta, k)
 states = g.sinkhorn_run(mu, eta, k, 8)
-gaps = [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+gaps = g.bridge_gaps(plan, states, mu, eta, k)
 ratios = [gaps[2 * n] / gaps[0] for n in range(9)]
 report = bounds.rate_table(k, spec_g, 8, empirical={"two-step-entropy-rate": ratios})
 print("\nenvelope rows (n, tag, bound, empirical, satisfied):")

@@ -32,7 +32,7 @@ spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
 eps = bounds.eps_lg(k, spec)
 ph = bounds.phi(eps)
 plan = g.bridge_plan(mu, eta, k)
-gaps = [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+gaps = g.bridge_gaps(plan, states, mu, eta, k)
 print(f"\neps = {eps}, pair rate = {1/(1+1/eps):.3f}, phi rate^2 = {(1+ph)**-2:.6f}")
 print(" n   gap              (1+1/eps)^-(n/2)        (1+phi)^-(n-2)")
 for n in [0, 2, 4, 8, 12]:

@@ -53,12 +53,12 @@ class CurvatureSpec:
     v_minus: object = ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "u_plus", spd.require_spd(np.atleast_2d(np.asarray(self.u_plus, dtype=float))))
-        object.__setattr__(self, "v_plus", spd.require_spd(np.atleast_2d(np.asarray(self.v_plus, dtype=float))))
+        object.__setattr__(self, "u_plus", spd.require_spd(spd.matrix(self.u_plus)))
+        object.__setattr__(self, "v_plus", spd.require_spd(spd.matrix(self.v_plus)))
         for name in ("u_minus", "v_minus"):
             val = getattr(self, name)
             if not is_zero(val):
-                object.__setattr__(self, name, spd.require_spd(np.atleast_2d(np.asarray(val, dtype=float))))
+                object.__setattr__(self, name, spd.require_spd(spd.matrix(val)))
         shapes = {f.shape for f in (self.u_plus, self.v_plus, self.u_minus, self.v_minus) if not is_zero(f)}
         if len(shapes) > 1:
             raise ShapeError(f"curvature factors disagree in shape: {sorted(shapes)}")
@@ -70,8 +70,8 @@ class CurvatureSpec:
     @classmethod
     def gaussian(cls, u, v) -> "CurvatureSpec":
         """Equality case: both curvature bounds equal the true covariances."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
+        u = spd.matrix(u)
+        v = spd.matrix(v)
         return cls(u_plus=u, v_plus=v, u_minus=u, v_minus=v)
 
 

@@ -36,6 +36,15 @@ from .riccati import INFINITE
 SCHEMA = "sinkbridge/v1"
 COMMANDS = ("riccati", "gaussian", "discrete", "bounds", "verify")
 
+# each command's top-level config keys; any other key is a config error
+CONFIG_KEYS = {
+    "riccati": ("command", "model"),
+    "gaussian": ("command", "model"),
+    "discrete": ("command", "model", "n_sweeps", "tolerances"),
+    "bounds": ("command", "model"),
+    "verify": ("command", "seed"),
+}
+
 # each command's model defaults; a config's "model" object overrides them key by key
 _STANDARD = {"mean": [0.0], "cov": [[1.0]]}
 _CHANNEL = {"alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]}
@@ -107,6 +116,14 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
+def _known(doc: dict, keys, what: str) -> dict:
+    """``doc``, after checking that it holds no key outside ``keys``: a misspelled key must not run at its default."""
+    stray = [key for key in doc if key not in keys]
+    if stray:
+        raise ConfigError(f"unknown {what} key {stray[0]!r}; valid: {', '.join(keys)}")
+    return doc
+
+
 def _config(args) -> tuple[dict, dict]:
     """The config document and its model object merged over the command's defaults."""
     config = {}
@@ -115,12 +132,15 @@ def _config(args) -> tuple[dict, dict]:
             config = _object(json.load(fh), "the config")
         if config.get("command", args.command) != args.command:
             raise ConfigError(f"config is for command {config.get('command')!r}, not {args.command!r}")
-    return config, {**MODEL_DEFAULTS.get(args.command, {}), **_object(config.get("model", {}), "model")}
+        _known(config, CONFIG_KEYS[args.command], "config")
+    defaults = MODEL_DEFAULTS.get(args.command, {})
+    return config, {**defaults, **_known(_object(config.get("model", {}), "model"), defaults, "model")}
 
 
 def _build(cls, doc, what: str, **ranks):
     """``cls`` from the array entries of a config object; an absent or null entry keeps its default."""
-    present = [key for key in ranks if _object(doc, what).get(key) is not None]
+    doc = _known(_object(doc, what), ranks, what)
+    present = [key for key in ranks if doc.get(key) is not None]
     return cls(**{key: parse_array(doc[key], f"{what} {key}", ranks[key]) for key in present})
 
 
@@ -191,17 +211,17 @@ def _riccati(varpi, spectrum, r0, n):
         return {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note}, header, ["0,0,0,1"]
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
-    gaps = [spd.spectral_norm(t - r_star) for t in riccati._iterate_spectral(*spectrum, r0, n)]
-    rows = []
-    fit = 0.0
+    gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n) - r_star)
+    powers = riccati._powers(delta, np.arange(n + 1))
+    env = c_bound * powers * gaps[0]
+    env[0] = gaps[0]
     floor = 1e-15  # absolute slack of each row's check
-    for k, gap in enumerate(gaps):
-        env = c_bound * delta**k * gaps[0] if k >= 1 else gaps[0]
-        rows.append(f"{k},{_fmt(gap)},{_fmt(env)},{int(gap <= env * (1 + 1e-12) + floor)}")
-        # empirical prefactor fit: the largest gap ratio against delta^k, over the
-        # rows the envelope decides; below the floor the ratio is round-off over delta^k
-        if k >= 1 and env > floor:
-            fit = max(fit, gap / (delta**k * gaps[0]))
+    ok = gaps <= env * (1 + 1e-12) + floor
+    rows = [f"{k},{_fmt(gaps[k])},{_fmt(env[k])},{int(ok[k])}" for k in range(n + 1)]
+    # empirical prefactor fit: the largest gap ratio against delta^k, over the
+    # rows the envelope decides; below the floor the ratio is round-off over delta^k
+    decided = env[1:] > floor
+    fit = float(np.max(gaps[1:][decided] / (powers[1:][decided] * gaps[0]), initial=0.0))
     doc = {
         "varpi": varpi,
         "fixed_point": r_star,
@@ -234,7 +254,7 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
     fwd, _ = g.bridge_solve(mu, eta, k)
     plan = g.joint_plan(mu, fwd)
     states = g.sinkhorn_run(mu, eta, k, n_max)
-    gaps = [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+    gaps = g.bridge_gaps(plan, states, mu, eta, k)
     trace_rows = []
     for s, gap in zip(states, gaps):
         pi = g.GaussianMeasure(s.m_n, s.sigma_pi_n)
@@ -269,7 +289,7 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         "phi": ph,
         "proximal_a": a,
         "proximal_b": b,
-        "terminal_bridge_gap": gaps[-1],
+        "terminal_bridge_gap": float(gaps[-1]),
         "forward_noise_cov": fwd.noise_cov,
     }
     return trace_rows, sweep_rows, prox_rows, report
@@ -293,7 +313,7 @@ def cmd_gaussian(args) -> int:
 def _load_discrete(args):
     config, model = _config(args)
     n_sweeps = parse_count(config.get("n_sweeps", 500), "n_sweeps", 1)
-    tolerances = _object(config.get("tolerances", {}), "tolerances")
+    tolerances = _known(_object(config.get("tolerances", {}), "tolerances"), ("marginal",), "tolerances")
     tol = float(_positive(tolerances.get("marginal", 1e-10), "tolerances.marginal"))
     return models.model_from_spec(model), n_sweeps, tol
 
@@ -357,8 +377,6 @@ def cmd_bounds(args) -> int:
 
 def _load_verify(args):
     config, _ = _config(args)
-    if "tolerances" in config:
-        raise ConfigError("verify takes no tolerances: every criterion pins its own")
     seed = parse_count(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
     names = [name for name, _ in verify.CRITERIA] + ["determinism"]
     if args.filter and not any(args.filter in name for name in names):

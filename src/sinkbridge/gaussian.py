@@ -24,7 +24,7 @@ class GaussianMeasure:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", spd.require_spd(np.atleast_2d(np.asarray(self.cov, dtype=float))))
+        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
         if self.mean.shape[0] != self.cov.shape[0]:
             raise ShapeError(f"mean/cov mismatch: {self.mean.shape} vs {self.cov.shape}")
 
@@ -42,7 +42,7 @@ class JointGaussian:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", spd.require_spd(np.atleast_2d(np.asarray(self.cov, dtype=float))))
+        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
         if self.mean.shape[0] != self.cov.shape[0] or self.mean.shape[0] % 2:
             raise ShapeError("joint mean must have even length matching cov")
 
@@ -69,8 +69,8 @@ class LinearGaussianKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        object.__setattr__(self, "beta", np.atleast_2d(np.asarray(self.beta, dtype=float)))
-        tau, w, q = spd._spd_eigh(np.atleast_2d(np.asarray(self.tau, dtype=float)))
+        object.__setattr__(self, "beta", spd.matrix(self.beta))
+        tau, w, q = spd._spd_eigh(spd.matrix(self.tau))
         object.__setattr__(self, "tau", tau)
         if self.beta.shape[0] != self.beta.shape[1]:
             raise ShapeError("beta must be square")
@@ -100,8 +100,8 @@ class AffineGaussianMap:
 
     def __post_init__(self):
         object.__setattr__(self, "intercept", np.atleast_1d(np.asarray(self.intercept, dtype=float)))
-        object.__setattr__(self, "slope", np.atleast_2d(np.asarray(self.slope, dtype=float)))
-        object.__setattr__(self, "noise_cov", spd.clamp_psd(np.atleast_2d(np.asarray(self.noise_cov, dtype=float))))
+        object.__setattr__(self, "slope", spd.matrix(self.slope))
+        object.__setattr__(self, "noise_cov", spd.clamp_psd(spd.matrix(self.noise_cov)))
 
 
 @dataclass(frozen=True)
@@ -253,33 +253,28 @@ def sinkhorn_run(mu, eta, k, n_max: int):
     chi = k.chi
     f = bridge_factors(u, v, chi)
 
-    def state(n, tau_n, m_n):
-        # even states push u through x -> y, odd states push v through y -> x
-        a, cov = (chi, u) if n % 2 == 0 else (chi.T, v)
-        sigma_pi = spd.symmetrize(tau_n @ a @ cov @ a.T @ tau_n + tau_n)
-        return GaussianSinkhornState(n, tau_n, m_n, sigma_pi)
-
     # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
-    tau_even = k.tau
     tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
     # the rescaled covariance flows do not depend on the means: one Riccati
     # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
-    # the SVD gave, then the mean recursion runs along them; both starts are
-    # congruences of SPD matrices
-    evens = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ tau_even @ f.v_ihalf), n_max)
+    # the SVD gave; both starts are congruences of SPD matrices
+    evens = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
     odds = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
+    # the conditional and marginal covariances of every state, one stack per
+    # parity: even states push u through x -> y, odd states push v through y -> x
+    tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])
+    tau_o = np.concatenate([tau_odd[None], spd.symmetrize(f.u_half @ odds[1:] @ f.u_half)])
+    sigma_e = spd.symmetrize(tau_e @ chi @ u @ chi.T @ tau_e + tau_e)
+    sigma_o = spd.symmetrize(tau_o @ chi.T @ v @ chi @ tau_o + tau_o)
+    gain_e, gain_o = tau_e @ chi, tau_o @ chi.T
 
-    m_even = k.alpha + k.beta @ m
-    m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
-    states = [state(0, tau_even, m_even), state(1, tau_odd, m_odd)]
-    for j in range(1, n_max + 1):
-        tau_even = spd.symmetrize(f.v_half @ evens[j] @ f.v_half)
-        m_even = mbar + tau_even @ chi @ (m - m_odd)
-        states.append(state(2 * j, tau_even, m_even))
-
-        tau_odd = spd.symmetrize(f.u_half @ odds[j] @ f.u_half)
-        m_odd = m + tau_odd @ chi.T @ (mbar - m_even)
-        states.append(state(2 * j + 1, tau_odd, m_odd))
+    # only the mean recursion runs state by state
+    states = []
+    for j in range(n_max + 1):
+        m_even = k.alpha + k.beta @ m if j == 0 else mbar + gain_e[j] @ (m - m_odd)
+        m_odd = m + gain_o[j] @ (mbar - m_even)
+        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even, sigma_e[j]))
+        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd, sigma_o[j]))
     return states
 
 
@@ -303,17 +298,59 @@ def bridge_plan(mu, eta, k) -> JointGaussian:
     return joint_plan(mu, fwd)
 
 
+def bridge_gaps(plan: JointGaussian, states, mu, eta, k) -> np.ndarray:
+    """``gaussian_kl(plan, state_plan(s, mu, eta, k))`` for every state s, as one array.
+
+    The plans of all states are assembled as one stack of joint covariances
+    on (x, y), odd states with their coordinates swapped as ``state_plan``
+    swaps them.  The noise covariances pass one stacked ``clamp_psd``, and
+    the joints one stacked ``sym_inv`` that is also their SPD check, so the
+    cost in decompositions does not grow with the number of states.  Each
+    gap is bitwise the one the per-state calls give.
+    """
+    d = mu.dim
+    tau = np.stack([s.tau_n for s in states])
+    m_n = np.stack([s.m_n for s in states])
+    noise = spd.clamp_psd(tau)
+    means = np.empty((len(states), 2 * d))
+    covs = np.empty((len(states), 2 * d, 2 * d))
+    parity = np.array([s.n % 2 for s in states])
+    # even states map x ~ mu through chi, odd states y ~ eta through chi';
+    # src_blk and dst_blk are where the mapped coordinate and its image sit in (x, y)
+    for odd, src, a in ((0, mu, k.chi), (1, eta, k.chi.T)):
+        i = np.flatnonzero(parity == odd)
+        slope = tau[i] @ a
+        intercept = m_n[i] - slope @ src.mean
+        cross = src.cov @ slope.mT
+        src_blk, dst_blk = (slice(d, None), slice(None, d)) if odd else (slice(None, d), slice(d, None))
+        means[i, src_blk] = src.mean
+        means[i, dst_blk] = intercept + slope @ src.mean
+        covs[i, src_blk, src_blk] = src.cov
+        covs[i, src_blk, dst_blk] = cross
+        covs[i, dst_blk, src_blk] = cross.mT
+        covs[i, dst_blk, dst_blk] = slope @ src.cov @ slope.mT + noise[i]
+    try:
+        return _kl(plan.mean, plan.cov, means, spd.symmetrize(covs))
+    except DomainError as exc:
+        raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
+
+
+def _kl(p_mean, p_cov, q_mean, q_cov):
+    """Relative entropy of N(p_mean, p_cov) to N(q_mean, q_cov), or to each of a stack of them."""
+    q_inv = spd.sym_inv(q_cov)
+    dm = (p_mean - q_mean)[..., None, :]
+    _, ld_p = np.linalg.slogdet(p_cov)
+    _, ld_q = np.linalg.slogdet(q_cov)
+    quad = (dm @ q_inv @ dm.mT)[..., 0, 0]
+    val = 0.5 * (np.trace(q_inv @ p_cov, axis1=-2, axis2=-1) - p_mean.shape[-1] + quad + ld_q - ld_p)
+    return np.maximum(val, 0.0)
+
+
 def gaussian_kl(p, q) -> float:
     """Relative entropy between two Gaussians (measures or joints)."""
     if p.mean.shape != q.mean.shape:
         raise ShapeError("dimension mismatch")
-    d = p.mean.shape[0]
-    q_inv = spd.sym_inv(q.cov)
-    dm = p.mean - q.mean
-    _, ld_p = np.linalg.slogdet(p.cov)
-    _, ld_q = np.linalg.slogdet(q.cov)
-    val = 0.5 * (np.trace(q_inv @ p.cov) - d + dm @ q_inv @ dm + ld_q - ld_p)
-    return float(max(val, 0.0))
+    return float(_kl(p.mean, p.cov, q.mean, q.cov))
 
 
 def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure) -> float:
@@ -350,7 +387,7 @@ def ot_limit_map(mu: GaussianMeasure, eta: GaussianMeasure, tau0, beta) -> Affin
     v^{1/2} chi0 u^{1/2} = p diag(s) r' the geometric mean is
     v^{1/2} p diag(1/s) p' v^{1/2}.
     """
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
+    beta = spd.matrix(beta)
     k0 = LinearGaussianKernel(np.zeros(beta.shape[0]), beta, tau0)
     _check_model(mu, eta, k0)
     f = bridge_factors(mu.cov, eta.cov, k0.chi)

@@ -64,7 +64,7 @@ def _spectrum(varpi) -> Spectrum:
         raise DomainError("operation requires a finite varpi")
     if isinstance(varpi, Spectrum):
         return varpi
-    _, w, q = spd._spd_eigh(np.atleast_2d(np.asarray(varpi, dtype=float)))
+    _, w, q = spd._spd_eigh(spd.matrix(varpi))
     return Spectrum(w, q)
 
 
@@ -74,7 +74,7 @@ def _fixed_scalar(lam):
 
 
 def _rotate(q, s) -> np.ndarray:
-    """q s q', a matrix given in varpi's eigenbasis back in the original basis."""
+    """q s q', a matrix (or a stack) given in varpi's eigenbasis back in the original basis."""
     return spd.symmetrize(q @ s @ q.T)
 
 
@@ -181,41 +181,55 @@ def decay_params(varpi) -> tuple[float, float]:
     return delta, float(c_bound)
 
 
-def iterate(varpi, r0, n: int) -> list[np.ndarray]:
-    """Trajectory [r0, Ricc(r0), ..., Ricc^n(r0)] of the Riccati recursion.
+def iterate(varpi, r0, n: int) -> np.ndarray:
+    """Trajectory r0, Ricc(r0), ..., Ricc^n(r0) as an (n+1, d, d) array.
 
     r0 is validated once and varpi decomposed at most once; in varpi's
     eigenbasis a step is s -> a (a + I)^{-1}, a = diag(lam) + s: one
     linear solve.
     """
-    r = spd.clamp_psd(np.atleast_2d(np.asarray(r0, dtype=float)))
+    r = spd.clamp_psd(spd.matrix(r0))
     if is_infinite(varpi):
-        return [r] + [np.eye(r.shape[0]) for _ in range(n)]
+        return np.concatenate([r[None], np.broadcast_to(np.eye(len(r)), (n, *r.shape))])
     w, q = _spectrum(varpi)
     return _iterate_spectral(w, q, r, n)
 
 
-def _iterate_spectral(w, q, r0, n: int) -> list[np.ndarray]:
+def _iterate_spectral(w, q, r0, n: int) -> np.ndarray:
     """``iterate`` for varpi = q diag(w) q', given that spectrum and a PSD r0.
 
     Neither is checked here: callers pass a spectrum they validated, and a
     start that is PSD by construction or has been through ``clamp_psd``.
+    The steps run in the eigenbasis and are rotated back in one stacked
+    product after the loop; entry 0 is r0 itself.
     """
     spd.check_same_dim(q, r0)
     lam = np.diag(w)
     eye = np.eye(len(w))
+    steps = np.empty((n, *r0.shape))
     s = q.T @ r0 @ q
-    out = [r0]
-    for _ in range(n):
+    for j in range(n):
         a = lam + s
         s = np.linalg.solve(a + eye, a)
-        s = 0.5 * (s + s.T)
-        out.append(_rotate(q, s))
-    return out
+        s = steps[j] = 0.5 * (s + s.T)
+    return np.concatenate([r0[None], _rotate(q, steps)])
 
 
-def scalar_closed_form(varpi: float, r0: float, n: int) -> float:
-    """Closed-form scalar trajectory value r_n for the one-dimensional map."""
+def _powers(x: float, n):
+    """x**k for each integer k of n, as the scalar expression x**k rounds it.
+
+    numpy's vectorized power can round differently in the last bit, which
+    would move every envelope and closed form evaluated along a trajectory.
+    """
+    return np.array([x ** int(k) for k in np.ravel(n)]).reshape(np.shape(n))
+
+
+def scalar_closed_form(varpi: float, r0: float, n):
+    """Closed-form scalar trajectory value r_n for the one-dimensional map.
+
+    ``n`` is an integer, giving a float, or an array of them, giving the
+    values at every entry from one decomposition of varpi.
+    """
     if varpi <= 0:
         raise DomainError("scalar varpi must be positive")
     if r0 < 0:
@@ -224,9 +238,9 @@ def scalar_closed_form(varpi: float, r0: float, n: int) -> float:
     # decay_params' rate (1 + l_min(varpi + r))^{-2}; for a scalar the
     # eigenvalue is varpi + r itself, so this is the same float
     delta = (1.0 + (varpi + r)) ** -2
-    dn = delta**n
+    dn = _powers(delta, n)
     gap = (r0 - r) * (varpi + 2.0 * r) * dn / ((r0 + varpi + r) * (1.0 - dn) + (varpi + 2.0 * r) * dn)
-    return r + gap
+    return r + gap if np.ndim(n) else float(r + gap)
 
 
 def psi_map(gamma, v) -> np.ndarray:
@@ -235,12 +249,12 @@ def psi_map(gamma, v) -> np.ndarray:
     Composing it with its transposed-parameter twin factors the Riccati map:
     psi_map(g, psi_map(g', v)) == ricc_map((g g')^{-1}, v).
     """
-    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+    gamma = spd.matrix(gamma)
     if gamma.shape[0] != gamma.shape[1]:
         raise ShapeError(f"gamma must be square, got {gamma.shape}")
     if np.linalg.cond(gamma) > 1e12:
         raise DomainError("gamma is singular or near-singular")
-    v = spd.clamp_psd(np.atleast_2d(np.asarray(v, dtype=float)))
+    v = spd.clamp_psd(spd.matrix(v))
     if gamma.shape[1] != v.shape[0]:
         raise ShapeError(f"dimension mismatch: {gamma.shape} vs {v.shape}")
     eye = np.eye(gamma.shape[0])

@@ -11,6 +11,13 @@ spectrum before building its result from it.  The check is then nearly
 free, so there are no unchecked twins of these functions: a second,
 unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
+
+``symmetrize``, ``spectral_norm``, ``clamp_psd``, ``require_spd``,
+``sym_inv``, ``principal_sqrt`` and ``sqrt_pair`` take a stack (..., d, d)
+as well as one matrix, and make one batched LAPACK call for the whole
+stack.  Each slice is checked against its own spectral scale, never
+against the stack's, and gives bitwise the result a call on that slice
+alone gives.
 """
 
 import numpy as np
@@ -23,14 +30,22 @@ PSD_ATOL = 1e-10
 SPD_RTOL = 1e-12
 
 
+def matrix(a) -> np.ndarray:
+    """One matrix as a 2-d float array: a scalar becomes 1x1, a stack is rejected."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim != 2:
+        raise ShapeError(f"expected one matrix, got shape {a.shape}")
+    return a
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return the symmetric part (A + A')/2 of a square matrix."""
+    """Return the symmetric part (A + A')/2 of a square matrix, or of each in a stack (..., d, d)."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -38,69 +53,88 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def spectral_norm(a) -> float:
-    return float(np.linalg.norm(np.atleast_2d(a), 2))
+def spectral_norm(a):
+    """Largest singular value: a float for one matrix, an array for a stack."""
+    norm = np.linalg.norm(np.atleast_2d(a), 2, axis=(-2, -1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def eig_range(a) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetrized input."""
+    """Smallest and largest eigenvalue of one symmetrized matrix."""
     w = np.linalg.eigvalsh(symmetrize(a))
+    if w.ndim != 1:
+        raise ShapeError(f"expected one matrix, got a stack of shape {np.shape(a)}")
     return float(w[0]), float(w[-1])
 
 
+def _require(ok, w, what: str) -> None:
+    """Raise DomainError unless every slice passed its check ``ok``.
+
+    ``w`` holds the ascending eigenvalues the check read; the message names
+    the first failing slice of a stack and its eigenvalue range.
+    """
+    if ok.all() if ok.ndim else ok:  # a single matrix's check is a numpy bool
+        return
+    i = np.unravel_index(np.argmin(ok), ok.shape)
+    where = f" {i[0] if len(i) == 1 else i} of the stack" if i else ""
+    raise DomainError(f"matrix{where} is not {what}: eigenvalue range [{w[i][0]:.3e}, {w[i][-1]:.3e}]")
+
+
 def clamp_psd(a) -> np.ndarray:
-    """Validated PSD constructor.
+    """Validated PSD constructor, for one matrix or each matrix in a stack.
 
     Symmetrizes, then clamps eigenvalue noise in [-atol*(1+||a||), 0) to
-    zero.  Genuinely negative eigenvalues raise a DomainError, and so does
-    a NaN eigenvalue, which any non-finite entry produces.
+    zero, with ||a|| the spectral norm of the slice itself.  Genuinely
+    negative eigenvalues raise a DomainError, and so does a NaN eigenvalue,
+    which any non-finite entry produces.
     """
     a = symmetrize(a)
     w, u = np.linalg.eigh(a)
     # the spectral radius of a symmetric matrix is its spectral norm; a NaN
-    # anywhere in w makes the floor NaN, so the check below raises
-    floor = -PSD_ATOL * (1.0 + np.max(np.abs(w)))
-    if not w[0] >= floor:
-        raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    # anywhere in a slice makes its floor NaN, so the check below raises
+    floor = -PSD_ATOL * (1.0 + np.abs(w).max(axis=-1))
+    _require(w[..., 0] >= floor, w, "PSD")
     w = np.maximum(w, 0.0)
-    return symmetrize((u * w) @ u.T)
+    return symmetrize((u * w[..., None, :]) @ u.mT)
 
 
 def _spd_eigh(a):
-    """Symmetrize, decompose once and check eig_min > rtol*eig_max.
+    """Symmetrize, decompose once and check eig_min > rtol*eig_max per slice.
 
-    Returns the symmetrized matrix with its eigenvalues and eigenvectors.
+    Returns the symmetrized matrix (or stack) with its eigenvalues and
+    eigenvectors.
     """
     a = symmetrize(a)
     w, u = np.linalg.eigh(a)
-    lo, hi = float(w[0]), float(w[-1])
-    if not (lo > SPD_RTOL * max(hi, 0.0)):
-        raise DomainError(f"matrix is not SPD: eigenvalue range [{lo:.3e}, {hi:.3e}]")
+    # the largest eigenvalue read as max(w), not w[-1]: it is NaN when any
+    # eigenvalue is, and eigh can leave a NaN between finite ends, as for
+    # diag(1, nan, 1); a negative max fails as it fails against max(., 0)
+    _require(w[..., 0] > SPD_RTOL * w.max(axis=-1), w, "SPD")
     return a, w, u
 
 
 def require_spd(a) -> np.ndarray:
-    """Validated SPD constructor: symmetrize and check eig_min > rtol*eig_max."""
+    """Validated SPD constructor: symmetrize and check eig_min > rtol*eig_max, per slice of a stack."""
     return _spd_eigh(a)[0]
 
 
 def sym_inv(a) -> np.ndarray:
-    """Inverse of an SPD matrix via eigendecomposition; preserves symmetry exactly."""
+    """Inverse of an SPD matrix, or of each in a stack, via eigendecomposition; preserves symmetry exactly."""
     _, w, u = _spd_eigh(a)
-    return symmetrize((u / w) @ u.T)
+    return symmetrize((u / w[..., None, :]) @ u.mT)
 
 
 def principal_sqrt(a) -> np.ndarray:
-    """Principal symmetric square root of an SPD matrix."""
+    """Principal symmetric square root of an SPD matrix, or of each in a stack."""
     _, w, u = _spd_eigh(a)
-    return symmetrize((u * np.sqrt(w)) @ u.T)
+    return symmetrize((u * np.sqrt(w)[..., None, :]) @ u.mT)
 
 
 def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of an SPD matrix and its inverse, from one decomposition."""
+    """Principal square root of an SPD matrix (or stack) and its inverse, from one decomposition."""
     _, w, u = _spd_eigh(a)
-    root = np.sqrt(w)
-    return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
+    root = np.sqrt(w)[..., None, :]
+    return symmetrize((u * root) @ u.mT), symmetrize((u / root) @ u.mT)
 
 
 def geometric_mean(u, v) -> np.ndarray:

@@ -85,22 +85,19 @@ def criterion_riccati_decay(seed=0):
         r_star = riccati.fixed_point(spectrum)
         delta, c = riccati.decay_params(spectrum)
         r0 = spd.clamp_psd(np.diag(rng.uniform(0.0, 2.0, size=d)))
-        traj = riccati.iterate(spectrum, r0, n_max)
-        gap0 = spd.spectral_norm(r0 - r_star)
-        for n in range(1, n_max + 1):
-            gap = spd.spectral_norm(traj[n] - r_star)
-            margin = gap - c * delta**n * gap0
-            worst_margin = max(worst_margin, margin)
-            envelope_ok = envelope_ok and margin <= 1e-14
+        gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n_max) - r_star)
+        margins = gaps[1:] - c * riccati._powers(delta, np.arange(1, n_max + 1)) * gaps[0]
+        worst_margin = max(worst_margin, margins.max())
+        envelope_ok = envelope_ok and bool(np.all(margins <= 1e-14))
 
     closed_ok = True
     worst_cf = 0.0
+    steps = np.arange(101)
     for varpi_s, r0_s in [(0.1, 0.0), (1.0, 0.0), (1.0, 2.0), (10.0, 0.3), (2.0, 5.0)]:
         traj = riccati.iterate(np.array([[varpi_s]]), np.array([[r0_s]]), 100)
-        for n in range(101):
-            err = abs(riccati.scalar_closed_form(varpi_s, r0_s, n) - traj[n][0, 0])
-            worst_cf = max(worst_cf, err)
-            closed_ok = closed_ok and err < 1e-12
+        err = np.abs(riccati.scalar_closed_form(varpi_s, r0_s, steps) - traj[:, 0, 0])
+        worst_cf = max(worst_cf, err.max())
+        closed_ok = closed_ok and bool(np.all(err < 1e-12))
     return {
         "id": 2,
         "name": "riccati-decay",
@@ -135,9 +132,7 @@ def criterion_psi_factorization(seed=0):
 
 
 def _bridge_gaps(mu, eta, k, n_pairs):
-    plan = g.bridge_plan(mu, eta, k)
-    states = g.sinkhorn_run(mu, eta, k, n_pairs)
-    return [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+    return g.bridge_gaps(g.bridge_plan(mu, eta, k), g.sinkhorn_run(mu, eta, k, n_pairs), mu, eta, k)
 
 
 def criterion_bridge_vs_sinkhorn(seed=0):
@@ -147,7 +142,7 @@ def criterion_bridge_vs_sinkhorn(seed=0):
     sigma_err = max(
         abs(s.tau_n[0, 0] - golden) for s in states if s.n in (50, 51)
     )
-    gaps = _bridge_gaps(mu, eta, k, 25)
+    gaps = g.bridge_gaps(g.bridge_plan(mu, eta, k), states, mu, eta, k)
     monotone = all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
     envelope = all(gaps[2 * n] <= 0.5**n * gaps[0] + 1e-14 for n in range(1, 26))
 

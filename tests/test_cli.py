@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -375,6 +376,21 @@ MALFORMED = {
     "bounds-p-2.7": ("bounds", {"model": {"p": 2.7}}, "p must be"),
     "bounds-spec-shapes": ("bounds", {"model": {"spec": {"u_plus": [[1.0]], "v_plus": [[1.0, 0.0], [0.0, 1.0]]}}},
                            "curvature factors"),
+    # a misspelled or misplaced key exits 2 and is named, instead of running at its default
+    "discrete-typos": ("discrete", {"tolerance": {"marginal": 1e-3}, "n_sweep": 3}, "unknown config key 'tolerance'"),
+    "discrete-tolerances-typo": ("discrete", {"tolerances": {"marginl": 1e-3}}, "unknown tolerances key 'marginl'"),
+    "discrete-model-typo": ("discrete", {"model": {"gird": {"dim": 1, "n": 8, "radius": 4.0}}}, "unknown model key 'gird'"),
+    "riccati-model-typo": ("riccati", {"model": {"r_0": 1.0}}, "unknown model key 'r_0'"),
+    "riccati-n_sweeps": ("riccati", {"n_sweeps": 3}, "unknown config key 'n_sweeps'"),
+    "gaussian-model-typo": ("gaussian", {"model": {"nmax": 3}}, "unknown model key 'nmax'"),
+    "gaussian-kernel-typo": ("gaussian", {"model": {"kernel": {"alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]],
+                                                               "tua": [[2.0]]}}}, "unknown kernel key 'tua'"),
+    "gaussian-mu-typo": ("gaussian", {"model": {"mu": {"mean": [0.0], "covariance": [[2.0]]}}}, "unknown mu key 'covariance'"),
+    "bounds-spec-typo": ("bounds", {"model": {"spec": {"u_plus": [[1.0]], "v_plus": [[1.0]], "u_minsu": [[1.0]]}}},
+                         "unknown spec key 'u_minsu'"),
+    "bounds-seed": ("bounds", {"seed": 3}, "unknown config key 'seed'"),
+    "verify-seed-typo": ("verify", {"sead": 3}, "unknown config key 'sead'"),
+    "verify-model": ("verify", {"model": {}}, "unknown config key 'model'"),
 }
 
 
@@ -532,3 +548,21 @@ def test_grid_engine_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "mixture.csv").exists()
+
+
+def test_benchmark_configs_load(tmp_path):
+    """Every config the benchmark's workloads write passes the key checks and loads."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    loaded = 0
+    for name in workloads.WORKLOADS:
+        plan = workloads.generate(name, 0, tmp_path / name)
+        for op in [plan["warmup"], *plan["round"]]:
+            if "--config" in op["argv"]:
+                args = argparse.Namespace(command=op["command"], config=op["argv"][op["argv"].index("--config") + 1])
+                getattr(cli, f"_load_{op['command']}")(args)
+                loaded += 1
+    assert loaded >= 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sinkbridge import gaussian as g
-from sinkbridge import riccati, spd
+from sinkbridge import riccati, spd, verify
 from sinkbridge.errors import DomainError, ShapeError
 
 GOLDEN = 0.6180339887498949
@@ -513,6 +513,37 @@ def test_bridge_and_sinkhorn_take_one_svd(decompositions, monkeypatch):
         decompositions.clear()
         call()
         assert decompositions["svd"] == 1
+
+
+def _reference_gaps(plan, states, mu, eta, k):
+    return np.array([g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states])
+
+
+def test_bridge_gaps_match_the_per_state_reference():
+    models = verify._gaussian_models(3, count=24)
+    assert {mu.dim for mu, _, _ in models} == {1, 2, 3, 4}
+    for mu, eta, k in models:
+        plan = g.bridge_plan(mu, eta, k)
+        states = g.sinkhorn_run(mu, eta, k, 6)
+        gaps = g.bridge_gaps(plan, states, mu, eta, k)
+        assert gaps.shape == (14,)
+        assert np.max(np.abs(gaps - _reference_gaps(plan, states, mu, eta, k))) <= 1e-15
+        # any subset of states, in any order, odd states alone included
+        some = states[5::-2]
+        assert np.max(np.abs(g.bridge_gaps(plan, some, mu, eta, k) - _reference_gaps(plan, some, mu, eta, k))) <= 1e-15
+
+
+def test_bridge_gaps_decompose_once_for_any_number_of_states(decompositions):
+    mu, eta, k = verify._gaussian_models(3)[0]
+    plan = g.bridge_plan(mu, eta, k)
+    counts = []
+    for n_pairs in (5, 40):
+        states = g.sinkhorn_run(mu, eta, k, n_pairs)
+        decompositions.clear()
+        g.bridge_gaps(plan, states, mu, eta, k)
+        counts.append(dict(decompositions))
+    # one clamp of the noise stack and one inverse of the joint stack
+    assert counts[0] == counts[1] == {"eigh": 2}
 
 
 def test_kernel_chi_computed_once(decompositions):

@@ -146,6 +146,34 @@ def test_scalar_closed_form_computes_rate_directly(monkeypatch):
             assert abs(riccati.scalar_closed_form(varpi, 1.5, n) - states[n][0, 0]) < 1e-12
 
 
+def test_iterate_is_a_stack_of_ricc_map_steps():
+    rng = np.random.default_rng(31)
+    varpi, r0 = random_spd(rng, 3), 0.5 * random_spd(rng, 3)
+    traj = riccati.iterate(varpi, r0, 12)
+    assert traj.shape == (13, 3, 3)
+    r = spd.clamp_psd(r0)
+    for j in range(13):
+        assert np.allclose(traj[j], r, rtol=0.0, atol=1e-14)
+        r = riccati.ricc_map(varpi, r)
+
+
+def test_iterate_infinite_is_a_stack_of_identities():
+    traj = riccati.iterate(INFINITE, np.diag([0.3, 0.9]), 4)
+    assert traj.shape == (5, 2, 2)
+    assert np.array_equal(traj[0], np.diag([0.3, 0.9]))
+    assert all(np.array_equal(t, np.eye(2)) for t in traj[1:])
+
+
+def test_scalar_closed_form_takes_an_array_of_steps(decompositions):
+    for varpi, r0 in [(0.1, 0.0), (1.0, 2.0), (10.0, 0.3)]:
+        decompositions.clear()
+        stacked = riccati.scalar_closed_form(varpi, r0, np.arange(101))
+        assert decompositions["eigh"] == 1  # varpi, once for all 101 steps
+        singles = [riccati.scalar_closed_form(varpi, r0, n) for n in range(101)]
+        assert all(type(x) is float for x in singles)
+        assert np.array_equal(stacked, singles)
+
+
 @pytest.mark.parametrize("d", [1, 8])
 def test_ricc_map_decompositions(d, decompositions):
     """varpi is decomposed once per call, so no count grows with the number of steps."""

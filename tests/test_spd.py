@@ -110,16 +110,19 @@ EYE2 = np.eye(2)
         lambda: riccati.ricc_map(INDEFINITE, np.zeros((2, 2))),
         lambda: riccati.ricc_map(EYE2, INDEFINITE),
         lambda: spd.clamp_psd([[float("nan")]]),
+        lambda: spd.require_spd(np.diag([1.0, float("nan"), 1.0])),
+        lambda: spd.sym_inv(np.diag([1.0, float("nan")])),
         lambda: riccati.iterate(EYE2, np.diag([1.0, float("nan")]), 3),
         lambda: riccati.ricc_map(EYE2, np.full((2, 2), float("nan"))),
         lambda: gaussian.GaussianMeasure([0.0, 0.0], INDEFINITE),
+        lambda: gaussian.GaussianMeasure([0.0, 0.0, 0.0], np.diag([1.0, float("nan"), 1.0])),
         lambda: gaussian.LinearGaussianKernel([0.0, 0.0], EYE2, INDEFINITE),
         lambda: CurvatureSpec(u_plus=INDEFINITE, v_plus=EYE2),
         lambda: CurvatureSpec(u_plus=EYE2, v_plus=EYE2, u_minus=INDEFINITE),
     ],
     ids=[
         "require_spd", "sym_inv", "principal_sqrt", "geometric_mean-u", "geometric_mean-v",
-        "ricc_map-varpi", "ricc_map-s", "clamp_psd-nan", "iterate-r0-nan", "ricc_map-s-nan", "GaussianMeasure", "LinearGaussianKernel-tau",
+        "ricc_map-varpi", "ricc_map-s", "clamp_psd-nan", "require_spd-nan-inside", "sym_inv-nan-last", "iterate-r0-nan", "ricc_map-s-nan", "GaussianMeasure", "GaussianMeasure-nan", "LinearGaussianKernel-tau",
         "CurvatureSpec-u_plus", "CurvatureSpec-u_minus",
     ],
 )
@@ -132,3 +135,70 @@ def test_validating_entry_points_reject_non_spd(call):
 def test_spd_primitive_decomposes_once(fn, decompositions):
     fn(random_spd(np.random.default_rng(1), 4))
     assert sum(decompositions.values()) == 1
+
+
+def _stack_with(bad, d=3):
+    """Three SPD slices of scale 1e6 around one bad slice, at index 2 of a (4, d, d) stack."""
+    rng = np.random.default_rng(17)
+    stack = np.stack([1e6 * random_spd(rng, d) for _ in range(4)])
+    stack[2] = bad
+    return stack
+
+
+NAN_SLICE = np.diag([1.0, float("nan"), 1.0])
+# an eigenvalue far below the slice's own noise floor -1e-10 * (1 + 1), but
+# well above a floor taken from the stack's largest slices, ~ -1e-10 * 1e7
+NEGATIVE_SLICE = np.diag([1.0, 0.5, -1e-5])
+ILL_CONDITIONED_SLICE = np.diag([1.0, 0.5, 1e-13])
+
+
+@pytest.mark.parametrize("fn", [spd.clamp_psd, spd.require_spd, spd.sym_inv])
+@pytest.mark.parametrize("bad", [NAN_SLICE, NEGATIVE_SLICE], ids=["nan", "negative"])
+def test_stacked_validation_is_per_slice(fn, bad):
+    with pytest.raises(DomainError, match="matrix 2 of the stack"):
+        fn(_stack_with(bad))
+
+
+@pytest.mark.parametrize("fn", [spd.require_spd, spd.sym_inv])
+def test_stacked_spd_check_is_per_slice(fn):
+    with pytest.raises(DomainError, match="matrix 2 of the stack is not SPD"):
+        fn(_stack_with(ILL_CONDITIONED_SLICE))
+
+
+def test_stacked_clamp_accepts_singular_psd_slice():
+    """A PSD constructor takes a slice of condition number > 1e12, as it takes the matrix alone."""
+    stack = _stack_with(ILL_CONDITIONED_SLICE)
+    assert np.array_equal(spd.clamp_psd(stack)[2], spd.clamp_psd(ILL_CONDITIONED_SLICE))
+
+
+@pytest.mark.parametrize(
+    "fn", [spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv, spd.principal_sqrt,
+           lambda a: np.stack(spd.sqrt_pair(a), axis=-3)],
+    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "principal_sqrt", "sqrt_pair"],
+)
+def test_stacked_primitive_matches_single_calls_bitwise(fn):
+    """Slices of scales 1e-7 to 1e6 and sizes up to 8: a check on the stack's scale would reject the small ones."""
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 5, 8):
+        stack = np.stack([scale * random_spd(rng, d) for scale in (1e-7, 1.0, 1e6, 3.0)]).reshape(2, 2, d, d)
+        stacked = fn(stack)
+        singles = np.array([[fn(x) for x in row] for row in stack])
+        assert stacked.shape == singles.shape
+        assert np.array_equal(stacked, singles)
+
+
+def test_single_matrix_spectral_norm_is_a_float():
+    assert type(spd.spectral_norm(np.diag([3.0, -4.0]))) is float
+    assert spd.spectral_norm(np.stack([np.eye(2), 2.0 * np.eye(2)])).tolist() == [1.0, 2.0]
+
+
+def test_one_matrix_entry_points_reject_a_stack():
+    stack = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ShapeError):
+        spd.eig_range(stack)
+    with pytest.raises(ShapeError):
+        spd.loewner_leq(stack, stack)
+    with pytest.raises(ShapeError):
+        gaussian.GaussianMeasure([0.0, 0.0], stack)
+    with pytest.raises(ShapeError):
+        riccati.fixed_point(stack)
