@@ -12,12 +12,11 @@ free, so there are no unchecked twins of these functions: a second,
 unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
 
-``symmetrize``, ``spectral_norm``, ``clamp_psd``, ``require_spd``,
-``sym_inv``, ``principal_sqrt`` and ``sqrt_pair`` take a stack (..., d, d)
-as well as one matrix, and make one batched LAPACK call for the whole
-stack.  Each slice is checked against its own spectral scale, never
-against the stack's, and gives bitwise the result a call on that slice
-alone gives.
+``symmetrize``, ``spectral_norm``, ``clamp_psd``, ``require_spd`` and
+``sym_inv`` take a stack (..., d, d) as well as one matrix, and make one
+batched LAPACK call for the whole stack.  Each slice is checked against
+its own spectral scale, never against the stack's, and gives bitwise the
+result a call on that slice alone gives.
 """
 
 import numpy as np
@@ -45,7 +44,7 @@ def symmetrize(a) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.mT)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -75,7 +74,7 @@ def _require(ok, w, what: str) -> None:
     """
     if ok.all() if ok.ndim else ok:  # a single matrix's check is a numpy bool
         return
-    i = np.unravel_index(np.argmin(ok), ok.shape)
+    i = np.unravel_index(np.argmin(ok), ok.shape) if ok.ndim else ()
     where = f" {i[0] if len(i) == 1 else i} of the stack" if i else ""
     raise DomainError(f"matrix{where} is not {what}: eigenvalue range [{w[i][0]:.3e}, {w[i][-1]:.3e}]")
 
@@ -95,7 +94,7 @@ def clamp_psd(a) -> np.ndarray:
     floor = -PSD_ATOL * (1.0 + np.abs(w).max(axis=-1))
     _require(w[..., 0] >= floor, w, "PSD")
     w = np.maximum(w, 0.0)
-    return symmetrize((u * w[..., None, :]) @ u.mT)
+    return symmetrize((u * w[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 def _spd_eigh(a):
@@ -121,20 +120,20 @@ def require_spd(a) -> np.ndarray:
 def sym_inv(a) -> np.ndarray:
     """Inverse of an SPD matrix, or of each in a stack, via eigendecomposition; preserves symmetry exactly."""
     _, w, u = _spd_eigh(a)
-    return symmetrize((u / w[..., None, :]) @ u.mT)
+    return symmetrize((u / w[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 def principal_sqrt(a) -> np.ndarray:
-    """Principal symmetric square root of an SPD matrix, or of each in a stack."""
-    _, w, u = _spd_eigh(a)
-    return symmetrize((u * np.sqrt(w)[..., None, :]) @ u.mT)
+    """Principal symmetric square root of one SPD matrix."""
+    _, w, u = _spd_eigh(matrix(a))
+    return symmetrize((u * np.sqrt(w)) @ u.T)
 
 
 def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of an SPD matrix (or stack) and its inverse, from one decomposition."""
-    _, w, u = _spd_eigh(a)
-    root = np.sqrt(w)[..., None, :]
-    return symmetrize((u * root) @ u.mT), symmetrize((u / root) @ u.mT)
+    """Principal square root of one SPD matrix and its inverse, from one decomposition."""
+    _, w, u = _spd_eigh(matrix(a))
+    root = np.sqrt(w)
+    return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
 
 
 def geometric_mean(u, v) -> np.ndarray:

@@ -172,9 +172,8 @@ def test_stacked_clamp_accepts_singular_psd_slice():
 
 
 @pytest.mark.parametrize(
-    "fn", [spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv, spd.principal_sqrt,
-           lambda a: np.stack(spd.sqrt_pair(a), axis=-3)],
-    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "principal_sqrt", "sqrt_pair"],
+    "fn", [spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv],
+    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv"],
 )
 def test_stacked_primitive_matches_single_calls_bitwise(fn):
     """Slices of scales 1e-7 to 1e6 and sizes up to 8: a check on the stack's scale would reject the small ones."""
@@ -196,6 +195,10 @@ def test_one_matrix_entry_points_reject_a_stack():
     stack = np.stack([np.eye(2)] * 3)
     with pytest.raises(ShapeError):
         spd.eig_range(stack)
+    with pytest.raises(ShapeError):
+        spd.principal_sqrt(stack)
+    with pytest.raises(ShapeError):
+        spd.sqrt_pair(stack)
     with pytest.raises(ShapeError):
         spd.loewner_leq(stack, stack)
     with pytest.raises(ShapeError):
