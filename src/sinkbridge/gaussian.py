@@ -321,14 +321,14 @@ def bridge_gaps(plan: JointGaussian, states, mu, eta, k) -> np.ndarray:
         i = np.flatnonzero(parity == odd)
         slope = tau[i] @ a
         intercept = m_n[i] - slope @ src.mean
-        cross = src.cov @ np.swapaxes(slope, -1, -2)
+        cross = src.cov @ slope.swapaxes(-1, -2)
         src_blk, dst_blk = (slice(d, None), slice(None, d)) if odd else (slice(None, d), slice(d, None))
         means[i, src_blk] = src.mean
         means[i, dst_blk] = intercept + slope @ src.mean
         covs[i, src_blk, src_blk] = src.cov
         covs[i, src_blk, dst_blk] = cross
-        covs[i, dst_blk, src_blk] = np.swapaxes(cross, -1, -2)
-        covs[i, dst_blk, dst_blk] = slope @ src.cov @ np.swapaxes(slope, -1, -2) + noise[i]
+        covs[i, dst_blk, src_blk] = cross.swapaxes(-1, -2)
+        covs[i, dst_blk, dst_blk] = slope @ src.cov @ slope.swapaxes(-1, -2) + noise[i]
     try:
         return _kl(plan.mean, plan.cov, means, spd.symmetrize(covs))
     except DomainError as exc:
@@ -341,7 +341,7 @@ def _kl(p_mean, p_cov, q_mean, q_cov):
     dm = (p_mean - q_mean)[..., None, :]
     _, ld_p = np.linalg.slogdet(p_cov)
     _, ld_q = np.linalg.slogdet(q_cov)
-    quad = (dm @ q_inv @ np.swapaxes(dm, -1, -2))[..., 0, 0]
+    quad = (dm @ q_inv @ dm.swapaxes(-1, -2))[..., 0, 0]
     val = 0.5 * (np.trace(q_inv @ p_cov, axis1=-2, axis2=-1) - p_mean.shape[-1] + quad + ld_q - ld_p)
     return np.maximum(val, 0.0)
 

@@ -44,7 +44,7 @@ def symmetrize(a) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -61,20 +61,30 @@ def spectral_norm(a):
 def eig_range(a) -> tuple[float, float]:
     """Smallest and largest eigenvalue of one symmetrized matrix."""
     w = np.linalg.eigvalsh(symmetrize(a))
+    _one_matrix(w, a)
+    return float(w[0]), float(w[-1])
+
+
+def _one_matrix(w, a) -> None:
+    """Raise ShapeError unless the spectrum ``w`` of ``a`` is that of one matrix."""
     if w.ndim != 1:
         raise ShapeError(f"expected one matrix, got a stack of shape {np.shape(a)}")
-    return float(w[0]), float(w[-1])
 
 
 def _require(ok, w, what: str) -> None:
     """Raise DomainError unless every slice passed its check ``ok``.
 
-    ``w`` holds the ascending eigenvalues the check read; the message names
-    the first failing slice of a stack and its eigenvalue range.
+    ``w`` holds the ascending eigenvalues the check read, and ``ok`` one
+    verdict per slice with the stack axes reversed, as the checks read them
+    from ``w.T``: the eigenvalue index comes first there, so one matrix's
+    eigenvalues are numpy scalars, far cheaper to compare than the 0-d
+    arrays ``w[..., 0]`` gives.  The message names the first failing slice
+    of a stack and its eigenvalue range.
     """
     if ok.all() if ok.ndim else ok:  # a single matrix's check is a numpy bool
         return
-    i = np.unravel_index(np.argmin(ok), ok.shape) if ok.ndim else ()
+    ok = ok.T
+    i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), ok.shape)) if ok.ndim else ()
     where = f" {i[0] if len(i) == 1 else i} of the stack" if i else ""
     raise DomainError(f"matrix{where} is not {what}: eigenvalue range [{w[i][0]:.3e}, {w[i][-1]:.3e}]")
 
@@ -91,10 +101,11 @@ def clamp_psd(a) -> np.ndarray:
     w, u = np.linalg.eigh(a)
     # the spectral radius of a symmetric matrix is its spectral norm; a NaN
     # anywhere in a slice makes its floor NaN, so the check below raises
-    floor = -PSD_ATOL * (1.0 + np.abs(w).max(axis=-1))
-    _require(w[..., 0] >= floor, w, "PSD")
+    wt = w.T
+    floor = -PSD_ATOL * (1.0 + np.maximum.reduce(np.abs(wt)))
+    _require(wt[0] >= floor, w, "PSD")
     w = np.maximum(w, 0.0)
-    return symmetrize((u * w[..., None, :]) @ np.swapaxes(u, -1, -2))
+    return symmetrize((u * w[..., None, :]) @ u.swapaxes(-1, -2))
 
 
 def _spd_eigh(a):
@@ -108,7 +119,8 @@ def _spd_eigh(a):
     # the largest eigenvalue read as max(w), not w[-1]: it is NaN when any
     # eigenvalue is, and eigh can leave a NaN between finite ends, as for
     # diag(1, nan, 1); a negative max fails as it fails against max(., 0)
-    _require(w[..., 0] > SPD_RTOL * w.max(axis=-1), w, "SPD")
+    wt = w.T
+    _require(wt[0] > SPD_RTOL * np.maximum.reduce(wt), w, "SPD")
     return a, w, u
 
 
@@ -120,18 +132,20 @@ def require_spd(a) -> np.ndarray:
 def sym_inv(a) -> np.ndarray:
     """Inverse of an SPD matrix, or of each in a stack, via eigendecomposition; preserves symmetry exactly."""
     _, w, u = _spd_eigh(a)
-    return symmetrize((u / w[..., None, :]) @ np.swapaxes(u, -1, -2))
+    return symmetrize((u / w[..., None, :]) @ u.swapaxes(-1, -2))
 
 
 def principal_sqrt(a) -> np.ndarray:
     """Principal symmetric square root of one SPD matrix."""
-    _, w, u = _spd_eigh(matrix(a))
+    _, w, u = _spd_eigh(a)
+    _one_matrix(w, a)
     return symmetrize((u * np.sqrt(w)) @ u.T)
 
 
 def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root of one SPD matrix and its inverse, from one decomposition."""
-    _, w, u = _spd_eigh(matrix(a))
+    _, w, u = _spd_eigh(a)
+    _one_matrix(w, a)
     root = np.sqrt(w)
     return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
 

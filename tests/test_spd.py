@@ -159,6 +159,14 @@ def test_stacked_validation_is_per_slice(fn, bad):
         fn(_stack_with(bad))
 
 
+@pytest.mark.parametrize("fn", [spd.clamp_psd, spd.require_spd, spd.sym_inv])
+def test_stacked_failure_names_its_slice_on_every_axis(fn):
+    stack = np.stack([k * np.eye(3) for k in range(1, 7)]).reshape(3, 2, 3, 3)
+    stack[0, 1] = NEGATIVE_SLICE
+    with pytest.raises(DomainError, match=r"matrix \(0, 1\) of the stack"):
+        fn(stack)
+
+
 @pytest.mark.parametrize("fn", [spd.require_spd, spd.sym_inv])
 def test_stacked_spd_check_is_per_slice(fn):
     with pytest.raises(DomainError, match="matrix 2 of the stack is not SPD"):
