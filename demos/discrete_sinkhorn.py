@@ -20,7 +20,7 @@ model = discrete.build_model(
     grid,
 )
 trace = discrete.run(model, 200, tol=1e-11)
-oracle = discrete.bridge_oracle(model, tol=1e-13)
+oracle = discrete.bridge_oracle(model)
 rep = discrete.entropy_report(trace, oracle)
 
 print(f"converged in {trace.n_sweeps} sweeps (residual {trace.residuals[-1]:.2e})")
@@ -55,6 +55,6 @@ fwd, _ = g.bridge_solve(
     g.GaussianMeasure([0.0], [[1.0]]),
     g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]]),
 )
-cc = discrete.mean_conditional_cov(discrete.bridge_oracle(gauss, tol=1e-13))
+cc = discrete.mean_conditional_cov(discrete.bridge_oracle(gauss))
 print("\ndiscrete vs closed-form conditional covariance:")
 print(f"  grid: {cc[0, 0]:.12f}   closed form: {fwd.noise_cov[0, 0]:.12f}")

@@ -28,21 +28,21 @@ import numpy as np
 
 from . import bounds, discrete, models, riccati, spd, verify
 from . import gaussian as g
-from .bounds import CurvatureSpec
+from .bounds import ZERO, CurvatureSpec
 from .errors import ConfigError, DomainError, ShapeError
-from .models import parse_array, parse_count
+from .models import parse_array, parse_count, read_object
 from .riccati import INFINITE
 
 SCHEMA = "sinkbridge/v1"
 COMMANDS = ("riccati", "gaussian", "discrete", "bounds", "verify")
 
-# each command's top-level config keys; any other key is a config error
-CONFIG_KEYS = {
-    "riccati": ("command", "model"),
-    "gaussian": ("command", "model"),
-    "discrete": ("command", "model", "n_sweeps", "tolerances"),
-    "bounds": ("command", "model"),
-    "verify": ("command", "seed"),
+# each command's top-level config keys beside "command", with their defaults
+CONFIG_DEFAULTS = {
+    "riccati": {"model": {}},
+    "gaussian": {"model": {}},
+    "discrete": {"model": {}, "n_sweeps": 500, "tolerances": {}},
+    "bounds": {"model": {}},
+    "verify": {"seed": 0},
 }
 
 # each command's model defaults; a config's "model" object overrides them key by key
@@ -110,47 +110,28 @@ def _run(args, load, compute, write) -> int:
     return write(args, *result)
 
 
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _known(doc: dict, keys, what: str) -> dict:
-    """``doc``, after checking that it holds no key outside ``keys``: a misspelled key must not run at its default."""
-    stray = [key for key in doc if key not in keys]
-    if stray:
-        raise ConfigError(f"unknown {what} key {stray[0]!r}; valid: {', '.join(keys)}")
-    return doc
-
-
 def _config(args) -> tuple[dict, dict]:
-    """The config document and its model object merged over the command's defaults."""
-    config = {}
+    """The config document and its model object, each with its defaults filled in."""
+    doc = {}
     if args.config:
         with open(args.config) as fh:
-            config = _object(json.load(fh), "the config")
-        if config.get("command", args.command) != args.command:
-            raise ConfigError(f"config is for command {config.get('command')!r}, not {args.command!r}")
-        _known(config, CONFIG_KEYS[args.command], "config")
+            doc = json.load(fh)
+    defaults = {"command": args.command, **CONFIG_DEFAULTS[args.command]}
+    config = read_object(doc, "config", dict.fromkeys(defaults), defaults=defaults)
+    if config["command"] != args.command:
+        raise ConfigError(f"config is for command {config['command']!r}, not {args.command!r}")
     defaults = MODEL_DEFAULTS.get(args.command, {})
-    return config, {**defaults, **_known(_object(config.get("model", {}), "model"), defaults, "model")}
-
-
-def _build(cls, doc, what: str, **ranks):
-    """``cls`` from the array entries of a config object; an absent or null entry keeps its default."""
-    doc = _known(_object(doc, what), ranks, what)
-    present = [key for key in ranks if doc.get(key) is not None]
-    return cls(**{key: parse_array(doc[key], f"{what} {key}", ranks[key]) for key in present})
+    return config, read_object(config.get("model", {}), "model", dict.fromkeys(defaults), defaults=defaults)
 
 
 def _kernel(doc) -> g.LinearGaussianKernel:
-    return _build(g.LinearGaussianKernel, doc, "kernel", alpha=1, beta=2, tau=2)
+    return g.LinearGaussianKernel(**read_object(doc, "kernel", {"alpha": (1, 0), "beta": (2, 0), "tau": (2, 0)}))
 
 
 def _spec(doc) -> CurvatureSpec:
     """A missing or null upper factor is ZERO."""
-    return _build(CurvatureSpec, doc, "spec", u_plus=2, v_plus=2, u_minus=2, v_minus=2)
+    fields = dict.fromkeys(("u_plus", "v_plus", "u_minus", "v_minus"), (2, 0))
+    return CurvatureSpec(**read_object(doc, "spec", fields, defaults={"u_minus": ZERO, "v_minus": ZERO}))
 
 
 def _check_dims(**parts):
@@ -188,9 +169,13 @@ def _write_pair(args, doc: dict, header: str, rows) -> int:
 
 
 def _load_riccati(args):
-    _, model = _config(args)
+    config, model = _config(args)
     n = parse_count(model["n"], "n", 0)
-    if isinstance(model["varpi"], str) and model["varpi"].lower() == "infinite":
+    infinite = isinstance(model["varpi"], str) and model["varpi"].lower() == "infinite"
+    unread = "r0" if infinite else "dim"
+    if unread in config["model"]:  # the keys the config gives, not the defaults
+        raise ConfigError(f"model key {unread!r} is not read when varpi is {model['varpi']!r}")
+    if infinite:
         # the start carries only the dimension: the map is the identity
         return INFINITE, INFINITE, np.zeros((parse_count(model["dim"], "dim", 1),) * 2), n
     varpi = parse_array(model["varpi"], "varpi", 2)
@@ -240,9 +225,10 @@ def cmd_riccati(args) -> int:
 
 def _load_gaussian(args):
     _, model = _config(args)
-    mu, eta = (_build(g.GaussianMeasure, model[key], key, mean=1, cov=2) for key in ("mu", "eta"))
+    mu, eta = (g.GaussianMeasure(**read_object(model[key], key, {"mean": (1, 0), "cov": (2, 0)}))
+               for key in ("mu", "eta"))
     k = _kernel(model["kernel"])
-    spec = _spec(model["spec"]) if model["spec"] else CurvatureSpec.gaussian(mu.cov, eta.cov)
+    spec = CurvatureSpec.gaussian(mu.cov, eta.cov) if model["spec"] is None else _spec(model["spec"])
     _check_dims(mu=mu, eta=eta, kernel=k, spec=spec)
     t_grid = _positive(model["t_grid"], "t_grid", 1).tolist()
     return mu, eta, k, spec, parse_count(model["n_max"], "n_max", 1), t_grid
@@ -312,16 +298,16 @@ def cmd_gaussian(args) -> int:
 
 def _load_discrete(args):
     config, model = _config(args)
-    n_sweeps = parse_count(config.get("n_sweeps", 500), "n_sweeps", 1)
-    tolerances = _known(_object(config.get("tolerances", {}), "tolerances"), ("marginal",), "tolerances")
-    tol = float(_positive(tolerances.get("marginal", 1e-10), "tolerances.marginal"))
+    n_sweeps = parse_count(config["n_sweeps"], "n_sweeps", 1)
+    tolerances = read_object(config["tolerances"], "tolerances", {"marginal": None}, defaults={"marginal": 1e-10})
+    tol = float(_positive(tolerances["marginal"], "tolerances.marginal"))
     return models.model_from_spec(model), n_sweeps, tol
 
 
 def _discrete(model, n_sweeps, tol):
     trace = discrete.run(model, n_sweeps, tol=tol)
     # resume from the trace's last even state instead of redoing its sweeps
-    oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    oracle = discrete.bridge_oracle(model, start=trace.states[-2])
     rep = discrete.entropy_report(trace, oracle)
     rows = []
     for n in range(len(rep["H_pi2n_eta"])):
@@ -377,7 +363,7 @@ def cmd_bounds(args) -> int:
 
 def _load_verify(args):
     config, _ = _config(args)
-    seed = parse_count(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
+    seed = parse_count(config["seed"] if args.seed is None else args.seed, "seed", 0)
     names = [name for name, _ in verify.CRITERIA] + ["determinism"]
     if args.filter and not any(args.filter in name for name in names):
         raise ConfigError(f"--filter {args.filter!r} matches no criterion; valid: {', '.join(names)}")

@@ -91,6 +91,8 @@ from .errors import DomainError, ShapeError
 
 # a scaled kernel sum below this is recomputed in the log domain (module docstring)
 _THETA = 1e-280
+# the marginal residual at which bridge_oracle's reference counts as converged
+ORACLE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -487,18 +489,17 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
 
 def bridge_oracle(
     model: DiscreteModel,
-    tol: float = 1e-13,
     max_sweeps: int = 100000,
     start: SinkhornState | None = None,
 ) -> SinkhornState:
     """Brute-force converged coupling, the reference for bridge-gap entropies.
 
     Iterates until both marginal residuals of the even-type plan are below
-    tol (the first marginal is exact by construction, the second is driven
-    to eta).  ``start``, an even state of this model's iteration such as
-    the last even state of a ``run`` trace, resumes the iteration there;
-    the result is then the same state a cold start reaches, unless the
-    cold start would have stopped before ``start``.  Raises on
+    ``ORACLE_TOL`` (the first marginal is exact by construction, the second
+    is driven to eta).  ``start``, an even state of this model's iteration
+    such as the last even state of a ``run`` trace, resumes the iteration
+    there; the result is then the same state a cold start reaches, unless
+    the cold start would have stopped before ``start``.  Raises on
     non-convergence and on a non-finite residual.
     """
     state = initial_state(model) if start is None else start
@@ -510,12 +511,12 @@ def bridge_oracle(
         log_ratio = odd.v[eta_supp] - state.v[eta_supp]  # log(pi_2n / eta)
         _residual(log_ratio)
         gap = float(np.max(np.abs(np.exp(log_ratio) - 1.0)))
-        if gap < tol:
+        if gap < ORACLE_TOL:
             r_mu, r_eta = marginal_residuals(state)
-            if max(r_mu, r_eta) < 10 * tol:
+            if max(r_mu, r_eta) < 10 * ORACLE_TOL:
                 return state
         state = sinkhorn_step(odd)
-    raise DomainError(f"bridge oracle did not converge to {tol} in {max_sweeps} sweeps")
+    raise DomainError(f"bridge oracle did not converge to {ORACLE_TOL} in {max_sweeps} sweeps")
 
 
 def entropy_report(trace: SinkhornTrace, oracle: SinkhornState) -> dict:

@@ -10,16 +10,19 @@ A model document looks like
 W may instead be {"kind": "tabulated", "path": "table.npy"} with an (N, N)
 array stored as .npy or delimited text.
 
-Every vector or matrix parameter is read once by ``parse_array`` and must
-be sized for the grid's dimension; a mismatch raises ShapeError before
-anything is tabulated.  A linear-Gaussian channel whose beta and tau have
-zero off-diagonal entries is separable: it is stored as one factor table
-per grid axis (see the ``discrete`` module docstring), which on a 2-d grid
-never forms the (N, N) table.  Every other channel is one dense (N, N)
-table.
+``read_object`` reads every JSON object of a config, here and in the CLI,
+against a table of its keys; any other key raises ConfigError.  Each kind of
+U, V and W is an entry of ``MARGINAL_KINDS`` or ``CHANNEL_KINDS``, so a
+grid-sized axis of the wrong length raises ShapeError before tabulation.
+
+A linear-Gaussian channel whose beta and tau have zero off-diagonal
+entries is separable: it is stored as one factor table per grid axis (see
+the ``discrete`` module docstring), which on a 2-d grid never forms the
+(N, N) table.  Every other channel is one dense (N, N) table.
 """
 
 import numbers
+import os
 import reprlib
 
 import numpy as np
@@ -49,6 +52,46 @@ def parse_count(value, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def read_object(doc, what: str, fields: dict, dim: int = 0, defaults=None, kinds=None) -> dict:
+    """The config object ``doc``, each entry read by its field in ``fields``.
+
+    A field is ``(rank, axes)`` for an array, parsed at ``rank`` with its last
+    ``axes`` axes of length ``dim``; a dict for a nested object, read under the
+    same name; or None for an entry the caller reads.  With ``kinds``, the
+    object's ``kind`` picks an entry ``(constructor name, fields)`` whose
+    fields join ``fields``.  Any other key raises ConfigError naming ``what``,
+    the key and the valid keys: a misspelled key never runs at its default.
+    A null array counts as left out; a key left out takes its entry in
+    ``defaults`` and is otherwise missing, a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if kinds is not None:
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"unknown {what} kind {kind!r}; valid kinds: {', '.join(kinds)}")
+        fields = {"kind": None, **fields, **kinds[kind][1]}
+    stray = [key for key in doc if key not in fields]
+    if stray:
+        raise ConfigError(f"unknown {what} key {stray[0]!r}; valid: {', '.join(fields)}")
+    out = dict(defaults or {})
+    for key, value in doc.items():
+        field = fields[key]
+        if field is None:
+            out[key] = value
+        elif isinstance(field, dict):
+            out[key] = read_object(value, what, field, dim)
+        elif value is not None:
+            rank, axes = field
+            arr = out[key] = parse_array(value, f"{what} {key}", rank)
+            if arr.shape[rank - axes:] != (dim,) * axes:
+                raise ShapeError(f"{what} {key} has shape {arr.shape}, the grid is {dim}-dimensional")
+    missing = [key for key in fields if key not in out]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    return out
 
 
 def quadratic_potential(mean, cov):
@@ -112,6 +155,8 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
 
 
 def tabulated_channel_potential(path: str):
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"tabulated channel path must be a string, got {reprlib.repr(path)}")
     table = parse_array(np.load(path) if str(path).endswith(".npy") else np.loadtxt(path), str(path), 2)
 
     def w(xs, ys):
@@ -122,47 +167,17 @@ def tabulated_channel_potential(path: str):
     return w
 
 
-_MARGINAL_KINDS = {
-    "quadratic": lambda p: quadratic_potential(p["mean"], p["cov"]),
-    "quartic-double-well": lambda p: quartic_double_well_potential(p["a"], p["b"]),
-    "gaussian-mixture": lambda p: gaussian_mixture_potential(p["weights"], p["means"], p["covs"]),
+# each kind of U and V (parameters in its "params" object) and of W (parameters
+# beside its "kind"): its constructor's name and its fields, as read_object reads them
+MARGINAL_KINDS = {
+    "quadratic": ("quadratic_potential", {"params": {"mean": (1, 1), "cov": (2, 2)}}),
+    "quartic-double-well": ("quartic_double_well_potential", {"params": {"a": (0, 0), "b": (0, 0)}}),
+    "gaussian-mixture": ("gaussian_mixture_potential", {"params": {"weights": (1, 0), "means": (2, 1), "covs": (3, 2)}}),
 }
-
-
-def marginal_potential_from_spec(doc: dict):
-    try:
-        kind = doc["kind"]
-        params = doc.get("params", {})
-        return _MARGINAL_KINDS[kind](params)
-    except KeyError as exc:
-        raise DomainError(f"unknown or incomplete marginal potential spec: {doc}") from exc
-
-
-def channel_potential_from_spec(doc: dict):
-    kind = doc.get("kind")
-    if kind == "linear-gaussian":
-        return linear_gaussian_channel_potential(doc["alpha"], doc["beta"], doc["tau"])
-    if kind == "tabulated":
-        return tabulated_channel_potential(doc["path"])
-    raise DomainError(f"unknown channel kind: {kind!r}")
-
-
-# spec parameters sized by the state dimension: (name, rank, trailing axes of size dim)
-_DIM_PARAMS = {
-    "quadratic": (("mean", 1, 1), ("cov", 2, 2)),
-    "gaussian-mixture": (("means", 2, 1), ("covs", 3, 2)),
-    "linear-gaussian": (("alpha", 1, 1), ("beta", 2, 2), ("tau", 2, 2)),
+CHANNEL_KINDS = {
+    "linear-gaussian": ("linear_gaussian_channel_potential", {"alpha": (1, 1), "beta": (2, 2), "tau": (2, 2)}),
+    "tabulated": ("tabulated_channel_potential", {"path": None}),
 }
-
-
-def _parse_params(what: str, kind, params: dict, dim: int) -> dict:
-    """``params`` with every dimension-sized entry parsed and checked against the grid."""
-    out = dict(params)
-    for name, rank, axes in _DIM_PARAMS.get(kind, ()):
-        arr = out[name] = parse_array(params[name], f"{what} {name}", rank)
-        if arr.shape[-axes:] != (dim,) * axes:
-            raise ShapeError(f"{what} {name} has shape {arr.shape}, the grid is {dim}-dimensional")
-    return out
 
 
 def _axis_factors(doc: dict, n: int, radius: float):
@@ -179,18 +194,16 @@ def _axis_factors(doc: dict, n: int, radius: float):
 
 def model_from_spec(doc: dict) -> DiscreteModel:
     """Build a DiscreteModel from a JSON-style model document."""
-    try:
-        gdoc = doc["grid"]
-        dim, n = parse_count(gdoc["dim"], "grid dim", 1), parse_count(gdoc["n"], "grid n", 1)
-        radius = float(gdoc["radius"])
-        grid = uniform_grid(dim, n, radius)
-        u_fn, v_fn = (
-            marginal_potential_from_spec(dict(m, params=_parse_params(what, m.get("kind"), m.get("params", {}), dim)))
-            for what, m in (("U", doc["U"]), ("V", doc["V"]))
-        )
-        wdoc = _parse_params("W", doc["W"].get("kind"), doc["W"], dim)
-        factors = _axis_factors(wdoc, n, radius) if wdoc.get("kind") == "linear-gaussian" else None
-        w_fn = factors or channel_potential_from_spec(wdoc)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DomainError(f"malformed model spec: {exc}") from exc
-    return build_model(u_fn, v_fn, w_fn, grid)
+    doc = read_object(doc, "model", dict.fromkeys(("grid", "U", "V", "W")))
+    grid = read_object(doc["grid"], "grid", {"dim": None, "n": None, "radius": (0, 0)})
+    dim, n = parse_count(grid["dim"], "grid dim", 1), parse_count(grid["n"], "grid n", 1)
+    # constructors are looked up at call time, so a rebound one (a tracing wrapper, say) is the one that runs
+    u_fn, v_fn = (
+        globals()[MARGINAL_KINDS[m["kind"]][0]](**m["params"])
+        for m in (read_object(doc[what], what, {}, dim, kinds=MARGINAL_KINDS) for what in ("U", "V"))
+    )
+    w = read_object(doc["W"], "W", {}, dim, kinds=CHANNEL_KINDS)
+    kind = w.pop("kind")
+    factors = _axis_factors(w, n, grid["radius"]) if kind == "linear-gaussian" else None
+    w_fn = factors or globals()[CHANNEL_KINDS[kind][0]](**w)
+    return build_model(u_fn, v_fn, w_fn, uniform_grid(dim, n, grid["radius"]))

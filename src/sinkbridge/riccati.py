@@ -38,6 +38,9 @@ class _InfiniteVarpi:
 
 INFINITE = _InfiniteVarpi()
 
+# the largest residual of each fixed-point identity that fixed_point_identities accepts
+IDENTITY_TOL = 1e-9
+
 
 def is_infinite(varpi) -> bool:
     return varpi is INFINITE
@@ -106,7 +109,7 @@ def fixed_point_like(varpi, dim: int) -> np.ndarray:
     return fixed_point(varpi)
 
 
-def fixed_point_identities(varpi, tol: float = 1e-9) -> dict:
+def fixed_point_identities(varpi) -> dict:
     """Residuals of the closed-form fixed-point identities.
 
     Checks r + r varpi^{-1} r = I, the inverse identity
@@ -114,7 +117,8 @@ def fixed_point_identities(varpi, tol: float = 1e-9) -> dict:
     (I + varpi^{-1})^{-1} < r < I together with I < r^{-1} < I + varpi^{-1}.
     varpi is the dense matrix: the map residual applies the dense map, which
     decomposes varpi + r and never varpi, so it checks r independently of
-    the eigenbasis it came from.
+    the eigenbasis it came from.  ``ok`` holds when each residual is at most
+    ``IDENTITY_TOL`` and both sandwiches are strict.
     """
     w, q = _spectrum(varpi)
     varpi = spd.symmetrize(varpi)
@@ -144,9 +148,9 @@ def fixed_point_identities(varpi, tol: float = 1e-9) -> dict:
         ),
     }
     report["ok"] = bool(
-        fp <= tol
-        and quad <= tol
-        and inv_identity <= tol
+        fp <= IDENTITY_TOL
+        and quad <= IDENTITY_TOL
+        and inv_identity <= IDENTITY_TOL
         and report["sandwich_strict"]
         and report["inverse_sandwich_strict"]
     )

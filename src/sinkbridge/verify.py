@@ -57,7 +57,7 @@ def criterion_riccati_fixed_point(seed=0):
     worst_quad = 0.0
     sandwich_ok = True
     for varpi in _spd_family(seed):
-        rep = riccati.fixed_point_identities(varpi, tol=1e-9)
+        rep = riccati.fixed_point_identities(varpi)
         worst_map = max(worst_map, rep["fixed_point_residual"])
         worst_quad = max(worst_quad, rep["quadratic_identity_residual"])
         sandwich_ok = sandwich_ok and rep["sandwich_strict"] and rep["inverse_sandwich_strict"]
@@ -328,7 +328,7 @@ def criterion_discrete_sinkhorn(seed=0):
             state = discrete.sinkhorn_step(state)
 
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         rep = discrete.entropy_report(trace, oracle)
         # the report's O(N) bridge gaps against the dense joint relative entropies
         ref = discrete.plan_log_density(oracle)
@@ -377,7 +377,7 @@ def criterion_discretization_consistency(seed=0):
             models.linear_gaussian_channel_potential([0.0], [[1.0]], [[t]]),
             grid,
         )
-        oracle = discrete.bridge_oracle(model, tol=1e-13, max_sweeps=20000)
+        oracle = discrete.bridge_oracle(model, max_sweeps=20000)
         cc = discrete.mean_conditional_cov(oracle)
         errs.append(abs(cc[0, 0] - fwd.noise_cov[0, 0]))
     ratio = errs[0] / errs[1] if errs[1] > 0 else np.inf

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -391,12 +392,37 @@ MALFORMED = {
     "bounds-seed": ("bounds", {"seed": 3}, "unknown config key 'seed'"),
     "verify-seed-typo": ("verify", {"sead": 3}, "unknown config key 'sead'"),
     "verify-model": ("verify", {"model": {}}, "unknown config key 'model'"),
+    # keys inside the grid model's objects, and the riccati keys one form of varpi does not read
+    "grid-radius-typo": ("discrete", {"model": {"grid": {"dim": 1, "n": 64, "radius": 8.0, "raduis": 2.0}}},
+                         "unknown grid key 'raduis'; valid: dim, n, radius"),
+    "quadratic-params-typo": ("discrete", {"model": {"V": {"kind": "quadratic", "params": {
+        "mean": [0.0], "cov": [[1.0]], "covv": [[9.0]]}}}}, "unknown V key 'covv'; valid: mean, cov"),
+    "U-stray-key": ("discrete", {"model": {"U": dict(QUAD_1D, mean=[3.0])}}, "unknown U key 'mean'; valid: kind, params"),
+    "linear-gaussian-typo": ("discrete", {"model": {"W": dict(LG_1D, tua=[[5.0]])}},
+                             "unknown W key 'tua'; valid: kind, alpha, beta, tau"),
+    "tabulated-alpha": ("discrete", {"model": {"W": {"kind": "tabulated", "path": "table.npy", "alpha": [0.0]}}},
+                        "unknown W key 'alpha'; valid: kind, path"),
+    "quartic-a-true": ("discrete", {"model": {"U": {"kind": "quartic-double-well", "params": {"a": True, "b": 1.0}}}},
+                       "U a must be a numeric array"),
+    "grid-radius-str": ("discrete", {"model": {"grid": {"dim": 1, "n": 64, "radius": "8"}}},
+                        "grid radius must be a numeric array"),
+    "U-kind-unknown": ("discrete", {"model": {"U": dict(QUAD_1D, kind="quadractic")}},
+                       "unknown U kind 'quadractic'; valid kinds: quadratic, quartic-double-well, gaussian-mixture"),
+    "W-kind-unknown": ("discrete", {"model": {"W": dict(LG_1D, kind="gaussian")}},
+                       "unknown W kind 'gaussian'; valid kinds: linear-gaussian, tabulated"),
+    "riccati-infinite-r0": ("riccati", {"model": {"varpi": "infinite", "dim": 2, "r0": [[5.0, 0.0], [0.0, 1.0]]}},
+                            "model key 'r0' is not read when varpi is 'infinite'"),
+    "riccati-matrix-dim": ("riccati", {"model": {"varpi": [[2.0]], "dim": 3}}, "model key 'dim' is not read when varpi"),
+    "gaussian-spec-empty": ("gaussian", {"model": {"spec": {}}}, "spec is missing key 'u_plus'"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_config_exit_2(tmp_path, capsys, case):
+def test_malformed_config_exit_2(tmp_path, capsys, monkeypatch, case):
     command, config, needle = MALFORMED[case]
+    # the table a tabulated case names, so that its channel would load
+    monkeypatch.chdir(tmp_path)
+    np.save("table.npy", np.zeros((64, 64)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": command, **config}))
     out = tmp_path / "out"
@@ -566,3 +592,24 @@ def test_benchmark_configs_load(tmp_path):
                 getattr(cli, f"_load_{op['command']}")(args)
                 loaded += 1
     assert loaded >= 3
+
+
+def test_readme_configs_load_and_kinds_match_the_reader(tmp_path):
+    """Every JSON config in README.md loads, and its kind lists are the reader's tables."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme-{i}.json"
+        path.write_text(block)
+        command = json.loads(block)["command"]
+        getattr(cli, f"_load_{command}")(argparse.Namespace(command=command, config=str(path)))
+    assert blocks
+
+    def documented(heading):
+        lines = readme.split(heading, 1)[1].strip().split("\n\n", 1)[0].splitlines()
+        return {kind: keys for kind, *keys in (re.findall(r"`([^`]+)`", line) for line in lines)}
+
+    assert documented("Kinds of `U` and `V`, with the keys of their `params` object:") == {
+        kind: list(fields["params"]) for kind, (_, fields) in models.MARGINAL_KINDS.items()}
+    assert documented("Kinds of `W`, with the keys beside its `kind`:") == {
+        kind: list(fields) for kind, (_, fields) in models.CHANNEL_KINDS.items()}

@@ -9,7 +9,7 @@ from scipy.special import erfc, logsumexp
 
 from sinkbridge import discrete, models, verify
 from sinkbridge import gaussian as g
-from sinkbridge.errors import DomainError, ShapeError
+from sinkbridge.errors import ConfigError, DomainError, ShapeError
 
 
 def gaussian_desk_model(n=64, radius=8.0, t=1.0, u=1.0, v=1.0):
@@ -208,7 +208,7 @@ def test_bridge_oracle_identity_when_target_is_pushforward():
     # already the bridge, so the oracle must return (essentially) itself.
     # radius 10 keeps the channel's boundary-truncation mass below 1e-12.
     model = gaussian_desk_model(n=80, radius=10.0, v=2.0)
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     s0 = discrete.initial_state(model)
     kl = discrete.joint_relative_entropy(
         discrete.plan_log_density(oracle), discrete.plan_log_density(s0), model.grid.weights
@@ -219,14 +219,14 @@ def test_bridge_oracle_identity_when_target_is_pushforward():
 
 def test_bridge_oracle_constant_channel_is_product():
     model = constant_channel_model()
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     product = model.log_mu[:, None] + model.log_eta[None, :]
     assert np.max(np.abs(discrete.plan_log_density(oracle) - product)) < 1e-12
 
 
 def test_bridge_oracle_second_moments_match_closed_form():
     model = gaussian_desk_model()
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
@@ -251,7 +251,7 @@ def test_entropy_report_chains_and_telescoping():
     )
     trace = discrete.run(model, 200, tol=1e-11)
     assert trace.converged
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     rep = discrete.entropy_report(trace, oracle)
 
     for key in ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu", "H_bridge_even", "H_bridge_odd"):
@@ -283,7 +283,7 @@ def test_entropy_report_double_well_monotone_only():
     )
     trace = discrete.run(model, 300, tol=1e-10)
     assert trace.converged
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     rep = discrete.entropy_report(trace, oracle)
     for key in ("H_pi2n_eta", "H_eta_pi2n", "H_bridge_even", "H_bridge_odd"):
         seq = rep[key]
@@ -309,7 +309,7 @@ def test_gaussian_consistency_under_grid_halving():
     errs = []
     for n in (64, 128):
         model = gaussian_desk_model(n=n, t=t)
-        oracle = discrete.bridge_oracle(model, tol=1e-13, max_sweeps=20000)
+        oracle = discrete.bridge_oracle(model, max_sweeps=20000)
         cc = discrete.mean_conditional_cov(oracle)
         errs.append(abs(cc[0, 0] - fwd.noise_cov[0, 0]))
     assert errs[0] > 1e-8  # coarse-grid bias is measurable
@@ -327,7 +327,7 @@ def test_model_from_spec_roundtrip():
     direct = gaussian_desk_model(n=32, radius=6.0)
     assert np.allclose(model.u_pot, direct.u_pot)
     assert np.allclose(model.w_pot, direct.w_pot)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="model is missing key 'U'"):
         models.model_from_spec({"grid": {"dim": 1, "n": 8, "radius": 1.0}})
 
 
@@ -421,7 +421,7 @@ def test_bridge_gaps_match_dense_joint_entropy():
     cases = list(verify._desk_models().values()) + [two_dimensional_model(16)]
     for model in cases:
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         rep = discrete.entropy_report(trace, oracle)
         ref = discrete.plan_log_density(oracle)
         for state in trace.states:
@@ -433,8 +433,8 @@ def test_bridge_gaps_match_dense_joint_entropy():
 def test_resumed_oracle_equals_cold_oracle():
     model = verify._desk_models()["double-well-u"]
     trace = discrete.run(model, 300, tol=1e-10)
-    cold = discrete.bridge_oracle(model, tol=1e-13)
-    warm = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    cold = discrete.bridge_oracle(model)
+    warm = discrete.bridge_oracle(model, start=trace.states[-2])
     assert warm.n == cold.n
     assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.v, cold.v)
     with pytest.raises(DomainError, match="even state"):
@@ -448,7 +448,7 @@ def test_hard_zero_target_converges_on_its_support(hard_zero_target_model):
     assert trace.converged and trace.n_sweeps <= 40
     for seq in (trace.h_pi2n_eta, trace.h_eta_pi2n, trace.h_mu_pi2n1, trace.h_pi2n1_mu, trace.residuals):
         assert np.all(np.isfinite(seq))
-    oracle = discrete.bridge_oracle(model, tol=1e-13)
+    oracle = discrete.bridge_oracle(model)
     r_mu, r_eta = discrete.marginal_residuals(oracle)
     assert max(r_mu, r_eta) < 1e-12
     # the converged plan puts no mass where eta has a hard zero
@@ -507,11 +507,11 @@ def test_kernel_passes_per_sweep(monkeypatch):
     # the oracle makes two per sweep, plus the closing sweep's first
     # half-step and the two-pass final marginal check; a cold start adds U_0
     passes.clear()
-    cold = discrete.bridge_oracle(model, tol=1e-13)
+    cold = discrete.bridge_oracle(model)
     assert len(passes) == 2 * (cold.n // 2) + 4
     start = trace.states[-2]
     passes.clear()
-    warm = discrete.bridge_oracle(model, tol=1e-13, start=start)
+    warm = discrete.bridge_oracle(model, start=start)
     assert len(passes) == 2 * ((warm.n - start.n) // 2) + 3
 
     counts = []
@@ -541,12 +541,12 @@ def diagonal_spec(n=16, radius=6.0, alpha=(0.3, -0.2), beta=(0.9, 0.7), tau=(0.6
 
 
 def dense_twin(doc, v_fn=None):
-    """The same model as a spec, built with one dense (N, N) channel table."""
+    """The same model as a quadratic-marginal spec, built with one dense (N, N) channel table."""
     grid = discrete.uniform_grid(2, doc["grid"]["n"], doc["grid"]["radius"])
     w = doc["W"]
     return discrete.build_model(
-        models.marginal_potential_from_spec(doc["U"]),
-        v_fn or models.marginal_potential_from_spec(doc["V"]),
+        models.quadratic_potential(**doc["U"]["params"]),
+        v_fn or models.quadratic_potential(**doc["V"]["params"]),
         models.linear_gaussian_channel_potential(w["alpha"], w["beta"], w["tau"]),
         grid,
     )
@@ -617,7 +617,7 @@ def test_factored_and_dense_forms_agree(spec):
     results = []
     for model in (factored, dense_twin(spec)):
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         results.append((trace, oracle, discrete.entropy_report(trace, oracle)))
     (t_f, o_f, rep_f), (t_d, o_d, rep_d) = results
     assert t_f.converged and t_f.n_sweeps == t_d.n_sweeps and o_f.n == o_d.n
@@ -631,7 +631,7 @@ def test_factored_and_dense_forms_agree(spec):
 
 def test_factored_hard_zero_target_converges():
     doc = diagonal_spec()
-    quad = models.marginal_potential_from_spec(doc["V"])
+    quad = models.quadratic_potential(**doc["V"]["params"])
 
     def v_fn(points):
         out = quad(points)
@@ -639,20 +639,20 @@ def test_factored_hard_zero_target_converges():
         return out
 
     grid = discrete.uniform_grid(2, 16, 6.0)
-    model = discrete.build_model(models.marginal_potential_from_spec(doc["U"]), v_fn, axis_factors(doc), grid)
+    model = discrete.build_model(models.quadratic_potential(**doc["U"]["params"]), v_fn, axis_factors(doc), grid)
     assert len(model.channel) == 2 and np.isinf(model.v_pot).any()
     trace = discrete.run(model, 500, tol=1e-12)
     assert trace.converged
     for seq in (trace.h_pi2n_eta, trace.h_eta_pi2n, trace.h_mu_pi2n1, trace.h_pi2n1_mu, trace.residuals):
         assert np.all(np.isfinite(seq))
-    oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+    oracle = discrete.bridge_oracle(model, start=trace.states[-2])
     assert max(discrete.marginal_residuals(oracle)) < 1e-12
     rep = discrete.entropy_report(trace, oracle)
     assert all(np.all(np.isfinite(seq)) for seq in rep.values())
     # the dense form of the same model gives the same entropies
     dense = dense_twin(doc, v_fn)
     dense_trace = discrete.run(dense, 500, tol=1e-12)
-    dense_oracle = discrete.bridge_oracle(dense, tol=1e-13, start=dense_trace.states[-2])
+    dense_oracle = discrete.bridge_oracle(dense, start=dense_trace.states[-2])
     dense_rep = discrete.entropy_report(dense_trace, dense_oracle)
     for key in rep:
         assert np.max(np.abs(np.subtract(rep[key], dense_rep[key]))) < 1e-12, key
@@ -813,7 +813,7 @@ def test_scaled_kernels_are_built_once_per_model(monkeypatch):
         assert built == []  # channel_table made every kernel with its factor
         kernels = model.kernels
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, tol=1e-13, start=trace.states[-2])
+        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         discrete.entropy_report(trace, oracle)
         assert built == [] and model.kernels is kernels
         assert len(kernels) == len(model.channel)
@@ -880,8 +880,8 @@ def test_channel_build_rejects_bad_entries(monkeypatch, case, beta):
     good = models.linear_gaussian_channel_potential
     made = []
 
-    def poked(*args):
-        w_fn = good(*args)
+    def poked(*args, **kwargs):
+        w_fn = good(*args, **kwargs)
         made.append(w_fn)
         last = len(made)
 
