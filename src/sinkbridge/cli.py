@@ -141,7 +141,7 @@ def _check_dims(**parts):
 
 
 def _positive(value, name: str, ndim: int = 0) -> np.ndarray:
-    arr = parse_array(value, name, ndim)
+    arr = parse_array(value, name, ndim, finite=True)
     if not np.all(arr > 0):
         raise ConfigError(f"{name} must be > 0, got {value!r}")
     return arr
@@ -178,10 +178,10 @@ def _load_riccati(args):
     if infinite:
         # the start carries only the dimension: the map is the identity
         return INFINITE, INFINITE, np.zeros((parse_count(model["dim"], "dim", 1),) * 2), n
-    varpi = parse_array(model["varpi"], "varpi", 2)
+    varpi = parse_array(model["varpi"], "varpi", 2, finite=True)
     # the one validated decomposition every Riccati call below works from
     spectrum = riccati._spectrum(varpi)
-    r0 = parse_array(model["r0"], "r0", 2)
+    r0 = parse_array(model["r0"], "r0", 2, finite=True)
     if r0.shape == (1, 1):
         r0 = r0[0, 0] * np.eye(len(varpi))
     if r0.shape != varpi.shape:

@@ -32,11 +32,12 @@ from .discrete import DiscreteModel, _neg_lse, build_model, channel_table, unifo
 from .errors import ConfigError, DomainError, ShapeError
 
 
-def parse_array(value, name: str, ndim: int) -> np.ndarray:
+def parse_array(value, name: str, ndim: int, finite: bool = False) -> np.ndarray:
     """``value`` as a float array of rank ``ndim``; a lower rank gains leading unit axes.
 
     Ragged, non-numeric (strings, booleans, null, objects, NaN) or
-    higher-rank input raises ConfigError naming ``name``; +-inf passes.
+    higher-rank input raises ConfigError naming ``name``.  +-inf passes,
+    as a tabulated table's hard zeros, unless ``finite`` is set.
     """
     try:
         arr = np.asarray(value)
@@ -44,6 +45,8 @@ def parse_array(value, name: str, ndim: int) -> np.ndarray:
         raise ConfigError(f"{name} is ragged: {reprlib.repr(value)}") from exc
     if arr.dtype.kind not in "iuf" or arr.ndim > ndim or np.isnan(arr).any():
         raise ConfigError(f"{name} must be a numeric array of rank <= {ndim}, got {reprlib.repr(value)}")
+    if finite and not np.isfinite(arr).all():
+        raise ConfigError(f"{name} must be finite, got {reprlib.repr(value)}")
     return arr.astype(float, copy=False).reshape((1,) * (ndim - arr.ndim) + arr.shape)
 
 
@@ -59,7 +62,8 @@ def read_object(doc, what: str, fields: dict, dim: int = 0, defaults=None, kinds
 
     A field is ``(rank, axes)`` for an array, parsed at ``rank`` with its last
     ``axes`` axes of length ``dim``; a dict for a nested object, read under the
-    same name; or None for an entry the caller reads.  With ``kinds``, the
+    same name; or None for an entry the caller reads.  An array with a NaN
+    or an infinite entry raises ConfigError.  With ``kinds``, the
     object's ``kind`` picks an entry ``(constructor name, fields)`` whose
     fields join ``fields``.  Any other key raises ConfigError naming ``what``,
     the key and the valid keys: a misspelled key never runs at its default.
@@ -85,7 +89,7 @@ def read_object(doc, what: str, fields: dict, dim: int = 0, defaults=None, kinds
             out[key] = read_object(value, what, field, dim)
         elif value is not None:
             rank, axes = field
-            arr = out[key] = parse_array(value, f"{what} {key}", rank)
+            arr = out[key] = parse_array(value, f"{what} {key}", rank, finite=True)
             if arr.shape[rank - axes:] != (dim,) * axes:
                 raise ShapeError(f"{what} {key} has shape {arr.shape}, the grid is {dim}-dimensional")
     missing = [key for key in fields if key not in out]
@@ -124,11 +128,14 @@ def gaussian_mixture_potential(weights, means, covs):
     covs = parse_array(covs, "covs", 3)
     if weights.shape[0] != means.shape[0] or weights.shape[0] != covs.shape[0]:
         raise DomainError("mixture weights/means/covs lengths disagree")
+    if not (np.all(weights >= 0.0) and 0.0 < weights.sum() < np.inf):
+        raise DomainError(f"mixture weights must be >= 0 and finite with a positive sum, got {weights.tolist()}")
     precs = [spd.sym_inv(c) for c in covs]
-    log_norms = [
-        -0.5 * (np.linalg.slogdet(2.0 * np.pi * c)[1]) + np.log(wk)
-        for c, wk in zip(covs, weights)
-    ]
+    with np.errstate(divide="ignore"):  # a zero weight turns its component off: log 0 = -inf
+        log_norms = [
+            -0.5 * (np.linalg.slogdet(2.0 * np.pi * c)[1]) + np.log(wk)
+            for c, wk in zip(covs, weights)
+        ]
 
     def u(points):
         comps = []
@@ -157,7 +164,11 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
 def tabulated_channel_potential(path: str):
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"tabulated channel path must be a string, got {reprlib.repr(path)}")
-    table = parse_array(np.load(path) if str(path).endswith(".npy") else np.loadtxt(path), str(path), 2)
+    try:
+        raw = np.load(path) if str(path).endswith(".npy") else np.loadtxt(path)
+    except EOFError as exc:  # an empty .npy file
+        raise ConfigError(f"tabulated channel table {path} is empty: {exc}") from exc
+    table = parse_array(raw, str(path), 2)
 
     def w(xs, ys):
         if table.shape != (xs.shape[0], ys.shape[0]):
@@ -197,6 +208,8 @@ def model_from_spec(doc: dict) -> DiscreteModel:
     doc = read_object(doc, "model", dict.fromkeys(("grid", "U", "V", "W")))
     grid = read_object(doc["grid"], "grid", {"dim": None, "n": None, "radius": (0, 0)})
     dim, n = parse_count(grid["dim"], "grid dim", 1), parse_count(grid["n"], "grid n", 1)
+    if not grid["radius"] > 0.0:
+        raise ConfigError(f"grid radius must be > 0, got {float(grid['radius'])!r}")
     # constructors are looked up at call time, so a rebound one (a tracing wrapper, say) is the one that runs
     u_fn, v_fn = (
         globals()[MARGINAL_KINDS[m["kind"]][0]](**m["params"])

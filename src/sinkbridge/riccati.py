@@ -12,6 +12,17 @@ The map family is parameterized by varpi in one of three forms:
   case the map and its fixed point are identically the identity matrix.
   INFINITE is a dedicated sentinel, not a huge-number stand-in: the
   conventions it encodes are exact identities, not limits.
+
+``fixed_point``, ``iterate``, ``ricc_map``, ``psi_map`` and
+``fixed_point_identities`` take a stack (..., d, d) of parameters and
+states as well as one matrix, and make one batched LAPACK call per step
+for the whole stack; a Spectrum may hold a stack (lam (..., d), q
+(..., d, d)) too.  Each slice is validated against its own scale, a
+failing slice is named by its index, and each slice's result is bitwise
+the one a call on that slice alone gives.  One matrix gives a matrix,
+and floats and bools from ``fixed_point_identities``.  ``decay_params``
+and ``scalar_closed_form`` take one parameter, and INFINITE stands for
+one parameter.
 """
 
 from typing import NamedTuple
@@ -47,7 +58,7 @@ def is_infinite(varpi) -> bool:
 
 
 class Spectrum(NamedTuple):
-    """varpi = q diag(lam) q', lam ascending and positive, q orthogonal.
+    """varpi = q diag(lam) q', lam ascending and positive, q orthogonal; per slice of a stack.
 
     A Spectrum is trusted as given: it is built only from a decomposition
     that was validated where it was made.
@@ -60,14 +71,14 @@ class Spectrum(NamedTuple):
 def _spectrum(varpi) -> Spectrum:
     """The one validated decomposition of a finite varpi.
 
-    A matrix is symmetrized, decomposed and SPD-checked; a Spectrum passes
-    through unchecked.
+    A matrix, or each slice of a stack, is symmetrized, decomposed and
+    SPD-checked; a Spectrum passes through unchecked.
     """
     if is_infinite(varpi):
         raise DomainError("operation requires a finite varpi")
     if isinstance(varpi, Spectrum):
         return varpi
-    _, w, q = spd._spd_eigh(spd.matrix(varpi))
+    _, w, q = spd._spd_eigh(varpi)
     return Spectrum(w, q)
 
 
@@ -76,9 +87,17 @@ def _fixed_scalar(lam):
     return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / lam))
 
 
+def _diag(v) -> np.ndarray:
+    """diag(v) of a vector, or of each vector in a stack (..., d): exactly np.diag's entries."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
 def _rotate(q, s) -> np.ndarray:
     """q s q', a matrix (or a stack) given in varpi's eigenbasis back in the original basis."""
-    return spd.symmetrize(q @ s @ q.T)
+    return spd.symmetrize(q @ s @ q.swapaxes(-1, -2))
 
 
 def ricc_map(varpi, s) -> np.ndarray:
@@ -99,7 +118,7 @@ def fixed_point(varpi) -> np.ndarray:
     if is_infinite(varpi):
         raise ShapeError("INFINITE carries no dimension; use fixed_point_like")
     w, q = _spectrum(varpi)
-    return _rotate(q, np.diag(_fixed_scalar(w)))
+    return _rotate(q, _diag(_fixed_scalar(w)))
 
 
 def fixed_point_like(varpi, dim: int) -> np.ndarray:
@@ -118,12 +137,13 @@ def fixed_point_identities(varpi) -> dict:
     varpi is the dense matrix: the map residual applies the dense map, which
     decomposes varpi + r and never varpi, so it checks r independently of
     the eigenbasis it came from.  ``ok`` holds when each residual is at most
-    ``IDENTITY_TOL`` and both sandwiches are strict.
+    ``IDENTITY_TOL`` and both sandwiches are strict.  For a stack each entry
+    is an array with one value per slice.
     """
     w, q = _spectrum(varpi)
     varpi = spd.symmetrize(varpi)
-    eye = np.eye(varpi.shape[0])
-    r = _rotate(q, np.diag(_fixed_scalar(w)))
+    eye = np.broadcast_to(np.eye(varpi.shape[-1]), varpi.shape)
+    r = _rotate(q, _diag(_fixed_scalar(w)))
     varpi_inv = spd.sym_inv(varpi)
     r_inv = spd.sym_inv(r)
     u = varpi + r
@@ -139,20 +159,17 @@ def fixed_point_identities(varpi) -> dict:
         "fixed_point_residual": fp,
         "quadratic_identity_residual": quad,
         "inverse_identity_residual": inv_identity,
-        "sandwich_strict": bool(
-            spd.loewner_lt(lower, r, tol=1e-14) and spd.loewner_lt(r, eye, tol=1e-14)
-        ),
-        "inverse_sandwich_strict": bool(
-            spd.loewner_lt(eye, r_inv, tol=1e-14)
-            and spd.loewner_lt(r_inv, eye + varpi_inv, tol=1e-14)
+        "sandwich_strict": spd.loewner_lt(lower, r, tol=1e-14) & spd.loewner_lt(r, eye, tol=1e-14),
+        "inverse_sandwich_strict": (
+            spd.loewner_lt(eye, r_inv, tol=1e-14) & spd.loewner_lt(r_inv, eye + varpi_inv, tol=1e-14)
         ),
     }
-    report["ok"] = bool(
-        fp <= IDENTITY_TOL
-        and quad <= IDENTITY_TOL
-        and inv_identity <= IDENTITY_TOL
-        and report["sandwich_strict"]
-        and report["inverse_sandwich_strict"]
+    report["ok"] = (
+        (fp <= IDENTITY_TOL)
+        & (quad <= IDENTITY_TOL)
+        & (inv_identity <= IDENTITY_TOL)
+        & report["sandwich_strict"]
+        & report["inverse_sandwich_strict"]
     )
     return report
 
@@ -171,6 +188,8 @@ def decay_params(varpi) -> tuple[float, float]:
     with its eigenvalues, so each l_min is the scalar flow at l_min(varpi).
     """
     w, _ = _spectrum(varpi)
+    if w.ndim != 1:
+        raise ShapeError(f"decay_params takes one varpi, got a stack of shape {w.shape[:-1]}")
     lam = float(w[0])
     delta = float((1.0 + lam + _fixed_scalar(lam)) ** -2)
 
@@ -186,15 +205,16 @@ def decay_params(varpi) -> tuple[float, float]:
 
 
 def iterate(varpi, r0, n: int) -> np.ndarray:
-    """Trajectory r0, Ricc(r0), ..., Ricc^n(r0) as an (n+1, d, d) array.
+    """Trajectory r0, Ricc(r0), ..., Ricc^n(r0) as an (n+1, ..., d, d) array.
 
     r0 is validated once and varpi decomposed at most once; in varpi's
     eigenbasis a step is s -> a (a + I)^{-1}, a = diag(lam) + s: one
-    linear solve.
+    linear solve, batched over a stack of parameters and starts of one
+    shape.
     """
-    r = spd.clamp_psd(spd.matrix(r0))
+    r = spd.clamp_psd(r0)
     if is_infinite(varpi):
-        return np.concatenate([r[None], np.broadcast_to(np.eye(len(r)), (n, *r.shape))])
+        return np.concatenate([r[None], np.broadcast_to(np.eye(r.shape[-1]), (n, *r.shape))])
     w, q = _spectrum(varpi)
     return _iterate_spectral(w, q, r, n)
 
@@ -208,14 +228,14 @@ def _iterate_spectral(w, q, r0, n: int) -> np.ndarray:
     product after the loop; entry 0 is r0 itself.
     """
     spd.check_same_dim(q, r0)
-    lam = np.diag(w)
-    eye = np.eye(len(w))
+    lam = _diag(w)
+    eye = np.eye(w.shape[-1])
     steps = np.empty((n, *r0.shape))
-    s = q.T @ r0 @ q
+    s = q.swapaxes(-1, -2) @ r0 @ q
     for j in range(n):
         a = lam + s
         s = np.linalg.solve(a + eye, a)
-        s = steps[j] = 0.5 * (s + s.T)
+        s = steps[j] = 0.5 * (s + s.swapaxes(-1, -2))
     return np.concatenate([r0[None], _rotate(q, steps)])
 
 
@@ -248,18 +268,20 @@ def scalar_closed_form(varpi: float, r0: float, n):
 
 
 def psi_map(gamma, v) -> np.ndarray:
-    """The congruence-shrink map v -> (I + gamma v gamma')^{-1}.
+    """The congruence-shrink map v -> (I + gamma v gamma')^{-1}, per slice of a stack.
 
     Composing it with its transposed-parameter twin factors the Riccati map:
     psi_map(g, psi_map(g', v)) == ricc_map((g g')^{-1}, v).
     """
-    gamma = spd.matrix(gamma)
-    if gamma.shape[0] != gamma.shape[1]:
-        raise ShapeError(f"gamma must be square, got {gamma.shape}")
-    if np.linalg.cond(gamma) > 1e12:
-        raise DomainError("gamma is singular or near-singular")
-    v = spd.clamp_psd(spd.matrix(v))
-    if gamma.shape[1] != v.shape[0]:
-        raise ShapeError(f"dimension mismatch: {gamma.shape} vs {v.shape}")
-    eye = np.eye(gamma.shape[0])
-    return spd.sym_inv(eye + gamma @ v @ gamma.T)
+    gamma = spd.square(gamma)
+    # checked before np.linalg.cond, whose SVD raises LinAlgError on a non-finite entry
+    finite = np.isfinite(gamma).all(axis=(-2, -1))
+    if not np.all(finite):
+        raise DomainError(f"gamma{spd._failing_slice(finite)[1]} has a non-finite entry")
+    ok = np.linalg.cond(gamma) <= 1e12
+    if not np.all(ok):
+        raise DomainError(f"gamma{spd._failing_slice(ok)[1]} is singular or near-singular")
+    v = spd.clamp_psd(v)
+    spd.check_same_dim(gamma, v)
+    eye = np.eye(gamma.shape[-1])
+    return spd.sym_inv(eye + gamma @ v @ gamma.swapaxes(-1, -2))

@@ -12,11 +12,12 @@ free, so there are no unchecked twins of these functions: a second,
 unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
 
-``symmetrize``, ``spectral_norm``, ``clamp_psd``, ``require_spd`` and
-``sym_inv`` take a stack (..., d, d) as well as one matrix, and make one
-batched LAPACK call for the whole stack.  Each slice is checked against
-its own spectral scale, never against the stack's, and gives bitwise the
-result a call on that slice alone gives.
+``square``, ``symmetrize``, ``spectral_norm``, ``clamp_psd``,
+``require_spd``, ``sym_inv``, ``loewner_leq`` and ``loewner_lt`` take a
+stack (..., d, d) as well as one matrix, and make one batched LAPACK call
+for the whole stack.  Each slice is checked against its own spectral
+scale, never against the stack's, and gives bitwise the result a call on
+that slice alone gives.
 """
 
 import numpy as np
@@ -37,13 +38,19 @@ def matrix(a) -> np.ndarray:
     return a
 
 
-def symmetrize(a) -> np.ndarray:
-    """Return the symmetric part (A + A')/2 of a square matrix, or of each in a stack (..., d, d)."""
+def square(a) -> np.ndarray:
+    """A square matrix, or a stack (..., d, d), as a float array: a scalar becomes 1x1."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def symmetrize(a) -> np.ndarray:
+    """Return the symmetric part (A + A')/2 of a square matrix, or of each in a stack (..., d, d)."""
+    a = square(a)
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
@@ -83,10 +90,19 @@ def _require(ok, w, what: str) -> None:
     """
     if ok.all() if ok.ndim else ok:  # a single matrix's check is a numpy bool
         return
-    ok = ok.T
-    i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), ok.shape)) if ok.ndim else ()
-    where = f" {i[0] if len(i) == 1 else i} of the stack" if i else ""
+    i, where = _failing_slice(ok.T)
     raise DomainError(f"matrix{where} is not {what}: eigenvalue range [{w[i][0]:.3e}, {w[i][-1]:.3e}]")
+
+
+def _failing_slice(ok) -> tuple[tuple, str]:
+    """The index of the first False among per-slice verdicts ``ok``, and how a message names it.
+
+    One matrix's verdict gives ((), ""), slice 2 of a stack ((2,), " 2 of the stack").
+    """
+    if not np.ndim(ok):
+        return (), ""
+    i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), np.shape(ok)))
+    return i, f" {i[0] if len(i) == 1 else i} of the stack"
 
 
 def clamp_psd(a) -> np.ndarray:
@@ -163,22 +179,28 @@ def geometric_mean(u, v) -> np.ndarray:
     return symmetrize(v_half @ inner @ v_half)
 
 
-def loewner_leq(a, b, tol: float = 1e-10) -> bool:
-    """True iff a <= b in the Loewner order, up to spectral-scale noise tol."""
+def _loewner_gap(a, b):
+    """eig_min(b - a) and the noise scale 1 + ||b - a|| of two matrices, or of each pair of slices."""
     a = symmetrize(a)
     b = symmetrize(b)
     check_same_dim(a, b)
     diff = b - a
-    lo, _ = eig_range(diff)
-    return lo >= -tol * (1.0 + spectral_norm(diff))
+    return np.linalg.eigvalsh(diff)[..., 0], 1.0 + spectral_norm(diff)
 
 
-def loewner_lt(a, b, tol: float = 1e-10) -> bool:
-    """True iff a < b strictly: eig_min(b - a) clears the noise floor."""
-    a = symmetrize(a)
-    b = symmetrize(b)
-    check_same_dim(a, b)
-    diff = b - a
-    lo, _ = eig_range(diff)
-    return lo > tol * (1.0 + spectral_norm(diff))
+def _verdict(ok):
+    """A bool for one matrix, the array of per-slice verdicts for a stack."""
+    return ok if ok.ndim else bool(ok)
+
+
+def loewner_leq(a, b, tol: float = 1e-10):
+    """True iff a <= b in the Loewner order, up to spectral-scale noise tol; per slice of a stack."""
+    lo, scale = _loewner_gap(a, b)
+    return _verdict(lo >= -tol * scale)
+
+
+def loewner_lt(a, b, tol: float = 1e-10):
+    """True iff a < b strictly: eig_min(b - a) clears the noise floor; per slice of a stack."""
+    lo, scale = _loewner_gap(a, b)
+    return _verdict(lo > tol * scale)
 

@@ -3,7 +3,8 @@
 Every check pins its tolerance here, computes its own reference values
 (iteration oracles, closed forms, exact Gaussian divergences) and returns a
 dict {id, name, passed, details}.  All randomness is seed-fixed; results
-are deterministic for a given seed.
+are deterministic for a given seed.  Criteria 1-3 draw all their cases
+first and then run the cases of each dimension as one stack.
 """
 
 import json
@@ -24,6 +25,18 @@ def _spd_family(seed):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         fam.append(spd.symmetrize((q * rng.uniform(0.2, 4.0, size=d)) @ q.T))
     return fam
+
+
+def _dim_groups(mats):
+    """The indices of ``mats`` grouped by dimension, groups and members in draw order."""
+    groups = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape[-1], []).append(i)
+    return list(groups.values())
+
+
+def _stack(mats, idx):
+    return np.stack([mats[i] for i in idx])
 
 
 def _gaussian_models(seed, count=10, dmax=4):
@@ -56,11 +69,12 @@ def criterion_riccati_fixed_point(seed=0):
     worst_map = 0.0
     worst_quad = 0.0
     sandwich_ok = True
-    for varpi in _spd_family(seed):
-        rep = riccati.fixed_point_identities(varpi)
-        worst_map = max(worst_map, rep["fixed_point_residual"])
-        worst_quad = max(worst_quad, rep["quadratic_identity_residual"])
-        sandwich_ok = sandwich_ok and rep["sandwich_strict"] and rep["inverse_sandwich_strict"]
+    family = _spd_family(seed)
+    for idx in _dim_groups(family):
+        rep = riccati.fixed_point_identities(_stack(family, idx))
+        worst_map = max(worst_map, float(rep["fixed_point_residual"].max()))
+        worst_quad = max(worst_quad, float(rep["quadratic_identity_residual"].max()))
+        sandwich_ok = sandwich_ok and bool(np.all(rep["sandwich_strict"] & rep["inverse_sandwich_strict"]))
     passed = worst_map < 1e-10 and worst_quad < 1e-9 and sandwich_ok
     return {
         "id": 1,
@@ -79,23 +93,28 @@ def criterion_riccati_decay(seed=0):
     rng = np.random.default_rng(seed + 1)
     envelope_ok = True
     worst_margin = -np.inf
-    for varpi in _spd_family(seed):
-        d = varpi.shape[0]
-        spectrum = riccati._spectrum(varpi)
+    family = _spd_family(seed)
+    starts = [np.diag(rng.uniform(0.0, 2.0, size=varpi.shape[0])) for varpi in family]
+    for idx in _dim_groups(family):
+        spectrum = riccati._spectrum(_stack(family, idx))
         r_star = riccati.fixed_point(spectrum)
-        delta, c = riccati.decay_params(spectrum)
-        r0 = spd.clamp_psd(np.diag(rng.uniform(0.0, 2.0, size=d)))
+        r0 = spd.clamp_psd(_stack(starts, idx))
+        # gaps[n, j]: slice j's distance to its fixed point after n steps
         gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n_max) - r_star)
-        margins = gaps[1:] - c * riccati._powers(delta, np.arange(1, n_max + 1)) * gaps[0]
-        worst_margin = max(worst_margin, margins.max())
-        envelope_ok = envelope_ok and bool(np.all(margins <= 1e-14))
+        for j, one in enumerate(zip(*spectrum)):
+            delta, c = riccati.decay_params(riccati.Spectrum(*one))
+            margins = gaps[1:, j] - c * riccati._powers(delta, np.arange(1, n_max + 1)) * gaps[0, j]
+            worst_margin = max(worst_margin, margins.max())
+            envelope_ok = envelope_ok and bool(np.all(margins <= 1e-14))
 
     closed_ok = True
     worst_cf = 0.0
     steps = np.arange(101)
-    for varpi_s, r0_s in [(0.1, 0.0), (1.0, 0.0), (1.0, 2.0), (10.0, 0.3), (2.0, 5.0)]:
-        traj = riccati.iterate(np.array([[varpi_s]]), np.array([[r0_s]]), 100)
-        err = np.abs(riccati.scalar_closed_form(varpi_s, r0_s, steps) - traj[:, 0, 0])
+    cases = [(0.1, 0.0), (1.0, 0.0), (1.0, 2.0), (10.0, 0.3), (2.0, 5.0)]
+    # the five scalar flows as one (5, 1, 1) stack
+    trajs = riccati.iterate(*np.array(cases).T.reshape(2, -1, 1, 1), 100)
+    for j, (varpi_s, r0_s) in enumerate(cases):
+        err = np.abs(riccati.scalar_closed_form(varpi_s, r0_s, steps) - trajs[:, j, 0, 0])
         worst_cf = max(worst_cf, err.max())
         closed_ok = closed_ok and bool(np.all(err < 1e-12))
     return {
@@ -106,22 +125,33 @@ def criterion_riccati_decay(seed=0):
     }
 
 
-def criterion_psi_factorization(seed=0):
+def _psi_cases(seed):
+    """50 seed-fixed congruences gamma of cond <= 4 and diagonal PSD starts v, d <= 4."""
     rng = np.random.default_rng(seed + 2)
-    worst_fact = 0.0
-    worst_transport = 0.0
+    gammas, starts = [], []
     for _ in range(50):
         d = int(rng.integers(1, 5))
         q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
         q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        gamma = (q1 * rng.uniform(0.5, 2.0, size=d)) @ q2.T
-        v = spd.clamp_psd(np.diag(rng.uniform(0.0, 2.0, size=d)))
-        lhs = riccati.psi_map(gamma, riccati.psi_map(gamma.T, v))
-        param = spd.sym_inv(spd.symmetrize(gamma @ gamma.T))
-        worst_fact = max(worst_fact, spd.spectral_norm(lhs - riccati.ricc_map(param, v)))
-        left = riccati.psi_map(gamma.T, riccati.fixed_point(param))
-        right = riccati.fixed_point(spd.sym_inv(spd.symmetrize(gamma.T @ gamma)))
-        worst_transport = max(worst_transport, spd.spectral_norm(left - right))
+        gammas.append((q1 * rng.uniform(0.5, 2.0, size=d)) @ q2.T)
+        starts.append(np.diag(rng.uniform(0.0, 2.0, size=d)))
+    return gammas, starts
+
+
+def criterion_psi_factorization(seed=0):
+    worst_fact = 0.0
+    worst_transport = 0.0
+    gammas, starts = _psi_cases(seed)
+    for idx in _dim_groups(gammas):
+        gamma = _stack(gammas, idx)
+        gamma_t = gamma.swapaxes(-1, -2)
+        v = spd.clamp_psd(_stack(starts, idx))
+        lhs = riccati.psi_map(gamma, riccati.psi_map(gamma_t, v))
+        param = spd.sym_inv(spd.symmetrize(gamma @ gamma_t))
+        worst_fact = max(worst_fact, float(spd.spectral_norm(lhs - riccati.ricc_map(param, v)).max()))
+        left = riccati.psi_map(gamma_t, riccati.fixed_point(param))
+        right = riccati.fixed_point(spd.sym_inv(spd.symmetrize(gamma_t @ gamma)))
+        worst_transport = max(worst_transport, float(spd.spectral_norm(left - right).max()))
     passed = worst_fact < 1e-9 and worst_transport < 1e-9
     return {
         "id": 3,

@@ -6,6 +6,8 @@ PASS/FAIL line so `pytest -s tests/test_acceptance.py` reads as a report.
 
 import inspect
 
+import pytest
+
 from sinkbridge import riccati, verify
 
 
@@ -32,7 +34,7 @@ def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
 
     def transposed(varpi):
         w, q = spectrum(varpi)
-        return riccati.Spectrum(w, q.T)
+        return riccati.Spectrum(w, q.swapaxes(-1, -2))  # each slice's Q'; the criterion passes stacks
 
     monkeypatch.setattr(riccati, "_spectrum", transposed)
     res = verify.criterion_riccati_fixed_point(seed=0)
@@ -98,6 +100,48 @@ def test_criterion_10_discretization_consistency():
     res = verify.criterion_discretization_consistency(seed=0)
     _check(res)
     assert res["details"]["ratio"] >= 3.5
+
+
+def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):
+    # 60 steps of each dimension's stack and 100 of the five scalar flows' (5, 1, 1)
+    # stack; one solve per matrix and step would be 24 * 60 + 5 * 100 = 1940
+    for seed in (0, 1):
+        dims = {varpi.shape[0] for varpi in verify._spd_family(seed)}
+        decompositions.clear()
+        verify.criterion_riccati_decay(seed=seed)
+        assert decompositions["solve"] <= 60 * len(dims) + 100
+
+
+def _thrice(family):
+    return 3 * family
+
+
+def _thrice_each(lists):
+    return tuple(3 * x for x in lists)
+
+
+@pytest.mark.parametrize(
+    "criterion, cases, triple",
+    [
+        (verify.criterion_riccati_fixed_point, "_spd_family", _thrice),
+        (verify.criterion_riccati_decay, "_spd_family", _thrice),
+        (verify.criterion_psi_factorization, "_psi_cases", _thrice_each),
+    ],
+    ids=["1", "2", "3"],
+)
+def test_criteria_1_to_3_decompose_once_per_dimension(criterion, cases, triple, decompositions, monkeypatch):
+    """Three times the cases of each dimension, as many decompositions and solves: one batched call per stack."""
+    draw = getattr(verify, cases)
+
+    def counted():
+        decompositions.clear()
+        assert criterion(seed=0)["passed"]
+        return dict(decompositions)
+
+    once = counted()
+    monkeypatch.setattr(verify, cases, lambda seed: triple(draw(seed)))
+    assert counted() == once
+    assert once["eigh"] > 0
 
 
 def test_criteria_take_only_a_seed():

@@ -337,6 +337,15 @@ GAUSSIAN_2D = {
     "eta": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
     "kernel": {"alpha": [0.0, 0.0], "beta": [[1.0, 0.0], [0.0, 1.0]], "tau": [[1.0, 0.0], [0.0, 1.0]]},
 }
+_KERNEL_1D = {"alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]}
+
+
+def _mixture(weights, means=((-2.0,), (2.0,))):
+    """A two-component 1-d Gaussian-mixture V with the given weights."""
+    return {"kind": "gaussian-mixture",
+            "params": {"weights": weights, "means": [list(m) for m in means], "covs": [[[0.5]], [[0.5]]]}}
+
+
 RAGGED_2D = {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}}
 
 # (command, config, text the message must contain); every one of them is a bad config
@@ -414,15 +423,37 @@ MALFORMED = {
                             "model key 'r0' is not read when varpi is 'infinite'"),
     "riccati-matrix-dim": ("riccati", {"model": {"varpi": [[2.0]], "dim": 3}}, "model key 'dim' is not read when varpi"),
     "gaussian-spec-empty": ("gaussian", {"model": {"spec": {}}}, "spec is missing key 'u_plus'"),
+    # an empty table file, a non-finite array and an out-of-range radius or mixture weight
+    "tabulated-empty-npy": ("discrete", {"model": {"W": {"kind": "tabulated", "path": "empty.npy"}}},
+                            "tabulated channel table empty.npy is empty"),
+    "gaussian-kernel-alpha-inf": ("gaussian", {"model": {"kernel": dict(_KERNEL_1D, alpha=[float("inf")])}},
+                                  "kernel alpha must be finite"),
+    "gaussian-mu-cov-neg-inf": ("gaussian", {"model": {"mu": {"mean": [0.0], "cov": [[-float("inf")]]}}},
+                                "mu cov must be finite"),
+    "gaussian-t_grid-inf": ("gaussian", {"model": {"t_grid": [1.0, float("inf")]}}, "t_grid must be finite"),
+    "marginal-inf": ("discrete", {"tolerances": {"marginal": float("inf")}}, "tolerances.marginal must be finite"),
+    "riccati-varpi-inf": ("riccati", {"model": {"varpi": [[float("inf")]]}}, "varpi must be finite"),
+    "riccati-r0-inf": ("riccati", {"model": {"r0": float("inf")}}, "r0 must be finite"),
+    "grid-radius-inf": ("discrete", {"model": {"grid": {"dim": 1, "n": 64, "radius": float("inf")}}},
+                        "grid radius must be finite"),
+    "grid-radius-0": ("discrete", {"model": {"grid": {"dim": 1, "n": 64, "radius": 0.0}}}, "grid radius must be > 0"),
+    "grid-radius-negative": ("discrete", {"model": {"grid": {"dim": 1, "n": 64, "radius": -3.0}}},
+                             "grid radius must be > 0"),
+    "V-mixture-inf": ("discrete", {"model": {"V": _mixture([1.0, 1.0], means=[[-2.0], [float("inf")]])}},
+                      "V means must be finite"),
+    "mixture-weights-negative": ("discrete", {"model": {"V": _mixture([-0.5, 1.5])}}, "mixture weights must be >= 0"),
+    "mixture-weights-zero-sum": ("discrete", {"model": {"V": _mixture([0.0, 0.0])}}, "with a positive sum"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a bad config is rejected before numpy warns about it
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_config_exit_2(tmp_path, capsys, monkeypatch, case):
     command, config, needle = MALFORMED[case]
-    # the table a tabulated case names, so that its channel would load
+    # the table a tabulated case names, so that its channel would load, and an empty one
     monkeypatch.chdir(tmp_path)
     np.save("table.npy", np.zeros((64, 64)))
+    (tmp_path / "empty.npy").touch()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": command, **config}))
     out = tmp_path / "out"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkbridge import cli, gaussian, riccati, spd
 from sinkbridge.errors import DomainError, ShapeError
@@ -184,13 +186,15 @@ def test_ricc_map_decompositions(d, decompositions):
     assert decompositions["svd"] == 0
 
     def counted(call):
+        """The decompositions a call makes; its linear solves, one per Riccati step, are asserted apart."""
         decompositions.clear()
         call()
-        return dict(decompositions)
+        return {name: k for name, k in decompositions.items() if name != "solve"}
 
     assert counted(lambda: riccati.decay_params(varpi)) == {"eigh": 1}
     zero = np.zeros((d, d))
     assert counted(lambda: riccati.iterate(varpi, zero, 5)) == counted(lambda: riccati.iterate(varpi, zero, 60))
+    assert decompositions["solve"] == 60
     mu = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     eta = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     k = gaussian.LinearGaussianKernel(np.zeros(d), np.eye(d), random_spd(rng, d))
@@ -339,3 +343,72 @@ def test_psi_fixed_point_transport():
 def test_psi_map_singular_gamma():
     with pytest.raises(DomainError):
         riccati.psi_map(np.zeros((2, 2)), np.eye(2))
+
+
+@st.composite
+def riccati_stacks(draw):
+    """Parameters varpi, starts r0 and congruences gamma: 1 to 4 slices of one d <= 8, each at its own scale in [1e-7, 1e6]."""
+    d = draw(st.integers(1, 8))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-7.0, 6.0), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    varpi = np.stack([s * random_spd(rng, d) for s in scales])
+    r0 = np.stack([s * random_spd(rng, d, scale=0.0) for s in scales])
+    gamma = []
+    for s in scales:
+        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        gamma.append(s * (q1 * rng.uniform(0.5, 2.0, size=d)) @ q2.T)
+    return varpi, r0, np.stack(gamma)
+
+
+@given(riccati_stacks())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_stacked_riccati_matches_single_calls_bitwise(case):
+    """A check or a step on the stack's scale, not each slice's own, would move the small slices."""
+    varpi, r0, gamma = case
+    spectrum = riccati._spectrum(varpi)
+    singles = [riccati._spectrum(x) for x in varpi]
+    assert np.array_equal(spectrum.lam, [s.lam for s in singles])
+    assert np.array_equal(spectrum.q, [s.q for s in singles])
+
+    def agree(stacked, fn, *stacks, axis=0):
+        assert np.array_equal(stacked, np.stack([fn(*one) for one in zip(*stacks)], axis=axis))
+
+    agree(riccati.fixed_point(varpi), riccati.fixed_point, varpi)
+    agree(riccati.fixed_point(spectrum), riccati.fixed_point, singles)
+    agree(riccati.ricc_map(varpi, r0), riccati.ricc_map, varpi, r0)
+    agree(riccati.iterate(varpi, r0, 4), lambda v, r: riccati.iterate(v, r, 4), varpi, r0, axis=1)
+    agree(riccati.psi_map(gamma, r0), riccati.psi_map, gamma, r0)
+    report = riccati.fixed_point_identities(varpi)
+    single_reports = [riccati.fixed_point_identities(x) for x in varpi]
+    for key, values in report.items():
+        assert np.array_equal(values, [rep[key] for rep in single_reports]), key
+        assert {type(rep[key]) for rep in single_reports} == {bool if values.dtype == bool else float}
+
+
+STACK = np.stack([k * np.eye(3) for k in (1.0, 2.0, 3.0, 4.0)])
+
+
+def _with_slice_2(bad):
+    out = STACK.copy()
+    out[2] = bad
+    return out
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: riccati.fixed_point(_with_slice_2(np.diag([1.0, 0.5, -1e-5]))), "matrix 2 of the stack is not SPD"),
+        (lambda: riccati.fixed_point_identities(_with_slice_2(np.diag([1.0, 0.5, 1e-13]))), "matrix 2 of the stack is not SPD"),
+        (lambda: riccati.ricc_map(_with_slice_2(np.diag([1.0, np.nan, 1.0])), STACK), "matrix 2 of the stack is not SPD"),
+        (lambda: riccati.iterate(STACK, _with_slice_2(np.diag([1.0, 0.5, -1e-5])), 3), "matrix 2 of the stack is not PSD"),
+        (lambda: riccati.psi_map(_with_slice_2(np.diag([1.0, 1.0, 0.0])), STACK), "gamma 2 of the stack is singular"),
+        (lambda: riccati.psi_map(_with_slice_2(np.diag([1.0, np.nan, 1.0])), STACK), "gamma 2 of the stack has a non-finite"),
+        (lambda: riccati.psi_map(np.array([[np.inf]]), np.eye(1)), r"^gamma has a non-finite entry"),
+    ],
+    ids=["fixed_point", "fixed_point_identities", "ricc_map-nan", "iterate-r0", "psi_map-gamma", "psi_map-gamma-nan",
+         "psi_map-one-gamma-inf"],
+)
+def test_stacked_riccati_names_the_failing_slice(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

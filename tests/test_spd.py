@@ -180,8 +180,12 @@ def test_stacked_clamp_accepts_singular_psd_slice():
 
 
 @pytest.mark.parametrize(
-    "fn", [spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv],
-    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv"],
+    "fn",
+    [
+        spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv,
+        lambda s: spd.loewner_leq(s, s), lambda s: spd.loewner_lt(s, 2.0 * s),
+    ],
+    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "loewner_leq", "loewner_lt"],
 )
 def test_stacked_primitive_matches_single_calls_bitwise(fn):
     """Slices of scales 1e-7 to 1e6 and sizes up to 8: a check on the stack's scale would reject the small ones."""
@@ -199,6 +203,13 @@ def test_single_matrix_spectral_norm_is_a_float():
     assert spd.spectral_norm(np.stack([np.eye(2), 2.0 * np.eye(2)])).tolist() == [1.0, 2.0]
 
 
+def test_single_matrix_loewner_order_is_a_bool():
+    assert spd.loewner_leq(np.eye(2), 2.0 * np.eye(2)) is True
+    assert spd.loewner_lt(np.eye(2), np.eye(2)) is False
+    stack = np.stack([np.eye(2), 3.0 * np.eye(2)])
+    assert spd.loewner_lt(stack, np.stack([2.0 * np.eye(2)] * 2)).tolist() == [True, False]
+
+
 def test_one_matrix_entry_points_reject_a_stack():
     stack = np.stack([np.eye(2)] * 3)
     with pytest.raises(ShapeError):
@@ -208,8 +219,6 @@ def test_one_matrix_entry_points_reject_a_stack():
     with pytest.raises(ShapeError):
         spd.sqrt_pair(stack)
     with pytest.raises(ShapeError):
-        spd.loewner_leq(stack, stack)
-    with pytest.raises(ShapeError):
         gaussian.GaussianMeasure([0.0, 0.0], stack)
     with pytest.raises(ShapeError):
-        riccati.fixed_point(stack)
+        riccati.decay_params(stack)
