@@ -41,9 +41,8 @@ print("  iota with ZERO minus factors:", iota_flat)
 mu = g.GaussianMeasure([0.0], [[2.0]])
 eta = g.GaussianMeasure([1.0], [[2.0]])
 spec_g = CurvatureSpec.gaussian(mu.cov, eta.cov)
-plan = g.bridge_plan(mu, eta, k)
-states = g.sinkhorn_run(mu, eta, k, 8)
-gaps = g.bridge_gaps(plan, states, mu, eta, k)
+bridge = g.bridge_solve(mu, eta, k)
+gaps = g.bridge_gaps(bridge, g.sinkhorn_run(bridge, 8))
 ratios = [gaps[2 * n] / gaps[0] for n in range(9)]
 report = bounds.rate_table(k, spec_g, 8, empirical={"two-step-entropy-rate": ratios})
 print("\nenvelope rows (n, tag, bound, empirical, satisfied):")

@@ -50,11 +50,11 @@ gauss = discrete.build_model(
     channel,
     grid,
 )
-fwd, _ = g.bridge_solve(
+fwd = g.bridge_solve(
     g.GaussianMeasure([0.0], [[1.0]]),
     g.GaussianMeasure([0.0], [[1.0]]),
     g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]]),
-)
+).forward
 cc = discrete.mean_conditional_cov(discrete.bridge_oracle(gauss))
 print("\ndiscrete vs closed-form conditional covariance:")
 print(f"  grid: {cc[0, 0]:.12f}   closed form: {fwd.noise_cov[0, 0]:.12f}")

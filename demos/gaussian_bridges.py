@@ -12,7 +12,9 @@ mu = g.GaussianMeasure([1.0], [[1.0]])
 eta = g.GaussianMeasure([-1.0], [[1.0]])
 k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
 
-fwd, bwd = g.bridge_solve(mu, eta, k)
+# one decomposition serves the maps, the Sinkhorn flows and the gaps below
+bridge = g.bridge_solve(mu, eta, k)
+fwd = bridge.forward
 print("bridge forward slope:", fwd.slope[0, 0])
 print("bridge conditional covariance:", fwd.noise_cov[0, 0])
 pushed = g.push_through(mu, fwd)
@@ -20,7 +22,7 @@ print("push-forward of mu:", pushed.mean[0], pushed.cov[0, 0], "(target -1, 1)")
 
 # the Sinkhorn recursion drives conditional covariances and marginal means
 # to the bridge values
-states = g.sinkhorn_run(mu, eta, k, 20)
+states = g.sinkhorn_run(bridge, 20)
 print("\n n   tau_n        m_n")
 for s in states[:8]:
     print(f"{s.n:>2}   {s.tau_n[0, 0]:.8f}   {s.m_n[0]:+.8f}")
@@ -31,8 +33,7 @@ print("terminal even covariance vs bridge:", abs(even.tau_n[0, 0] - fwd.noise_co
 spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
 eps = bounds.eps_lg(k, spec)
 ph = bounds.phi(eps)
-plan = g.bridge_plan(mu, eta, k)
-gaps = g.bridge_gaps(plan, states, mu, eta, k)
+gaps = g.bridge_gaps(bridge, states)
 print(f"\neps = {eps}, pair rate = {1/(1+1/eps):.3f}, phi rate^2 = {(1+ph)**-2:.6f}")
 print(" n   gap              (1+1/eps)^-(n/2)        (1+phi)^-(n-2)")
 for n in [0, 2, 4, 8, 12]:

@@ -31,22 +31,20 @@ from .discrete import (
 from .errors import ConfigError, DomainError, ShapeError
 from .gaussian import (
     AffineGaussianMap,
+    GaussianBridge,
     GaussianMeasure,
     GaussianSinkhornState,
     JointGaussian,
     LinearGaussianKernel,
-    bridge_plan,
     bridge_solve,
     entropic_map_gradient,
     gaussian_kl,
     gelbrich_w2,
     joint_plan,
-    ot_limit_map,
     proximal_step,
     push_through,
     sinkhorn_run,
     state_plan,
-    varpi_pair,
 )
 from .riccati import (
     INFINITE,
@@ -59,11 +57,7 @@ from .riccati import (
     ricc_map,
     scalar_closed_form,
 )
-from .spd import (
-    geometric_mean,
-    loewner_leq,
-    principal_sqrt,
-)
+from .spd import loewner_leq, principal_sqrt
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,9 +6,13 @@ channel reduces to Riccati fixed points; the Sinkhorn iteration reduces to
 interleaved Riccati flows for the conditional covariances plus an affine
 recursion for the marginal means.  Everything in this module is exact
 linear algebra: no sampling anywhere.
+
+``bridge_solve`` decomposes a problem (mu, eta, k) once into a
+``GaussianBridge``, which every map, flow, gap and noise sweep reads.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -17,13 +21,20 @@ from . import riccati, spd
 from .errors import DomainError, ShapeError
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, after checking that every entry is finite; checked before any decomposition reads it."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite, got {np.array2string(a, threshold=8)}")
+    return a
+
+
 @dataclass(frozen=True)
 class GaussianMeasure:
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
+        object.__setattr__(self, "mean", _finite(np.atleast_1d(np.asarray(self.mean, dtype=float)), "mean"))
         object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
         if self.mean.shape[0] != self.cov.shape[0]:
             raise ShapeError(f"mean/cov mismatch: {self.mean.shape} vs {self.cov.shape}")
@@ -68,8 +79,8 @@ class LinearGaussianKernel:
     chi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        object.__setattr__(self, "beta", spd.matrix(self.beta))
+        object.__setattr__(self, "alpha", _finite(np.atleast_1d(np.asarray(self.alpha, dtype=float)), "alpha"))
+        object.__setattr__(self, "beta", _finite(spd.matrix(self.beta), "beta"))
         tau, w, q = spd._spd_eigh(spd.matrix(self.tau))
         object.__setattr__(self, "tau", tau)
         if self.beta.shape[0] != self.beta.shape[1]:
@@ -135,8 +146,11 @@ class BridgeFactors(NamedTuple):
     v_ihalf: np.ndarray
     p: np.ndarray
     s: np.ndarray
-    lam: np.ndarray
     r: np.ndarray
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.s**-2.0
 
     def spectra(self):
         """The Riccati parameters (varpi_0, varpi_1), as the spectra the SVD gave."""
@@ -159,48 +173,80 @@ def bridge_factors(u, v, chi) -> BridgeFactors:
     u_half, u_ihalf = spd.sqrt_pair(u)
     v_half, v_ihalf = spd.sqrt_pair(v)
     p, s, rt = np.linalg.svd(v_half @ chi @ u_half)
+    return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, _in_double_range(s), rt.T)
+
+
+def _in_double_range(s) -> np.ndarray:
+    """The descending singular values s, once they lie in [1e-150, 1e150]."""
     if not (1e-150 <= s[-1] and s[0] <= 1e150):  # a NaN fails too
         raise DomainError(f"bridge is degenerate: v^(1/2) chi u^(1/2) has singular values in [{s[-1]:.3e}, {s[0]:.3e}]")
-    return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, s, s**-2.0, rt.T)
+    return s
 
 
-def varpi_pair(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
-    """Riccati parameters of the two conditional-covariance flows.
+@dataclass(frozen=True)
+class GaussianBridge:
+    """The Schrodinger bridge between mu = N(m, u) and eta = N(mbar, v) through k.
 
-    Returns (v^{-1/2} (chi u chi')^{-1} v^{-1/2}, u^{-1/2} (chi' v chi)^{-1} u^{-1/2}),
-    assembled as matrices from one SVD by ``bridge_factors``.  Their
-    condition number is cond(v^{1/2} chi u^{1/2})^2; the Riccati layer
-    takes ``BridgeFactors.spectra`` instead, which carries no such loss.
+    Every member reads ``factors``, the one decomposition ``bridge_solve``
+    made.  The backward map is built only when called, the joint law only
+    when read.
     """
+
+    mu: GaussianMeasure
+    eta: GaussianMeasure
+    k: LinearGaussianKernel
+    factors: BridgeFactors
+
+    def _transition(self, half, basis, chi, m_from, m_to) -> AffineGaussianMap:
+        # the noise is half basis diag(rho) basis' half, rho being riccati's
+        # per-eigenvalue fixed point at lam = s^{-2} written in s; scaling the
+        # basis by the square root before rho is applied keeps the small
+        # entries of rho from drowning in the round-off of the large ones
+        rho = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * self.factors.s**2))
+        sigma = _congruent(half @ basis, rho)
+        return AffineGaussianMap(m_to - sigma @ chi @ m_from, sigma @ chi, sigma)
+
+    @cached_property
+    def forward(self) -> AffineGaussianMap:
+        """The transition x -> y; pushing mu through it reproduces eta exactly."""
+        f = self.factors
+        return self._transition(f.v_half, f.p, self.k.chi, self.mu.mean, self.eta.mean)
+
+    def backward(self) -> AffineGaussianMap:
+        """The transition y -> x; pushing eta through it reproduces mu exactly."""
+        f = self.factors
+        return self._transition(f.u_half, f.r, self.k.chi.T, self.eta.mean, self.mu.mean)
+
+    @cached_property
+    def plan(self) -> JointGaussian:
+        """The joint law of the bridge coupling on (x, y)."""
+        return joint_plan(self.mu, self.forward)
+
+    def ot_limit(self) -> AffineGaussianMap:
+        """The deterministic transport the bridge tends to as the noise t * tau vanishes.
+
+        Its slope is ((chi u chi')^{-1} # v) chi, # the matrix geometric
+        mean, evaluated as v^{1/2} p diag(1/s) p' v^{1/2} chi; for
+        beta = tau = I it is u^{-1} # v.
+        """
+        f = self.factors
+        slope = _congruent(f.v_half @ f.p, 1.0 / f.s) @ self.k.chi
+        return AffineGaussianMap(self.eta.mean - slope @ self.mu.mean, slope, np.zeros_like(self.mu.cov))
+
+    def rescaled(self, t: float) -> "GaussianBridge":
+        """The bridge for the channel noise t * tau, without a new decomposition.
+
+        Scaling tau by t scales chi by 1/t, so of all the factors only the
+        singular values change, to s / t.
+        """
+        k = self.k.rescaled(t)
+        return GaussianBridge(self.mu, self.eta, k, self.factors._replace(s=_in_double_range(self.factors.s / t)))
+
+
+def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel) -> GaussianBridge:
+    """Closed-form bridge between two Gaussians for a linear-Gaussian channel, decomposed once."""
     _check_model(mu, eta, k)
-    f = bridge_factors(mu.cov, eta.cov, k.chi)
-    return _congruent(f.p, f.lam), _congruent(f.r, f.lam)
-
-
-def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
-    """Closed-form bridge between two Gaussians for a linear-Gaussian channel.
-
-    Returns the forward transition (x -> y) and the backward transition
-    (y -> x) as affine Gaussian maps.  The forward noise covariance is
-    v^{1/2} r v^{1/2} with r the Riccati fixed point for the first flow
-    parameter; pushing mu through the forward map reproduces eta exactly.
-    """
-    _check_model(mu, eta, k)
-    m, mbar = mu.mean, eta.mean
-    chi = k.chi
-    f = bridge_factors(mu.cov, eta.cov, chi)
-    # the fixed points are p diag(rho) p' and r diag(rho) r', rho being
-    # riccati's per-eigenvalue fixed point at lam = s^{-2} written in s;
-    # scaling p and r by the square roots before rho is applied keeps the
-    # small entries of rho from drowning in the round-off of the large ones
-    rho = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * f.s**2))
-
-    sigma_fwd = _congruent(f.v_half @ f.p, rho)
-    fwd = AffineGaussianMap(mbar - sigma_fwd @ chi @ m, sigma_fwd @ chi, sigma_fwd)
-
-    sigma_bwd = _congruent(f.u_half @ f.r, rho)
-    bwd = AffineGaussianMap(m - sigma_bwd @ chi.T @ mbar, sigma_bwd @ chi.T, sigma_bwd)
-    return fwd, bwd
+    return GaussianBridge(mu, eta, k, bridge_factors(mu.cov, eta.cov, k.chi))
 
 
 def push_through(p: GaussianMeasure, f: AffineGaussianMap) -> GaussianMeasure:
@@ -224,15 +270,14 @@ def joint_plan(mu: GaussianMeasure, f: AffineGaussianMap) -> JointGaussian:
         raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
 
 
-def sinkhorn_run(mu, eta, k, n_max: int):
+def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     """Run the closed-form Gaussian Sinkhorn recursion.
 
     Parameters
     ----------
-    mu, eta : GaussianMeasure
-        Marginals N(m, u) and N(mbar, v).
-    k : LinearGaussianKernel
-        Reference channel.
+    bridge : GaussianBridge
+        The bridge of the marginals N(m, u), N(mbar, v) and the reference
+        channel, whose decomposition both Riccati flows run from.
     n_max : int
         Number of half-step pairs; the returned list holds states for
         n = 0, 1, ..., 2*n_max + 1.
@@ -245,13 +290,12 @@ def sinkhorn_run(mu, eta, k, n_max: int):
         describe transitions x -> y with second marginal pi_{2n}; odd states
         describe transitions y -> x with first marginal pi_{2n+1}.
     """
-    _check_model(mu, eta, k)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    mu, eta, k, f = bridge.mu, bridge.eta, bridge.k, bridge.factors
     u, v = mu.cov, eta.cov
     m, mbar = mu.mean, eta.mean
     chi = k.chi
-    f = bridge_factors(u, v, chi)
 
     # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
     tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
@@ -292,14 +336,8 @@ def state_plan(state: GaussianSinkhornState, mu, eta, k) -> JointGaussian:
     return joint_plan(eta, f).swapped()
 
 
-def bridge_plan(mu, eta, k) -> JointGaussian:
-    """Joint Gaussian law of the bridge coupling."""
-    fwd, _ = bridge_solve(mu, eta, k)
-    return joint_plan(mu, fwd)
-
-
-def bridge_gaps(plan: JointGaussian, states, mu, eta, k) -> np.ndarray:
-    """``gaussian_kl(plan, state_plan(s, mu, eta, k))`` for every state s, as one array.
+def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
+    """``gaussian_kl(bridge.plan, state_plan(s, mu, eta, k))`` for every state s, as one array.
 
     The plans of all states are assembled as one stack of joint covariances
     on (x, y), odd states with their coordinates swapped as ``state_plan``
@@ -308,6 +346,7 @@ def bridge_gaps(plan: JointGaussian, states, mu, eta, k) -> np.ndarray:
     cost in decompositions does not grow with the number of states.  Each
     gap is bitwise the one the per-state calls give.
     """
+    mu, eta, k = bridge.mu, bridge.eta, bridge.k
     d = mu.dim
     tau = np.stack([s.tau_n for s in states])
     m_n = np.stack([s.m_n for s in states])
@@ -330,7 +369,7 @@ def bridge_gaps(plan: JointGaussian, states, mu, eta, k) -> np.ndarray:
         covs[i, dst_blk, src_blk] = cross.swapaxes(-1, -2)
         covs[i, dst_blk, dst_blk] = slope @ src.cov @ slope.swapaxes(-1, -2) + noise[i]
     try:
-        return _kl(plan.mean, plan.cov, means, spd.symmetrize(covs))
+        return _kl(bridge.plan.mean, bridge.plan.cov, means, spd.symmetrize(covs))
     except DomainError as exc:
         raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
 
@@ -376,23 +415,6 @@ def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
     gradient @ chi == chi' @ noise_cov @ chi (and the flat analogue).
     """
     return bridge.slope.T.copy()
-
-
-def ot_limit_map(mu: GaussianMeasure, eta: GaussianMeasure, tau0, beta) -> AffineGaussianMap:
-    """Zero-noise limit of the bridge as the channel noise t * tau0 vanishes.
-
-    The limit transport is deterministic with slope
-    ((chi0 u chi0')^{-1} # v) chi0 where chi0 = tau0^{-1} beta and # is the
-    geometric mean; for beta = tau0 = I this is u^{-1} # v.  With
-    v^{1/2} chi0 u^{1/2} = p diag(s) r' the geometric mean is
-    v^{1/2} p diag(1/s) p' v^{1/2}.
-    """
-    beta = spd.matrix(beta)
-    k0 = LinearGaussianKernel(np.zeros(beta.shape[0]), beta, tau0)
-    _check_model(mu, eta, k0)
-    f = bridge_factors(mu.cov, eta.cov, k0.chi)
-    slope = _congruent(f.v_half @ f.p, 1.0 / f.s) @ k0.chi
-    return AffineGaussianMap(eta.mean - slope @ mu.mean, slope, np.zeros_like(mu.cov))
 
 
 def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel) -> GaussianMeasure:

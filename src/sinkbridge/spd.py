@@ -166,19 +166,6 @@ def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
     return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
 
 
-def geometric_mean(u, v) -> np.ndarray:
-    """Geometric mean of two SPD matrices.
-
-    Computed as v^{1/2} (v^{-1/2} u v^{-1/2})^{1/2} v^{1/2}; symmetric in its
-    arguments, and equal to (uv)^{1/2} when u and v commute.
-    """
-    u = require_spd(u)
-    v_half, v_inv_half = sqrt_pair(v)
-    check_same_dim(u, v_half)
-    inner = principal_sqrt(v_inv_half @ u @ v_inv_half)
-    return symmetrize(v_half @ inner @ v_half)
-
-
 def _loewner_gap(a, b):
     """eig_min(b - a) and the noise scale 1 + ||b - a|| of two matrices, or of each pair of slices."""
     a = symmetrize(a)

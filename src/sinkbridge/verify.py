@@ -162,17 +162,18 @@ def criterion_psi_factorization(seed=0):
 
 
 def _bridge_gaps(mu, eta, k, n_pairs):
-    return g.bridge_gaps(g.bridge_plan(mu, eta, k), g.sinkhorn_run(mu, eta, k, n_pairs), mu, eta, k)
+    bridge = g.bridge_solve(mu, eta, k)
+    return g.bridge_gaps(bridge, g.sinkhorn_run(bridge, n_pairs))
 
 
 def criterion_bridge_vs_sinkhorn(seed=0):
-    mu, eta, k = _std_model()
-    states = g.sinkhorn_run(mu, eta, k, 25)
+    bridge = g.bridge_solve(*_std_model())
+    states = g.sinkhorn_run(bridge, 25)
     golden = riccati.fixed_point(np.array([[1.0]]))[0, 0]
     sigma_err = max(
         abs(s.tau_n[0, 0] - golden) for s in states if s.n in (50, 51)
     )
-    gaps = g.bridge_gaps(g.bridge_plan(mu, eta, k), states, mu, eta, k)
+    gaps = g.bridge_gaps(bridge, states)
     monotone = all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
     envelope = all(gaps[2 * n] <= 0.5**n * gaps[0] + 1e-14 for n in range(1, 26))
 
@@ -227,7 +228,8 @@ def criterion_entropic_map_identities(seed=0):
     worst_sandwich = 0.0
     for mu, eta, k in _gaussian_models(seed + 4):
         chi = k.chi
-        fwd, bwd = g.bridge_solve(mu, eta, k)
+        bridge = g.bridge_solve(mu, eta, k)
+        fwd, bwd = bridge.forward, bridge.backward()
         worst_bary = max(
             worst_bary,
             spd.spectral_norm(chi.T @ fwd.noise_cov @ chi - g.entropic_map_gradient(fwd) @ chi),
@@ -236,8 +238,7 @@ def criterion_entropic_map_identities(seed=0):
         # equality case: both two-sided bound families collapse onto the
         # gradient; the fixed points come from the family's bridge spectra
         w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu.cov, eta.cov))
-        v_half = spd.principal_sqrt(eta.cov)
-        u_half = spd.principal_sqrt(mu.cov)
+        v_half, u_half = bridge.factors.v_half, bridge.factors.u_half
         for w in (w0, w0b):
             bound = chi.T @ v_half @ riccati.fixed_point(w) @ v_half @ chi
             worst_sandwich = max(
@@ -261,12 +262,11 @@ def criterion_ot_limit(seed=0):
     mu = g.GaussianMeasure([0.0], [[4.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    lim = g.ot_limit_map(mu, eta, [[1.0]], [[1.0]])
+    bridge = g.bridge_solve(mu, eta, k)
+    lim = bridge.ot_limit()
     limit_ok = abs(lim.slope[0, 0] - 0.5) < 1e-12
-    gaps = []
-    for t in [1.0, 0.1, 0.01, 0.001]:
-        fwd, _ = g.bridge_solve(mu, eta, k.rescaled(t))
-        gaps.append(abs(fwd.slope[0, 0] - lim.slope[0, 0]))
+    # one decomposition for the whole sweep: a rescaled bridge reuses it
+    gaps = [abs(bridge.rescaled(t).forward.slope[0, 0] - lim.slope[0, 0]) for t in [1.0, 0.1, 0.01, 0.001]]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     passed = limit_ok and monotone and gaps[-1] < 5e-3
     return {
@@ -397,7 +397,7 @@ def criterion_discretization_consistency(seed=0):
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[t]])
-    fwd, _ = g.bridge_solve(mu, eta, k)
+    fwd = g.bridge_solve(mu, eta, k).forward
     errs = []
     for n in (64, 128):
         grid = discrete.uniform_grid(1, n, 8.0)

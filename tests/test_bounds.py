@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from references import varpi_pair
 from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
@@ -99,7 +100,7 @@ def test_varpi_family_matches_gaussian_module():
     k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
     # both functions come from one decomposition; the dense congruence formula checks them
     w0_ref, w1_ref = dense_varpi(k.chi, u, v), dense_varpi(k.chi.T, v, u)
-    w0g, w1g = g.varpi_pair(mu, eta, k)
+    w0g, w1g = varpi_pair(mu, eta, k)
     w0, w1, w0b, w1b = map(dense, bounds.varpi_family(k, CurvatureSpec.gaussian(u, v)))
     for w, ref in ((w0g, w0_ref), (w0, w0_ref), (w0b, w0_ref), (w1g, w1_ref), (w1, w1_ref), (w1b, w1_ref)):
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
@@ -197,7 +198,7 @@ def test_curvature_flow_equality_case_matches_sinkhorn():
     k = g.LinearGaussianKernel(np.zeros(2), np.eye(2), 0.7 * np.eye(2))
     spec = CurvatureSpec.gaussian(u, v)
     sigma, tau = bounds.curvature_flow(k, spec, 8)
-    states = g.sinkhorn_run(mu, eta, k, 8)
+    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8)
     for s in states:
         if s.n < len(tau):
             assert np.linalg.norm(tau[s.n] - s.tau_n, 2) < 1e-10
@@ -329,9 +330,9 @@ def test_rate_table_dominates_empirical_gaussian_decay():
     eta = g.GaussianMeasure([0.4, -0.2], v)
     k = kernel_ti(1.0, 2)
     spec = CurvatureSpec.gaussian(u, v)
-    plan = g.bridge_plan(mu, eta, k)
-    states = g.sinkhorn_run(mu, eta, k, 12)
-    gaps = [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+    bridge = g.bridge_solve(mu, eta, k)
+    states = g.sinkhorn_run(bridge, 12)
+    gaps = [g.gaussian_kl(bridge.plan, g.state_plan(s, mu, eta, k)) for s in states]
     even_ratio = [gaps[2 * n] / gaps[0] for n in range(13)]
     rep = bounds.rate_table(k, spec, 12, empirical={"two-step-entropy-rate": even_ratio})
     rows = [r for r in rep.envelopes if r[1] == "two-step-entropy-rate" and r[3] is not None]

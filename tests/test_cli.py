@@ -497,6 +497,21 @@ def test_overflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gaussian_non_finite_trace_exit_3(tmp_path, capsys):
+    """An intercept of 1e308 overflows the Sinkhorn means: no row reads inf <= inf as satisfied."""
+    cfg = tmp_path / "cfg.json"
+    kernel = {"alpha": [1e308], "beta": [[1.0]], "tau": [[1.0]]}
+    cfg.write_text(json.dumps({"command": "gaussian", "model": {"kernel": kernel}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["gaussian", "--config", str(cfg), "--out", str(out / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "not finite" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_compute_bug_propagates(monkeypatch):
     def bug(*args, **kwargs):
         raise ZeroDivisionError("a bug, not a domain failure")

@@ -173,7 +173,7 @@ def test_run_terminal_slope_matches_closed_form():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    fwd, _ = g.bridge_solve(mu, eta, k)
+    fwd = g.bridge_solve(mu, eta, k).forward
     means, _ = discrete.conditional_moments(trace.states[-1])
     pts = model.grid.points[:, 0]
     h = pts[1] - pts[0]
@@ -230,7 +230,7 @@ def test_bridge_oracle_second_moments_match_closed_form():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    plan = g.bridge_plan(mu, eta, k)
+    plan = g.bridge_solve(mu, eta, k).plan
     mass = discrete.plan_mass(oracle)
     pts = model.grid.points[:, 0]
     exx = float(np.sum(mass * pts[:, None] ** 2))
@@ -305,7 +305,7 @@ def test_gaussian_consistency_under_grid_halving():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[t]])
-    fwd, _ = g.bridge_solve(mu, eta, k)
+    fwd = g.bridge_solve(mu, eta, k).forward
     errs = []
     for n in (64, 128):
         model = gaussian_desk_model(n=n, t=t)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from references import geometric_mean, varpi_pair
+from sinkbridge import cli, verify
 from sinkbridge import gaussian as g
-from sinkbridge import riccati, spd, verify
+from sinkbridge import riccati, spd
 from sinkbridge.errors import DomainError, ShapeError
 
 GOLDEN = 0.6180339887498949
@@ -30,7 +32,7 @@ def std_model(d=1):
 
 
 def test_varpi_pair_identity_model():
-    w0, w1 = g.varpi_pair(*std_model(2))
+    w0, w1 = varpi_pair(*std_model(2))
     assert np.allclose(w0, np.eye(2), atol=1e-13)
     assert np.allclose(w1, np.eye(2), atol=1e-13)
 
@@ -38,7 +40,7 @@ def test_varpi_pair_identity_model():
 def test_varpi_pair_scaled_noise():
     mu, eta, k = std_model(2)
     for t in [0.5, 2.0, 10.0]:
-        w0, w1 = g.varpi_pair(mu, eta, k.rescaled(t))
+        w0, w1 = varpi_pair(mu, eta, k.rescaled(t))
         assert np.allclose(w0, t**2 * np.eye(2), atol=1e-10 * t**2)
         assert np.allclose(w1, t**2 * np.eye(2), atol=1e-10 * t**2)
 
@@ -49,14 +51,15 @@ def test_varpi_pair_diagonal_entrywise():
     mu = g.GaussianMeasure(np.zeros(2), u)
     eta = g.GaussianMeasure(np.zeros(2), v)
     k = g.LinearGaussianKernel(np.zeros(2), np.eye(2), np.eye(2))
-    w0, w1 = g.varpi_pair(mu, eta, k)
+    w0, w1 = varpi_pair(mu, eta, k)
     # entrywise scalar evaluation: w0_ii = 1/(v_ii u_ii), w1_ii = 1/(u_ii v_ii)
     assert np.allclose(w0, np.diag([1.0 / 3.0, 0.5]), atol=1e-13)
     assert np.allclose(w1, np.diag([1.0 / 3.0, 0.5]), atol=1e-13)
 
 
 def test_bridge_solve_standard_normals():
-    fwd, bwd = g.bridge_solve(*std_model())
+    bridge = g.bridge_solve(*std_model())
+    fwd, bwd = bridge.forward, bridge.backward()
     assert abs(fwd.noise_cov[0, 0] - GOLDEN) < 1e-12
     assert abs(fwd.slope[0, 0] - GOLDEN) < 1e-12
     assert abs(bwd.slope[0, 0] - GOLDEN) < 1e-12
@@ -65,7 +68,7 @@ def test_bridge_solve_standard_normals():
 def test_bridge_identity_transport_limit():
     mu, eta, k = std_model()
     for t in [1e-2, 1e-4]:
-        fwd, _ = g.bridge_solve(mu, eta, k.rescaled(t))
+        fwd = g.bridge_solve(mu, eta, k.rescaled(t)).forward
         assert abs(fwd.slope[0, 0] - 1.0) < np.sqrt(t)
 
 
@@ -73,7 +76,8 @@ def test_bridge_marginal_consistency_scalar():
     mu = g.GaussianMeasure([0.0], [[4.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    fwd, bwd = g.bridge_solve(mu, eta, k)
+    bridge = g.bridge_solve(mu, eta, k)
+    fwd, bwd = bridge.forward, bridge.backward()
     s = fwd.noise_cov[0, 0]
     assert abs(s * 1.0 * 4.0 * 1.0 * s + s - 1.0) < 1e-10
     pushed = g.push_through(mu, fwd)
@@ -87,7 +91,8 @@ def test_bridge_push_forward_random_models():
     for _ in range(10):
         d = int(rng.integers(1, 5))
         mu, eta, k = random_model(rng, d)
-        fwd, bwd = g.bridge_solve(mu, eta, k)
+        bridge = g.bridge_solve(mu, eta, k)
+        fwd, bwd = bridge.forward, bridge.backward()
         pushed = g.push_through(mu, fwd)
         assert np.linalg.norm(pushed.mean - eta.mean) < 1e-9
         assert np.linalg.norm(pushed.cov - eta.cov, 2) < 1e-9
@@ -106,7 +111,7 @@ def test_bridge_cross_covariance_schur_oracle():
         mu = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d, 0.5))
         eta = g.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d, 0.5))
         k = g.LinearGaussianKernel(np.zeros(d), np.eye(d), s2 * np.eye(d))
-        plan = g.bridge_plan(mu, eta, k)
+        plan = g.bridge_solve(mu, eta, k).plan
         s0h = spd.principal_sqrt(mu.cov)
         s0ih = spd.sym_inv(s0h)
         inner = spd.principal_sqrt(4.0 * s0h @ eta.cov @ s0h + s2**2 * np.eye(d))
@@ -117,7 +122,7 @@ def test_bridge_cross_covariance_schur_oracle():
 def test_sinkhorn_initial_state():
     rng = np.random.default_rng(9)
     mu, eta, k = random_model(rng, 3)
-    states = g.sinkhorn_run(mu, eta, k, 1)
+    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 1)
     s0 = states[0]
     assert s0.n == 0
     assert np.allclose(s0.tau_n, k.tau)
@@ -128,7 +133,7 @@ def test_sinkhorn_initial_state():
 
 def test_sinkhorn_standard_model_convergence():
     mu, eta, k = std_model()
-    states = g.sinkhorn_run(mu, eta, k, 25)
+    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 25)
     for s in states:
         assert abs(s.m_n[0]) < 1e-14
     assert abs(states[-2].tau_n[0, 0] - GOLDEN) < 1e-10
@@ -139,7 +144,7 @@ def test_sinkhorn_means_converge_to_targets():
     mu = g.GaussianMeasure([1.0], [[1.0]])
     eta = g.GaussianMeasure([-1.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    states = g.sinkhorn_run(mu, eta, k, 60)
+    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 60)
     even = [s for s in states if s.n % 2 == 0]
     odd = [s for s in states if s.n % 2 == 1]
     assert abs(even[-1].m_n[0] - (-1.0)) < 1e-10
@@ -151,8 +156,9 @@ def test_sinkhorn_terminal_matches_bridge():
     for _ in range(5):
         d = int(rng.integers(1, 4))
         mu, eta, k = random_model(rng, d)
-        fwd, bwd = g.bridge_solve(mu, eta, k)
-        states = g.sinkhorn_run(mu, eta, k, 400)
+        bridge = g.bridge_solve(mu, eta, k)
+        fwd, bwd = bridge.forward, bridge.backward()
+        states = g.sinkhorn_run(bridge, 400)
         even = [s for s in states if s.n % 2 == 0][-1]
         odd = [s for s in states if s.n % 2 == 1][-1]
         assert np.linalg.norm(even.tau_n - fwd.noise_cov, 2) < 1e-10
@@ -166,12 +172,12 @@ def test_sinkhorn_rescaled_recursion_exact():
     # recursions exactly
     rng = np.random.default_rng(55)
     mu, eta, k = random_model(rng, 2)
-    w0, w1 = g.varpi_pair(mu, eta, k)
+    w0, w1 = varpi_pair(mu, eta, k)
     v_half = spd.principal_sqrt(eta.cov)
     v_ih = spd.sym_inv(v_half)
     u_half = spd.principal_sqrt(mu.cov)
     u_ih = spd.sym_inv(u_half)
-    states = g.sinkhorn_run(mu, eta, k, 10)
+    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 10)
     taus = {s.n: s.tau_n for s in states}
     for n in range(2, 20, 2):
         lhs = v_ih @ taus[n] @ v_ih
@@ -190,7 +196,7 @@ def test_sinkhorn_rescaled_sandwich():
     mu, eta, k = random_model(rng, 3)
     v_ih = spd.sym_inv(spd.principal_sqrt(eta.cov))
     u_ih = spd.sym_inv(spd.principal_sqrt(mu.cov))
-    for s in g.sinkhorn_run(mu, eta, k, 8):
+    for s in g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8):
         if s.n >= 2:
             scaled = (v_ih if s.n % 2 == 0 else u_ih)
             assert spd.loewner_leq(scaled @ s.tau_n @ scaled, np.eye(3), tol=1e-12)
@@ -205,7 +211,7 @@ def test_pi_referenced_fixed_point_identity():
         d = int(rng.integers(1, 4))
         mu, eta, k = random_model(rng, d)
         chi = k.chi
-        for s in g.sinkhorn_run(mu, eta, k, 6):
+        for s in g.sinkhorn_run(g.bridge_solve(mu, eta, k), 6):
             if s.n % 2 == 0:
                 core = spd.sym_inv(spd.require_spd(chi @ mu.cov @ chi.T))
             else:
@@ -254,7 +260,7 @@ def test_joint_plan_degenerate():
 
 def test_bridge_plan_kl_to_reference():
     mu, eta, k = std_model()
-    plan = g.bridge_plan(mu, eta, k)
+    plan = g.bridge_solve(mu, eta, k).plan
     ref = g.joint_plan(mu, g.AffineGaussianMap(k.alpha, k.beta, k.tau))
     val = g.gaussian_kl(plan, ref)
     assert np.isfinite(val) and val > 0
@@ -262,9 +268,9 @@ def test_bridge_plan_kl_to_reference():
 
 def test_entropic_map_gradient_values():
     mu, eta, k = std_model()
-    fwd, _ = g.bridge_solve(mu, eta, k)
+    fwd = g.bridge_solve(mu, eta, k).forward
     assert abs(g.entropic_map_gradient(fwd)[0, 0] - GOLDEN) < 1e-10
-    fwd_t, _ = g.bridge_solve(mu, eta, k.rescaled(1e-3))
+    fwd_t = g.bridge_solve(mu, eta, k.rescaled(1e-3)).forward
     assert abs(g.entropic_map_gradient(fwd_t)[0, 0] - 1.0) < 2e-3
 
 
@@ -278,7 +284,8 @@ def test_barycentric_identity():
     models.append((mu2, eta2, k2))
     for mu, eta, k in models:
         chi = k.chi
-        fwd, bwd = g.bridge_solve(mu, eta, k)
+        bridge = g.bridge_solve(mu, eta, k)
+        fwd, bwd = bridge.forward, bridge.backward()
         res_f = chi.T @ fwd.noise_cov @ chi - g.entropic_map_gradient(fwd) @ chi
         assert np.linalg.norm(res_f, 2) < 1e-10
         res_b = chi @ bwd.noise_cov @ chi.T - g.entropic_map_gradient(bwd) @ chi.T
@@ -290,13 +297,13 @@ def test_ot_limit_identity_and_scalar():
     cov = random_spd(rng, 2)
     mu = g.GaussianMeasure([0.1, -0.2], cov)
     eta = g.GaussianMeasure([1.0, 2.0], cov)
-    lim = g.ot_limit_map(mu, eta, np.eye(2), np.eye(2))
+    lim = g.bridge_solve(mu, eta, g.LinearGaussianKernel(np.zeros(2), np.eye(2), np.eye(2))).ot_limit()
     assert np.allclose(lim.slope, np.eye(2), atol=1e-9)
     assert np.allclose(lim.intercept + lim.slope @ mu.mean, eta.mean)
 
     mu1 = g.GaussianMeasure([0.0], [[4.0]])
     eta1 = g.GaussianMeasure([0.0], [[1.0]])
-    lim1 = g.ot_limit_map(mu1, eta1, [[1.0]], [[1.0]])
+    lim1 = g.bridge_solve(mu1, eta1, g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])).ot_limit()
     assert abs(lim1.slope[0, 0] - 0.5) < 1e-12
 
 
@@ -304,11 +311,9 @@ def test_ot_limit_sweep_monotone():
     mu1 = g.GaussianMeasure([0.0], [[4.0]])
     eta1 = g.GaussianMeasure([0.0], [[1.0]])
     k1 = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    lim = g.ot_limit_map(mu1, eta1, [[1.0]], [[1.0]])
-    gaps = []
-    for t in [1.0, 0.1, 0.01, 0.001]:
-        fwd, _ = g.bridge_solve(mu1, eta1, k1.rescaled(t))
-        gaps.append(abs(fwd.slope[0, 0] - lim.slope[0, 0]))
+    bridge = g.bridge_solve(mu1, eta1, k1)
+    lim = bridge.ot_limit()
+    gaps = [abs(bridge.rescaled(t).forward.slope[0, 0] - lim.slope[0, 0]) for t in [1.0, 0.1, 0.01, 0.001]]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 5e-3
 
@@ -347,9 +352,9 @@ def test_proximal_w2_and_entropy_decay():
 
 
 def bridge_gap_sequence(mu, eta, k, n_steps):
-    plan = g.bridge_plan(mu, eta, k)
-    states = g.sinkhorn_run(mu, eta, k, n_steps)
-    return [g.gaussian_kl(plan, g.state_plan(s, mu, eta, k)) for s in states]
+    bridge = g.bridge_solve(mu, eta, k)
+    states = g.sinkhorn_run(bridge, n_steps)
+    return [g.gaussian_kl(bridge.plan, g.state_plan(s, mu, eta, k)) for s in states]
 
 
 def test_bridge_entropy_monotone_and_rate():
@@ -395,7 +400,7 @@ def test_marginal_decay_envelopes():
             * spd.spectral_norm(eta.cov)
         )
         rate = 1.0 + phi(eps)
-        states = g.sinkhorn_run(mu, eta, k, 12)
+        states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 12)
         pis = {s.n: g.GaussianMeasure(s.m_n, s.sigma_pi_n) for s in states}
         h0 = g.gaussian_kl(eta, pis[0])
         w0 = g.gelbrich_w2(eta, pis[0])
@@ -413,10 +418,11 @@ def test_gradient_sandwich_collapses_in_equality_case():
         d = int(rng.integers(1, 4))
         mu, eta, k = random_model(rng, d)
         chi = k.chi
-        w0, w1 = g.varpi_pair(mu, eta, k)
+        w0, w1 = varpi_pair(mu, eta, k)
         v_half = spd.principal_sqrt(eta.cov)
         u_half = spd.principal_sqrt(mu.cov)
-        fwd, bwd = g.bridge_solve(mu, eta, k)
+        bridge = g.bridge_solve(mu, eta, k)
+        fwd, bwd = bridge.forward, bridge.backward()
         bound_f = chi.T @ v_half @ riccati.fixed_point(w0) @ v_half @ chi
         assert np.linalg.norm(g.entropic_map_gradient(fwd) @ chi - bound_f, 2) < 1e-10
         bound_b = chi @ u_half @ riccati.fixed_point(w1) @ u_half @ chi.T
@@ -484,7 +490,7 @@ def test_bridge_matches_janati_closed_form(t):
         dd = sqrtm(4.0 * u_half @ v @ u_half + t**2 * np.eye(d))
         c = 0.5 * (u_half @ dd @ np.linalg.inv(u_half) - t * np.eye(d))
         slope = c.T @ np.linalg.inv(u)
-        fwd, _ = g.bridge_solve(mu, eta, k)
+        fwd = g.bridge_solve(mu, eta, k).forward
         assert np.max(np.abs(fwd.slope - slope)) <= 1e-12
         assert np.max(np.abs(fwd.noise_cov - (v - slope @ c))) <= 1e-12
 
@@ -496,23 +502,48 @@ def test_bridge_push_forward_accurate_when_ill_conditioned(d, cond, tol):
     rng = np.random.default_rng(0)
     mu = g.GaussianMeasure(np.zeros(d), log_spectrum_spd(rng, d, cond))
     eta = g.GaussianMeasure(np.zeros(d), log_spectrum_spd(rng, d, cond))
-    fwd, bwd = g.bridge_solve(mu, eta, g.LinearGaussianKernel(np.zeros(d), np.eye(d), np.eye(d)))
+    bridge = g.bridge_solve(mu, eta, g.LinearGaussianKernel(np.zeros(d), np.eye(d), np.eye(d)))
+    fwd, bwd = bridge.forward, bridge.backward()
     assert push_forward_error(fwd, mu, eta) <= tol
     assert push_forward_error(bwd, eta, mu) <= tol
 
 
-def test_bridge_and_sinkhorn_take_one_svd(decompositions, monkeypatch):
-    """Every Riccati parameter, fixed point and flow comes from one SVD; no varpi is decomposed."""
+def test_bridge_and_sinkhorn_take_one_svd(decompositions, monkeypatch, tmp_path):
+    """Every Riccati parameter, fixed point and flow comes from one SVD; no varpi is decomposed.
+
+    The ``gaussian`` command and criteria 4, 5 and 7 decompose each (mu, eta, k)
+    they read once, the noise sweep included.
+    """
 
     def no_spectrum(varpi):
         raise AssertionError("a Gaussian bridge must not decompose a varpi matrix")
 
-    monkeypatch.setattr(riccati, "_spectrum", no_spectrum)
     mu, eta, k = random_model(np.random.default_rng(8), 4)
-    for call in (lambda: g.bridge_solve(mu, eta, k), lambda: g.sinkhorn_run(mu, eta, k, 15)):
+    with monkeypatch.context() as m:
+        m.setattr(riccati, "_spectrum", no_spectrum)
         decompositions.clear()
-        call()
+        bridge = g.bridge_solve(mu, eta, k)
         assert decompositions["svd"] == 1
+        decompositions.clear()
+        g.bridge_gaps(bridge, g.sinkhorn_run(bridge, 15))
+        bridge.backward(), bridge.ot_limit(), bridge.rescaled(0.1).forward
+        # the rescaled kernel's np.linalg.cond(beta) is the one SVD left, made inside numpy
+        assert decompositions["svd"] == decompositions["norm_svd"] == 1
+
+    calls = []
+    bridge_factors = g.bridge_factors
+    monkeypatch.setattr(g, "bridge_factors", lambda *a: calls.append(a) or bridge_factors(*a))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: cli.main(["gaussian", "--out", str(tmp_path / "gaussian")])) == 1
+    # criteria 4 and 5: the standard model and ten random ones; criterion 7: one model, four noises
+    assert count(lambda: verify.criterion_bridge_vs_sinkhorn(seed=0)) == 11
+    assert count(lambda: verify.criterion_improved_rate(seed=0)) == 11
+    assert count(lambda: verify.criterion_ot_limit(seed=0)) == 1
 
 
 def _reference_gaps(plan, states, mu, eta, k):
@@ -523,24 +554,24 @@ def test_bridge_gaps_match_the_per_state_reference():
     models = verify._gaussian_models(3, count=24)
     assert {mu.dim for mu, _, _ in models} == {1, 2, 3, 4}
     for mu, eta, k in models:
-        plan = g.bridge_plan(mu, eta, k)
-        states = g.sinkhorn_run(mu, eta, k, 6)
-        gaps = g.bridge_gaps(plan, states, mu, eta, k)
+        bridge = g.bridge_solve(mu, eta, k)
+        states = g.sinkhorn_run(bridge, 6)
+        gaps = g.bridge_gaps(bridge, states)
         assert gaps.shape == (14,)
-        assert np.max(np.abs(gaps - _reference_gaps(plan, states, mu, eta, k))) <= 1e-15
+        assert np.max(np.abs(gaps - _reference_gaps(bridge.plan, states, mu, eta, k))) <= 1e-15
         # any subset of states, in any order, odd states alone included
         some = states[5::-2]
-        assert np.max(np.abs(g.bridge_gaps(plan, some, mu, eta, k) - _reference_gaps(plan, some, mu, eta, k))) <= 1e-15
+        assert np.max(np.abs(g.bridge_gaps(bridge, some) - _reference_gaps(bridge.plan, some, mu, eta, k))) <= 1e-15
 
 
 def test_bridge_gaps_decompose_once_for_any_number_of_states(decompositions):
-    mu, eta, k = verify._gaussian_models(3)[0]
-    plan = g.bridge_plan(mu, eta, k)
+    bridge = g.bridge_solve(*verify._gaussian_models(3)[0])
+    bridge.plan  # formed once, when first read
     counts = []
     for n_pairs in (5, 40):
-        states = g.sinkhorn_run(mu, eta, k, n_pairs)
+        states = g.sinkhorn_run(bridge, n_pairs)
         decompositions.clear()
-        g.bridge_gaps(plan, states, mu, eta, k)
+        g.bridge_gaps(bridge, states)
         counts.append(dict(decompositions))
     # one clamp of the noise stack and one inverse of the joint stack
     assert counts[0] == counts[1] == {"eigh": 2}
@@ -565,18 +596,60 @@ def test_ot_limit_matches_geometric_mean():
         tau0 = random_spd(rng, d)
         beta = 0.3 * rng.standard_normal((d, d)) + np.eye(d)
         chi0 = np.linalg.solve(tau0, beta)
-        slope = spd.geometric_mean(np.linalg.inv(chi0 @ mu.cov @ chi0.T), eta.cov) @ chi0
-        lim = g.ot_limit_map(mu, eta, tau0, beta)
+        slope = geometric_mean(np.linalg.inv(chi0 @ mu.cov @ chi0.T), eta.cov) @ chi0
+        lim = g.bridge_solve(mu, eta, g.LinearGaussianKernel(np.zeros(d), beta, tau0)).ot_limit()
         assert np.max(np.abs(lim.slope - slope)) <= 1e-12
         assert np.allclose(lim.intercept + lim.slope @ mu.mean, eta.mean, atol=1e-12)
 
 
+def test_rescaled_bridge_matches_a_fresh_solve():
+    """Scaling tau by t divides the singular values by t and leaves every other factor as it was.
+
+    The zero-noise limit, which no noise level changes, is kept to round-off.
+    """
+    for mu, eta, k in verify._gaussian_models(4):  # criterion 6's models at seed 0
+        bridge = g.bridge_solve(mu, eta, k)
+        lim = bridge.ot_limit().slope
+        for t in np.logspace(-3.0, 3.0, 13):
+            rescaled = bridge.rescaled(t)
+            fresh = g.bridge_solve(mu, eta, k.rescaled(t)).forward
+            for got, want in ((rescaled.forward.slope, fresh.slope), (rescaled.forward.noise_cov, fresh.noise_cov)):
+                assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
+            assert np.max(np.abs(rescaled.ot_limit().slope - lim)) <= 1e-14 * np.max(np.abs(lim))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tau, cov", [(1e300, 1e-10), (1e-300, 1e10), (1e-160, 1.0)])
-def test_bridge_out_of_double_range_raises(tau, cov):
-    """Singular values whose square over- or underflows stop with DomainError, not a zero slope or NaN."""
+@pytest.mark.parametrize(
+    "tau, cov, t",
+    [(1e300, 1e-10, 1.0), (1e-300, 1e10, 1.0), (1e-160, 1.0, 1.0), (1.0, 1.0, 1e-160)],
+    ids=["1e+300-1e-10", "1e-300-10000000000.0", "1e-160-1.0", "unit-rescaled-1e-160"],
+)
+def test_bridge_out_of_double_range_raises(tau, cov, t):
+    """Singular values whose square over- or underflows stop with DomainError, not a zero slope or NaN.
+
+    The noise t * tau is reached by a fresh solve and by rescaling the bridge for tau.
+    """
     mu = g.GaussianMeasure([0.0], [[cov]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[tau]])
-    for call in (g.bridge_solve, g.varpi_pair, lambda a, b, c: g.sinkhorn_run(a, b, c, 2)):
+    for call in (
+        lambda: g.bridge_solve(mu, mu, k.rescaled(t)),
+        lambda: g.bridge_solve(mu, mu, k).rescaled(t),
+        lambda: varpi_pair(mu, mu, k.rescaled(t)),
+    ):
         with pytest.raises(DomainError, match="degenerate"):
-            call(mu, mu, k)
+            call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g.LinearGaussianKernel([0.0], [[np.nan]], [[1.0]]),
+    lambda: g.LinearGaussianKernel([0.0], [[np.inf]], [[1.0]]),
+    lambda: g.LinearGaussianKernel([np.nan], [[1.0]], [[1.0]]),
+    lambda: g.GaussianMeasure([np.inf], [[1.0]]),
+    lambda: g.GaussianMeasure([np.nan, 0.0], np.eye(2)),
+], ids=["kernel-beta-nan", "kernel-beta-inf", "kernel-alpha-nan", "measure-mean-inf", "measure-mean-nan"])
+def test_constructors_reject_non_finite_input(make, decompositions):
+    """A non-finite mean, alpha or beta raises DomainError before any decomposition reads it."""
+    decompositions.clear()
+    with pytest.raises(DomainError, match="must be finite"):
+        make()
+    assert not decompositions

@@ -198,7 +198,8 @@ def test_ricc_map_decompositions(d, decompositions):
     mu = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     eta = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     k = gaussian.LinearGaussianKernel(np.zeros(d), np.eye(d), random_spd(rng, d))
-    assert counted(lambda: gaussian.sinkhorn_run(mu, eta, k, 5)) == counted(lambda: gaussian.sinkhorn_run(mu, eta, k, 50))
+    bridge = gaussian.bridge_solve(mu, eta, k)
+    assert counted(lambda: gaussian.sinkhorn_run(bridge, 5)) == counted(lambda: gaussian.sinkhorn_run(bridge, 50))
 
 
 def log_spectrum_varpi(d, cond, seed=0):
