@@ -20,6 +20,7 @@ byte-identical outputs.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -234,6 +235,15 @@ def _load_gaussian(args):
     return mu, eta, k, spec, parse_count(model["n_max"], "n_max", 1), t_grid
 
 
+def _require_finite(where: str, **cells):
+    """Raise DomainError naming the cells of one output row that are inf or NaN."""
+    bad = [f"{name} {value}" for name, value in cells.items() if not np.isfinite(value).all()]
+    if bad:
+        raise DomainError(f"gaussian {where} is not finite: {', '.join(bad)}")
+
+
+# every written cell is checked below, so an overflow stops the run with exit 3, not a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _gaussian(mu, eta, k, spec, n_max, t_grid):
     eps = bounds.eps_lg(k, spec)
     ph = bounds.phi(eps)
@@ -247,9 +257,8 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         env_pair = (1.0 + 1.0 / eps) ** -(s.n // 2) * gaps[0]
         env_phi = (1.0 + ph) ** -(s.n - 2) * gaps[0] if s.n >= 2 else float("inf")
         # env_phi's inf before n = 2 is documented; any other inf would pass its check as inf <= inf
-        if not np.isfinite([gap, w2, env_pair, env_phi if s.n >= 2 else 0.0]).all():
-            raise DomainError(f"gaussian trace row n={s.n} is not finite: gap {gap:.3e}, W2 {w2:.3e}, "
-                              f"envelopes {env_pair:.3e}, {env_phi:.3e}")
+        _require_finite(f"trace row n={s.n}", gap=gap, W2=w2, envelope_pair=env_pair,
+                        envelope_phi=env_phi if s.n >= 2 else 0.0)
         trace_rows.append(
             f"{s.n},{_fmt(gap)},{_fmt(w2)},{_fmt(env_pair)},{_fmt(env_phi)},"
             f"{int(gap <= min(env_pair, env_phi) * (1 + 1e-9) + 1e-13)}"
@@ -259,20 +268,23 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
     sweep_rows = []
     for t in t_grid:
         slope = bridge.rescaled(t).forward.slope
-        sweep_rows.append(f"{_fmt(t)},{_fmt(spd.spectral_norm(slope - lim.slope))},{_fmt(spd.spectral_norm(slope))}")
+        gap, norm = spd.spectral_norm(slope - lim.slope), spd.spectral_norm(slope)
+        _require_finite(f"ot_sweep row t={t!r}", slope_gap_to_limit=gap, slope_norm=norm)
+        sweep_rows.append(f"{_fmt(t)},{_fmt(gap)},{_fmt(norm)}")
 
     a, b = bounds.proximal_rates(k, spec)
     nu = g.GaussianMeasure(mu.mean + 3.0, 2.0 * mu.cov)
     w0 = g.gelbrich_w2(nu, mu)
     h0 = g.gaussian_kl(nu, mu)
+    _require_finite("proximal row n=0", W2=w0, KL=h0)
     prox_rows = [f"0,{_fmt(w0)},{_fmt(w0)},{_fmt(h0)},{_fmt(h0)}"]
     cur = nu
     for n_step in range(1, 21):
         cur = g.proximal_step(cur, mu, k)
-        prox_rows.append(
-            f"{n_step},{_fmt(g.gelbrich_w2(cur, mu))},{_fmt(b**n_step * w0)},"
-            f"{_fmt(g.gaussian_kl(cur, mu))},{_fmt(a * b ** (2 * (n_step - 1)) * h0)}"
-        )
+        w2, kl = g.gelbrich_w2(cur, mu), g.gaussian_kl(cur, mu)
+        w2_env, kl_env = b**n_step * w0, a * b ** (2 * (n_step - 1)) * h0
+        _require_finite(f"proximal row n={n_step}", W2=w2, W2_envelope=w2_env, KL=kl, KL_envelope=kl_env)
+        prox_rows.append(f"{n_step},{_fmt(w2)},{_fmt(w2_env)},{_fmt(kl)},{_fmt(kl_env)}")
     report = {
         "eps": eps,
         "phi": ph,
@@ -281,6 +293,7 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         "terminal_bridge_gap": float(gaps[-1]),
         "forward_noise_cov": bridge.forward.noise_cov,
     }
+    _require_finite("report", **report)
     return trace_rows, sweep_rows, prox_rows, report
 
 
@@ -400,7 +413,9 @@ def cmd_verify(args) -> int:
     return _run(args, _load_verify, _verify, _write_verify)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sinkbridge",
         description="Riccati flows, Gaussian Schrodinger/Sinkhorn bridges, grid Sinkhorn, and rate verification",
@@ -414,7 +429,11 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--filter", help="restrict verify to criteria whose name contains this")
             p.add_argument("--json", action="store_true", help="print machine-readable summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # looked up at call time, so a rebound cmd_* (a tracing wrapper, say) is the one that runs
     return globals()[f"cmd_{args.command}"](args)
 

@@ -27,6 +27,13 @@ so each gap is two weighted dot products once the reference marginals are
 known.  ``joint_relative_entropy`` keeps the dense N x N form as the
 independent check.
 
+The loop keeps increments; the chains are formed after it.  A sweep of
+``run`` is two half-steps, their increments and residuals.  The four
+chains come from one (S, |supp|) increment array per parity, with
+``relative_entropy``'s elementwise expressions and a row sum, so each
+entry is bitwise the one-marginal call's; ``entropy_report`` takes every
+bridge gap from two row sums over the stacked potentials.
+
 A +inf potential is a hard zero of its density.  Residuals, entropies and
 bridge gaps are taken over the support of the marginal they refer to,
 where every quantity is finite; a non-finite residual there (a NaN in a
@@ -156,9 +163,12 @@ class DiscreteModel:
     scaled: InitVar[tuple | None] = None
     # one (m, K) pair per factor, the scaled kernel of the module docstring, set once at construction
     kernels: tuple = field(init=False, repr=False, compare=False)
+    # log of the quadrature weights, which every kernel pass reads, also set once
+    log_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, scaled):
         object.__setattr__(self, "kernels", scaled or tuple(_scaled_kernel(f) for f in self.channel))
+        object.__setattr__(self, "log_w", np.log(self.grid.weights))
 
     @property
     def w_pot(self) -> np.ndarray:
@@ -179,10 +189,6 @@ class DiscreteModel:
     @property
     def log_eta(self) -> np.ndarray:
         return -self.v_pot
-
-    @property
-    def log_w(self) -> np.ndarray:
-        return np.log(self.grid.weights)
 
 
 def _normalize_potential(raw: np.ndarray, log_w: np.ndarray, what: str) -> np.ndarray:
@@ -291,8 +297,9 @@ def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.n
     n_low = np.count_nonzero(low)
     if 2 * n_low > low.size:
         return -_neg_lse(f + (a[:, None, :] if axis == 1 else a[:, :, None]), axis - 2)
-    with np.errstate(divide="ignore"):
-        out = c - np.log(s)
+    if n_low:
+        s[low] = 1.0  # recomputed below; keeps a zero out of the log
+    out = c - np.log(s)
     if axis == 1:
         out += m
     if n_low:
@@ -311,7 +318,10 @@ def _kernel_pass(model: DiscreteModel, pot: np.ndarray, axis: int) -> np.ndarray
     contracts its axis with its scaled kernel (module docstring); one
     factor is the dense pass.
     """
-    t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
+    t = pot - model.log_w
+    if len(model.channel) == 1:
+        return -_factor_pass(model.channel[0], model.kernels[0], t[None, :], axis)[0]
+    t = t.reshape([f.shape[0] for f in model.channel])
     for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
         a = t.swapaxes(k, -1)
         t = _factor_pass(f, scaled, a.reshape(-1, a.shape[-1]), axis).reshape(a.shape).swapaxes(k, -1)
@@ -326,33 +336,21 @@ def _update_v(model: DiscreteModel, u: np.ndarray) -> np.ndarray:
     return model.v_pot + _kernel_pass(model, u, 0)
 
 
-def _support(pot: np.ndarray) -> np.ndarray:
-    """Nodes where the density exp(-pot) is not a hard zero (NaN counts as support)."""
-    return pot != np.inf
+def _support(pot: np.ndarray) -> np.ndarray | slice:
+    """Index of the nodes where exp(-pot) is not a hard zero (NaN counts); slice(None) when that is all of them."""
+    supp = pot != np.inf
+    return slice(None) if supp.all() else supp
 
 
 def _residual(log_ratio: np.ndarray) -> float:
     """Sup-norm of a marginal log-ratio on a support; non-finite raises."""
-    r = float(np.max(np.abs(log_ratio)))
+    r = float(np.abs(log_ratio).max())
     if not np.isfinite(r):
         raise DomainError(
             "non-finite marginal residual on the support: a table holds NaN, "
             "or the channel cannot reach a node of a marginal's support"
         )
     return r
-
-
-def _corrected_marginal(log_target, new, old, support) -> tuple[np.ndarray, float]:
-    """Log marginal that the half-step old -> new corrected, and its residual.
-
-    On the target's support the marginal is log_target + (new - old); off it
-    the marginal is taken as zero.
-    """
-    inc = new[support] - old[support]
-    r = _residual(inc)
-    marginal = np.full(log_target.shape, -np.inf)
-    marginal[support] = log_target[support] + inc
-    return marginal, r
 
 
 def initial_state(model: DiscreteModel) -> SinkhornState:
@@ -458,33 +456,42 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
     """
     if n_sweeps < 1:
         raise DomainError("n_sweeps must be >= 1")
-    w = model.grid.weights
-    log_mu, log_eta = model.log_mu, model.log_eta
     mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
     trace = SinkhornTrace(model)
     state = initial_state(model)
+    incs_eta, incs_mu = [], []
 
     for _ in range(n_sweeps + 1):
         # state has even index 2n here; each marginal comes from the
         # increment of the half-step that corrects it
         odd = sinkhorn_step(state)
-        pi_even, r_eta = _corrected_marginal(log_eta, odd.v, state.v, eta_supp)
-        trace.states.append(state)
-        trace.h_pi2n_eta.append(relative_entropy(pi_even, log_eta, w))
-        trace.h_eta_pi2n.append(relative_entropy(log_eta, pi_even, w))
-
+        incs_eta.append(odd.v[eta_supp] - state.v[eta_supp])
+        r_eta = _residual(incs_eta[-1])
         following = sinkhorn_step(odd)
-        pi_odd, r_mu = _corrected_marginal(log_mu, following.u, odd.u, mu_supp)
-        trace.states.append(odd)
-        trace.h_mu_pi2n1.append(relative_entropy(log_mu, pi_odd, w))
-        trace.h_pi2n1_mu.append(relative_entropy(pi_odd, log_mu, w))
-
-        trace.residuals.append(max(r_eta, r_mu))
+        incs_mu.append(following.u[mu_supp] - odd.u[mu_supp])
+        trace.states += (state, odd)
+        trace.residuals.append(max(r_eta, _residual(incs_mu[-1])))
         if trace.residuals[-1] < tol:
             trace.converged = True
             break
         state = following
+
+    w = model.grid.weights
+    trace.h_pi2n_eta, trace.h_eta_pi2n = _entropy_chains(model.log_eta[eta_supp], incs_eta, w[eta_supp])
+    trace.h_pi2n1_mu, trace.h_mu_pi2n1 = _entropy_chains(model.log_mu[mu_supp], incs_mu, w[mu_supp])
     return trace
+
+
+def _entropy_chains(log_target, incs, w) -> tuple[list, list]:
+    """H(pi | target) and H(target | pi) for log pi = log_target + inc, one entry per increment.
+
+    The elementwise expressions of ``relative_entropy`` on the support and
+    one row sum per chain, so every entry is bitwise that of the one-marginal call.
+    """
+    log_pi = log_target + np.array(incs)
+    forward = np.sum(w * np.exp(log_pi) * (log_pi - log_target), axis=1)
+    backward = np.sum(w * np.exp(log_target) * (log_target - log_pi), axis=1)
+    return [max(float(x), 0.0) for x in forward], [max(float(x), 0.0) for x in backward]
 
 
 def bridge_oracle(
@@ -510,7 +517,7 @@ def bridge_oracle(
         odd = sinkhorn_step(state)
         log_ratio = odd.v[eta_supp] - state.v[eta_supp]  # log(pi_2n / eta)
         _residual(log_ratio)
-        gap = float(np.max(np.abs(np.exp(log_ratio) - 1.0)))
+        gap = float(np.abs(np.exp(log_ratio) - 1.0).max())
         if gap < ORACLE_TOL:
             r_mu, r_eta = marginal_residuals(state)
             if max(r_mu, r_eta) < 10 * ORACLE_TOL:
@@ -536,12 +543,12 @@ def entropy_report(trace: SinkhornTrace, oracle: SinkhornState) -> dict:
     first, second = plan_marginals(oracle)
     ref_1 = (w * np.exp(first))[mu_supp]
     ref_2 = (w * np.exp(second))[eta_supp]
-    u_star, v_star = oracle.u[mu_supp], oracle.v[eta_supp]
-    h_even = []
-    h_odd = []
-    for state in trace.states:
-        val = np.sum(ref_1 * (state.u[mu_supp] - u_star)) + np.sum(ref_2 * (state.v[eta_supp] - v_star))
-        (h_even if state.n % 2 == 0 else h_odd).append(max(float(val), 0.0))
+    # whole C-order rows, so each row sum is bitwise the one-state sum
+    us = np.array([state.u[mu_supp] for state in trace.states])
+    vs = np.array([state.v[eta_supp] for state in trace.states])
+    gaps = np.sum(ref_1 * (us - oracle.u[mu_supp]), axis=1) + np.sum(ref_2 * (vs - oracle.v[eta_supp]), axis=1)
+    gaps = [max(float(x), 0.0) for x in gaps]
+    h_even, h_odd = gaps[0::2], gaps[1::2]  # a trace's states run n = 0, 1, 2, ...
 
     tele_even = []  # n >= 1: H(ref|P_2n) vs H(ref|P_{2n-1}) - H(mu|pi_{2n-1})
     for n in range(1, len(h_even)):

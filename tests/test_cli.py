@@ -497,19 +497,32 @@ def test_overflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gaussian_non_finite_trace_exit_3(tmp_path, capsys):
-    """An intercept of 1e308 overflows the Sinkhorn means: no row reads inf <= inf as satisfied."""
+def assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, where):
+    """The run stops with exit 3 naming the row, and writes no file."""
     cfg = tmp_path / "cfg.json"
-    kernel = {"alpha": [1e308], "beta": [[1.0]], "tau": [[1.0]]}
-    cfg.write_text(json.dumps({"command": "gaussian", "model": {"kernel": kernel}}))
+    cfg.write_text(json.dumps({"command": "gaussian", "model": model}))
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli(["gaussian", "--config", str(cfg), "--out", str(out / "x")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("runtime error:") and "not finite" in err
+    assert err.startswith(f"runtime error: gaussian {where} is not finite")
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_non_finite_trace_exit_3(tmp_path, capsys):
+    """An intercept of 1e308 overflows the Sinkhorn means: no row reads inf <= inf as satisfied, no numpy warning."""
+    kernel = {"alpha": [1e308], "beta": [[1.0]], "tau": [[1.0]]}
+    assert_gaussian_non_finite_exit_3(tmp_path, capsys, {"kernel": kernel}, "trace row n=0")
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_non_finite_proximal_exit_3(tmp_path, capsys):
+    """The proximal prefactor ||chi||^2 ||tau|| ||u_plus|| overflows while eps and the trace stay finite."""
+    model = {"kernel": {"alpha": [0.0], "beta": [[100.0]], "tau": [[100.0]]},
+             "spec": {"u_plus": [[1e307]], "v_plus": [[1e-10]]}}
+    assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, "proximal row n=1")
 
 
 def test_compute_bug_propagates(monkeypatch):
@@ -622,13 +635,20 @@ def test_grid_engine_runs_without_scipy(tmp_path):
     assert (tmp_path / "mixture.csv").exists()
 
 
-def test_benchmark_configs_load(tmp_path):
-    """Every config the benchmark's workloads write passes the key checks and loads."""
+def perfbench_modules():
+    """The benchmark's workload generator and output checks, imported from perfbench/."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
+        import checks
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads, checks
+
+
+def test_benchmark_configs_load(tmp_path):
+    """Every config the benchmark's workloads write passes the key checks and loads."""
+    workloads, _ = perfbench_modules()
     loaded = 0
     for name in workloads.WORKLOADS:
         plan = workloads.generate(name, 0, tmp_path / name)
@@ -659,3 +679,47 @@ def test_readme_configs_load_and_kinds_match_the_reader(tmp_path):
         kind: list(fields["params"]) for kind, (_, fields) in models.MARGINAL_KINDS.items()}
     assert documented("Kinds of `W`, with the keys beside its `kind`:") == {
         kind: list(fields) for kind, (_, fields) in models.CHANNEL_KINDS.items()}
+
+
+def test_benchmark_rounds_succeed_and_repeat_byte_identical(tmp_path, capsys):
+    """One round of each benchmark workload (seed 0) passes the benchmark's own output checks."""
+    workloads, checks = perfbench_modules()
+
+    def run_round(plan):
+        outputs = []
+        for op in plan["round"]:
+            rc = run_cli(op["argv"])
+            stdout = capsys.readouterr().out
+            assert checks.check(op, rc, stdout) == [], op["id"]
+            outputs.append((stdout, [path.read_bytes() for path in checks.output_paths(op)]))
+        return outputs
+
+    plans = {name: workloads.generate(name, 0, tmp_path / name) for name in workloads.WORKLOADS}
+    first = {name: run_round(plan) for name, plan in plans.items()}
+    assert all(files for _, files in first["grid"])
+    assert run_round(plans["grid"]) == first["grid"]
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    counts = []
+    for _ in range(2):
+        assert run_cli(["verify", "--filter", "ot-limit"]) == 0
+        assert capsys.readouterr().out.split() == ["PASS", "7", "ot-limit"]
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[1] == counts[0]
+    for bad in (["verify", "--seed", "x"], ["nonsense"], ["discrete", "--filter", "ot-limit"], []):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+    assert run_cli(["verify", "--filter", "riccati-fixed-point"]) == 0
+    assert capsys.readouterr().out.split() == ["PASS", "1", "riccati-fixed-point"]
+    assert len(built) == counts[0]

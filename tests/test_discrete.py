@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import references
 import scipy.special
 from scipy.special import erfc, logsumexp
 
@@ -458,6 +459,40 @@ def test_hard_zero_target_converges_on_its_support(hard_zero_target_model):
     assert max(abs(x) for x in rep["telescope_even_residuals"] + rep["telescope_odd_residuals"]) < 1e-9
 
 
+def hard_zero_source_model():
+    """The default 1-d grid with mu a standard normal cut off above x = 2.5 (U = +inf there)."""
+    quad = models.quadratic_potential([0.0], [[1.0]])
+
+    def u_fn(points):
+        out = quad(points)
+        out[points[:, 0] > 2.5] = np.inf
+        return out
+
+    channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]])
+    return discrete.build_model(u_fn, quad, channel, discrete.uniform_grid(1, 64, 8.0))
+
+
+def test_lean_loop_matches_per_sweep_bookkeeping(monkeypatch, hard_zero_target_model):
+    """The entropy chains formed after the loop, and the stacked bridge gaps, equal the per-sweep forms bit for bit."""
+    cases = [*verify._desk_models().values(), hard_zero_target_model, hard_zero_source_model(),
+             factored_hard_zero_target()[2]]
+    assert np.isinf(cases[3].v_pot).any() and np.isinf(cases[4].u_pot).any() and np.isinf(cases[5].v_pot).any()
+    entropies = counted_calls(monkeypatch, "relative_entropy")
+    for model in cases:
+        for budget in (3, 300):
+            entropies.clear()
+            trace = discrete.run(model, budget, tol=1e-12)
+            assert entropies == []
+            want = references.per_sweep_run(model, budget, tol=1e-12)
+            assert trace.converged == want.converged
+            assert [s.n for s in trace.states] == [s.n for s in want.states]
+            for key in ("h_pi2n_eta", "h_eta_pi2n", "h_mu_pi2n1", "h_pi2n1_mu", "residuals"):
+                assert getattr(trace, key) == getattr(want, key), key
+        assert trace.converged
+        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
+        assert discrete.entropy_report(trace, oracle) == references.per_state_entropy_report(want, oracle)
+
+
 def test_relative_entropy_zero_log_zero():
     # a common hard zero contributes 0 log 0 = 0; mass where q vanishes costs +inf
     w = np.full(3, 0.5)
@@ -629,7 +664,8 @@ def test_factored_and_dense_forms_agree(spec):
         assert np.max(np.abs(np.subtract(rep_f[key], rep_d[key]))) < 1e-12, key
 
 
-def test_factored_hard_zero_target_converges():
+def factored_hard_zero_target():
+    """``diagonal_spec()`` built from its two factors, eta cut off below x_1 = -2: (doc, V function, model)."""
     doc = diagonal_spec()
     quad = models.quadratic_potential(**doc["V"]["params"])
 
@@ -640,6 +676,11 @@ def test_factored_hard_zero_target_converges():
 
     grid = discrete.uniform_grid(2, 16, 6.0)
     model = discrete.build_model(models.quadratic_potential(**doc["U"]["params"]), v_fn, axis_factors(doc), grid)
+    return doc, v_fn, model
+
+
+def test_factored_hard_zero_target_converges():
+    doc, v_fn, model = factored_hard_zero_target()
     assert len(model.channel) == 2 and np.isinf(model.v_pot).any()
     trace = discrete.run(model, 500, tol=1e-12)
     assert trace.converged
