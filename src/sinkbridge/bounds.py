@@ -8,31 +8,17 @@ matching Riccati parameters INFINITE).  Log-Sobolev constants that the
 theory only asserts to exist are accepted as user inputs, never computed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
-from .gaussian import LinearGaussianKernel, bridge_factors
-from .riccati import INFINITE
+from .gaussian import GaussianMeasure, LinearGaussianKernel, bridge_factors, bridge_solve, sinkhorn_run
+from .riccati import INFINITE, Sentinel
 
-
-class _ZeroFactor:
-    """Sentinel for a null curvature factor (inverse = infinity)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = _ZeroFactor()
+ZERO = Sentinel("ZERO")  # a null curvature factor (inverse = infinity)
 
 
 def is_zero(x) -> bool:
@@ -53,11 +39,9 @@ class CurvatureSpec:
     v_minus: object = ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "u_plus", spd.require_spd(spd.matrix(self.u_plus)))
-        object.__setattr__(self, "v_plus", spd.require_spd(spd.matrix(self.v_plus)))
-        for name in ("u_minus", "v_minus"):
+        for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
             val = getattr(self, name)
-            if not is_zero(val):
+            if not (is_zero(val) and name.endswith("minus")):  # only an upper factor may be ZERO
                 object.__setattr__(self, name, spd.require_spd(spd.matrix(val)))
         shapes = {f.shape for f in (self.u_plus, self.v_plus, self.u_minus, self.v_minus) if not is_zero(f)}
         if len(shapes) > 1:
@@ -70,8 +54,6 @@ class CurvatureSpec:
     @classmethod
     def gaussian(cls, u, v) -> "CurvatureSpec":
         """Equality case: both curvature bounds equal the true covariances."""
-        u = spd.matrix(u)
-        v = spd.matrix(v)
         return cls(u_plus=u, v_plus=v, u_minus=u, v_minus=v)
 
 
@@ -133,31 +115,32 @@ def curvature_flow(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int):
     """Interleaved two-sided conditional-covariance envelopes.
 
     Returns (sigma_flow, tau_flow), two lists of length 2*n_max + 2 with
-    sigma_n <= tau_n for every n.  Both start at the channel noise tau; the
-    recursions add the curvature factors' inverses after each channel pass,
-    with ZERO factors collapsing the lower envelope to the null matrix.
+    sigma_n <= tau_n for every n.  They interleave the conditional
+    covariances of two Gaussian Sinkhorn runs through k, A from N(0, u_plus)
+    to N(0, v_minus) and B from N(0, u_minus) to N(0, v_plus): sigma_n is
+    A's at even n and B's at odd n, tau_n the other way round.
     """
-    chi = k.chi
-    d = k.dim
-    zero = np.zeros((d, d))
-    u_plus_inv = spd.sym_inv(spec.u_plus)
-    v_plus_inv = spd.sym_inv(spec.v_plus)
-    u_minus_inv = None if is_zero(spec.u_minus) else spd.sym_inv(spec.u_minus)
-    v_minus_inv = None if is_zero(spec.v_minus) else spd.sym_inv(spec.v_minus)
-
-    sigma = [spd.symmetrize(np.array(k.tau))]
-    tau = [spd.symmetrize(np.array(k.tau))]
-    for n in range(2 * n_max + 1):
-        prev_s, prev_t = sigma[-1], tau[-1]
-        if n % 2 == 0:  # build odd index n+1
-            s = zero if u_minus_inv is None else spd.sym_inv(u_minus_inv + chi.T @ prev_t @ chi)
-            t = spd.sym_inv(u_plus_inv + chi.T @ prev_s @ chi)
-        else:  # build even index n+1
-            s = zero if v_minus_inv is None else spd.sym_inv(v_minus_inv + chi @ prev_t @ chi.T)
-            t = spd.sym_inv(v_plus_inv + chi @ prev_s @ chi.T)
-        sigma.append(s)
-        tau.append(t)
+    a = _sinkhorn_covariances(k, spec.u_plus, spec.v_minus, n_max)
+    b = _sinkhorn_covariances(k, spec.u_minus, spec.v_plus, n_max)
+    sigma = [(b if n % 2 else a)[n] for n in range(len(a))]
+    tau = [(a if n % 2 else b)[n] for n in range(len(a))]
     return sigma, tau
+
+
+def _sinkhorn_covariances(k: LinearGaussianKernel, u, v, n_max: int) -> list:
+    """tau_0, ..., tau_{2 n_max + 1} of the Gaussian Sinkhorn run from N(0, u) to N(0, v) through k.
+
+    A ZERO factor leaves the run without a bridge: each step into its side
+    is the null matrix, and each step out of it gives the opposite factor.
+    """
+    zero = np.zeros_like(k.tau)
+    if is_zero(u):
+        return [k.tau] + [zero, v] * n_max + [zero]
+    if is_zero(v):
+        return [k.tau, spd.sym_inv(spd.sym_inv(u) + k.chi.T @ k.tau @ k.chi)] + [zero, u] * n_max
+    origin = np.zeros(k.dim)
+    states = sinkhorn_run(bridge_solve(GaussianMeasure(origin, u), GaussianMeasure(origin, v), k), max(n_max, 1))
+    return [s.tau_n for s in states[: 2 * n_max + 2]]
 
 
 def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
@@ -193,83 +176,55 @@ def _xi_iota(spec: CurvatureSpec, w0_bar, w1_bar, p_max: int):
     return xi_even, xi_odd, float(max(iota0, iota1))
 
 
-@dataclass
-class BoundReport:
-    """Named constants plus per-n rate envelopes, each tagged by origin."""
+class BoundReport(NamedTuple):
+    """Named constants {name: {"value", "tag"}} and rate envelope rows (n, tag, bound), tagged by origin."""
 
-    scalars: dict = field(default_factory=dict)
-    envelopes: list = field(default_factory=list)  # rows (n, tag, bound, empirical, satisfied)
-
-    def add_scalar(self, name: str, value, tag: str):
-        self.scalars[name] = {"value": value, "tag": tag}
-
-    def envelope_csv_rows(self):
-        yield "n,theorem_tag,bound,empirical,satisfied"
-        for n, tag, bound, emp, ok in self.envelopes:
-            emp_s = "" if emp is None else format(emp, ".17g")
-            ok_s = "" if ok is None else str(int(ok))
-            yield f"{n},{tag},{format(bound, '.17g')},{emp_s},{ok_s}"
+    scalars: dict
+    envelopes: list
 
 
-def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int = 1, empirical=None) -> BoundReport:
-    """Assemble every contraction envelope for one channel/curvature pair.
-
-    empirical, when given, maps a tag to a per-n sequence of measured decay
-    ratios gap_n / gap_0 so the report can record bound-vs-observed rows.
-    """
-    report = BoundReport()
+def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int = 1) -> BoundReport:
+    """Every contraction constant, and every envelope for n <= n_max (inf before it applies)."""
     eps = eps_lg(k, spec)
     ph = phi(eps)
-    report.add_scalar("eps", eps, "contraction-coefficient")
-    report.add_scalar("phi", ph, "improved-exponent")
     base_rate = 1.0 / (1.0 + 1.0 / eps)
-    report.add_scalar("pair_rate", base_rate, "two-step-entropy-rate")
-    report.add_scalar("phi_rate_squared", (1.0 + ph) ** -2, "improved-entropy-rate")
-    report.add_scalar(
-        "phi_identity_residual", abs((1.0 + ph) ** 2 - (1.0 + 1.0 / eps + ph)), "exponent-identity"
-    )
     # (1 + phi)^-2 < (1 + 1/eps)^-1 is phi (2 + phi) > 1/eps; both rates
     # round to 1.0 once eps >~ 1e16, so they cannot be compared directly
     strict = bool(ph * (2.0 + ph) > 1.0 / eps)
-    report.add_scalar("phi_rate_strictly_better", strict, "rate-ordering")
     if not strict:
         raise DomainError("improved rate failed to dominate the basic rate")
 
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    xi_even, xi_odd, iota = _xi_iota(spec, w0_bar, w1_bar, p)
-    report.add_scalar("iota", iota, "norm-ratio-limit")
+    _, _, iota = _xi_iota(spec, w0_bar, w1_bar, p)
     decays = [riccati.decay_params(w) for w in (w0_bar, w1_bar) if not riccati.is_infinite(w)]
     delta_bar = max((d for d, _ in decays), default=0.0)
     c_bar = max((c for _, c in decays), default=0.0)
-    report.add_scalar("delta_bar", delta_bar, "flow-decay-rate")
-    report.add_scalar("c_bar", c_bar, "flow-decay-prefactor")
     composite_rate = 1.0 / (1.0 + (iota / eps) / (1.0 + c_bar * delta_bar**p))
-    report.add_scalar("composite_rate", composite_rate, "corrected-two-step-rate")
-
     a, b = proximal_rates(k, spec)
-    report.add_scalar("proximal_a", a, "proximal-prefactor")
-    report.add_scalar("proximal_b", b, "proximal-step-rate")
 
-    empirical = empirical or {}
-
-    def rows(tag, bound_at):
-        emp_seq = empirical.get(tag)
-        for n in range(n_max + 1):
-            bound = bound_at(n)
-            emp = None
-            ok = None
-            if emp_seq is not None and n < len(emp_seq):
-                emp = float(emp_seq[n])
-                ok = emp <= bound * (1.0 + 1e-9) + 1e-12
-            report.envelopes.append((n, tag, float(bound), emp, ok))
-
-    rows("two-step-entropy-rate", lambda n: base_rate**n)
-    rows("improved-entropy-rate", lambda n: (1.0 + ph) ** -(n - 2) if n >= 2 else np.inf)
-    rows(
-        "corrected-two-step-rate",
-        lambda n: composite_rate ** (n - p) if n >= p else np.inf,
+    scalars = {
+        "eps": (eps, "contraction-coefficient"),
+        "phi": (ph, "improved-exponent"),
+        "pair_rate": (base_rate, "two-step-entropy-rate"),
+        "phi_rate_squared": ((1.0 + ph) ** -2, "improved-entropy-rate"),
+        "phi_identity_residual": (abs((1.0 + ph) ** 2 - (1.0 + 1.0 / eps + ph)), "exponent-identity"),
+        "phi_rate_strictly_better": (strict, "rate-ordering"),
+        "iota": (iota, "norm-ratio-limit"),
+        "delta_bar": (delta_bar, "flow-decay-rate"),
+        "c_bar": (c_bar, "flow-decay-prefactor"),
+        "composite_rate": (composite_rate, "corrected-two-step-rate"),
+        "proximal_a": (a, "proximal-prefactor"),
+        "proximal_b": (b, "proximal-step-rate"),
+    }
+    envelopes = {
+        "two-step-entropy-rate": lambda n: base_rate**n,
+        "improved-entropy-rate": lambda n: (1.0 + ph) ** -(n - 2) if n >= 2 else np.inf,
+        "corrected-two-step-rate": lambda n: composite_rate ** (n - p) if n >= p else np.inf,
+    }
+    return BoundReport(
+        {name: {"value": value, "tag": tag} for name, (value, tag) in scalars.items()},
+        [(n, tag, float(bound_at(n))) for tag, bound_at in envelopes.items() for n in range(n_max + 1)],
     )
-    return report
 
 
 def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec) -> tuple[float, float]:

@@ -166,7 +166,7 @@ def _write_pair(args, doc: dict, header: str, rows) -> int:
     _write_json(out.with_suffix(".json"), doc)
     _write_csv(out.with_suffix(".csv"), header, rows)
     print(f"wrote {out.with_suffix('.json')} and {out.with_suffix('.csv')}")
-    return _unsatisfied(out.with_suffix(".csv"), rows)
+    return _unsatisfied(out.with_suffix(".csv"), rows) if header.endswith(",satisfied") else 0
 
 
 def _load_riccati(args):
@@ -369,8 +369,8 @@ def _load_bounds(args):
 
 def _bounds(k, spec, n_max, p):
     report = bounds.rate_table(k, spec, n_max, p=p)
-    header, *rows = report.envelope_csv_rows()
-    return {"scalars": report.scalars}, header, rows
+    rows = [f"{n},{tag},{_fmt(bound)}" for n, tag, bound in report.envelopes]
+    return {"scalars": report.scalars}, "n,theorem_tag,bound", rows
 
 
 def cmd_bounds(args) -> int:

@@ -426,8 +426,8 @@ def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKer
     """
     _check_model(nu, mu, k)
     u = mu.cov
-    fwd_cov = spd.require_spd(k.beta @ u @ k.beta.T + k.tau)
-    gain = u @ k.beta.T @ spd.sym_inv(fwd_cov)
+    # sym_inv validates the forward covariance on the one decomposition it inverts with
+    gain = u @ k.beta.T @ spd.sym_inv(k.beta @ u @ k.beta.T + k.tau)
     back_cov = spd.clamp_psd(u - gain @ k.beta @ u)
 
     y_mean = k.alpha + k.beta @ nu.mean

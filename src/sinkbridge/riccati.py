@@ -25,6 +25,7 @@ and ``scalar_closed_form`` take one parameter, and INFINITE stands for
 one parameter.
 """
 
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -33,21 +34,18 @@ from . import spd
 from .errors import DomainError, ShapeError
 
 
-class _InfiniteVarpi:
-    """Sentinel for the varpi^{-1} = 0 convention."""
+class Sentinel(Enum):
+    """INFINITE (the varpi^{-1} = 0 convention) and ZERO (a null curvature factor in ``bounds``):
+    compared by identity and shown by name; a copy is the value itself."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INFINITE = "INFINITE"
+    ZERO = "ZERO"
 
     def __repr__(self):
-        return "INFINITE"
+        return self.name
 
 
-INFINITE = _InfiniteVarpi()
+INFINITE = Sentinel("INFINITE")
 
 # the largest residual of each fixed-point identity that fixed_point_identities accepts
 IDENTITY_TOL = 1e-9
@@ -192,6 +190,8 @@ def decay_params(varpi) -> tuple[float, float]:
         raise ShapeError(f"decay_params takes one varpi, got a stack of shape {w.shape[:-1]}")
     lam = float(w[0])
     delta = float((1.0 + lam + _fixed_scalar(lam)) ** -2)
+    if delta == 0.0:
+        raise DomainError(f"decay rate underflows to 0: l_min(varpi) = {lam:.3e}")
 
     c_bound = 1.0
     m = 0.0

@@ -50,8 +50,8 @@ def square(a) -> np.ndarray:
 
 def symmetrize(a) -> np.ndarray:
     """Return the symmetric part (A + A')/2 of a square matrix, or of each in a stack (..., d, d)."""
-    a = square(a)
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    half = 0.5 * square(a)  # halved first, so entries near the largest double do not overflow
+    return half + half.swapaxes(-1, -2)
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

@@ -3,9 +3,10 @@
 No command, criterion or demo needs these, so they live beside the tests.
 """
 
+import mpmath
 import numpy as np
 
-from sinkbridge import discrete, spd
+from sinkbridge import bounds, discrete, spd
 from sinkbridge import gaussian as g
 
 
@@ -32,6 +33,39 @@ def geometric_mean(u, v):
     spd.check_same_dim(u, v_half)
     inner = spd.principal_sqrt(v_inv_half @ u @ v_inv_half)
     return spd.symmetrize(v_half @ inner @ v_half)
+
+
+def curvature_flow_mp(k, spec, n_max, dps=60):
+    """``bounds.curvature_flow`` by its defining recursion, in ``dps``-digit arithmetic.
+
+    Both envelopes start at tau.  The step into x adds u_minus^{-1} to
+    chi' tau_n chi for sigma and u_plus^{-1} to chi' sigma_n chi for tau,
+    and inverts; the step into y does the same with v and chi'.  A ZERO
+    factor makes its step the null matrix.  The float inputs are taken as
+    exact and the result is rounded to doubles.
+    """
+    with mpmath.workdps(dps):
+        def exact(a):
+            return mpmath.matrix(np.asarray(a).tolist())
+
+        def inv(a):
+            return None if bounds.is_zero(a) else mpmath.inverse(exact(a))
+
+        chi = exact(k.chi)
+        zero = mpmath.zeros(k.dim)
+        into_x = (chi.T, chi, inv(spec.u_minus), inv(spec.u_plus))
+        into_y = (chi, chi.T, inv(spec.v_minus), inv(spec.v_plus))
+        sigma, tau = [exact(k.tau)], [exact(k.tau)]
+        for n in range(2 * n_max + 1):
+            left, right, minus_inv, plus_inv = into_y if n % 2 else into_x
+            sigma_next = zero if minus_inv is None else mpmath.inverse(minus_inv + left * tau[-1] * right)
+            tau.append(mpmath.inverse(plus_inv + left * sigma[-1] * right))
+            sigma.append(sigma_next)
+
+        def to_float(flow):
+            return [np.array(m.tolist(), dtype=float) for m in flow]
+
+        return to_float(sigma), to_float(tau)
 
 
 def per_sweep_run(model, n_sweeps, tol):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from references import varpi_pair
+from references import curvature_flow_mp, varpi_pair
 from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
-from sinkbridge.bounds import CurvatureSpec
+from sinkbridge.bounds import ZERO, CurvatureSpec
 from sinkbridge.errors import DomainError
 
 
@@ -263,6 +263,28 @@ def test_curvature_flow_scalar_hand_oracle():
     assert abs(tau[2][0, 0] - t2) < 1e-14
 
 
+def two_sided_spec(d, cond, drop=()):
+    """Seed-fixed curvature factors with spectra over scale * [1, cond]; the names in ``drop`` become ZERO."""
+    scales = {"u_plus": 1.0, "v_plus": 1.0, "u_minus": 0.5, "v_minus": 0.7}
+    factors = {name: scale * log_spectrum_spd(d, cond, seed) for seed, (name, scale) in enumerate(scales.items())}
+    return CurvatureSpec(**{**factors, **dict.fromkeys(drop, ZERO)})
+
+
+@pytest.mark.parametrize("drop, n_max", [
+    ((), 8), (("u_minus",), 8), (("v_minus",), 8), (("u_minus", "v_minus"), 8), ((), 0), (("u_minus", "v_minus"), 0),
+], ids=["two-sided", "u_minus-zero", "v_minus-zero", "both-zero", "n_max-0", "both-zero-n_max-0"])
+def test_curvature_flow_matches_the_high_precision_recursion(drop, n_max):
+    # the two Sinkhorn runs against the envelopes' defining recursion in 60 digits
+    k, _ = ill_conditioned_bridge(4, 1e4)
+    spec = two_sided_spec(4, 1e4, drop)
+    sigma, tau = bounds.curvature_flow(k, spec, n_max)
+    sigma_ref, tau_ref = curvature_flow_mp(k, spec, n_max)
+    assert len(sigma) == len(tau) == len(sigma_ref) == 2 * n_max + 2
+    for flow, ref in ((sigma, sigma_ref), (tau, tau_ref)):
+        for m, m_ref in zip(flow, ref):
+            assert np.linalg.norm(m - m_ref, 2) <= 1e-11 * np.linalg.norm(m_ref, 2)
+
+
 def test_xi_iota_zero_case():
     spec = CurvatureSpec(u_plus=np.eye(2), v_plus=np.eye(2))
     xi_even, xi_odd, iota = bounds.xi_iota(kernel_ti(1.0, 2), spec, 6)
@@ -334,9 +356,10 @@ def test_rate_table_dominates_empirical_gaussian_decay():
     states = g.sinkhorn_run(bridge, 12)
     gaps = [g.gaussian_kl(bridge.plan, g.state_plan(s, mu, eta, k)) for s in states]
     even_ratio = [gaps[2 * n] / gaps[0] for n in range(13)]
-    rep = bounds.rate_table(k, spec, 12, empirical={"two-step-entropy-rate": even_ratio})
-    rows = [r for r in rep.envelopes if r[1] == "two-step-entropy-rate" and r[3] is not None]
-    assert rows and all(ok for *_, ok in rows)
+    rep = bounds.rate_table(k, spec, 12)
+    bound = [b for _, tag, b in rep.envelopes if tag == "two-step-entropy-rate"]
+    assert len(bound) == len(even_ratio) == 13
+    assert all(r <= b * (1.0 + 1e-9) + 1e-12 for r, b in zip(even_ratio, bound))
 
 
 def test_proximal_rates_values():
@@ -384,10 +407,16 @@ def test_proximal_crossover_exact_equivalence():
     assert seen == {True, False}
 
 
-def test_bound_report_serialization_roundtrip():
+def test_bound_report_serialization_roundtrip(tmp_path):
     spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
     rep = bounds.rate_table(kernel_ti(1.0), spec, 3)
-    assert "eps" in rep.scalars
-    rows = list(rep.envelope_csv_rows())
-    assert rows[0].startswith("n,theorem_tag")
-    assert len(rows) == 1 + 3 * 4
+    assert rep.scalars["eps"] == {"value": 1.0, "tag": "contraction-coefficient"}
+    assert len(rep.envelopes) == 3 * 4
+    assert [row[:2] for row in rep.envelopes[:4]] == [(n, "two-step-entropy-rate") for n in range(4)]
+    # the bounds command writes these rows, and every bound reads back bit for bit
+    out = tmp_path / "bnd"
+    assert cli.main(["bounds", "--out", str(out)]) == 0
+    header, *rows = out.with_suffix(".csv").read_text().splitlines()
+    assert header == "n,theorem_tag,bound"
+    written = bounds.rate_table(kernel_ti(1.0), spec, 20)  # the command's default model
+    assert [(int(n), tag, float(b)) for n, tag, b in (row.split(",") for row in rows)] == written.envelopes

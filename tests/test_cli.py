@@ -140,7 +140,8 @@ def test_bounds_command(tmp_path):
     assert doc["schema"] == "sinkbridge/v1"
     assert float(doc["scalars"]["pair_rate"]["value"]) == 0.5
     rows = out.with_suffix(".csv").read_text().strip().splitlines()
-    assert rows[0] == "n,theorem_tag,bound,empirical,satisfied"
+    assert rows[0] == "n,theorem_tag,bound"
+    assert len(rows) == 1 + 3 * 21 and all(row.count(",") == 2 for row in rows)
 
 
 @pytest.mark.parametrize("beta", [1e8, 1e10])
@@ -495,6 +496,26 @@ def test_overflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "overflows" in err
     assert "Traceback" not in err
+
+
+EXTREME_SPEC = {"u_plus": [[1e308]], "v_plus": [[1.0]], "u_minus": [[1.0]], "v_minus": [[1.0]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, model, needle", [
+    ("gaussian", {"spec": EXTREME_SPEC}, "is not finite"),
+    ("bounds", {"spec": EXTREME_SPEC}, "bridge is degenerate"),
+    ("riccati", {"varpi": [[1e308]]}, "decay rate underflows"),
+    ("riccati", {"varpi": [[1e200]]}, "decay rate underflows"),
+    ("bounds", {"spec": {**EXTREME_SPEC, "u_plus": [[1.0]], "u_minus": [[1e-200]]}}, "decay rate underflows"),
+], ids=["gaussian-1e308", "bounds-1e308", "riccati-1e308", "riccati-1e200", "bounds-1e-200"])
+def test_extreme_spd_input_exit_3(tmp_path, capsys, command, model, needle):
+    # each matrix is SPD, and 1e308 must not overflow while it is symmetrized into a "not SPD" config error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "model": model}))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and needle in err
 
 
 def assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, where):

@@ -328,6 +328,16 @@ def test_proximal_invariance():
         assert np.linalg.norm(out.cov - mu.cov, 2) < 1e-12
 
 
+def test_proximal_step_decomposes_three_times(decompositions):
+    # one eigh each: the forward covariance's inverse (which also validates
+    # it), the backward noise's clamp and the result's SPD check
+    rng = np.random.default_rng(89)
+    mu, nu, k = random_model(rng, 3)
+    decompositions.clear()
+    g.proximal_step(nu, mu, k)
+    assert decompositions == {"eigh": 3}
+
+
 def test_proximal_mean_contraction():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     nu = g.GaussianMeasure([3.0], [[1.0]])

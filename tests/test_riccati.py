@@ -1,12 +1,15 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkbridge import cli, gaussian, riccati, spd
+from sinkbridge import bounds, cli, gaussian, riccati, spd
 from sinkbridge.errors import DomainError, ShapeError
+from sinkbridge.bounds import ZERO
 from sinkbridge.riccati import INFINITE
 
 
@@ -41,6 +44,15 @@ def test_ricc_map_fixed_value_from_iteration_oracle():
 def test_ricc_map_infinite_returns_identity():
     s = np.diag([0.3, 0.9])
     assert np.array_equal(riccati.ricc_map(INFINITE, s), np.eye(2))
+
+
+def test_sentinels_keep_their_identity_and_names():
+    assert (repr(INFINITE), repr(ZERO)) == ("INFINITE", "ZERO")
+    assert riccati.Sentinel("INFINITE") is INFINITE and INFINITE is not ZERO
+    for s in (INFINITE, ZERO):
+        assert copy.deepcopy(s) is s and pickle.loads(pickle.dumps(s)) is s
+    assert riccati.is_infinite(INFINITE) and not riccati.is_infinite(ZERO)
+    assert bounds.is_zero(ZERO) and not bounds.is_zero(INFINITE)
 
 
 def test_ricc_map_dim_mismatch():

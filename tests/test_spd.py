@@ -18,6 +18,18 @@ def test_symmetrize_exact():
     assert np.array_equal(s, s.T)
 
 
+@pytest.mark.filterwarnings("error")
+def test_symmetrize_does_not_overflow_near_the_largest_double():
+    a = np.array([[1e308, 1.7e308], [1.7e308, 1e308]])
+    assert np.array_equal(spd.symmetrize(a), a)
+
+
+def test_symmetrize_matches_the_half_sum_bitwise():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((64, 5, 5)) * 10.0 ** rng.uniform(-300, 300, (64, 5, 5))
+    assert np.array_equal(spd.symmetrize(a), 0.5 * (a + a.swapaxes(-1, -2)))
+
+
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(ShapeError):
         spd.symmetrize(np.ones((2, 3)))
