@@ -15,16 +15,10 @@ spec = CurvatureSpec(u_plus=[[1.0]], v_plus=[[1.0]])
 a, b = bounds.proximal_rates(k, spec)
 print(f"step rates: a = {a}, b = {b}")
 
-w0 = g.gelbrich_w2(nu, mu)
-h0 = g.gaussian_kl(nu, mu)
 print("\n n   W2(nu S^n, mu)   b^n W2_0        KL(nu S^n | mu)   a b^(2n-2) KL_0")
-cur = nu
-for n in range(1, 11):
-    cur = g.proximal_step(cur, mu, k)
-    print(
-        f"{n:>2}   {g.gelbrich_w2(cur, mu):.6e}     {b**n * w0:.6e}    "
-        f"{g.gaussian_kl(cur, mu):.6e}      {a * b ** (2 * (n - 1)) * h0:.6e}"
-    )
+rows = bounds.proximal_trace(nu, mu, k, a, b, 10)
+for n, (w2, w2_env, kl, kl_env) in enumerate(rows[1:], 1):
+    print(f"{n:>2}   {w2:.6e}     {w2_env:.6e}    {kl:.6e}      {kl_env:.6e}")
 
 # which machine contracts entropy faster per pair of half-steps depends on
 # the curvature asymmetry and the noise scale

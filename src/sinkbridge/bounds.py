@@ -15,7 +15,8 @@ import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
-from .gaussian import GaussianMeasure, LinearGaussianKernel, bridge_factors, bridge_solve, sinkhorn_run
+from .gaussian import (GaussianMeasure, LinearGaussianKernel, bridge_factors, bridge_solve, gaussian_kl,
+                       gelbrich_w2, proximal_step, sinkhorn_run)
 from .riccati import INFINITE, Sentinel
 
 ZERO = Sentinel("ZERO")  # a null curvature factor (inverse = infinity)
@@ -62,8 +63,9 @@ def eps_generic(kappa: float, rho1: float, rho2: float) -> float:
     if kappa <= 0 or rho1 <= 0 or rho2 <= 0:
         raise DomainError("eps_generic requires positive arguments")
     eps = kappa * kappa * rho1 * rho2
-    if not np.isfinite(eps):
-        raise DomainError(f"contraction coefficient overflows: kappa={kappa:.3e}, rho1={rho1:.3e}, rho2={rho2:.3e}")
+    if eps == 0 or not np.isfinite(eps):
+        how = "underflows to 0" if eps == 0 else "overflows"
+        raise DomainError(f"contraction coefficient {how}: kappa={kappa:.3e}, rho1={rho1:.3e}, rho2={rho2:.3e}")
     return eps
 
 
@@ -87,6 +89,15 @@ def phi(eps: float) -> float:
         raise DomainError("eps must be positive")
     inv = 1.0 / eps
     return inv / (np.sqrt(0.25 + inv) + 0.5)
+
+
+def entropy_envelopes(eps: float, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The pair envelope (1 + 1/eps)^-(n//2) gaps[0] and the improved one (1 + phi)^-(n-2) gaps[0]
+    on each Gaussian bridge gap gaps[n]; the improved one is inf before n = 2."""
+    ph = phi(eps)
+    pair = [(1.0 + 1.0 / eps) ** -(n // 2) * gaps[0] for n in range(len(gaps))]
+    improved = [(1.0 + ph) ** -(n - 2) * gaps[0] if n >= 2 else np.inf for n in range(len(gaps))]
+    return np.array(pair), np.array(improved)
 
 
 def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
@@ -151,29 +162,23 @@ def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
     the larger of the two fixed-point norm ratios and is always >= 1.
     """
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    return _xi_iota(spec, w0_bar, w1_bar, p_max)
+    ratio_even, ratio_odd, iota = _norm_ratios(spec, w0_bar, w1_bar)
+    xi_even = [ratio_even(m) for m in riccati.iterate(w0_bar, np.eye(spec.dim), p_max)]
+    xi_odd = [ratio_odd(m) for m in riccati.iterate(w1_bar, np.eye(spec.dim), p_max)]
+    return xi_even, xi_odd, iota
 
 
-def _xi_iota(spec: CurvatureSpec, w0_bar, w1_bar, p_max: int):
-    """``xi_iota`` from the upper flow parameters of ``varpi_family``."""
-    d = spec.dim
-    v_half = spd.principal_sqrt(spec.v_plus)
-    u_half = spd.principal_sqrt(spec.u_plus)
-    nv = spd.spectral_norm(spec.v_plus)
-    nu = spd.spectral_norm(spec.u_plus)
+def _norm_ratios(spec: CurvatureSpec, w0_bar, w1_bar):
+    """The maps m -> ||f|| / ||f^{1/2} m f^{1/2}|| for f = v_plus (even) and f = u_plus (odd),
+    and ``xi_iota``'s iota: their larger value at the fixed points of w0_bar and w1_bar."""
 
-    def ratio_even(mat):
-        return nv / spd.spectral_norm(v_half @ mat @ v_half)
+    def ratio(f):
+        half, norm = spd.principal_sqrt(f), spd.spectral_norm(f)
+        return lambda m: norm / spd.spectral_norm(half @ m @ half)
 
-    def ratio_odd(mat):
-        return nu / spd.spectral_norm(u_half @ mat @ u_half)
-
-    xi_even = [ratio_even(m) for m in riccati.iterate(w0_bar, np.eye(d), p_max)]
-    xi_odd = [ratio_odd(m) for m in riccati.iterate(w1_bar, np.eye(d), p_max)]
-
-    iota0 = ratio_even(riccati.fixed_point_like(w0_bar, d))
-    iota1 = ratio_odd(riccati.fixed_point_like(w1_bar, d))
-    return xi_even, xi_odd, float(max(iota0, iota1))
+    even, odd = ratio(spec.v_plus), ratio(spec.u_plus)
+    iota = max(even(riccati.fixed_point_like(w0_bar, spec.dim)), odd(riccati.fixed_point_like(w1_bar, spec.dim)))
+    return even, odd, float(iota)
 
 
 class BoundReport(NamedTuple):
@@ -195,7 +200,7 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
         raise DomainError("improved rate failed to dominate the basic rate")
 
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    _, _, iota = _xi_iota(spec, w0_bar, w1_bar, p)
+    *_, iota = _norm_ratios(spec, w0_bar, w1_bar)  # no correction sequence: rate_table reads only iota
     decays = [riccati.decay_params(w) for w in (w0_bar, w1_bar) if not riccati.is_infinite(w)]
     delta_bar = max((d for d, _ in decays), default=0.0)
     c_bar = max((c for _, c in decays), default=0.0)
@@ -240,6 +245,20 @@ def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec) -> tuple[float,
     resolvent = spd.sym_inv(spd.sym_inv(spec.u_plus) + k.beta.T @ spd.sym_inv(k.tau) @ k.beta)
     b = kappa2 * ntau * spd.spectral_norm(resolvent)
     return float(a), float(b)
+
+
+def proximal_trace(nu, mu, k: LinearGaussianKernel, a: float, b: float, steps: int) -> list:
+    """Rows (W2, b^n W2_0, KL, a b^(2(n-1)) KL_0), n = 0..steps, of the Gibbs chain from nu to mu.
+
+    (a, b) are ``proximal_rates``; row 0's envelopes are W2_0 and KL_0.
+    """
+    w0, h0 = gelbrich_w2(nu, mu), gaussian_kl(nu, mu)
+    rows = [(w0, w0, h0, h0)]
+    cur = nu
+    for n in range(1, steps + 1):
+        cur = proximal_step(cur, mu, k)
+        rows.append((gelbrich_w2(cur, mu), b**n * w0, gaussian_kl(cur, mu), a * b ** (2 * (n - 1)) * h0))
+    return rows
 
 
 def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:

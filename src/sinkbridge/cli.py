@@ -198,16 +198,14 @@ def _riccati(varpi, spectrum, r0, n):
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
     gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n) - r_star)
-    powers = riccati._powers(delta, np.arange(n + 1))
-    env = c_bound * powers * gaps[0]
-    env[0] = gaps[0]
-    floor = 1e-15  # absolute slack of each row's check
-    ok = gaps <= env * (1 + 1e-12) + floor
+    env = riccati.decay_envelope(gaps, delta, c_bound)
+    ok = verify.decay_holds(gaps, env)
     rows = [f"{k},{_fmt(gaps[k])},{_fmt(env[k])},{int(ok[k])}" for k in range(n + 1)]
-    # empirical prefactor fit: the largest gap ratio against delta^k, over the
-    # rows the envelope decides; below the floor the ratio is round-off over delta^k
-    decided = env[1:] > floor
-    fit = float(np.max(gaps[1:][decided] / (powers[1:][decided] * gaps[0]), initial=0.0))
+    # empirical prefactor fit: the largest gap ratio against delta^k, over the rows
+    # the envelope decides; below the gate's slack the ratio is round-off over delta^k
+    decided = env[1:] > verify.DECAY_SLACK
+    powers = riccati._powers(delta, np.arange(1, n + 1))
+    fit = float(np.max(gaps[1:][decided] / (powers[decided] * gaps[0]), initial=0.0))
     doc = {
         "varpi": varpi,
         "fixed_point": r_star,
@@ -246,23 +244,19 @@ def _require_finite(where: str, **cells):
 @np.errstate(over="ignore", invalid="ignore")
 def _gaussian(mu, eta, k, spec, n_max, t_grid):
     eps = bounds.eps_lg(k, spec)
-    ph = bounds.phi(eps)
     bridge = g.bridge_solve(mu, eta, k)
     states = g.sinkhorn_run(bridge, n_max)
     gaps = g.bridge_gaps(bridge, states)
+    pair, improved = bounds.entropy_envelopes(eps, gaps)
+    ok = verify.dominated(gaps, pair) & verify.dominated(gaps, improved)
     trace_rows = []
-    for s, gap in zip(states, gaps):
+    for s, gap, env_pair, env_phi, row_ok in zip(states, gaps, pair, improved, ok):
         pi = g.GaussianMeasure(s.m_n, s.sigma_pi_n)
         w2 = g.gelbrich_w2(eta, pi) if s.n % 2 == 0 else g.gelbrich_w2(mu, pi)
-        env_pair = (1.0 + 1.0 / eps) ** -(s.n // 2) * gaps[0]
-        env_phi = (1.0 + ph) ** -(s.n - 2) * gaps[0] if s.n >= 2 else float("inf")
         # env_phi's inf before n = 2 is documented; any other inf would pass its check as inf <= inf
         _require_finite(f"trace row n={s.n}", gap=gap, W2=w2, envelope_pair=env_pair,
                         envelope_phi=env_phi if s.n >= 2 else 0.0)
-        trace_rows.append(
-            f"{s.n},{_fmt(gap)},{_fmt(w2)},{_fmt(env_pair)},{_fmt(env_phi)},"
-            f"{int(gap <= min(env_pair, env_phi) * (1 + 1e-9) + 1e-13)}"
-        )
+        trace_rows.append(f"{s.n},{_fmt(gap)},{_fmt(w2)},{_fmt(env_pair)},{_fmt(env_phi)},{int(row_ok)}")
 
     lim = bridge.ot_limit()
     sweep_rows = []
@@ -274,20 +268,13 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
 
     a, b = bounds.proximal_rates(k, spec)
     nu = g.GaussianMeasure(mu.mean + 3.0, 2.0 * mu.cov)
-    w0 = g.gelbrich_w2(nu, mu)
-    h0 = g.gaussian_kl(nu, mu)
-    _require_finite("proximal row n=0", W2=w0, KL=h0)
-    prox_rows = [f"0,{_fmt(w0)},{_fmt(w0)},{_fmt(h0)},{_fmt(h0)}"]
-    cur = nu
-    for n_step in range(1, 21):
-        cur = g.proximal_step(cur, mu, k)
-        w2, kl = g.gelbrich_w2(cur, mu), g.gaussian_kl(cur, mu)
-        w2_env, kl_env = b**n_step * w0, a * b ** (2 * (n_step - 1)) * h0
+    prox_rows = []
+    for n_step, (w2, w2_env, kl, kl_env) in enumerate(bounds.proximal_trace(nu, mu, k, a, b, 20)):
         _require_finite(f"proximal row n={n_step}", W2=w2, W2_envelope=w2_env, KL=kl, KL_envelope=kl_env)
         prox_rows.append(f"{n_step},{_fmt(w2)},{_fmt(w2_env)},{_fmt(kl)},{_fmt(kl_env)}")
     report = {
         "eps": eps,
-        "phi": ph,
+        "phi": bounds.phi(eps),
         "proximal_a": a,
         "proximal_b": b,
         "terminal_bridge_gap": float(gaps[-1]),
@@ -332,12 +319,11 @@ def _discrete(model, n_sweeps, tol):
             f"{n},{_fmt(rep['H_pi2n_eta'][n])},{_fmt(h_mu)},{_fmt(rep['H_eta_pi2n'][n])},"
             f"{_fmt(rep['H_pi2n1_mu'][n])},{_fmt(rep['H_bridge_even'][n])}"
         )
-    chains = ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu", "H_bridge_even", "H_bridge_odd")
     summary = {
         "converged": trace.converged,
         "sweeps": trace.n_sweeps,
         "final_residual": trace.residuals[-1],
-        "entropy_monotone": all(y <= x + 1e-12 for key in chains for x, y in zip(rep[key], rep[key][1:])),
+        "entropy_monotone": verify.chains_monotone(rep),
     }
     return rows, summary
 
@@ -380,7 +366,7 @@ def cmd_bounds(args) -> int:
 def _load_verify(args):
     config, _ = _config(args)
     seed = parse_count(config["seed"] if args.seed is None else args.seed, "seed", 0)
-    names = [name for name, _ in verify.CRITERIA] + ["determinism"]
+    names = [name for name, _ in verify.CRITERIA] + [verify.DETERMINISM]
     if args.filter and not any(args.filter in name for name in names):
         raise ConfigError(f"--filter {args.filter!r} matches no criterion; valid: {', '.join(names)}")
     return seed, args.filter
@@ -388,11 +374,10 @@ def _load_verify(args):
 
 def _verify(seed, name_filter):
     results = verify.run_criteria(seed=seed, name_filter=name_filter)
-    if not name_filter or name_filter in "determinism":
+    if not name_filter or name_filter in verify.DETERMINISM:
         # the full suite is itself the first of the two runs compared
         first = None if name_filter else verify.summary_document(results, seed)
         results.append(verify.criterion_determinism(seed, first=first))
-    results.sort(key=lambda r: r["id"])
     return verify.summary_document(results, seed), results
 
 

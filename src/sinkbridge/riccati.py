@@ -248,6 +248,14 @@ def _powers(x: float, n):
     return np.array([x ** int(k) for k in np.ravel(n)]).reshape(np.shape(n))
 
 
+def decay_envelope(gaps, delta: float, c_bound: float) -> np.ndarray:
+    """``decay_params``' bound c_bound delta^n gaps[0] on each gaps[n] = ||r_n - r||, n >= 1.
+
+    Row 0 is gaps[0] itself, so a start near the largest double never meets c_bound.
+    """
+    return np.concatenate([gaps[:1], c_bound * _powers(delta, np.arange(1, len(gaps))) * gaps[0]])
+
+
 def scalar_closed_form(varpi: float, r0: float, n):
     """Closed-form scalar trajectory value r_n for the one-dimensional map.
 

@@ -2,9 +2,12 @@
 
 Every check pins its tolerance here, computes its own reference values
 (iteration oracles, closed forms, exact Gaussian divergences) and returns a
-dict {id, name, passed, details}.  All randomness is seed-fixed; results
-are deterministic for a given seed.  Criteria 1-3 draw all their cases
-first and then run the cases of each dimension as one stack.
+dict {passed, details}; ``run_criteria`` adds its id and name from its
+place in ``CRITERIA``.  All randomness is seed-fixed; results are
+deterministic for a given seed.  Criteria 1-3 draw all their cases first
+and then run the cases of each dimension as one stack.  The commands'
+``satisfied`` and ``entropy_monotone`` outputs call the gates below, so a
+claim and its criterion share one gate.
 """
 
 import json
@@ -14,6 +17,30 @@ import numpy as np
 from . import bounds, discrete, models, riccati, spd
 from . import gaussian as g
 from .bounds import CurvatureSpec
+
+DECAY_SLACK = 1e-15  # absolute slack of the Riccati decay gate
+CHAIN_SLACK = 1e-12  # how far an entropy chain may rise from one entry to the next
+CHAINS = ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu", "H_bridge_even", "H_bridge_odd")
+DETERMINISM = "determinism"  # criterion 11, which runs the others
+
+
+def decay_holds(gaps, env):
+    """The Riccati decay gate: gaps[n] <= env[n] + DECAY_SLACK for each row of ``riccati.decay_envelope``."""
+    return gaps <= env + DECAY_SLACK
+
+
+def dominated(obs, env):
+    """The Gaussian entropy gate, elementwise: a relative and an absolute slack."""
+    return obs <= env * (1 + 1e-9) + 1e-13
+
+
+def _nonincreasing(seq) -> bool:
+    return all(y <= x + CHAIN_SLACK for x, y in zip(seq, seq[1:]))
+
+
+def chains_monotone(rep: dict) -> bool:
+    """The entropy-chain gate: every chain of a ``discrete.entropy_report`` is nonincreasing."""
+    return all(_nonincreasing(rep[key]) for key in CHAINS)
 
 
 def _spd_family(seed):
@@ -77,14 +104,8 @@ def criterion_riccati_fixed_point(seed=0):
         sandwich_ok = sandwich_ok and bool(np.all(rep["sandwich_strict"] & rep["inverse_sandwich_strict"]))
     passed = worst_map < 1e-10 and worst_quad < 1e-9 and sandwich_ok
     return {
-        "id": 1,
-        "name": "riccati-fixed-point",
         "passed": bool(passed),
-        "details": {
-            "max_map_residual": worst_map,
-            "max_identity_residual": worst_quad,
-            "sandwich_strict": sandwich_ok,
-        },
+        "details": {"max_map_residual": worst_map, "max_identity_residual": worst_quad, "sandwich_strict": sandwich_ok},
     }
 
 
@@ -102,10 +123,9 @@ def criterion_riccati_decay(seed=0):
         # gaps[n, j]: slice j's distance to its fixed point after n steps
         gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n_max) - r_star)
         for j, one in enumerate(zip(*spectrum)):
-            delta, c = riccati.decay_params(riccati.Spectrum(*one))
-            margins = gaps[1:, j] - c * riccati._powers(delta, np.arange(1, n_max + 1)) * gaps[0, j]
-            worst_margin = max(worst_margin, margins.max())
-            envelope_ok = envelope_ok and bool(np.all(margins <= 1e-14))
+            env = riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))
+            worst_margin = max(worst_margin, (gaps[1:, j] - env[1:]).max())
+            envelope_ok = envelope_ok and bool(np.all(decay_holds(gaps[:, j], env)))
 
     closed_ok = True
     worst_cf = 0.0
@@ -118,8 +138,6 @@ def criterion_riccati_decay(seed=0):
         worst_cf = max(worst_cf, err.max())
         closed_ok = closed_ok and bool(np.all(err < 1e-12))
     return {
-        "id": 2,
-        "name": "riccati-decay",
         "passed": bool(envelope_ok and closed_ok),
         "details": {"worst_envelope_margin": worst_margin, "max_closed_form_error": worst_cf},
     }
@@ -154,8 +172,6 @@ def criterion_psi_factorization(seed=0):
         worst_transport = max(worst_transport, float(spd.spectral_norm(left - right).max()))
     passed = worst_fact < 1e-9 and worst_transport < 1e-9
     return {
-        "id": 3,
-        "name": "psi-factorization",
         "passed": bool(passed),
         "details": {"max_factorization_residual": worst_fact, "max_transport_residual": worst_transport},
     }
@@ -180,17 +196,11 @@ def criterion_bridge_vs_sinkhorn(seed=0):
     rate_ok = True
     for mu_r, eta_r, k_r in _gaussian_models(seed + 3):
         eps = bounds.eps_lg(k_r, CurvatureSpec.gaussian(mu_r.cov, eta_r.cov))
-        rate = 1.0 / (1.0 + 1.0 / eps)
         gaps_r = _bridge_gaps(mu_r, eta_r, k_r, 15)
-        mono_r = all(b <= a + 1e-12 for a, b in zip(gaps_r, gaps_r[1:]))
-        env_r = all(
-            gaps_r[2 * n] <= rate**n * gaps_r[0] * (1.0 + 1e-9) + 1e-13 for n in range(1, 16)
-        )
-        rate_ok = rate_ok and mono_r and env_r
+        pair, _ = bounds.entropy_envelopes(eps, gaps_r)
+        rate_ok = rate_ok and _nonincreasing(gaps_r) and bool(np.all(dominated(gaps_r, pair)))
     passed = sigma_err < 1e-10 and monotone and envelope and rate_ok
     return {
-        "id": 4,
-        "name": "gaussian-bridge-vs-sinkhorn",
         "passed": bool(passed),
         "details": {
             "sigma_error_at_n50": sigma_err,
@@ -202,22 +212,16 @@ def criterion_bridge_vs_sinkhorn(seed=0):
 
 
 def criterion_improved_rate(seed=0):
-    arithmetic_ok = True
-    for eps in [0.01, 0.25, 1.0, 4.0, 100.0]:
-        ph = bounds.phi(eps)
-        arithmetic_ok = arithmetic_ok and (1.0 + ph) ** -2 < (1.0 + 1.0 / eps) ** -1
+    arithmetic_ok = all((1.0 + bounds.phi(e)) ** -2 < (1.0 + 1.0 / e) ** -1 for e in [0.01, 0.25, 1.0, 4.0, 100.0])
 
     env_ok = True
     models_list = [_std_model()] + _gaussian_models(seed + 3)
     for mu, eta, k in models_list:
         eps = bounds.eps_lg(k, CurvatureSpec.gaussian(mu.cov, eta.cov))
-        ph = bounds.phi(eps)
         gaps = _bridge_gaps(mu, eta, k, 10)
-        for n in range(2, len(gaps)):
-            env_ok = env_ok and gaps[n] <= (1.0 + ph) ** -(n - 2) * gaps[0] * (1.0 + 1e-9) + 1e-13
+        _, improved = bounds.entropy_envelopes(eps, gaps)
+        env_ok = env_ok and bool(np.all(dominated(gaps[2:], improved[2:])))
     return {
-        "id": 5,
-        "name": "improved-phi-rate",
         "passed": bool(arithmetic_ok and env_ok),
         "details": {"strict_ordering": arithmetic_ok, "phi_envelope_dominates": env_ok},
     }
@@ -230,10 +234,11 @@ def criterion_entropic_map_identities(seed=0):
         chi = k.chi
         bridge = g.bridge_solve(mu, eta, k)
         fwd, bwd = bridge.forward, bridge.backward()
+        grad_fwd, grad_bwd = g.entropic_map_gradient(fwd) @ chi, g.entropic_map_gradient(bwd) @ chi.T
         worst_bary = max(
             worst_bary,
-            spd.spectral_norm(chi.T @ fwd.noise_cov @ chi - g.entropic_map_gradient(fwd) @ chi),
-            spd.spectral_norm(chi @ bwd.noise_cov @ chi.T - g.entropic_map_gradient(bwd) @ chi.T),
+            spd.spectral_norm(chi.T @ fwd.noise_cov @ chi - grad_fwd),
+            spd.spectral_norm(chi @ bwd.noise_cov @ chi.T - grad_bwd),
         )
         # equality case: both two-sided bound families collapse onto the
         # gradient; the fixed points come from the family's bridge spectra
@@ -241,18 +246,12 @@ def criterion_entropic_map_identities(seed=0):
         v_half, u_half = bridge.factors.v_half, bridge.factors.u_half
         for w in (w0, w0b):
             bound = chi.T @ v_half @ riccati.fixed_point(w) @ v_half @ chi
-            worst_sandwich = max(
-                worst_sandwich, spd.spectral_norm(g.entropic_map_gradient(fwd) @ chi - bound)
-            )
+            worst_sandwich = max(worst_sandwich, spd.spectral_norm(grad_fwd - bound))
         for w in (w1, w1b):
             bound = chi @ u_half @ riccati.fixed_point(w) @ u_half @ chi.T
-            worst_sandwich = max(
-                worst_sandwich, spd.spectral_norm(g.entropic_map_gradient(bwd) @ chi.T - bound)
-            )
+            worst_sandwich = max(worst_sandwich, spd.spectral_norm(grad_bwd - bound))
     passed = worst_bary < 1e-10 and worst_sandwich < 1e-10
     return {
-        "id": 6,
-        "name": "entropic-map-identities",
         "passed": bool(passed),
         "details": {"max_barycentric_residual": worst_bary, "max_sandwich_residual": worst_sandwich},
     }
@@ -270,8 +269,6 @@ def criterion_ot_limit(seed=0):
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     passed = limit_ok and monotone and gaps[-1] < 5e-3
     return {
-        "id": 7,
-        "name": "ot-limit",
         "passed": bool(passed),
         "details": {"limit_slope_ok": limit_ok, "gaps": gaps, "monotone": monotone},
     }
@@ -284,14 +281,8 @@ def criterion_proximal_sampler(seed=0):
     spec = CurvatureSpec(u_plus=[[1.0]], v_plus=[[1.0]])
     a, b = bounds.proximal_rates(k, spec)
     rates_ok = a == 1.0 and b == 0.5
-    w0 = g.gelbrich_w2(nu, mu)
-    h0 = g.gaussian_kl(nu, mu)
-    cur = nu
-    decay_ok = True
-    for n in range(1, 21):
-        cur = g.proximal_step(cur, mu, k)
-        decay_ok = decay_ok and g.gelbrich_w2(cur, mu) <= b**n * w0 + 1e-13
-        decay_ok = decay_ok and g.gaussian_kl(cur, mu) <= a * b ** (2 * (n - 1)) * h0 + 1e-13
+    rows = bounds.proximal_trace(nu, mu, k, a, b, 20)
+    decay_ok = all(w2 <= w2_env + 1e-13 and kl <= kl_env + 1e-13 for w2, w2_env, kl, kl_env in rows)
 
     # crossover: the rate comparison must match the exact margin predicate on
     # both sides of the asymmetric-curvature boundary and for both outcomes
@@ -305,8 +296,6 @@ def criterion_proximal_sampler(seed=0):
     crossover_ok = crossover_ok and outcomes == {True, False}
     passed = rates_ok and decay_ok and crossover_ok
     return {
-        "id": 8,
-        "name": "proximal-sampler",
         "passed": bool(passed),
         "details": {"rates_ok": rates_ok, "decay_ok": decay_ok, "crossover_ok": crossover_ok},
     }
@@ -368,20 +357,16 @@ def criterion_discrete_sinkhorn(seed=0):
         ]
         fast = [x for pair in zip(rep["H_bridge_even"], rep["H_bridge_odd"]) for x in pair]
         worst_gap_diff = max(worst_gap_diff, max(abs(a - b) for a, b in zip(dense, fast)))
-        for key in ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu", "H_bridge_even", "H_bridge_odd"):
-            seq = rep[key]
-            chains_ok = chains_ok and all(y <= x + 1e-12 for x, y in zip(seq, seq[1:]))
+        chains_ok = chains_ok and chains_monotone(rep)
         for n in range(1, trace.n_sweeps + 1):
-            chains_ok = chains_ok and rep["H_pi2n_eta"][n] <= rep["H_mu_pi2n1"][n - 1] + 1e-12
-            chains_ok = chains_ok and rep["H_mu_pi2n1"][n - 1] <= rep["H_pi2n_eta"][n - 1] + 1e-12
-            chains_ok = chains_ok and rep["H_pi2n1_mu"][n] <= rep["H_eta_pi2n"][n] + 1e-12
-            chains_ok = chains_ok and rep["H_eta_pi2n"][n] <= rep["H_pi2n1_mu"][n - 1] + 1e-12
+            chains_ok = chains_ok and rep["H_pi2n_eta"][n] <= rep["H_mu_pi2n1"][n - 1] + CHAIN_SLACK
+            chains_ok = chains_ok and rep["H_mu_pi2n1"][n - 1] <= rep["H_pi2n_eta"][n - 1] + CHAIN_SLACK
+            chains_ok = chains_ok and rep["H_pi2n1_mu"][n] <= rep["H_eta_pi2n"][n] + CHAIN_SLACK
+            chains_ok = chains_ok and rep["H_eta_pi2n"][n] <= rep["H_pi2n1_mu"][n - 1] + CHAIN_SLACK
         tele = rep["telescope_even_residuals"] + rep["telescope_odd_residuals"]
         chains_ok = chains_ok and max(abs(x) for x in tele) < 1e-9
     passed = scaling_ok and marginal_ok and chains_ok and worst_gap_diff < tol_plans
     return {
-        "id": 9,
-        "name": "discrete-sinkhorn-correctness",
         "passed": bool(passed),
         "details": {
             "max_scaling_gap": worst_plan_gap,
@@ -413,8 +398,6 @@ def criterion_discretization_consistency(seed=0):
     ratio = errs[0] / errs[1] if errs[1] > 0 else np.inf
     passed = ratio >= 3.5
     return {
-        "id": 10,
-        "name": "discretization-consistency",
         "passed": bool(passed),
         "details": {"coarse_error": errs[0], "fine_error": errs[1], "ratio": ratio},
     }
@@ -435,8 +418,9 @@ CRITERIA = [
 
 
 def run_criteria(seed: int = 0, name_filter: str | None = None) -> list[dict]:
-    """Run the numbered checks, optionally restricted by a name substring."""
-    return [fn(seed=seed) for name, fn in CRITERIA if not name_filter or name_filter in name]
+    """Run the numbered checks, optionally restricted by a name substring; id i is CRITERIA[i - 1]."""
+    return [{"id": i, "name": name, **fn(seed=seed)}
+            for i, (name, fn) in enumerate(CRITERIA, 1) if not name_filter or name_filter in name]
 
 
 def summary_document(results: list[dict], seed: int) -> str:
@@ -482,7 +466,7 @@ def criterion_determinism(seed: int = 0, first: str | None = None) -> dict:
     passed = first == second
     return {
         "id": 11,
-        "name": "determinism",
+        "name": DETERMINISM,
         "passed": bool(passed),
         "details": {"byte_identical": passed},
     }

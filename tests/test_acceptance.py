@@ -11,6 +11,12 @@ import pytest
 from sinkbridge import riccati, verify
 
 
+def _criterion(name):
+    """One criterion at seed 0 as ``verify`` runs it, with the id and name ``run_criteria`` gives it."""
+    (result,) = verify.run_criteria(seed=0, name_filter=name)
+    return result
+
+
 def _check(result):
     line = f"{'PASS' if result['passed'] else 'FAIL'}  criterion {result['id']:>2}  {result['name']}"
     print(line)
@@ -19,7 +25,7 @@ def _check(result):
 
 def test_criterion_01_riccati_fixed_point():
     # map residual < 1e-10, quadratic identity to 1e-9, strict sandwich
-    res = verify.criterion_riccati_fixed_point(seed=0)
+    res = _criterion("riccati-fixed-point")
     _check(res)
     assert res["details"]["max_map_residual"] < 1e-10
     assert res["details"]["max_identity_residual"] < 1e-9
@@ -44,14 +50,14 @@ def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
 
 def test_criterion_02_riccati_decay():
     # certified envelope for n <= 60; scalar closed form matches to 1e-12
-    res = verify.criterion_riccati_decay(seed=0)
+    res = _criterion("riccati-decay")
     _check(res)
     assert res["details"]["max_closed_form_error"] < 1e-12
 
 
 def test_criterion_03_psi_factorization():
     # factorization and fixed-point transport to 1e-9 on 50 cases, d <= 4
-    res = verify.criterion_psi_factorization(seed=0)
+    res = _criterion("psi-factorization")
     _check(res)
     assert res["details"]["max_factorization_residual"] < 1e-9
     assert res["details"]["max_transport_residual"] < 1e-9
@@ -59,37 +65,37 @@ def test_criterion_03_psi_factorization():
 
 def test_criterion_04_bridge_vs_sinkhorn():
     # sigma -> 0.6180339887 within 1e-10 by n = 50; gap monotone and under
-    # the (1 + 1/eps)^{-n} envelope on the standard and 10 random models
-    res = verify.criterion_bridge_vs_sinkhorn(seed=0)
+    # the (1 + 1/eps)^{-floor(n/2)} envelope on the standard and 10 random models
+    res = _criterion("gaussian-bridge-vs-sinkhorn")
     _check(res)
     assert res["details"]["sigma_error_at_n50"] < 1e-10
 
 
 def test_criterion_05_improved_rate():
-    res = verify.criterion_improved_rate(seed=0)
+    res = _criterion("improved-phi-rate")
     _check(res)
 
 
 def test_criterion_06_entropic_map_identities():
-    res = verify.criterion_entropic_map_identities(seed=0)
+    res = _criterion("entropic-map-identities")
     _check(res)
     assert res["details"]["max_barycentric_residual"] < 1e-10
     assert res["details"]["max_sandwich_residual"] < 1e-10
 
 
 def test_criterion_07_ot_limit():
-    res = verify.criterion_ot_limit(seed=0)
+    res = _criterion("ot-limit")
     _check(res)
     assert res["details"]["gaps"][-1] < 5e-3
 
 
 def test_criterion_08_proximal_sampler():
-    res = verify.criterion_proximal_sampler(seed=0)
+    res = _criterion("proximal-sampler")
     _check(res)
 
 
 def test_criterion_09_discrete_sinkhorn():
-    res = verify.criterion_discrete_sinkhorn(seed=0)
+    res = _criterion("discrete-sinkhorn-correctness")
     _check(res)
     assert res["details"]["max_scaling_gap"] < 1e-12
     assert res["details"]["max_marginal_residual"] < 1e-12
@@ -97,7 +103,7 @@ def test_criterion_09_discrete_sinkhorn():
 
 
 def test_criterion_10_discretization_consistency():
-    res = verify.criterion_discretization_consistency(seed=0)
+    res = _criterion("discretization-consistency")
     _check(res)
     assert res["details"]["ratio"] >= 3.5
 

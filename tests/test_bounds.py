@@ -19,6 +19,32 @@ def test_eps_generic():
     assert bounds.eps_generic(2.0, 0.5, 3.0) == 6.0
     with pytest.raises(DomainError):
         bounds.eps_generic(0.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"underflows to 0: kappa=1\.000e-200, rho1=1\.000e\+00"):
+        bounds.eps_generic(1e-200, 1.0, 1.0)
+
+
+def test_entropy_envelopes_rows():
+    eps, gaps = 3.0, np.array([2.0, 1.5, 1.0, 0.7, 0.4])
+    pair, improved = bounds.entropy_envelopes(eps, gaps)
+    ph = bounds.phi(eps)
+    for n in range(len(gaps)):
+        assert pair[n] == (1.0 + 1.0 / eps) ** -(n // 2) * gaps[0]
+        assert improved[n] == ((1.0 + ph) ** -(n - 2) * gaps[0] if n >= 2 else np.inf)
+
+
+def test_proximal_trace_rows():
+    mu, nu = g.GaussianMeasure([0.0], [[1.0]]), g.GaussianMeasure([3.0], [[2.0]])
+    k = kernel_ti(1.0)
+    a, b = bounds.proximal_rates(k, CurvatureSpec(u_plus=[[1.0]], v_plus=[[1.0]]))
+    rows = bounds.proximal_trace(nu, mu, k, a, b, 4)
+    w0, h0 = g.gelbrich_w2(nu, mu), g.gaussian_kl(nu, mu)
+    assert len(rows) == 5 and rows[0] == (w0, w0, h0, h0)
+    cur = nu
+    for n, (w2, w2_env, kl, kl_env) in enumerate(rows[1:], 1):
+        cur = g.proximal_step(cur, mu, k)
+        assert (w2, kl) == (g.gelbrich_w2(cur, mu), g.gaussian_kl(cur, mu))
+        assert (w2_env, kl_env) == (b**n * w0, a * b ** (2 * (n - 1)) * h0)
+        assert w2 <= w2_env and kl <= kl_env
 
 
 def test_kappa_from_kernel():
@@ -106,14 +132,20 @@ def test_varpi_family_matches_gaussian_module():
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
 
 
-def test_varpi_family_pairs_each_lower_factor_with_the_opposite_upper_one():
-    rng = np.random.default_rng(22)
+def random_two_sided(seed):
+    """A seed-fixed d = 3 kernel and a spec of four distinct SPD factors."""
+    rng = np.random.default_rng(seed)
     factors = {}
     for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         factors[name] = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
     spec = CurvatureSpec(**factors)
     k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
+    return k, spec
+
+
+def test_varpi_family_pairs_each_lower_factor_with_the_opposite_upper_one():
+    k, spec = random_two_sided(22)
     chi = k.chi
     refs = (
         dense_varpi(chi, spec.u_plus, spec.v_minus),
@@ -127,14 +159,7 @@ def test_varpi_family_pairs_each_lower_factor_with_the_opposite_upper_one():
 
 def test_rate_table_makes_only_the_bridge_decompositions(decompositions, monkeypatch):
     """One bridge_factors call per finite pair; no varpi is assembled and decomposed again."""
-    rng = np.random.default_rng(23)
-    factors = {}
-    for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        factors[name] = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
-    spec = CurvatureSpec(**factors)
-    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
-
+    k, spec = random_two_sided(23)
     pairs = []
     bridge_factors = bounds.bridge_factors
     monkeypatch.setattr(bounds, "bridge_factors", lambda *a: pairs.append(a) or bridge_factors(*a))
@@ -149,6 +174,16 @@ def test_rate_table_makes_only_the_bridge_decompositions(decompositions, monkeyp
     bounds.rate_table(k, spec, 6, p=2)
     assert len(pairs) == 2
     assert decompositions["svd"] - decompositions["norm_svd"] == 2
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_rate_table_runs_no_correction_sequence(decompositions, p):
+    """iota needs only the two fixed points, so no Riccati iterate runs, whatever p is."""
+    k, spec = random_two_sided(23)
+    decompositions.clear()
+    rep = bounds.rate_table(k, spec, 6, p=p)
+    assert (decompositions["solve"], decompositions["eigh"], decompositions["norm_svd"]) == (0, 9, 11)
+    assert rep.scalars["iota"]["value"] == bounds.xi_iota(k, spec, p)[2]
 
 
 def log_spectrum_spd(d, cond, seed):

@@ -271,10 +271,10 @@ def test_verify_only_flags_rejected_elsewhere(command, flag, tmp_path, capsys):
 
 def test_verify_full_suite_runs_two_passes(monkeypatch, capsys):
     def one(seed=0):
-        return {"id": 1, "name": "one", "passed": True, "details": {"seed": seed}}
+        return {"passed": True, "details": {"seed": seed}}
 
     def two(seed=0):
-        return {"id": 2, "name": "two", "passed": True, "details": {}}
+        return {"passed": True, "details": {}}
 
     passes = []
     run_criteria = verify.run_criteria
@@ -498,6 +498,29 @@ def test_overflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["gaussian", "bounds"])
+def test_underflowing_contraction_coefficient_exit_3(tmp_path, capsys, command):
+    # kappa = ||tau^{-1} beta|| = 1e-308, and kappa^2 underflows to 0
+    cfg = tmp_path / "cfg.json"
+    kernel = {"alpha": [0.0], "beta": [[1.0]], "tau": [[1e308]]}
+    cfg.write_text(json.dumps({"command": command, "model": {"kernel": kernel}}))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: contraction coefficient underflows to 0: kappa=1.000e-308, rho1=")
+
+
+@pytest.mark.filterwarnings("error")
+def test_riccati_start_near_the_largest_double_exit_0(tmp_path):
+    """The envelope's row 0 is the start gap itself: nothing overflows, and every row is finite."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"r0": [[1e308]]}}))
+    out = tmp_path / "ricc"
+    assert run_cli(["riccati", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and rows[0, 1] == rows[0, 2] == 1e308
+    assert np.all(rows[:, 3] == 1)
+
+
 EXTREME_SPEC = {"u_plus": [[1e308]], "v_plus": [[1.0]], "u_minus": [[1.0]], "v_minus": [[1.0]]}
 
 
@@ -594,6 +617,8 @@ def test_riccati_unsatisfied_envelope_row_exits_1(tmp_path, capsys, monkeypatch)
     assert any(r.endswith(",0") for r in rows)
     assert out.with_suffix(".json").exists()
     assert "satisfied=0" in capsys.readouterr().err
+    # criterion 2 reads the same envelope and gate
+    assert not verify.criterion_riccati_decay(seed=0)["passed"]
 
 
 def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
@@ -607,6 +632,9 @@ def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
     for suffix in ("_ot_sweep.csv", "_proximal.csv", "_report.json"):
         assert (tmp_path / f"gauss{suffix}").exists()
     assert "satisfied=0" in capsys.readouterr().err
+    # criteria 4 and 5 read the same envelopes and gate
+    assert not verify.criterion_bridge_vs_sinkhorn(seed=0)["passed"]
+    assert not verify.criterion_improved_rate(seed=0)["passed"]
 
 
 def test_tabulated_channel_with_neg_inf_exit_2(tmp_path, capsys):

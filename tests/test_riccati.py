@@ -107,6 +107,14 @@ def test_decay_params_scalar():
     assert c > 0
 
 
+def test_decay_envelope_rows():
+    delta, c = riccati.decay_params(np.array([[2.0]]))
+    gaps = np.array([3.0, 0.5, 0.1, 0.02])
+    env = riccati.decay_envelope(gaps, delta, c)
+    assert env[0] == gaps[0]
+    assert all(env[n] == c * delta**n * gaps[0] for n in range(1, 4))
+
+
 def test_decay_params_monotone_in_scale():
     d10, _ = riccati.decay_params(np.array([[10.0]]))
     d100, _ = riccati.decay_params(np.array([[100.0]]))
