@@ -55,7 +55,6 @@ from .riccati import (
     iterate,
     psi_map,
     ricc_map,
-    scalar_closed_form,
 )
 from .spd import loewner_leq, principal_sqrt
 

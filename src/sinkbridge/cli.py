@@ -190,6 +190,15 @@ def _load_riccati(args):
     return varpi, spectrum, spd.clamp_psd(r0), n
 
 
+def _require_finite(where: str, **cells):
+    """Raise DomainError naming the cells of one output row that are inf or NaN."""
+    bad = [f"{name} {value}" for name, value in cells.items() if not np.isfinite(value).all()]
+    if bad:
+        raise DomainError(f"{where} is not finite: {', '.join(bad)}")
+
+
+# every written cell is checked below, so an overflow stops the run with exit 3, not a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _riccati(varpi, spectrum, r0, n):
     header = "n,error,envelope,satisfied"
     if riccati.is_infinite(varpi):
@@ -197,15 +206,17 @@ def _riccati(varpi, spectrum, r0, n):
         return {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note}, header, ["0,0,0,1"]
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
-    gaps = spd.spectral_norm(riccati._iterate_spectral(*spectrum, r0, n) - r_star)
+    gaps = riccati.gap_norms(riccati._iterate_spectral(*spectrum, r0, n)[1])
     env = riccati.decay_envelope(gaps, delta, c_bound)
     ok = verify.decay_holds(gaps, env)
-    rows = [f"{k},{_fmt(gaps[k])},{_fmt(env[k])},{int(ok[k])}" for k in range(n + 1)]
-    # empirical prefactor fit: the largest gap ratio against delta^k, over the rows
-    # the envelope decides; below the gate's slack the ratio is round-off over delta^k
-    decided = env[1:] > verify.DECAY_SLACK
-    powers = riccati._powers(delta, np.arange(1, n + 1))
-    fit = float(np.max(gaps[1:][decided] / (powers[decided] * gaps[0]), initial=0.0))
+    rows = []
+    for k in range(n + 1):
+        _require_finite(f"riccati row n={k}", error=gaps[k], envelope=env[k])
+        rows.append(f"{k},{_fmt(gaps[k])},{_fmt(env[k])},{int(ok[k])}")
+    # empirical prefactor fit: the largest gap ratio against delta^k gap_0, over the rows where that is not 0
+    scale = riccati._powers(delta, np.arange(1, n + 1)) * gaps[0]
+    fit = float(np.max(gaps[1:][scale > 0] / scale[scale > 0], initial=0.0))
+    _require_finite("riccati report", delta=delta, prefactor_bound=c_bound, prefactor_empirical_fit=fit)
     doc = {
         "varpi": varpi,
         "fixed_point": r_star,
@@ -233,13 +244,6 @@ def _load_gaussian(args):
     return mu, eta, k, spec, parse_count(model["n_max"], "n_max", 1), t_grid
 
 
-def _require_finite(where: str, **cells):
-    """Raise DomainError naming the cells of one output row that are inf or NaN."""
-    bad = [f"{name} {value}" for name, value in cells.items() if not np.isfinite(value).all()]
-    if bad:
-        raise DomainError(f"gaussian {where} is not finite: {', '.join(bad)}")
-
-
 # every written cell is checked below, so an overflow stops the run with exit 3, not a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def _gaussian(mu, eta, k, spec, n_max, t_grid):
@@ -254,7 +258,7 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         pi = g.GaussianMeasure(s.m_n, s.sigma_pi_n)
         w2 = g.gelbrich_w2(eta, pi) if s.n % 2 == 0 else g.gelbrich_w2(mu, pi)
         # env_phi's inf before n = 2 is documented; any other inf would pass its check as inf <= inf
-        _require_finite(f"trace row n={s.n}", gap=gap, W2=w2, envelope_pair=env_pair,
+        _require_finite(f"gaussian trace row n={s.n}", gap=gap, W2=w2, envelope_pair=env_pair,
                         envelope_phi=env_phi if s.n >= 2 else 0.0)
         trace_rows.append(f"{s.n},{_fmt(gap)},{_fmt(w2)},{_fmt(env_pair)},{_fmt(env_phi)},{int(row_ok)}")
 
@@ -263,14 +267,14 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
     for t in t_grid:
         slope = bridge.rescaled(t).forward.slope
         gap, norm = spd.spectral_norm(slope - lim.slope), spd.spectral_norm(slope)
-        _require_finite(f"ot_sweep row t={t!r}", slope_gap_to_limit=gap, slope_norm=norm)
+        _require_finite(f"gaussian ot_sweep row t={t!r}", slope_gap_to_limit=gap, slope_norm=norm)
         sweep_rows.append(f"{_fmt(t)},{_fmt(gap)},{_fmt(norm)}")
 
     a, b = bounds.proximal_rates(k, spec)
     nu = g.GaussianMeasure(mu.mean + 3.0, 2.0 * mu.cov)
     prox_rows = []
     for n_step, (w2, w2_env, kl, kl_env) in enumerate(bounds.proximal_trace(nu, mu, k, a, b, 20)):
-        _require_finite(f"proximal row n={n_step}", W2=w2, W2_envelope=w2_env, KL=kl, KL_envelope=kl_env)
+        _require_finite(f"gaussian proximal row n={n_step}", W2=w2, W2_envelope=w2_env, KL=kl, KL_envelope=kl_env)
         prox_rows.append(f"{n_step},{_fmt(w2)},{_fmt(w2_env)},{_fmt(kl)},{_fmt(kl_env)}")
     report = {
         "eps": eps,
@@ -280,7 +284,7 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         "terminal_bridge_gap": float(gaps[-1]),
         "forward_noise_cov": bridge.forward.noise_cov,
     }
-    _require_finite("report", **report)
+    _require_finite("gaussian report", **report)
     return trace_rows, sweep_rows, prox_rows, report
 
 

@@ -302,8 +302,8 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     # the rescaled covariance flows do not depend on the means: one Riccati
     # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
     # the SVD gave; both starts are congruences of SPD matrices
-    evens = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
-    odds = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
+    evens, _ = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
+    odds, _ = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
     # the conditional and marginal covariances of every state, one stack per
     # parity: even states push u through x -> y, odd states push v through y -> x
     tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])

@@ -68,6 +68,35 @@ def curvature_flow_mp(k, spec, n_max, dps=60):
         return to_float(sigma), to_float(tau)
 
 
+def riccati_steps(varpi, r0, n):
+    """r0, Ricc(r0), ..., Ricc^n(r0), each step s -> (varpi + s + I)^{-1} (varpi + s) solved on the dense varpi."""
+    out = [r0]
+    for _ in range(n):
+        out.append(np.linalg.solve(varpi + out[-1] + np.eye(len(varpi)), varpi + out[-1]))
+    return np.array(out)
+
+
+def riccati_gaps_mp(varpi, r0, n, dps=350):
+    """r_k - r* for k = 0, ..., n: the Riccati map stepped on the dense varpi in ``dps``-digit arithmetic.
+
+    r* = q diag(2 / (1 + sqrt(1 + 4/lam))) q' from the high-precision
+    eigendecomposition of varpi, and each step is r -> (varpi + r)(varpi + r + I)^{-1}.
+    The float inputs are taken as exact and the gaps are rounded to
+    doubles; 350 digits resolve a gap of 1e-300 beside an r* of order one.
+    """
+    with mpmath.workdps(dps):
+        w = mpmath.matrix(np.asarray(varpi).tolist())
+        r = mpmath.matrix(np.asarray(r0).tolist())
+        lam, q = mpmath.eigsy(w)
+        r_star = q * mpmath.diag([2 / (1 + mpmath.sqrt(1 + 4 / x)) for x in lam]) * q.T
+        eye = mpmath.eye(w.rows)
+        gaps = []
+        for _ in range(n + 1):
+            gaps.append(np.array((r - r_star).tolist(), dtype=float))
+            r = (w + r) * mpmath.inverse(w + r + eye)
+        return np.array(gaps)
+
+
 def per_sweep_run(model, n_sweeps, tol):
     """``discrete.run`` with its entropies taken one marginal at a time, inside the loop.
 

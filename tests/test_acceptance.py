@@ -6,6 +6,7 @@ PASS/FAIL line so `pytest -s tests/test_acceptance.py` reads as a report.
 
 import inspect
 
+import numpy as np
 import pytest
 
 from sinkbridge import riccati, verify
@@ -49,7 +50,7 @@ def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
 
 
 def test_criterion_02_riccati_decay():
-    # certified envelope for n <= 60; scalar closed form matches to 1e-12
+    # certified envelope for n <= 60; the closed form matches the dense steps to 1e-12
     res = _criterion("riccati-decay")
     _check(res)
     assert res["details"]["max_closed_form_error"] < 1e-12
@@ -109,13 +110,23 @@ def test_criterion_10_discretization_consistency():
 
 
 def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):
-    # 60 steps of each dimension's stack and 100 of the five scalar flows' (5, 1, 1)
-    # stack; one solve per matrix and step would be 24 * 60 + 5 * 100 = 1940
+    # one closed-form solve for each dimension's stack and one for the five scalar
+    # flows' (5, 1, 1) stack, then the 100 steps of their dense reference; one
+    # solve per matrix and step would be 24 * 60 + 5 * 100 = 1940
     for seed in (0, 1):
         dims = {varpi.shape[0] for varpi in verify._spd_family(seed)}
         decompositions.clear()
         verify.criterion_riccati_decay(seed=seed)
-        assert decompositions["solve"] <= 60 * len(dims) + 100
+        assert decompositions["solve"] == len(dims) + 1 + 100
+
+
+def test_criterion_02_reads_no_zero_gap(monkeypatch):
+    # the smallest true gap of the family at n <= 60 is ~5e-130, and Delta_n resolves it
+    seen = []
+    holds = verify.decay_holds
+    monkeypatch.setattr(verify, "decay_holds", lambda gaps, env: seen.append(gaps) or holds(gaps, env))
+    assert verify.criterion_riccati_decay(seed=0)["passed"]
+    assert len(seen) == 24 and all(np.all(gaps > 0.0) for gaps in seen)
 
 
 def _thrice(family):

@@ -26,6 +26,8 @@ def test_riccati_command_outputs(tmp_path):
     assert all(r.endswith(",1") for r in rows[1:])
     final_err = float(rows[-1].split(",")[1])
     assert final_err < 1e-12
+    # each gap is read off Delta_n: none collapses to 0 at round-off (the last is ~1e-42)
+    assert all(float(r.split(",")[1]) > 0.0 for r in rows[1:])
     doc = json.loads(out.with_suffix(".json").read_text())
     assert doc["schema"] == "sinkbridge/v1"
     assert abs(doc["fixed_point"][0][0] - 0.6180339887498949) < 1e-12
@@ -519,6 +521,18 @@ def test_riccati_start_near_the_largest_double_exit_0(tmp_path):
     rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert np.isfinite(rows).all() and rows[0, 1] == rows[0, 2] == 1e308
     assert np.all(rows[:, 3] == 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_riccati_overflowing_envelope_exit_3(tmp_path, capsys):
+    """c delta^n gap_0 overflows for a start near the largest double: exit 3 naming the row, no file written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "riccati", "model": {"varpi": 0.001, "r0": [[1e308]]}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["riccati", "--config", str(cfg), "--out", str(out / "x")]) == 3
+    assert capsys.readouterr().err == "runtime error: riccati row n=1 is not finite: envelope inf\n"
+    assert list(out.iterdir()) == []
 
 
 EXTREME_SPEC = {"u_plus": [[1e308]], "v_plus": [[1.0]], "u_minus": [[1.0]], "v_minus": [[1.0]]}

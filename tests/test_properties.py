@@ -1,18 +1,20 @@
-"""Randomised properties of the Gaussian bridge over the documented input range.
+"""Randomised properties of the Gaussian bridge and the Riccati trajectory over the documented input range.
 
 Every drawn problem (d <= 64, cond(u), cond(v) <= 1e8, a well-conditioned
 channel) must either solve to round-off times its condition number, with
 finite Sinkhorn states, or stop with a DomainError.  A NaN, an overflow or
 any other exception fails the test.  Its contraction constants, from
 ``bounds.rate_table`` on the Gaussian-equality curvature, must all be
-finite and in range.
+finite and in range.  The closed-form Riccati trajectory must match the
+map stepped on the dense varpi.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sinkbridge import bounds, spd
+from references import riccati_steps
+from sinkbridge import bounds, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
@@ -120,3 +122,29 @@ def test_rate_table_constants_are_finite_and_in_range(problem):
     assert values["iota"] >= 1.0
     assert 0.0 < values["delta_bar"] < 1.0 and values["c_bar"] >= 1.0
     assert 0.0 < values["composite_rate"] <= 1.0
+
+
+@st.composite
+def riccati_problems(draw):
+    """varpi with d <= 8, cond(varpi) <= 1e6 and largest eigenvalue in [1e-6, 10]; a PSD start
+    of any rank and of scale 1e-3 to 1e3; n <= 60 steps."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, log_cond = draw(st.floats(-6.0, 1.0)), draw(st.floats(0.0, 6.0))
+    a = rng.standard_normal((d, draw(st.integers(0, d))))
+    r0 = spd.clamp_psd(10.0 ** draw(st.floats(-3.0, 3.0)) * (a @ a.T))
+    return log_spectrum_spd(rng, d, top - log_cond, top), r0, draw(st.integers(0, 60))
+
+
+@PROPERTY_SETTINGS
+@given(riccati_problems())
+def test_closed_form_iterate_matches_the_dense_steps(problem):
+    """Normwise within 1e-12 (1 + ||r*|| + ||r0||) at every step.
+
+    varpi's scale is capped at 10: both paths round varpi + s, which costs
+    eps ||varpi|| on the slow modes, the closed form and the steps alike.
+    """
+    varpi, r0, n = problem
+    err = spd.spectral_norm(riccati.iterate(varpi, r0, n) - riccati_steps(varpi, r0, n))
+    scale = 1.0 + spd.spectral_norm(riccati.fixed_point(varpi)) + spd.spectral_norm(r0)
+    assert np.all(err <= 1e-12 * scale)

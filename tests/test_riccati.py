@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import riccati_gaps_mp
 from sinkbridge import bounds, cli, gaussian, riccati, spd
 from sinkbridge.errors import DomainError, ShapeError
 from sinkbridge.bounds import ZERO
@@ -142,32 +143,6 @@ def test_iterate_first_step_and_convergence():
     assert abs(traj[50][0, 0] - GOLDEN) < 1e-12
 
 
-def test_scalar_closed_form_at_fixed_point():
-    r = GOLDEN
-    for n in [0, 1, 7]:
-        assert abs(riccati.scalar_closed_form(1.0, r, n) - r) < 1e-13
-
-
-def test_scalar_closed_form_matches_iteration():
-    assert abs(riccati.scalar_closed_form(1.0, 0.0, 1) - 0.5) < 1e-14
-    for varpi, r0 in [(1.0, 0.0), (2.0, 5.0), (0.3, 0.9)]:
-        traj = riccati.iterate(np.array([[varpi]]), np.array([[r0]]), 100)
-        for n in range(101):
-            assert abs(riccati.scalar_closed_form(varpi, r0, n) - traj[n][0, 0]) < 1e-12
-
-
-def test_scalar_closed_form_computes_rate_directly(monkeypatch):
-    traj = {varpi: riccati.iterate(np.array([[varpi]]), np.array([[1.5]]), 40) for varpi in (0.1, 1.0, 10.0)}
-
-    def no_decay_params(varpi):
-        raise AssertionError("scalar_closed_form must not call decay_params")
-
-    monkeypatch.setattr(riccati, "decay_params", no_decay_params)
-    for varpi, states in traj.items():
-        for n in range(41):
-            assert abs(riccati.scalar_closed_form(varpi, 1.5, n) - states[n][0, 0]) < 1e-12
-
-
 def test_iterate_is_a_stack_of_ricc_map_steps():
     rng = np.random.default_rng(31)
     varpi, r0 = random_spd(rng, 3), 0.5 * random_spd(rng, 3)
@@ -186,16 +161,6 @@ def test_iterate_infinite_is_a_stack_of_identities():
     assert all(np.array_equal(t, np.eye(2)) for t in traj[1:])
 
 
-def test_scalar_closed_form_takes_an_array_of_steps(decompositions):
-    for varpi, r0 in [(0.1, 0.0), (1.0, 2.0), (10.0, 0.3)]:
-        decompositions.clear()
-        stacked = riccati.scalar_closed_form(varpi, r0, np.arange(101))
-        assert decompositions["eigh"] == 1  # varpi, once for all 101 steps
-        singles = [riccati.scalar_closed_form(varpi, r0, n) for n in range(101)]
-        assert all(type(x) is float for x in singles)
-        assert np.array_equal(stacked, singles)
-
-
 @pytest.mark.parametrize("d", [1, 8])
 def test_ricc_map_decompositions(d, decompositions):
     """varpi is decomposed once per call, so no count grows with the number of steps."""
@@ -206,15 +171,15 @@ def test_ricc_map_decompositions(d, decompositions):
     assert decompositions["svd"] == 0
 
     def counted(call):
-        """The decompositions a call makes; its linear solves, one per Riccati step, are asserted apart."""
+        """The decompositions and linear solves a call makes."""
         decompositions.clear()
         call()
-        return {name: k for name, k in decompositions.items() if name != "solve"}
+        return dict(decompositions)
 
     assert counted(lambda: riccati.decay_params(varpi)) == {"eigh": 1}
     zero = np.zeros((d, d))
     assert counted(lambda: riccati.iterate(varpi, zero, 5)) == counted(lambda: riccati.iterate(varpi, zero, 60))
-    assert decompositions["solve"] == 60
+    assert decompositions["solve"] == 1  # the whole trajectory's
     mu = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     eta = gaussian.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d))
     k = gaussian.LinearGaussianKernel(np.zeros(d), np.eye(d), random_spd(rng, d))
@@ -318,14 +283,45 @@ def test_decay_envelope_holds():
 
 
 def test_empirical_ratio_approaches_delta_scalar():
+    # Delta_n is read without subtraction, so the ratio is exact far below the round-off of r*
     varpi = np.array([[0.7]])
-    r_star = riccati.fixed_point(varpi)[0, 0]
     delta, _ = riccati.decay_params(varpi)
-    traj = riccati.iterate(varpi, np.array([[0.0]]), 40)
-    gaps = [abs(t[0, 0] - r_star) for t in traj]
-    # ratios are only meaningful while the gap is far above float noise
-    ratios = [gaps[n + 1] / gaps[n] for n in range(len(gaps) - 1) if gaps[n] > 1e-11]
-    assert ratios[-1] <= delta + 1e-6
+    _, deltas = riccati._iterate_spectral(*riccati._spectrum(varpi), np.array([[0.0]]), 40)
+    gaps = riccati.gap_norms(deltas)
+    assert abs(gaps[40] / gaps[39] - delta) <= 1e-12 * delta
+
+
+def oracle_error(varpi, r0, n=60):
+    """The closed form's largest normwise relative error in Delta_0, ..., Delta_n against ``riccati_gaps_mp``.
+
+    A gap whose true value is below 1e-290 is held to 1e-290 instead: it
+    underflows into subnormal doubles, whose relative precision is less.
+    """
+    w, q = riccati._spectrum(varpi)
+    _, deltas = riccati._iterate_spectral(w, q, spd.clamp_psd(r0), n)
+    exact = riccati_gaps_mp(varpi, r0, n)
+    err = spd.spectral_norm(q @ deltas @ q.swapaxes(-1, -2) - exact)
+    return float(np.max(err / np.maximum(spd.spectral_norm(exact), 1e-290)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-150, 1e-6, 0.1, 1.0, 10.0, 1e6, 1e150])
+def test_closed_form_gaps_match_the_high_precision_oracle(lam):
+    varpi = np.array([[lam]])
+    r_star = riccati.fixed_point(varpi)[0, 0]
+    for r0 in (0.0, r_star * (1 - 1e-3), r_star * (1 + 1e-3), 2.0, 1e200, 1e308):
+        assert oracle_error(varpi, np.array([[r0]])) <= 1e-10, r0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_gaps_match_the_oracle_in_random_bases(seed):
+    rng = np.random.default_rng(seed)
+    varpi = log_spectrum_varpi(3, 1e3, seed=seed) * 10.0 ** rng.uniform(-2.0, 0.0)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    for scale in (0.0, 1.0, 1e200):
+        r0 = spd.symmetrize((q * rng.uniform(0.0, 2.0, size=3)) @ q.T) * scale
+        assert oracle_error(varpi, r0) <= 1e-10, scale
 
 
 def test_psi_map_trivial():
