@@ -66,7 +66,11 @@ log-sum-exp reduction exponentiates a fresh table.  Every factor of s is at
 most 1, so nothing overflows.  Underflow loses accuracy only in the terms
 below the smallest normal double: each of exp(c - b_j), K_ij and their
 product then carries an absolute error below 2^-1022, so a sum of n terms
-is off by less than 3 n 2^-1022 (about 6.7e-308 n).  Above
+is off by less than 3 n 2^-1022 (about 6.7e-308 n).  Entries of K below
+the smallest normal double are therefore stored as 0, an error inside
+that bound, because a subnormal operand slows a BLAS product several-fold
+(a sharp channel, W growing like squared distance over a small noise
+scale, has a band of them on each side of its diagonal).  Above
 _THETA = 1e-280 that is a relative error below 6.7e-28 n, far below
 round-off for any table that fits in memory.  The entries of s below
 _THETA are recomputed by the exact reduction ``_neg_lse`` against F; when
@@ -98,6 +102,8 @@ from .errors import DomainError, ShapeError
 
 # a scaled kernel sum below this is recomputed in the log domain (module docstring)
 _THETA = 1e-280
+# the smallest normal double; a scaled-kernel entry below it is stored as 0
+_TINY = np.finfo(float).tiny
 # the marginal residual at which bridge_oracle's reference counts as converged
 ORACLE_TOL = 1e-13
 
@@ -215,8 +221,7 @@ def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
         raise DomainError("W table contains NaN or -inf entries")
     if np.any(m_raw == np.inf):
         raise DomainError("a channel row underflows entirely: grid too narrow for this kernel")
-    kern = np.subtract(m_raw[:, None], w_raw)
-    np.exp(kern, out=kern)
+    kern = _kernel_exp(np.subtract(m_raw[:, None], w_raw))
     z = np.log(kern @ grid.weights) - m_raw
     return w_raw + z[:, None], (m_raw + z, kern)
 
@@ -274,11 +279,18 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
         return np.log(t.sum(axis=axis)) - shift.squeeze(axis)
 
 
+def _kernel_exp(shifted: np.ndarray) -> np.ndarray:
+    """exp of a row-shifted table in place, subnormal results set to 0 (module docstring)."""
+    np.exp(shifted, out=shifted)
+    shifted[shifted < _TINY] = 0.0
+    return shifted
+
+
 def _scaled_kernel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, K) of a factor table: its row minima (non-finite ones set to 0) and exp(-(F - m))."""
     m = f.min(axis=1)
     m[~np.isfinite(m)] = 0.0
-    return m, np.exp(m[:, None] - f)
+    return m, _kernel_exp(m[:, None] - f)
 
 
 def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.ndarray:
@@ -603,8 +615,12 @@ def conditional_moments(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
     Returns arrays of shape (N, dim) and (N, dim, dim): the moments of
     y | x = x_i under the coupling.
     """
-    model = state.model
-    log_cond = plan_log_density(state) + model.log_w[None, :]
+    return _conditional_moments(state.model, plan_log_density(state))
+
+
+def _conditional_moments(model: DiscreteModel, log_plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of the column coordinate given each row node, for a log plan table on the grid."""
+    log_cond = log_plan + model.log_w[None, :]
     log_cond -= _neg_lse(-log_cond, 1)[:, None]
     cond = np.exp(log_cond)
     pts = model.grid.points
@@ -615,8 +631,19 @@ def conditional_moments(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean_conditional_cov(state: SinkhornState) -> np.ndarray:
-    """Mu-weighted average conditional covariance of the coupling."""
+    """Marginal-weighted average conditional covariance of the state's transition.
+
+    For an even state, that of y | x weighted by mu; for an odd one, that of
+    x | y weighted by eta: the transition whose covariance a Gaussian
+    Sinkhorn state's ``tau_n`` is, averaged over the marginal the state has
+    exactly.
+    """
     model = state.model
-    _, covs = conditional_moments(state)
-    mass = np.exp(model.log_mu) * model.grid.weights
+    log_plan = plan_log_density(state)
+    if state.n % 2:
+        log_plan, log_marginal = log_plan.T, model.log_eta
+    else:
+        log_marginal = model.log_mu
+    _, covs = _conditional_moments(model, log_plan)
+    mass = np.exp(log_marginal) * model.grid.weights
     return np.einsum("i,ikl->kl", mass, covs) / mass.sum()

@@ -11,7 +11,7 @@ linear algebra: no sampling anywhere.
 ``GaussianBridge``, which every map, flow, gap and noise sweep reads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -70,25 +70,36 @@ class JointGaussian:
 
 @dataclass(frozen=True)
 class LinearGaussianKernel:
-    """Transition y = alpha + beta x + N(0, tau)."""
+    """Transition y = alpha + beta x + N(0, tau).
+
+    ``spectrum`` hands over tau's validated eigenvalues and eigenvectors
+    (w, q) with a beta that has passed its checks, as ``rescaled`` does; it
+    is init-only, and without it the kernel decomposes tau itself.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
     tau: np.ndarray
+    spectrum: InitVar[tuple | None] = None
     # tau^{-1} beta, the natural coupling matrix of the channel, set once at construction
     chi: np.ndarray = field(init=False, repr=False, compare=False)
+    # the (w, q) of tau that validated it, which ``rescaled`` scales
+    tau_spectrum: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         object.__setattr__(self, "alpha", _finite(np.atleast_1d(np.asarray(self.alpha, dtype=float)), "alpha"))
         object.__setattr__(self, "beta", _finite(spd.matrix(self.beta), "beta"))
-        tau, w, q = spd._spd_eigh(spd.matrix(self.tau))
-        object.__setattr__(self, "tau", tau)
-        if self.beta.shape[0] != self.beta.shape[1]:
-            raise ShapeError("beta must be square")
-        if np.linalg.cond(self.beta) >= 1e12:
-            raise DomainError("beta is singular or near-singular")
-        if self.alpha.shape[0] != self.beta.shape[0] or self.tau.shape[0] != self.beta.shape[0]:
-            raise ShapeError("alpha/beta/tau dimensions disagree")
+        if spectrum is None:
+            tau, *spectrum = spd._spd_eigh(spd.matrix(self.tau))
+            object.__setattr__(self, "tau", tau)
+            if self.beta.shape[0] != self.beta.shape[1]:
+                raise ShapeError("beta must be square")
+            if np.linalg.cond(self.beta) >= 1e12:
+                raise DomainError("beta is singular or near-singular")
+            if self.alpha.shape[0] != self.beta.shape[0] or self.tau.shape[0] != self.beta.shape[0]:
+                raise ShapeError("alpha/beta/tau dimensions disagree")
+        w, q = spectrum
+        object.__setattr__(self, "tau_spectrum", (w, q))
         # tau^{-1} from the spectrum that validated tau, as spd.sym_inv forms it
         object.__setattr__(self, "chi", spd.symmetrize((q / w) @ q.T) @ self.beta)
 
@@ -97,8 +108,11 @@ class LinearGaussianKernel:
         return self.beta.shape[0]
 
     def rescaled(self, t: float) -> "LinearGaussianKernel":
-        """Same channel with noise covariance t * tau."""
-        return LinearGaussianKernel(self.alpha, self.beta, t * self.tau)
+        """Same channel with noise covariance t * tau, from tau's spectrum scaled by t: no decomposition."""
+        w, q = self.tau_spectrum
+        w = t * w
+        spd._require(w[0] > spd.SPD_RTOL * np.max(w), w, "SPD")  # the check _spd_eigh makes of t * tau
+        return LinearGaussianKernel(self.alpha, self.beta, t * self.tau, (w, q))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Each test drives the same checks as `sinkbridge verify` and prints a
 PASS/FAIL line so `pytest -s tests/test_acceptance.py` reads as a report.
 """
 
+import collections
 import inspect
 
 import numpy as np
 import pytest
 
-from sinkbridge import riccati, verify
+from sinkbridge import discrete, models, riccati, verify
+from sinkbridge import gaussian as g
 
 
 def _criterion(name):
@@ -104,9 +106,43 @@ def test_criterion_09_discrete_sinkhorn():
 
 
 def test_criterion_10_discretization_consistency():
+    # every compared error above round-off, each grid pair at the midpoint-rule rate to 5%
     res = _criterion("discretization-consistency")
     _check(res)
-    assert res["details"]["ratio"] >= 3.5
+    assert res["details"]["min_error"] > 1e-10
+    assert res["details"]["max_rate_deviation"] <= 0.05
+
+
+def test_criterion_10_catches_a_mistabulated_channel(monkeypatch):
+    # a planted defect: the grid channel's noise is t (1 + 1e-4), not t.  The
+    # N = 64 error then reads ~4.6e-6, about ten times its model value.
+    channel = models.linear_gaussian_channel_potential
+    monkeypatch.setattr(
+        models, "linear_gaussian_channel_potential", lambda alpha, beta, tau: channel(alpha, beta, np.multiply(tau, 1 + 1e-4))
+    )
+    res = verify.criterion_discretization_consistency(seed=0)
+    assert not res["passed"]
+    assert res["details"]["max_rate_deviation"] > 0.05
+
+
+def test_criterion_10_catches_an_off_by_one_index(monkeypatch):
+    # a planted defect: grid state n is compared with the Gaussian tau_{n+1}
+    run = g.sinkhorn_run
+    monkeypatch.setattr(g, "sinkhorn_run", lambda bridge, n_max: run(bridge, n_max + 1)[1 : 2 * n_max + 3])
+    res = verify.criterion_discretization_consistency(seed=0)
+    assert not res["passed"]
+    assert res["details"]["max_rate_deviation"] > 0.05
+
+
+def test_criterion_10_runs_no_oracle(monkeypatch):
+    # three grids stepped through half-steps 0..11, each compared with the closed form; a cold
+    # bridge_oracle run, as the criterion once made, costs ~600 half-steps per grid
+    calls = collections.Counter()
+    for name in ("bridge_oracle", "sinkhorn_step"):
+        fn = getattr(discrete, name)
+        monkeypatch.setattr(discrete, name, lambda *a, _fn=fn, _name=name, **kw: calls.update([_name]) or _fn(*a, **kw))
+    assert verify.criterion_discretization_consistency(seed=0)["passed"]
+    assert calls == {"sinkhorn_step": 3 * 11}
 
 
 def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):

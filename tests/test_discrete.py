@@ -797,6 +797,28 @@ def test_underflowing_rows_take_the_exact_reduction(monkeypatch):
     assert np.all(np.isfinite(trace.residuals))
 
 
+def test_sharp_channel_kernels_hold_no_subnormals(monkeypatch):
+    """A t = 0.05 channel on 128 nodes has 238 subnormal kernel entries; both builds store them as 0.
+
+    Each is below the 2^-1022 error the scaled product already allows, so
+    every kernel pass of a run still matches the log-domain reference.
+    """
+    model = gaussian_desk_model(n=128, t=0.05)
+    ((m, _),) = model.kernels
+    raw = np.exp(m[:, None] - model.channel[0])
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((raw > 0.0) & (raw < tiny)) == 238
+    bare = discrete.DiscreteModel(model.grid, model.u_pot, model.v_pot, model.channel)
+    for built in (model, bare):  # made by channel_table, and by _scaled_kernel
+        ((_, kern),) = built.kernels
+        assert not np.any((kern > 0.0) & (kern < tiny))
+        assert np.array_equal(kern, np.where(raw < tiny, 0.0, raw))
+    passes = counted_calls(monkeypatch, "_kernel_pass")
+    discrete.run(model, 5, tol=0.0)
+    for _, pot, axis in list(passes):
+        assert_matches_reference(discrete._kernel_pass(model, pot, axis), reference_pass(model, pot, axis))
+
+
 def counted_exp(monkeypatch):
     """Number of entries exponentiated by each exp while the test runs.
 
