@@ -34,17 +34,14 @@ from .gaussian import (
     GaussianBridge,
     GaussianMeasure,
     GaussianSinkhornState,
-    JointGaussian,
     LinearGaussianKernel,
     bridge_solve,
     entropic_map_gradient,
     gaussian_kl,
     gelbrich_w2,
-    joint_plan,
     proximal_step,
     push_through,
     sinkhorn_run,
-    state_plan,
 )
 from .riccati import (
     INFINITE,

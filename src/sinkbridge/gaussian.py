@@ -45,30 +45,6 @@ class GaussianMeasure:
 
 
 @dataclass(frozen=True)
-class JointGaussian:
-    """Gaussian law on pairs (x, y); mean has length 2d."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
-        if self.mean.shape[0] != self.cov.shape[0] or self.mean.shape[0] % 2:
-            raise ShapeError("joint mean must have even length matching cov")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0] // 2
-
-    def swapped(self) -> "JointGaussian":
-        """The same law with the two coordinates exchanged."""
-        d = self.dim
-        perm = np.r_[np.arange(d, 2 * d), np.arange(d)]
-        return JointGaussian(self.mean[perm], self.cov[np.ix_(perm, perm)])
-
-
-@dataclass(frozen=True)
 class LinearGaussianKernel:
     """Transition y = alpha + beta x + N(0, tau).
 
@@ -131,12 +107,21 @@ class AffineGaussianMap:
 
 @dataclass(frozen=True)
 class GaussianSinkhornState:
-    """One Sinkhorn iterate: conditional covariance, marginal mean and covariance."""
+    """One Sinkhorn iterate: conditional covariance, marginal mean and covariance.
+
+    ``delta`` is tau_n's distance to the bridge's conditional covariance,
+    Delta_n = q' h^{-1} tau_n h^{-1} q - diag(f(lam)) with (h, q) = (v^{1/2}, p)
+    for even n and (u^{1/2}, r) for odd n, as the Riccati flow gives it;
+    ``offset`` is m_n minus the bridge's mean of the same marginal, mbar for
+    even n and m for odd n.  ``bridge_gaps`` reads both.
+    """
 
     n: int
     tau_n: np.ndarray
     m_n: np.ndarray
     sigma_pi_n: np.ndarray
+    delta: np.ndarray
+    offset: np.ndarray
 
 
 def _check_model(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
@@ -202,8 +187,7 @@ class GaussianBridge:
     """The Schrodinger bridge between mu = N(m, u) and eta = N(mbar, v) through k.
 
     Every member reads ``factors``, the one decomposition ``bridge_solve``
-    made.  The backward map is built only when called, the joint law only
-    when read.
+    made.  The backward map is built only when called.
     """
 
     mu: GaussianMeasure
@@ -230,11 +214,6 @@ class GaussianBridge:
         """The transition y -> x; pushing eta through it reproduces mu exactly."""
         f = self.factors
         return self._transition(f.u_half, f.r, self.k.chi.T, self.eta.mean, self.mu.mean)
-
-    @cached_property
-    def plan(self) -> JointGaussian:
-        """The joint law of the bridge coupling on (x, y)."""
-        return joint_plan(self.mu, self.forward)
 
     def ot_limit(self) -> AffineGaussianMap:
         """The deterministic transport the bridge tends to as the noise t * tau vanishes.
@@ -270,20 +249,6 @@ def push_through(p: GaussianMeasure, f: AffineGaussianMap) -> GaussianMeasure:
     return GaussianMeasure(mean, cov)
 
 
-def joint_plan(mu: GaussianMeasure, f: AffineGaussianMap) -> JointGaussian:
-    """Materialize the coupling mu(dx) K(x, dy) as a joint Gaussian on (x, y)."""
-    if f.slope.shape[1] != mu.dim:
-        raise ShapeError("map slope does not accept the measure dimension")
-    cross = mu.cov @ f.slope.T
-    top = np.hstack([mu.cov, cross])
-    bottom = np.hstack([cross.T, f.slope @ mu.cov @ f.slope.T + f.noise_cov])
-    cov = np.vstack([top, bottom])
-    try:
-        return JointGaussian(np.r_[mu.mean, f.intercept + f.slope @ mu.mean], cov)
-    except DomainError as exc:
-        raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
-
-
 def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     """Run the closed-form Gaussian Sinkhorn recursion.
 
@@ -316,8 +281,8 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     # the rescaled covariance flows do not depend on the means: one Riccati
     # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
     # the SVD gave; both starts are congruences of SPD matrices
-    evens, _ = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
-    odds, _ = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
+    evens, delta_e = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
+    odds, delta_o = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
     # the conditional and marginal covariances of every state, one stack per
     # parity: even states push u through x -> y, odd states push v through y -> x
     tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])
@@ -326,84 +291,87 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     sigma_o = spd.symmetrize(tau_o @ chi.T @ v @ chi @ tau_o + tau_o)
     gain_e, gain_o = tau_e @ chi, tau_o @ chi.T
 
-    # only the mean recursion runs state by state
+    # only the mean recursion runs state by state; beside it the offsets
+    # m_even - mbar and m_odd - m run as products, so that only the first is a difference
     states = []
     for j in range(n_max + 1):
-        m_even = k.alpha + k.beta @ m if j == 0 else mbar + gain_e[j] @ (m - m_odd)
+        if j == 0:
+            m_even = k.alpha + k.beta @ m
+            e = m_even - mbar
+        else:
+            m_even = mbar + gain_e[j] @ (m - m_odd)
+            e = -gain_e[j] @ o
         m_odd = m + gain_o[j] @ (mbar - m_even)
-        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even, sigma_e[j]))
-        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd, sigma_o[j]))
+        o = -gain_o[j] @ e
+        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even, sigma_e[j], delta_e[j], e))
+        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd, sigma_o[j], delta_o[j], o))
     return states
 
 
-def state_plan(state: GaussianSinkhornState, mu, eta, k) -> JointGaussian:
-    """Joint Gaussian coupling described by one Sinkhorn state, on (x, y)."""
-    chi = k.chi
-    if state.n % 2 == 0:
-        f = AffineGaussianMap(
-            state.m_n - state.tau_n @ chi @ mu.mean, state.tau_n @ chi, state.tau_n
-        )
-        return joint_plan(mu, f)
-    f = AffineGaussianMap(
-        state.m_n - state.tau_n @ chi.T @ eta.mean, state.tau_n @ chi.T, state.tau_n
-    )
-    return joint_plan(eta, f).swapped()
+def _psi(y):
+    """psi(y) = log1p(y) - y / (1 + y) >= 0 for each y > -1; a series below |y| = 0.05, where the two terms cancel."""
+    small = np.abs(y) < 0.05
+    ys = np.where(small, y, 0.0)
+    # psi(y) = sum_{k >= 2} (-1)^k (k - 1) / k y^k, to k = 16 in Horner form: the tail is below 1e-19 psi
+    series = np.zeros_like(ys)
+    for k in range(16, 1, -1):
+        series = ys * (series + (-1) ** k * (k - 1) / k)
+    series *= ys
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.log1p(y) - y / (1.0 + y)
+    return np.where(small, series, direct)
 
 
 def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
-    """``gaussian_kl(bridge.plan, state_plan(s, mu, eta, k))`` for every state s, as one array.
+    """The relative entropy H(P* | P_n) of the bridge plan to each state's plan, as one array.
 
-    The plans of all states are assembled as one stack of joint covariances
-    on (x, y), odd states with their coordinates swapped as ``state_plan``
-    swaps them.  The noise covariances pass one stacked ``clamp_psd``, and
-    the joints one stacked ``sym_inv`` that is also their SPD check, so the
-    cost in decompositions does not grow with the number of states.  Each
-    gap is bitwise the one the per-state calls give.
+    An even plan shares its first marginal mu with the bridge, an odd plan
+    its second marginal eta, so by the chain rule its gap is the average
+    over that marginal of the KL between the two Gaussian transitions.  In
+    the whitened basis of the state's parity (``GaussianSinkhornState``) the
+    bridge's conditional covariance is F = diag(f(lam)) and the state's
+    A = F + Delta; with S = diag(s) and the offset e~ in that basis,
+
+        gap = 1/2 [sum_i psi(y_i) + e~' A^{-1} e~ + tr(A^{-1} Delta S^2 Delta)],
+
+    the y_i being the eigenvalues of Y = F^{-1/2} Delta F^{-1/2}.  From
+    Y = W diag(y) W' each term is a sum of nonnegative ones, and nothing is
+    subtracted after Delta_n and the offset, which ``sinkhorn_run`` carries,
+    so a gap far below the round-off of the plans keeps its relative
+    accuracy.  One stacked d x d eigh per parity, whatever the number of states.
     """
-    mu, eta, k = bridge.mu, bridge.eta, bridge.k
-    d = mu.dim
-    tau = np.stack([s.tau_n for s in states])
-    m_n = np.stack([s.m_n for s in states])
-    noise = spd.clamp_psd(tau)
-    means = np.empty((len(states), 2 * d))
-    covs = np.empty((len(states), 2 * d, 2 * d))
+    f = bridge.factors
+    fix = riccati._fixed_scalar(f.lam)
+    root = np.sqrt(fix)
+    weight = f.s**2 * fix  # the diagonal of F^{1/2} S^2 F^{1/2}
     parity = np.array([s.n % 2 for s in states])
-    # even states map x ~ mu through chi, odd states y ~ eta through chi';
-    # src_blk and dst_blk are where the mapped coordinate and its image sit in (x, y)
-    for odd, src, a in ((0, mu, k.chi), (1, eta, k.chi.T)):
+    gaps = np.empty(len(states))
+    for odd, ihalf, basis in ((0, f.v_ihalf, f.p), (1, f.u_ihalf, f.r)):
         i = np.flatnonzero(parity == odd)
-        slope = tau[i] @ a
-        intercept = m_n[i] - slope @ src.mean
-        cross = src.cov @ slope.swapaxes(-1, -2)
-        src_blk, dst_blk = (slice(d, None), slice(None, d)) if odd else (slice(None, d), slice(d, None))
-        means[i, src_blk] = src.mean
-        means[i, dst_blk] = intercept + slope @ src.mean
-        covs[i, src_blk, src_blk] = src.cov
-        covs[i, src_blk, dst_blk] = cross
-        covs[i, dst_blk, src_blk] = cross.swapaxes(-1, -2)
-        covs[i, dst_blk, dst_blk] = slope @ src.cov @ slope.swapaxes(-1, -2) + noise[i]
-    try:
-        return _kl(bridge.plan.mean, bridge.plan.cov, means, spd.symmetrize(covs))
-    except DomainError as exc:
-        raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
-
-
-def _kl(p_mean, p_cov, q_mean, q_cov):
-    """Relative entropy of N(p_mean, p_cov) to N(q_mean, q_cov), or to each of a stack of them."""
-    q_inv = spd.sym_inv(q_cov)
-    dm = (p_mean - q_mean)[..., None, :]
-    _, ld_p = np.linalg.slogdet(p_cov)
-    _, ld_q = np.linalg.slogdet(q_cov)
-    quad = (dm @ q_inv @ dm.swapaxes(-1, -2))[..., 0, 0]
-    val = 0.5 * (np.trace(q_inv @ p_cov, axis1=-2, axis2=-1) - p_mean.shape[-1] + quad + ld_q - ld_p)
-    return np.maximum(val, 0.0)
+        if not len(i):
+            continue
+        delta = np.stack([states[j].delta for j in i])
+        y, w = np.linalg.eigh(delta / root[:, None] / root)
+        if not np.all(y > -1.0):  # a NaN fails too
+            raise DomainError("a Sinkhorn state's conditional covariance is not positive definite")
+        # W' F^{-1/2} e~, e~ = basis' ihalf e, for each offset e
+        z = (np.stack([states[j].offset for j in i]) @ ihalf @ basis / root)[:, None, :] @ w
+        mean_part = np.sum(z[:, 0] ** 2 / (1.0 + y), axis=-1)
+        cross_part = np.sum(y**2 / (1.0 + y) * (weight[:, None] * w**2).sum(axis=-2), axis=-1)
+        gaps[i] = 0.5 * (_psi(y).sum(axis=-1) + mean_part + cross_part)
+    return gaps
 
 
 def gaussian_kl(p, q) -> float:
-    """Relative entropy between two Gaussians (measures or joints)."""
+    """Relative entropy between two Gaussians, each given by its ``mean`` and ``cov``."""
     if p.mean.shape != q.mean.shape:
         raise ShapeError("dimension mismatch")
-    return float(_kl(p.mean, p.cov, q.mean, q.cov))
+    q_inv = spd.sym_inv(q.cov)
+    dm = (p.mean - q.mean)[None, :]
+    _, ld_p = np.linalg.slogdet(p.cov)
+    _, ld_q = np.linalg.slogdet(q.cov)
+    quad = (dm @ q_inv @ dm.T)[0, 0]
+    return float(np.maximum(0.5 * (np.trace(q_inv @ p.cov) - p.mean.shape[-1] + quad + ld_q - ld_p), 0.0))
 
 
 def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure) -> float:

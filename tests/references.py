@@ -3,11 +3,14 @@
 No command, criterion or demo needs these, so they live beside the tests.
 """
 
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 
 from sinkbridge import bounds, discrete, spd
 from sinkbridge import gaussian as g
+from sinkbridge.errors import DomainError, ShapeError
 
 
 def varpi_pair(mu, eta, k):
@@ -20,6 +23,138 @@ def varpi_pair(mu, eta, k):
     """
     f = g.bridge_solve(mu, eta, k).factors
     return g._congruent(f.p, f.lam), g._congruent(f.r, f.lam)
+
+
+@dataclass(frozen=True)
+class JointGaussian:
+    """Gaussian law on pairs (x, y); mean has length 2d."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
+        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
+        if self.mean.shape[0] != self.cov.shape[0] or self.mean.shape[0] % 2:
+            raise ShapeError("joint mean must have even length matching cov")
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0] // 2
+
+    def swapped(self) -> "JointGaussian":
+        """The same law with the two coordinates exchanged."""
+        d = self.dim
+        perm = np.r_[np.arange(d, 2 * d), np.arange(d)]
+        return JointGaussian(self.mean[perm], self.cov[np.ix_(perm, perm)])
+
+
+def joint_plan(mu, f) -> JointGaussian:
+    """Materialize the coupling mu(dx) K(x, dy) of a ``gaussian.AffineGaussianMap`` f as a joint Gaussian on (x, y)."""
+    if f.slope.shape[1] != mu.dim:
+        raise ShapeError("map slope does not accept the measure dimension")
+    cross = mu.cov @ f.slope.T
+    top = np.hstack([mu.cov, cross])
+    bottom = np.hstack([cross.T, f.slope @ mu.cov @ f.slope.T + f.noise_cov])
+    cov = np.vstack([top, bottom])
+    try:
+        return JointGaussian(np.r_[mu.mean, f.intercept + f.slope @ mu.mean], cov)
+    except DomainError as exc:
+        raise DomainError("joint covariance is degenerate (noiseless rank-deficient map)") from exc
+
+
+def bridge_plan(bridge) -> JointGaussian:
+    """The joint law of a ``gaussian.GaussianBridge``'s coupling on (x, y)."""
+    return joint_plan(bridge.mu, bridge.forward)
+
+
+def state_plan(state, mu, eta, k) -> JointGaussian:
+    """Joint Gaussian coupling described by one Sinkhorn state, on (x, y)."""
+    chi = k.chi
+    if state.n % 2 == 0:
+        f = g.AffineGaussianMap(state.m_n - state.tau_n @ chi @ mu.mean, state.tau_n @ chi, state.tau_n)
+        return joint_plan(mu, f)
+    f = g.AffineGaussianMap(state.m_n - state.tau_n @ chi.T @ eta.mean, state.tau_n @ chi.T, state.tau_n)
+    return joint_plan(eta, f).swapped()
+
+
+def joint_gaps(bridge, states) -> np.ndarray:
+    """The bridge gap of each state as the relative entropy of two 2d x 2d joints, subtracted in doubles."""
+    plan = bridge_plan(bridge)
+    return np.array([g.gaussian_kl(plan, state_plan(s, bridge.mu, bridge.eta, bridge.k)) for s in states])
+
+
+def bridge_gaps_mp(mu, eta, k, n_max, dps=80):
+    """``gaussian.bridge_gaps`` of the states n = 0, ..., 2 n_max + 1, by definition, in ``dps``-digit arithmetic.
+
+    The Sinkhorn plans come from the defining recursion: the even plan
+    2j is mu(dx) N(m_e + tau_e chi (x - m), tau_e), the odd plan 2j + 1 is
+    eta(dy) N(m_o + tau_o chi' (y - mbar), tau_o), and each conditional
+    is the other plan's, inverted by Bayes' rule:
+    tau_o = (u^{-1} + chi' tau_e chi)^{-1}, m_o = m + tau_o chi' (mbar - m_e),
+    tau_e = (v^{-1} + chi tau_o chi')^{-1}, m_e = mbar + tau_e chi (m - m_o),
+    from tau_e = tau and m_e = alpha + beta m.  The bridge is
+    mu(dx) N(mbar + S chi (x - m), S) with S = v^{1/2} r* v^{1/2} in closed
+    form, r* = -w/2 + (w + w^2/4)^{1/2} for w = (G G')^{-1},
+    G = v^{1/2} chi u^{1/2}; nothing is iterated towards it.  Each gap is
+    the relative entropy of the two 2d-dimensional joints.  The float
+    inputs are taken as exact and the gaps are rounded to doubles.
+    """
+    with mpmath.workdps(dps):
+        def exact(a):
+            return mpmath.matrix(np.asarray(a, dtype=float).tolist())
+
+        def sym_fn(a, fn):
+            lam, q = mpmath.eigsy((a + a.T) / 2)
+            return q * mpmath.diag([fn(x) for x in lam]) * q.T
+
+        u, v, tau = exact(mu.cov), exact(eta.cov), exact(k.tau)
+        m, mbar = exact(mu.mean), exact(eta.mean)
+        beta, chi = exact(k.beta), mpmath.inverse(tau) * exact(k.beta)
+        d = u.rows
+        v_half, u_half = sym_fn(v, mpmath.sqrt), sym_fn(u, mpmath.sqrt)
+        gram = v_half * chi * u_half
+        varpi = mpmath.inverse(gram * gram.T)
+        r_star = sym_fn(varpi, lambda x: 2 / (1 + mpmath.sqrt(1 + 4 / x)))
+        sigma = v_half * r_star * v_half
+
+        def joint(src_mean, src_cov, mean, noise, slope):
+            cov = mpmath.zeros(2 * d)
+            out = mpmath.zeros(2 * d, 1)
+            cross = src_cov * slope.T
+            low = slope * src_cov * slope.T + noise
+            for i in range(d):
+                out[i], out[d + i] = src_mean[i], mean[i]
+                for j in range(d):
+                    cov[i, j], cov[i, d + j] = src_cov[i, j], cross[i, j]
+                    cov[d + i, j], cov[d + i, d + j] = cross[j, i], low[i, j]
+            return out, cov
+
+        def swap(law):
+            mean, cov = law
+            perm = list(range(d, 2 * d)) + list(range(d))
+            return (mpmath.matrix([mean[i] for i in perm]),
+                    mpmath.matrix([[cov[i, j] for j in perm] for i in perm]))
+
+        def kl(p, q):
+            (pm, pc), (qm, qc) = p, q
+            q_inv = mpmath.inverse(qc)
+            dm = qm - pm
+            quad = (dm.T * q_inv * dm)[0, 0]
+            tr = sum((q_inv * pc)[i, i] for i in range(2 * d))
+            return (tr - 2 * d + quad + mpmath.log(mpmath.det(qc) / mpmath.det(pc))) / 2
+
+        star = joint(m, u, mbar, sigma, sigma * chi)
+        tau_e, m_e = tau, exact(k.alpha) + beta * m
+        gaps = []
+        for _ in range(n_max + 1):
+            gaps.append(kl(star, joint(m, u, m_e, tau_e, tau_e * chi)))
+            tau_o = mpmath.inverse(mpmath.inverse(u) + chi.T * tau_e * chi)
+            m_o = m + tau_o * chi.T * (mbar - m_e)
+            gaps.append(kl(star, swap(joint(mbar, v, m_o, tau_o, tau_o * chi.T))))
+            tau_e = mpmath.inverse(mpmath.inverse(v) + chi * tau_o * chi.T)
+            m_e = mbar + tau_e * chi * (m - m_o)
+        return np.array([float(x) for x in gaps])
 
 
 def geometric_mean(u, v):

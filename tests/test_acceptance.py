@@ -165,6 +165,26 @@ def test_criterion_02_reads_no_zero_gap(monkeypatch):
     assert len(seen) == 24 and all(np.all(gaps > 0.0) for gaps in seen)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_02_catches_a_rate_one_percent_too_fast(seed, monkeypatch):
+    # with no slack on the gate, a delta shrunk by 1% fails rows the true delta passes
+    decay_params = riccati.decay_params
+    monkeypatch.setattr(riccati, "decay_params", lambda varpi: (0.99 * decay_params(varpi)[0], decay_params(varpi)[1]))
+    assert not verify.criterion_riccati_decay(seed=seed)["passed"]
+
+
+def test_criteria_04_05_read_no_zero_gap(monkeypatch):
+    # criteria 4 and 5 at seeds 0-2: eleven gap sequences each, all of them positive and decreasing
+    seen = []
+    bridge_gaps = g.bridge_gaps
+    monkeypatch.setattr(g, "bridge_gaps", lambda bridge, states: seen.append(bridge_gaps(bridge, states)) or seen[-1])
+    for seed in (0, 1, 2):
+        assert verify.criterion_bridge_vs_sinkhorn(seed=seed)["passed"]
+        assert verify.criterion_improved_rate(seed=seed)["passed"]
+    assert len(seen) == 3 * 22
+    assert all(np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0) for gaps in seen)
+
+
 def _thrice(family):
     return 3 * family
 

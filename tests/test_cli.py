@@ -35,7 +35,7 @@ def test_riccati_command_outputs(tmp_path):
 
 
 def test_riccati_prefactor_fit_within_the_bound(tmp_path):
-    # the fit covers only rows whose envelope is above the rows' 1e-15 floor
+    # the fit covers only rows whose delta^n gap_0 is not 0
     out = tmp_path / "ricc"
     assert run_cli(["riccati", "--out", str(out)]) == 0
     doc = json.loads(out.with_suffix(".json").read_text())
@@ -65,12 +65,27 @@ def test_gaussian_command_outputs(tmp_path):
     trace = (tmp_path / "gauss_trace.csv").read_text().strip().splitlines()
     assert trace[0].startswith("n,H_bridge_gap")
     assert all(r.endswith(",1") for r in trace[1:])
+    # the chain-rule gaps resolve every row, down to ~1e-52 at n = 61
+    assert all(float(r.split(",")[1]) > 0.0 for r in trace[1:])
     sweep = (tmp_path / "gauss_ot_sweep.csv").read_text().strip().splitlines()
     gaps = [float(r.split(",")[1]) for r in sweep[1:]]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     report = json.loads((tmp_path / "gauss_report.json").read_text())
     assert report["terminal_bridge_gap"] < 1e-12
     assert report["proximal_b"] == 0.5
+
+
+def test_gaussian_sharp_kernel_every_row_satisfied(tmp_path):
+    """At tau = 1e-6 the gaps sit near 1.25e-7 and each envelope just above: every row is decided exactly."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gaussian", "model": {"kernel": {"alpha": [0.0], "beta": [[1.0]],
+                                                                           "tau": [[1e-6]]}}}))
+    out = tmp_path / "sharp"
+    assert run_cli(["gaussian", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "sharp_trace.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == 62 and all(r[-1] == "1" for r in rows)
+    gaps = [float(r[1]) for r in rows]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_discrete_command_monotone_trace(tmp_path):

@@ -231,7 +231,7 @@ def test_bridge_oracle_second_moments_match_closed_form():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     eta = g.GaussianMeasure([0.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    plan = g.bridge_solve(mu, eta, k).plan
+    plan = references.bridge_plan(g.bridge_solve(mu, eta, k))
     mass = discrete.plan_mass(oracle)
     pts = model.grid.points[:, 0]
     exx = float(np.sum(mass * pts[:, None] ** 2))
@@ -301,20 +301,25 @@ def test_potential_recursion_equals_matrix_scaling():
 
 
 def test_gaussian_consistency_under_grid_halving():
-    # sharp channel so the coarse-grid bias is visible above the float floor
-    t = 0.05
-    mu = g.GaussianMeasure([0.0], [[1.0]])
-    eta = g.GaussianMeasure([0.0], [[1.0]])
-    k = g.LinearGaussianKernel([0.0], [[1.0]], [[t]])
-    fwd = g.bridge_solve(mu, eta, k).forward
+    """Converged grid plans at N = 32, 48 and 64 against the closed-form bridge's conditional variance.
+
+    A sharp channel (t = 0.05) keeps every error far above round-off
+    (~1.5e-2, 2.6e-4 and 5.1e-7).  The midpoint rule's error on a Gaussian
+    integrand falls like A h^-2 exp(-c / h^2) with c = 2 pi^2 t, and each
+    pair of neighbouring grids must give that c to within criterion 10's 5%.
+    """
+    t, radius, sizes = 0.05, 8.0, np.array([32, 48, 64])
+    std = g.GaussianMeasure([0.0], [[1.0]])
+    fwd = g.bridge_solve(std, std, g.LinearGaussianKernel([0.0], [[1.0]], [[t]])).forward
     errs = []
-    for n in (64, 128):
-        model = gaussian_desk_model(n=n, t=t)
-        oracle = discrete.bridge_oracle(model, max_sweeps=20000)
-        cc = discrete.mean_conditional_cov(oracle)
-        errs.append(abs(cc[0, 0] - fwd.noise_cov[0, 0]))
-    assert errs[0] > 1e-8  # coarse-grid bias is measurable
-    assert errs[0] / errs[1] >= 3.5
+    for n in sizes:
+        oracle = discrete.bridge_oracle(gaussian_desk_model(n=n, radius=radius, t=t), max_sweeps=20000)
+        errs.append(abs(discrete.mean_conditional_cov(oracle)[0, 0] - fwd.noise_cov[0, 0]))
+    errs = np.array(errs)
+    assert errs.min() > 1e-10
+    inv_h2 = (sizes / (2.0 * radius)) ** 2
+    fitted = (np.log(errs[:-1] / errs[1:]) - np.log(inv_h2[:-1] / inv_h2[1:])) / np.diff(inv_h2)
+    assert np.all(np.abs(fitted / (2.0 * np.pi**2 * t) - 1.0) <= 0.05)
 
 
 def test_model_from_spec_roundtrip():
