@@ -316,19 +316,19 @@ def _discrete(model, n_sweeps, tol):
     # resume from the trace's last even state instead of redoing its sweeps
     oracle = discrete.bridge_oracle(model, start=trace.states[-2])
     rep = discrete.entropy_report(trace, oracle)
-    rows = []
-    for n in range(len(rep["H_pi2n_eta"])):
-        h_mu = rep["H_mu_pi2n1"][n - 1] if n >= 1 else float("nan")
-        rows.append(
-            f"{n},{_fmt(rep['H_pi2n_eta'][n])},{_fmt(h_mu)},{_fmt(rep['H_eta_pi2n'][n])},"
-            f"{_fmt(rep['H_pi2n1_mu'][n])},{_fmt(rep['H_bridge_even'][n])}"
-        )
+    keys = ("H_pi2n_eta", "H_mu_pi2n1", "H_eta_pi2n", "H_pi2n1_mu", "H_bridge_even")
+    # H_mu_pi2n1 is read one sweep back; its row 0 is a NaN placeholder, as pi_{-1} does not exist
+    columns = {key: rep[key][:-1] if key == "H_mu_pi2n1" else rep[key] for key in keys}
+    _require_finite("discrete trace", **columns)
+    columns["H_mu_pi2n1"] = [float("nan")] + columns["H_mu_pi2n1"]
+    rows = [",".join([str(n), *map(_fmt, cells)]) for n, cells in enumerate(zip(*columns.values()))]
     summary = {
         "converged": trace.converged,
         "sweeps": trace.n_sweeps,
         "final_residual": trace.residuals[-1],
         "entropy_monotone": verify.chains_monotone(rep),
     }
+    _require_finite("discrete report", final_residual=summary["final_residual"])
     return rows, summary
 
 
@@ -359,6 +359,11 @@ def _load_bounds(args):
 
 def _bounds(k, spec, n_max, p):
     report = bounds.rate_table(k, spec, n_max, p=p)
+    _require_finite("bounds report", **{name: s["value"] for name, s in report.scalars.items()})
+    # the envelopes documented as inf: improved before n = 2, corrected before n = p
+    first = {"improved-entropy-rate": 2, "corrected-two-step-rate": p}
+    for n, tag, bound in report.envelopes:
+        _require_finite(f"bounds row n={n} {tag}", bound=bound if n >= first.get(tag, 0) else 0.0)
     rows = [f"{n},{tag},{_fmt(bound)}" for n, tag, bound in report.envelopes]
     return {"scalars": report.scalars}, "n,theorem_tag,bound", rows
 

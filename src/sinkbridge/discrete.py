@@ -19,20 +19,23 @@ is log mu + (U_next - U).  Every half-step's residual and marginal
 entropies therefore come from the next half-step's increment, and a sweep
 costs two N x N passes.
 
-Bridge gaps are linear in the potentials.  For the reference coupling
-exp(-(U* + W + V*)) with marginals ref_1, ref_2, the W terms cancel in
-the log-ratio and
-    H(ref | P_n) = <ref_1, U_n - U*> + <ref_2, V_n - V*>,
-so each gap is two weighted dot products once the reference marginals are
-known.  ``joint_relative_entropy`` keeps the dense N x N form as the
-independent check.
+Entropies are sums of nonnegative terms.  With x = log(pi / target) on
+the target's support and pi of mass one, H(target | pi) =
+sum w target (e^x - 1 - x) and H(pi | target) = sum w target
+(x e^x - e^x + 1): each term is >= 0 and second order in x, where those of
+sum w pi (log pi - log target) are first order and cancel to round-off
+(Higham 2002).  ``_kl_terms`` evaluates them with expm1 and, below
+|x| = 0.01, a series.  P_0 alone can put mass off supp(eta); its two
+eta-side entries carry that leak, sum w eta (e^x - 1).
 
-The loop keeps increments; the chains are formed after it.  A sweep of
-``run`` is two half-steps, their increments and residuals.  The four
-chains come from one (S, |supp|) increment array per parity, with
-``relative_entropy``'s elementwise expressions and a row sum, so each
-entry is bitwise the one-marginal call's; ``entropy_report`` takes every
-bridge gap from two row sums over the stacked potentials.
+Bridge gaps telescope.  Each half-step is an I-projection (Csiszar 1975),
+so with h_2j = H(eta | pi_2j) and h_2j+1 = H(mu | pi_2j+1),
+H(P* | P_n) = sum_{k >= n} h_k.  ``entropy_report`` sums the h_k of a
+trace and of its ``bridge_oracle`` continuation from the last one back;
+the dense ``joint_relative_entropy`` is the independent check.
+
+The loop keeps increments; the chains are formed after it.  Each entry is
+one row sum over an (S, |supp|) increment array, bitwise that of the row.
 
 A +inf potential is a hard zero of its density.  Residuals, entropies and
 bridge gaps are taken over the support of the marginal they refer to,
@@ -106,6 +109,10 @@ _THETA = 1e-280
 _TINY = np.finfo(float).tiny
 # the marginal residual at which bridge_oracle's reference counts as converged
 ORACLE_TOL = 1e-13
+# e^x - 1 - x = x^2 (1/2! + x/3! + ... + x^7/9!), coefficients highest power first for Horner's rule
+_EXPM1_SERIES = 1.0 / np.array([math.factorial(k) for k in range(9, 1, -1)])
+# below this |x| the series replaces expm1(x) - x
+_SERIES_CUT = 0.01
 
 
 @dataclass(frozen=True)
@@ -414,9 +421,7 @@ def relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) 
     on = log_p != -np.inf
     if not on.all():
         log_p, log_q, weights = log_p[on], log_q[on], weights[on]
-    p = np.exp(log_p)
-    val = float(np.sum(weights * p * (log_p - log_q)))
-    return max(val, 0.0)
+    return float(np.sum(weights * np.exp(log_p) * (log_p - log_q)))
 
 
 def joint_relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) -> float:
@@ -443,7 +448,12 @@ class SinkhornTrace:
         return len(self.h_pi2n_eta) - 1
 
 
-def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrace:
+def run(
+    model: DiscreteModel,
+    n_sweeps: int,
+    tol: float = 1e-10,
+    start: SinkhornState | None = None,
+) -> SinkhornTrace:
     """Alternate potential updates until the marginal flows settle.
 
     Parameters
@@ -453,6 +463,9 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
         Maximum number of update pairs.
     tol : float
         Stop once the sup-norm of both marginal log-ratios falls below tol.
+    start : SinkhornState, optional
+        An even state of this model's iteration to resume from, bit for
+        bit; by default state 0.
 
     Returns
     -------
@@ -468,9 +481,11 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
     """
     if n_sweeps < 1:
         raise DomainError("n_sweeps must be >= 1")
+    state = initial_state(model) if start is None else start
+    if state.n % 2:
+        raise DomainError("run resumes from an even state")
     mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
     trace = SinkhornTrace(model)
-    state = initial_state(model)
     incs_eta, incs_mu = [], []
 
     for _ in range(n_sweeps + 1):
@@ -488,96 +503,65 @@ def run(model: DiscreteModel, n_sweeps: int, tol: float = 1e-10) -> SinkhornTrac
             break
         state = following
 
+    # each chain entry is one row sum of the _kl_terms (module docstring)
     w = model.grid.weights
-    trace.h_pi2n_eta, trace.h_eta_pi2n = _entropy_chains(model.log_eta[eta_supp], incs_eta, w[eta_supp])
-    trace.h_pi2n1_mu, trace.h_mu_pi2n1 = _entropy_chains(model.log_mu[mu_supp], incs_mu, w[mu_supp])
+    eta_mass, mu_mass = (w * np.exp(model.log_eta))[eta_supp], (w * np.exp(model.log_mu))[mu_supp]
+    h_eta, h_pi_eta = (np.sum(eta_mass * t, axis=1) for t in _kl_terms(np.array(incs_eta)))
+    if trace.states[0].n == 0 and isinstance(eta_supp, np.ndarray):
+        leak = np.sum(eta_mass * np.expm1(incs_eta[0]))  # off supp(eta), from P_0 only
+        h_eta[0] -= leak
+        h_pi_eta[0] += leak
+    trace.h_eta_pi2n, trace.h_pi2n_eta = h_eta.tolist(), h_pi_eta.tolist()
+    trace.h_mu_pi2n1, trace.h_pi2n1_mu = (np.sum(mu_mass * t, axis=1).tolist() for t in _kl_terms(np.array(incs_mu)))
     return trace
 
 
-def _entropy_chains(log_target, incs, w) -> tuple[list, list]:
-    """H(pi | target) and H(target | pi) for log pi = log_target + inc, one entry per increment.
+def _kl_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^x - 1 - x and x e^x - e^x + 1, the terms of H(target | pi) and H(pi | target), x = log(pi / target)."""
+    em1 = np.expm1(x)
+    series = np.full_like(x, _EXPM1_SERIES[0])
+    for c in (*_EXPM1_SERIES[1:], 0.0, 0.0):  # Horner's rule in place, times x^2
+        series *= x
+        series += c
+    back = np.where(np.abs(x) < _SERIES_CUT, series, em1 - x)
+    forward = x * em1
+    forward -= back
+    return back, forward
 
-    The elementwise expressions of ``relative_entropy`` on the support and
-    one row sum per chain, so every entry is bitwise that of the one-marginal call.
+
+def bridge_oracle(model: DiscreteModel, max_sweeps: int = 100000, start: SinkhornState | None = None) -> SinkhornTrace:
+    """``run`` from ``start`` continued to ``ORACLE_TOL``, the reference for the bridge gaps.
+
+    The reference coupling is the returned trace's ``states[-2]``, the
+    state a cold start reaches unless it would stop before ``start``.
+    Raises on non-convergence and on a non-finite residual.
     """
-    log_pi = log_target + np.array(incs)
-    forward = np.sum(w * np.exp(log_pi) * (log_pi - log_target), axis=1)
-    backward = np.sum(w * np.exp(log_target) * (log_target - log_pi), axis=1)
-    return [max(float(x), 0.0) for x in forward], [max(float(x), 0.0) for x in backward]
+    trace = run(model, max_sweeps, ORACLE_TOL, start)
+    if not trace.converged:
+        raise DomainError(f"bridge oracle did not converge to {ORACLE_TOL} in {max_sweeps} sweeps")
+    return trace
 
 
-def bridge_oracle(
-    model: DiscreteModel,
-    max_sweeps: int = 100000,
-    start: SinkhornState | None = None,
-) -> SinkhornState:
-    """Brute-force converged coupling, the reference for bridge-gap entropies.
+def entropy_report(trace: SinkhornTrace, oracle: SinkhornTrace) -> dict:
+    """The four marginal chains of a run and its bridge gaps H(P* | P_n), even and odd, with no kernel pass.
 
-    Iterates until both marginal residuals of the even-type plan are below
-    ``ORACLE_TOL`` (the first marginal is exact by construction, the second
-    is driven to eta).  ``start``, an even state of this model's iteration
-    such as the last even state of a ``run`` trace, resumes the iteration
-    there; the result is then the same state a cold start reaches, unless
-    the cold start would have stopped before ``start``.  Raises on
-    non-convergence and on a non-finite residual.
+    Each gap is the tail sum of the h_k of the trace and then of its
+    ``bridge_oracle`` continuation, from the oracle's last entry back.
     """
-    state = initial_state(model) if start is None else start
-    if state.n % 2:
-        raise DomainError("bridge_oracle resumes from an even state")
-    eta_supp = _support(model.v_pot)
-    for _ in range(max_sweeps):
-        odd = sinkhorn_step(state)
-        log_ratio = odd.v[eta_supp] - state.v[eta_supp]  # log(pi_2n / eta)
-        _residual(log_ratio)
-        gap = float(np.abs(np.exp(log_ratio) - 1.0).max())
-        if gap < ORACLE_TOL:
-            r_mu, r_eta = marginal_residuals(state)
-            if max(r_mu, r_eta) < 10 * ORACLE_TOL:
-                return state
-        state = sinkhorn_step(odd)
-    raise DomainError(f"bridge oracle did not converge to {ORACLE_TOL} in {max_sweeps} sweeps")
+    def h(t):  # h_k in state order: H(eta | pi_k) at even k, H(mu | pi_k) at odd k
+        return np.column_stack([t.h_eta_pi2n, t.h_mu_pi2n1]).ravel()
 
-
-def entropy_report(trace: SinkhornTrace, oracle: SinkhornState) -> dict:
-    """Assemble the entropy table of a run against a converged reference.
-
-    Returns per-sweep sequences for the four marginal entropies, the
-    bridge-gap entropies H(ref | plan_n) for even and odd half-steps, and
-    the residuals of the two telescoping identities
-        H(ref|P_{2n}) = H(ref|P_{2n-1}) - H(mu|pi_{2n-1})
-        H(ref|P_{2n+1}) = H(ref|P_{2n}) - H(eta|pi_{2n}).
-    Each bridge gap is O(N) (module docstring); the reference marginals
-    cost two kernel passes, once.
-    """
-    model = trace.model
-    w = model.grid.weights
-    mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
-    first, second = plan_marginals(oracle)
-    ref_1 = (w * np.exp(first))[mu_supp]
-    ref_2 = (w * np.exp(second))[eta_supp]
-    # whole C-order rows, so each row sum is bitwise the one-state sum
-    us = np.array([state.u[mu_supp] for state in trace.states])
-    vs = np.array([state.v[eta_supp] for state in trace.states])
-    gaps = np.sum(ref_1 * (us - oracle.u[mu_supp]), axis=1) + np.sum(ref_2 * (vs - oracle.v[eta_supp]), axis=1)
-    gaps = [max(float(x), 0.0) for x in gaps]
-    h_even, h_odd = gaps[0::2], gaps[1::2]  # a trace's states run n = 0, 1, 2, ...
-
-    tele_even = []  # n >= 1: H(ref|P_2n) vs H(ref|P_{2n-1}) - H(mu|pi_{2n-1})
-    for n in range(1, len(h_even)):
-        tele_even.append(h_even[n] - (h_odd[n - 1] - trace.h_mu_pi2n1[n - 1]))
-    tele_odd = []  # H(ref|P_{2n+1}) vs H(ref|P_{2n}) - H(eta|pi_{2n})
-    for n in range(len(h_odd)):
-        tele_odd.append(h_odd[n] - (h_even[n] - trace.h_eta_pi2n[n]))
-
+    skip = 2 * len(trace.h_eta_pi2n) + trace.states[0].n - oracle.states[0].n  # entries the trace holds
+    if skip < 0:
+        raise DomainError("the oracle must start within the trace")
+    gaps = np.cumsum(np.concatenate([h(trace), h(oracle)[skip:]])[::-1])[::-1][: len(trace.states)]
     return {
         "H_pi2n_eta": list(trace.h_pi2n_eta),
         "H_mu_pi2n1": list(trace.h_mu_pi2n1),
         "H_eta_pi2n": list(trace.h_eta_pi2n),
         "H_pi2n1_mu": list(trace.h_pi2n1_mu),
-        "H_bridge_even": h_even,
-        "H_bridge_odd": h_odd,
-        "telescope_even_residuals": tele_even,
-        "telescope_odd_residuals": tele_odd,
+        "H_bridge_even": gaps[0::2].tolist(),
+        "H_bridge_odd": gaps[1::2].tolist(),
     }
 
 

@@ -233,16 +233,21 @@ def riccati_gaps_mp(varpi, r0, n, dps=350):
 
 
 def per_sweep_run(model, n_sweeps, tol):
-    """``discrete.run`` with its entropies taken one marginal at a time, inside the loop.
+    """``discrete.run`` with its entropies taken one half-step at a time, inside the loop.
 
-    Each half-step's marginal is assembled as a full log density (-inf off
-    the target's support) and handed to ``relative_entropy``; the lean loop
-    must return the same lists bit for bit.
+    Each entry is ``discrete._kl_terms`` of that half-step's increment
+    alone, summed against the target's mass on its support, with row 0's
+    leak where eta has hard zeros; the lean loop must return the same
+    lists bit for bit.  Beside the trace it returns the first-order forms
+    of the four chains, ``relative_entropy`` of each half-step's marginal
+    assembled as a full log density (-inf off the target's support), as a
+    dict keyed like the trace's lists.
     """
     w = model.grid.weights
     log_mu, log_eta = model.log_mu, model.log_eta
     mu_supp, eta_supp = model.u_pot != np.inf, model.v_pot != np.inf
     trace = discrete.SinkhornTrace(model)
+    subtracted = {key: [] for key in ("h_pi2n_eta", "h_eta_pi2n", "h_mu_pi2n1", "h_pi2n1_mu")}
     state = discrete.initial_state(model)
 
     def corrected(log_target, new, old, support):
@@ -250,48 +255,145 @@ def per_sweep_run(model, n_sweeps, tol):
         r = discrete._residual(inc)
         marginal = np.full(log_target.shape, -np.inf)
         marginal[support] = log_target[support] + inc
-        return marginal, r
+        back, forward = discrete._kl_terms(inc)
+        mass = (w * np.exp(log_target))[support]
+        h_back, h_forward = np.sum(mass * back), np.sum(mass * forward)
+        if state.n == 0 and log_target is log_eta and not support.all():
+            leak = np.sum(mass * np.expm1(inc))
+            h_back, h_forward = h_back - leak, h_forward + leak
+        return marginal, r, float(h_back), float(h_forward)
 
     for _ in range(n_sweeps + 1):
         odd = discrete.sinkhorn_step(state)
-        pi_even, r_eta = corrected(log_eta, odd.v, state.v, eta_supp)
+        pi_even, r_eta, h_back, h_forward = corrected(log_eta, odd.v, state.v, eta_supp)
         trace.states.append(state)
-        trace.h_pi2n_eta.append(discrete.relative_entropy(pi_even, log_eta, w))
-        trace.h_eta_pi2n.append(discrete.relative_entropy(log_eta, pi_even, w))
+        trace.h_eta_pi2n.append(h_back)
+        trace.h_pi2n_eta.append(h_forward)
+        subtracted["h_pi2n_eta"].append(discrete.relative_entropy(pi_even, log_eta, w))
+        subtracted["h_eta_pi2n"].append(discrete.relative_entropy(log_eta, pi_even, w))
         following = discrete.sinkhorn_step(odd)
-        pi_odd, r_mu = corrected(log_mu, following.u, odd.u, mu_supp)
+        pi_odd, r_mu, h_back, h_forward = corrected(log_mu, following.u, odd.u, mu_supp)
         trace.states.append(odd)
-        trace.h_mu_pi2n1.append(discrete.relative_entropy(log_mu, pi_odd, w))
-        trace.h_pi2n1_mu.append(discrete.relative_entropy(pi_odd, log_mu, w))
+        trace.h_mu_pi2n1.append(h_back)
+        trace.h_pi2n1_mu.append(h_forward)
+        subtracted["h_mu_pi2n1"].append(discrete.relative_entropy(log_mu, pi_odd, w))
+        subtracted["h_pi2n1_mu"].append(discrete.relative_entropy(pi_odd, log_mu, w))
         trace.residuals.append(max(r_eta, r_mu))
         if trace.residuals[-1] < tol:
             trace.converged = True
             break
         state = following
-    return trace
+    return trace, subtracted
 
 
 def per_state_entropy_report(trace, oracle):
-    """``discrete.entropy_report`` with two dot products per state for the bridge gaps."""
-    model = trace.model
-    w = model.grid.weights
-    mu_supp, eta_supp = model.u_pot != np.inf, model.v_pot != np.inf
-    first, second = discrete.plan_marginals(oracle)
-    ref_1 = (w * np.exp(first))[mu_supp]
-    ref_2 = (w * np.exp(second))[eta_supp]
-    u_star, v_star = oracle.u[mu_supp], oracle.v[eta_supp]
-    h_even, h_odd = [], []
-    for state in trace.states:
-        val = np.sum(ref_1 * (state.u[mu_supp] - u_star)) + np.sum(ref_2 * (state.v[eta_supp] - v_star))
-        (h_even if state.n % 2 == 0 else h_odd).append(max(float(val), 0.0))
+    """``discrete.entropy_report`` with each bridge gap summed state by state, from the oracle's last entry back.
+
+    The entries h_k are read one state at a time from the trace, and from
+    the oracle past the trace's end.
+    """
+    def entries(t):
+        return {s.n: (t.h_eta_pi2n if s.n % 2 == 0 else t.h_mu_pi2n1)[s.n // 2 - t.states[0].n // 2]
+                for s in t.states}
+
+    h = {**entries(oracle), **entries(trace)}
+    total, gaps = 0.0, {}
+    for k in sorted(h, reverse=True):
+        total += h[k]
+        gaps[k] = total
     return {
         "H_pi2n_eta": list(trace.h_pi2n_eta),
         "H_mu_pi2n1": list(trace.h_mu_pi2n1),
         "H_eta_pi2n": list(trace.h_eta_pi2n),
         "H_pi2n1_mu": list(trace.h_pi2n1_mu),
-        "H_bridge_even": h_even,
-        "H_bridge_odd": h_odd,
-        "telescope_even_residuals": [h_even[n] - (h_odd[n - 1] - trace.h_mu_pi2n1[n - 1])
-                                     for n in range(1, len(h_even))],
-        "telescope_odd_residuals": [h_odd[n] - (h_even[n] - trace.h_eta_pi2n[n]) for n in range(len(h_odd))],
+        "H_bridge_even": [gaps[s.n] for s in trace.states if s.n % 2 == 0],
+        "H_bridge_odd": [gaps[s.n] for s in trace.states if s.n % 2 == 1],
     }
+
+
+def linear_bridge_gaps(trace, oracle):
+    """The first-order bridge gaps <ref_1, U_n - U*> + <ref_2, V_n - V*> against the oracle's converged plan.
+
+    ref_1 and ref_2 are that plan's marginal masses on the supports; the W
+    terms cancel in the log-ratio of the two plans.  Returns (even, odd).
+    """
+    model, reference = trace.model, oracle.states[-2]
+    w = model.grid.weights
+    mu_supp, eta_supp = model.u_pot != np.inf, model.v_pot != np.inf
+    first, second = discrete.plan_marginals(reference)
+    ref_1, ref_2 = (w * np.exp(first))[mu_supp], (w * np.exp(second))[eta_supp]
+    gaps = [float(np.sum(ref_1 * (s.u[mu_supp] - reference.u[mu_supp]))
+                  + np.sum(ref_2 * (s.v[eta_supp] - reference.v[eta_supp]))) for s in trace.states]
+    return gaps[0::2], gaps[1::2]
+
+
+def grid_entropies_mp(model, n_half, dps=60):
+    """The grid recursion's entropy chains and bridge gaps for states 0 .. n_half - 1, in ``dps`` digits.
+
+    Runs the scaling form of the potential recursion, a = exp(-U) and
+    b = exp(-V) against K = exp(-W), from the model's tables with mu and
+    eta renormalized exactly, so that every plan after a half-step has mass
+    one.  Each entropy is summed in its defining form over the target's
+    support.  The bridge gaps are the joint relative entropies against the
+    plan reached once both marginal log-ratios are below 10^(-dps/2), far
+    past what doubles resolve.  Returns a dict keyed like
+    ``discrete.entropy_report``'s, with float entries; n_half is even.
+    """
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(x) for x in model.grid.weights]
+        kern = [[mpmath.exp(-mpmath.mpf(x)) for x in row] for row in model.w_pot]
+        kern_t = [list(col) for col in zip(*kern)]
+
+        def density(pot):
+            raw = [mpmath.exp(-mpmath.mpf(x)) for x in pot]
+            total = mpmath.fsum(wi * r for wi, r in zip(w, raw))
+            return [r / total for r in raw]
+
+        def apply(rows, vec):  # sum_j rows[i][j] w_j vec_j for every i
+            wv = [wj * vj for wj, vj in zip(w, vec)]
+            return [mpmath.fdot(row, wv) for row in rows]
+
+        def scale(target, sums):
+            return [t / s if t else mpmath.mpf(0) for t, s in zip(target, sums)]
+
+        def entropies(target, ratio):  # H(target | pi), H(pi | target) with pi = target * ratio, on the support
+            terms = [(wi * t, mpmath.log(r), r) for wi, t, r in zip(w, target, ratio) if t]
+            return -mpmath.fsum(m * x for m, x, _ in terms), mpmath.fsum(m * r * x for m, x, r in terms)
+
+        mu, eta = density(model.u_pot), density(model.v_pot)
+        b = [mpmath.mpf(1)] * len(w)
+        a = scale(mu, apply(kern, b))
+        states, chains = [], {"H_pi2n_eta": [], "H_eta_pi2n": [], "H_mu_pi2n1": [], "H_pi2n1_mu": []}
+        tol = mpmath.mpf(10) ** (-(dps // 2))
+        while True:
+            b_next = scale(eta, apply(kern_t, a))
+            ratio_eta = [bo / bn if e else 0 for bo, bn, e in zip(b, b_next, eta)]
+            a_next = scale(mu, apply(kern, b_next))
+            ratio_mu = [ao / an if m else 0 for ao, an, m in zip(a, a_next, mu)]
+            if len(states) < n_half:
+                h_eta, h_pi_eta = entropies(eta, ratio_eta)
+                h_mu, h_pi_mu = entropies(mu, ratio_mu)
+                chains["H_eta_pi2n"].append(h_eta)
+                chains["H_pi2n_eta"].append(h_pi_eta)
+                chains["H_mu_pi2n1"].append(h_mu)
+                chains["H_pi2n1_mu"].append(h_pi_mu)
+            states += [(a, b), (a, b_next)]
+            residual = max(abs(mpmath.log(r)) for r in ratio_eta + ratio_mu if r)
+            if len(states) >= n_half and residual < tol:
+                break
+            a, b = a_next, b_next
+
+        # the reference plan's marginals, and each state's joint relative entropy to it
+        a_ref, b_ref = states[-2]
+        first = [x * y for x, y in zip(a_ref, apply(kern, b_ref))]
+        second = [x * y for x, y in zip(b_ref, apply(kern_t, a_ref))]
+
+        def gap(a_n, b_n):
+            return (mpmath.fsum(wi * m * mpmath.log(x / y) for wi, m, x, y in zip(w, first, a_ref, a_n) if m)
+                    + mpmath.fsum(wi * m * mpmath.log(x / y) for wi, m, x, y in zip(w, second, b_ref, b_n) if m))
+
+        gaps = [gap(*s) for s in states[:n_half]]
+        out = {key: [float(x) for x in seq[: n_half // 2]] for key, seq in chains.items()}
+        out["H_bridge_even"] = [float(x) for x in gaps[0::2]]
+        out["H_bridge_odd"] = [float(x) for x in gaps[1::2]]
+        return out

@@ -103,6 +103,31 @@ def test_criterion_09_discrete_sinkhorn():
     assert res["details"]["max_scaling_gap"] < 1e-12
     assert res["details"]["max_marginal_residual"] < 1e-12
     assert res["details"]["max_bridge_gap_diff"] < 1e-12
+    # every chain strictly positive and decreasing with no slack (the largest ratio reads ~0.055)
+    assert res["details"]["entropy_chains_ok"]
+    assert res["details"]["min_chain_entry"] > 0.0
+    assert res["details"]["max_chain_ratio"] < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_09_catches_a_late_perturbed_potential(monkeypatch, seed):
+    # a planted defect: V of half-step 27, late in every desk model's run, off
+    # by 1e-11 at node 32.  The cross-chain inequalities see it; with the old
+    # 1e-12 chain slack and first-order entropies the criterion passed it.
+    step = discrete.sinkhorn_step
+
+    def perturbed(state):
+        out = step(state)
+        if out.n == 27:
+            v = out.v.copy()
+            v[32] += 1e-11
+            out = discrete.SinkhornState(out.model, out.n, out.u, v)
+        return out
+
+    monkeypatch.setattr(discrete, "sinkhorn_step", perturbed)
+    res = verify.criterion_discrete_sinkhorn(seed=seed)
+    assert not res["passed"]
+    assert not res["details"]["entropy_chains_ok"]
 
 
 def test_criterion_10_discretization_consistency():

@@ -598,6 +598,43 @@ def test_gaussian_non_finite_proximal_exit_3(tmp_path, capsys):
     assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, "proximal row n=1")
 
 
+def assert_non_finite_exit_3(tmp_path, capsys, command, where):
+    """The command stops with exit 3 naming the cell, and writes no file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--out", str(out / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {where} is not finite")
+    assert list(out.iterdir()) == []
+
+
+def test_discrete_non_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
+    """A NaN bridge gap is refused; only row 0's H_mu_pi2n1 placeholder may be NaN."""
+    report = discrete.entropy_report
+
+    def planted(trace, oracle):
+        rep = report(trace, oracle)
+        rep["H_bridge_even"][3] = float("nan")
+        return rep
+
+    monkeypatch.setattr(discrete, "entropy_report", planted)
+    assert_non_finite_exit_3(tmp_path, capsys, "discrete", "discrete trace")
+
+
+def test_bounds_non_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
+    """A NaN envelope is refused; only the documented inf envelopes before n = 2 and n = p pass."""
+    rate_table = bounds.rate_table
+
+    def planted(*args, **kwargs):
+        report = rate_table(*args, **kwargs)
+        n, tag, _ = report.envelopes[5]
+        report.envelopes[5] = (n, tag, float("nan"))
+        return report
+
+    monkeypatch.setattr(bounds, "rate_table", planted)
+    assert_non_finite_exit_3(tmp_path, capsys, "bounds", "bounds row n=5 two-step-entropy-rate")
+
+
 def test_compute_bug_propagates(monkeypatch):
     def bug(*args, **kwargs):
         raise ZeroDivisionError("a bug, not a domain failure")

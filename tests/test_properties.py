@@ -1,4 +1,4 @@
-"""Randomised properties of the Gaussian bridge and the Riccati trajectory over the documented input range.
+"""Randomised properties of the Gaussian bridge, the Riccati trajectory and the grid entropy terms.
 
 Every drawn problem (d <= 64, cond(u), cond(v) <= 1e8, a well-conditioned
 channel) must either solve to round-off times its condition number, with
@@ -6,15 +6,17 @@ finite Sinkhorn states, or stop with a DomainError.  A NaN, an overflow or
 any other exception fails the test.  Its contraction constants, from
 ``bounds.rate_table`` on the Gaussian-equality curvature, must all be
 finite and in range.  The closed-form Riccati trajectory must match the
-map stepped on the dense varpi.
+map stepped on the dense varpi.  The grid's two relative-entropy terms
+must be >= 0 and meet a 60-digit evaluation.
 """
 
+import mpmath
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from references import riccati_steps
-from sinkbridge import bounds, riccati, spd
+from sinkbridge import bounds, discrete, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
@@ -148,3 +150,24 @@ def test_closed_form_iterate_matches_the_dense_steps(problem):
     err = spd.spectral_norm(riccati.iterate(varpi, r0, n) - riccati_steps(varpi, r0, n))
     scale = 1.0 + spd.spectral_norm(riccati.fixed_point(varpi)) + spd.spectral_norm(r0)
     assert np.all(err <= 1e-12 * scale)
+
+
+# both sides of the series cut |x| = 0.01, the smallest and largest |x| drawn
+CUT = discrete._SERIES_CUT
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(1e-12, 50.0) | st.floats(-50.0, -1e-12), min_size=1, max_size=16))
+@example([CUT * (1 - EPS), CUT, -CUT * (1 - EPS), -CUT, 1e-12, -1e-12, 50.0, -50.0])
+def test_kl_terms_meet_60_digits(xs):
+    """e^x - 1 - x and x e^x - e^x + 1 are >= 0 and within relative 1e-13 of 60 digits, for 1e-12 <= |x| <= 50.
+
+    Log-ratio increments stay far below |x| ~ 709, where x expm1(x) overflows.
+    """
+    back, forward = discrete._kl_terms(np.array(xs))
+    with mpmath.workdps(60):
+        e = [(mpmath.exp(x) - 1 - x, x * mpmath.exp(x) - mpmath.exp(x) + 1) for x in map(mpmath.mpf, xs)]
+    want_back, want_forward = np.array(e, dtype=float).T
+    assert np.all(back >= 0.0) and np.all(forward >= 0.0)
+    assert np.all(np.abs(back - want_back) <= 1e-13 * want_back)
+    assert np.all(np.abs(forward - want_forward) <= 1e-13 * want_forward)
