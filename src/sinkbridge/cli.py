@@ -2,20 +2,27 @@
 
 Every command runs in three phases.  ``load`` turns the JSON config into
 typed, validated inputs and fills each default once, ``compute`` runs the
-numerics, and ``write`` emits the output files.  ``_run`` is the one place
-errors become exit codes:
+numerics and returns each output file as data (a table of columns by
+header name, or a report dict), and ``write`` emits the files.  ``_run``
+renders every file before it writes one, and is the one place errors
+become exit codes:
 
 - an error a malformed config raises while loading (OSError, ValueError,
   TypeError or KeyError) is a bad config: ``config error: ...`` on
   stderr, exit 2, and no output file is written;
-- a DomainError while computing is a domain failure: ``runtime error:
-  ...``, exit 3;
+- a DomainError while computing or rendering is a domain failure:
+  ``runtime error: ...``, exit 3, and no output file is written.
+  Rendering raises one for any inf or NaN it would write, except the
+  documented placeholders, which their columns declare: ``gaussian`` trace
+  ``envelope_phi`` before n = 2, ``bounds`` ``improved-entropy-rate``
+  before n = 2 and ``corrected-two-step-rate`` before n = p, and
+  ``discrete`` ``H_mu_pi2n1`` at row 0;
 - any other error is a bug and propagates.
 
 ``write`` returns 0 on success, 1 for a verification failure, a broken
-invariant or a written row that reads ``satisfied=0``, and 3 for a grid
-run that did not converge.  All emitted floats carry 17 significant digits
-so files round-trip doubles exactly; identical config and seed give
+invariant or a row that reads ``satisfied=0``, and 3 for a grid run that
+did not converge.  Every emitted float round-trips its double (table
+cells carry 17 significant digits); identical config and seed give
 byte-identical outputs.
 """
 
@@ -24,6 +31,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,42 +69,93 @@ MODEL_DEFAULTS = {
 }
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_default(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.generic):
-        return x.item()
-    if x is INFINITE:
-        return "infinite"
-    return str(x)
+    return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else str(x)
 
 
-def _write_json(path: Path, doc: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"schema": SCHEMA, **doc}, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+class _Placeholders(NamedTuple):
+    """A float column whose cells under ``mask`` are documented placeholders, written as the inf or NaN they hold."""
+    values: object
+    mask: object
 
 
-def _write_csv(path: Path, header: str, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _csv(where: str, table: dict) -> str:
+    """A table's text; DomainError names its first non-finite cell, row by row, that is not a placeholder."""
+    cells, bad, names = {}, {}, [next(iter(table))]  # a row is named by its first and its text columns
+    for column, values in table.items():
+        values, declared = values if isinstance(values, _Placeholders) else (values, False)
+        data = np.asarray(values)
+        if data.dtype.kind == "f":
+            bad[column] = ~(np.isfinite(data) | declared)
+            cells[column] = [format(x, ".17g") for x in data.tolist()]
+        else:
+            cells[column] = [str(int(x)) if data.dtype.kind == "b" else str(x) for x in data.tolist()]
+            names += [column] if data.dtype.kind == "U" else []
+    failed = [(int(np.argmax(b)), column) for column, b in bad.items() if b.any()]
+    if failed:
+        row, column = min(failed, key=lambda f: f[0])
+        label = " ".join(f"{name}={cells[name][row]}" for name in names)
+        raise DomainError(f"{where} row {label} is not finite: {column} {cells[column][row]}")
+    return "\n".join([",".join(table), *map(",".join, zip(*cells.values()))]) + "\n"
 
 
-def _run(args, load, compute, write) -> int:
+def _numbers(doc, key=""):
+    """(key, value) for each float and array of a report, with nested keys and list indices joined by dots."""
+    if isinstance(doc, (float, np.floating, np.ndarray)):
+        yield key, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, (list, tuple)) else ()
+    for name, value in items:
+        yield from _numbers(value, f"{key}.{name}" if key else str(name))
+
+
+def _render(command: str, path, data) -> str:
+    """The text of one output file, after checking that every number in it is finite or a placeholder."""
+    where = f"{command} {path or 'stdout'}"
+    if path is not None and path.suffix == ".csv":
+        return _csv(where, data)
+    for key, value in _numbers(data):
+        if not np.isfinite(value).all():
+            raise DomainError(f"{where} report is not finite: {key} {value}")
+    if command == "verify":  # the canonical summary, which criterion 11 compares byte for byte
+        return verify.summary_document(data["criteria"], data["seed"]) + "\n"
+    return json.dumps({"schema": SCHEMA, **data}, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
+def _path(args, suffix: str) -> Path | None:
+    """Where one output file goes (a suffix after a dot replaces the prefix's own); None is verify's stdout."""
+    if args.command == "verify" and not args.out:
+        return None
+    out = Path(args.out or f"out/{args.command}")
+    return out.with_suffix(suffix) if suffix.startswith(".") else out.parent / (out.name + suffix)
+
+
+def _save(texts: dict):
+    """The one writer of output files."""
+    for path, text in texts.items():
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+
+def _write(args, files: dict, texts: dict) -> int:
+    """Write every file; 1 with a message on stderr when a table's satisfied column holds a 0."""
+    _save(texts)
+    *first, last = texts
+    print(f"wrote {', '.join(map(str, first))} and {last}")
+    failed = {path: np.count_nonzero(np.logical_not(data.get("satisfied", True))) for path, data in files.items()}
+    for path in filter(failed.get, failed):
+        print(f"{failed[path]} row(s) of {path} read satisfied=0", file=sys.stderr)
+    return int(any(failed.values()))
+
+
+def _run(args, load, compute, write=_write) -> int:
     """Run one command's three phases; the only place an error becomes an exit code."""
     loaded = False
     try:
         inputs = load(args)
         loaded = True
-        result = compute(*inputs)
+        files = {_path(args, suffix): data for suffix, data in compute(*inputs).items()}
+        texts = {path: _render(args.command, path, data) for path, data in files.items()}
     # what a malformed config raises while loading; DomainError is a ValueError
     except (OSError, ValueError, TypeError, KeyError) as exc:
         if not loaded:
@@ -108,7 +167,7 @@ def _run(args, load, compute, write) -> int:
             raise
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    return write(args, *result)
+    return write(args, files, texts)
 
 
 def _config(args) -> tuple[dict, dict]:
@@ -148,27 +207,6 @@ def _positive(value, name: str, ndim: int = 0) -> np.ndarray:
     return arr
 
 
-def _out(args) -> Path:
-    return Path(args.out or f"out/{args.command}")
-
-
-def _unsatisfied(path: Path, rows) -> int:
-    """0, or 1 with a message on stderr when a row's last column, satisfied, reads 0."""
-    failed = sum(row.rsplit(",", 1)[-1] == "0" for row in rows)
-    if not failed:
-        return 0
-    print(f"{failed} row(s) of {path} read satisfied=0", file=sys.stderr)
-    return 1
-
-
-def _write_pair(args, doc: dict, header: str, rows) -> int:
-    out = _out(args)
-    _write_json(out.with_suffix(".json"), doc)
-    _write_csv(out.with_suffix(".csv"), header, rows)
-    print(f"wrote {out.with_suffix('.json')} and {out.with_suffix('.csv')}")
-    return _unsatisfied(out.with_suffix(".csv"), rows) if header.endswith(",satisfied") else 0
-
-
 def _load_riccati(args):
     config, model = _config(args)
     n = parse_count(model["n"], "n", 0)
@@ -190,33 +228,20 @@ def _load_riccati(args):
     return varpi, spectrum, spd.clamp_psd(r0), n
 
 
-def _require_finite(where: str, **cells):
-    """Raise DomainError naming the cells of one output row that are inf or NaN."""
-    bad = [f"{name} {value}" for name, value in cells.items() if not np.isfinite(value).all()]
-    if bad:
-        raise DomainError(f"{where} is not finite: {', '.join(bad)}")
-
-
-# every written cell is checked below, so an overflow stops the run with exit 3, not a numpy warning
+# every written number is checked as it is rendered, so an overflow stops the run with exit 3, not a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def _riccati(varpi, spectrum, r0, n):
-    header = "n,error,envelope,satisfied"
     if riccati.is_infinite(varpi):
         note = "map and fixed point are the identity by convention"
-        return {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note}, header, ["0,0,0,1"]
+        return {".json": {"varpi": "infinite", "fixed_point": np.eye(len(r0)), "note": note},
+                ".csv": {"n": [0], "error": [0.0], "envelope": [0.0], "satisfied": [True]}}
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
     gaps = riccati.gap_norms(riccati._iterate_spectral(*spectrum, r0, n)[1])
     env = riccati.decay_envelope(gaps, delta, c_bound)
-    ok = verify.decay_holds(gaps, env)
-    rows = []
-    for k in range(n + 1):
-        _require_finite(f"riccati row n={k}", error=gaps[k], envelope=env[k])
-        rows.append(f"{k},{_fmt(gaps[k])},{_fmt(env[k])},{int(ok[k])}")
     # empirical prefactor fit: the largest gap ratio against delta^k gap_0, over the rows where that is not 0
     scale = riccati._powers(delta, np.arange(1, n + 1)) * gaps[0]
     fit = float(np.max(gaps[1:][scale > 0] / scale[scale > 0], initial=0.0))
-    _require_finite("riccati report", delta=delta, prefactor_bound=c_bound, prefactor_empirical_fit=fit)
     doc = {
         "varpi": varpi,
         "fixed_point": r_star,
@@ -226,11 +251,12 @@ def _riccati(varpi, spectrum, r0, n):
         # the independent check: it starts again from the dense matrix
         "identities": riccati.fixed_point_identities(varpi),
     }
-    return doc, header, rows
+    table = {"n": np.arange(n + 1), "error": gaps, "envelope": env, "satisfied": verify.dominated(gaps, env)}
+    return {".json": doc, ".csv": table}
 
 
 def cmd_riccati(args) -> int:
-    return _run(args, _load_riccati, _riccati, _write_pair)
+    return _run(args, _load_riccati, _riccati)
 
 
 def _load_gaussian(args):
@@ -244,7 +270,7 @@ def _load_gaussian(args):
     return mu, eta, k, spec, parse_count(model["n_max"], "n_max", 1), t_grid
 
 
-# every written cell is checked below, so an overflow stops the run with exit 3, not a numpy warning
+# every written number is checked as it is rendered, so an overflow stops the run with exit 3, not a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def _gaussian(mu, eta, k, spec, n_max, t_grid):
     eps = bounds.eps_lg(k, spec)
@@ -252,30 +278,22 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
     states = g.sinkhorn_run(bridge, n_max)
     gaps = g.bridge_gaps(bridge, states)
     pair, improved = bounds.entropy_envelopes(eps, gaps)
-    ok = verify.dominated(gaps, pair) & verify.dominated(gaps, improved)
-    trace_rows = []
-    for s, gap, env_pair, env_phi, row_ok in zip(states, gaps, pair, improved, ok):
-        pi = g.GaussianMeasure(s.m_n, s.sigma_pi_n)
-        w2 = g.gelbrich_w2(eta, pi) if s.n % 2 == 0 else g.gelbrich_w2(mu, pi)
-        # env_phi's inf before n = 2 is documented; any other inf would pass its check as inf <= inf
-        _require_finite(f"gaussian trace row n={s.n}", gap=gap, W2=w2, envelope_pair=env_pair,
-                        envelope_phi=env_phi if s.n >= 2 else 0.0)
-        trace_rows.append(f"{s.n},{_fmt(gap)},{_fmt(w2)},{_fmt(env_pair)},{_fmt(env_phi)},{int(row_ok)}")
+    n = np.array([s.n for s in states])
+    w2 = [g.gelbrich_w2(mu if s.n % 2 else eta, g.GaussianMeasure(s.m_n, s.sigma_pi_n)) for s in states]
+    # envelope_phi's inf before n = 2 is documented; any other inf would pass the gate as inf <= inf
+    trace = {"n": n, "H_bridge_gap": gaps, "W2_marginal_gap": w2, "envelope_pair": pair,
+             "envelope_phi": _Placeholders(improved, n < 2),
+             "satisfied": verify.dominated(gaps, pair) & verify.dominated(gaps, improved)}
 
     lim = bridge.ot_limit()
-    sweep_rows = []
-    for t in t_grid:
-        slope = bridge.rescaled(t).forward.slope
-        gap, norm = spd.spectral_norm(slope - lim.slope), spd.spectral_norm(slope)
-        _require_finite(f"gaussian ot_sweep row t={t!r}", slope_gap_to_limit=gap, slope_norm=norm)
-        sweep_rows.append(f"{_fmt(t)},{_fmt(gap)},{_fmt(norm)}")
+    slopes = [bridge.rescaled(t).forward.slope for t in t_grid]
+    sweep = {"t": t_grid, "slope_gap_to_limit": [spd.spectral_norm(s - lim.slope) for s in slopes],
+             "slope_norm": [spd.spectral_norm(s) for s in slopes]}
 
     a, b = bounds.proximal_rates(k, spec)
     nu = g.GaussianMeasure(mu.mean + 3.0, 2.0 * mu.cov)
-    prox_rows = []
-    for n_step, (w2, w2_env, kl, kl_env) in enumerate(bounds.proximal_trace(nu, mu, k, a, b, 20)):
-        _require_finite(f"gaussian proximal row n={n_step}", W2=w2, W2_envelope=w2_env, KL=kl, KL_envelope=kl_env)
-        prox_rows.append(f"{n_step},{_fmt(w2)},{_fmt(w2_env)},{_fmt(kl)},{_fmt(kl_env)}")
+    rows = np.array(bounds.proximal_trace(nu, mu, k, a, b, 20))
+    proximal = {"n": np.arange(len(rows)), **dict(zip(("W2", "W2_envelope", "KL", "KL_envelope"), rows.T))}
     report = {
         "eps": eps,
         "phi": bounds.phi(eps),
@@ -284,23 +302,11 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
         "terminal_bridge_gap": float(gaps[-1]),
         "forward_noise_cov": bridge.forward.noise_cov,
     }
-    _require_finite("gaussian report", **report)
-    return trace_rows, sweep_rows, prox_rows, report
-
-
-def _write_gaussian(args, trace_rows, sweep_rows, prox_rows, report) -> int:
-    out = _out(args)
-    trace = out.parent / (out.name + "_trace.csv")
-    _write_csv(trace, "n,H_bridge_gap,W2_marginal_gap,envelope_pair,envelope_phi,satisfied", trace_rows)
-    _write_csv(out.parent / (out.name + "_ot_sweep.csv"), "t,slope_gap_to_limit,slope_norm", sweep_rows)
-    _write_csv(out.parent / (out.name + "_proximal.csv"), "n,W2,W2_envelope,KL,KL_envelope", prox_rows)
-    _write_json(out.parent / (out.name + "_report.json"), report)
-    print(f"wrote {trace} (+ ot_sweep, proximal, report)")
-    return _unsatisfied(trace, trace_rows)
+    return {"_trace.csv": trace, "_ot_sweep.csv": sweep, "_proximal.csv": proximal, "_report.json": report}
 
 
 def cmd_gaussian(args) -> int:
-    return _run(args, _load_gaussian, _gaussian, _write_gaussian)
+    return _run(args, _load_gaussian, _gaussian)
 
 
 def _load_discrete(args):
@@ -316,27 +322,23 @@ def _discrete(model, n_sweeps, tol):
     # resume from the trace's last even state instead of redoing its sweeps
     oracle = discrete.bridge_oracle(model, start=trace.states[-2])
     rep = discrete.entropy_report(trace, oracle)
-    keys = ("H_pi2n_eta", "H_mu_pi2n1", "H_eta_pi2n", "H_pi2n1_mu", "H_bridge_even")
-    # H_mu_pi2n1 is read one sweep back; its row 0 is a NaN placeholder, as pi_{-1} does not exist
-    columns = {key: rep[key][:-1] if key == "H_mu_pi2n1" else rep[key] for key in keys}
-    _require_finite("discrete trace", **columns)
-    columns["H_mu_pi2n1"] = [float("nan")] + columns["H_mu_pi2n1"]
-    rows = [",".join([str(n), *map(_fmt, cells)]) for n, cells in enumerate(zip(*columns.values()))]
+    n = np.arange(len(rep["H_pi2n_eta"]))
+    # H_mu_pi2n1 is read one sweep back: its row 0 is a NaN placeholder, as pi_{-1} does not exist
+    h_mu = _Placeholders([float("nan")] + rep["H_mu_pi2n1"][:-1], n == 0)
+    table = {"n": n, "H_pi2n_eta": rep["H_pi2n_eta"], "H_mu_pi2n1": h_mu, "H_eta_pi2n": rep["H_eta_pi2n"],
+             "H_pi2n1_mu": rep["H_pi2n1_mu"], "H_bridge_Pn": rep["H_bridge_even"]}
     summary = {
         "converged": trace.converged,
         "sweeps": trace.n_sweeps,
         "final_residual": trace.residuals[-1],
         "entropy_monotone": verify.chains_monotone(rep),
     }
-    _require_finite("discrete report", final_residual=summary["final_residual"])
-    return rows, summary
+    return {".csv": table, ".json": summary}
 
 
-def _write_discrete(args, rows, summary) -> int:
-    out = _out(args)
-    _write_csv(out.with_suffix(".csv"), "n,H_pi2n_eta,H_mu_pi2n1,H_eta_pi2n,H_pi2n1_mu,H_bridge_Pn", rows)
-    _write_json(out.with_suffix(".json"), summary)
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+def _write_discrete(args, files, texts) -> int:
+    _write(args, files, texts)  # the table has no satisfied column
+    summary = files[_path(args, ".json")]
     if not summary["converged"]:
         print("did not converge within the sweep budget", file=sys.stderr)
         return 3
@@ -359,17 +361,16 @@ def _load_bounds(args):
 
 def _bounds(k, spec, n_max, p):
     report = bounds.rate_table(k, spec, n_max, p=p)
-    _require_finite("bounds report", **{name: s["value"] for name, s in report.scalars.items()})
+    n, tags, bound = zip(*report.envelopes)
     # the envelopes documented as inf: improved before n = 2, corrected before n = p
     first = {"improved-entropy-rate": 2, "corrected-two-step-rate": p}
-    for n, tag, bound in report.envelopes:
-        _require_finite(f"bounds row n={n} {tag}", bound=bound if n >= first.get(tag, 0) else 0.0)
-    rows = [f"{n},{tag},{_fmt(bound)}" for n, tag, bound in report.envelopes]
-    return {"scalars": report.scalars}, "n,theorem_tag,bound", rows
+    placeholder = [row < first.get(tag, 0) for row, tag in zip(n, tags)]
+    table = {"n": n, "theorem_tag": tags, "bound": _Placeholders(bound, placeholder)}
+    return {".json": {"scalars": report.scalars}, ".csv": table}
 
 
 def cmd_bounds(args) -> int:
-    return _run(args, _load_bounds, _bounds, _write_pair)
+    return _run(args, _load_bounds, _bounds)
 
 
 def _load_verify(args):
@@ -387,19 +388,17 @@ def _verify(seed, name_filter):
         # the full suite is itself the first of the two runs compared
         first = None if name_filter else verify.summary_document(results, seed)
         results.append(verify.criterion_determinism(seed, first=first))
-    return verify.summary_document(results, seed), results
+    return {".json": {"seed": seed, "criteria": results}}
 
 
-def _write_verify(args, doc: str, results) -> int:
+def _write_verify(args, files, texts) -> int:
+    results = next(iter(files.values()))["criteria"]
     if args.json:
-        print(doc)
+        print(*texts.values(), end="")
     else:
         for r in results:
             print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['id']:>2}  {r['name']}")
-    if args.out:
-        path = Path(args.out).with_suffix(".json")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(doc + "\n")
+    _save(texts)
     return 0 if all(r["passed"] for r in results) else 1
 
 

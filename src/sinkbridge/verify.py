@@ -22,13 +22,11 @@ CHAINS = ("H_pi2n_eta", "H_eta_pi2n", "H_mu_pi2n1", "H_pi2n1_mu")
 DETERMINISM = "determinism"  # criterion 11, which runs the others
 
 
-def decay_holds(gaps, env):
-    """The Riccati decay gate: gaps[n] <= env[n] for each row of ``riccati.decay_envelope``, with no slack."""
-    return gaps <= env
-
-
 def dominated(obs, env):
-    """The Gaussian entropy gate, elementwise and with no slack: the gaps keep their relative accuracy."""
+    """The envelope gate of the Riccati decay and the Gaussian entropy claims: obs[n] <= env[n], with no slack.
+
+    The gaps compared keep their relative accuracy, so an exact comparison is the claim itself.
+    """
     return obs <= env
 
 
@@ -127,7 +125,7 @@ def criterion_riccati_decay(seed=0):
             env = riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))
             on = env[1:] > 0.0
             worst_ratio = max(worst_ratio, float((gaps[1:, j][on] / env[1:][on]).max(initial=0.0)))
-            envelope_ok = envelope_ok and bool(np.all(decay_holds(gaps[:, j], env)))
+            envelope_ok = envelope_ok and bool(np.all(dominated(gaps[:, j], env)))
 
     # the closed form against the map stepped on the dense varpi, s <- (varpi + s + I)^{-1} (varpi + s),
     # for five scalar flows as one (5, 1, 1) stack

@@ -184,8 +184,8 @@ def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):
 def test_criterion_02_reads_no_zero_gap(monkeypatch):
     # the smallest true gap of the family at n <= 60 is ~5e-130, and Delta_n resolves it
     seen = []
-    holds = verify.decay_holds
-    monkeypatch.setattr(verify, "decay_holds", lambda gaps, env: seen.append(gaps) or holds(gaps, env))
+    holds = verify.dominated
+    monkeypatch.setattr(verify, "dominated", lambda gaps, env: seen.append(gaps) or holds(gaps, env))
     assert verify.criterion_riccati_decay(seed=0)["passed"]
     assert len(seen) == 24 and all(np.all(gaps > 0.0) for gaps in seen)
 

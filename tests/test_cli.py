@@ -546,7 +546,7 @@ def test_riccati_overflowing_envelope_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli(["riccati", "--config", str(cfg), "--out", str(out / "x")]) == 3
-    assert capsys.readouterr().err == "runtime error: riccati row n=1 is not finite: envelope inf\n"
+    assert capsys.readouterr().err == f"runtime error: riccati {out / 'x.csv'} row n=1 is not finite: envelope inf\n"
     assert list(out.iterdir()) == []
 
 
@@ -570,16 +570,15 @@ def test_extreme_spd_input_exit_3(tmp_path, capsys, command, model, needle):
     assert err.startswith("runtime error:") and needle in err
 
 
-def assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, where):
-    """The run stops with exit 3 naming the row, and writes no file."""
+def assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, suffix, where):
+    """The run stops with exit 3 naming the file, the row and the column, and writes no file."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "gaussian", "model": model}))
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli(["gaussian", "--config", str(cfg), "--out", str(out / "x")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"runtime error: gaussian {where} is not finite")
-    assert "Traceback" not in err
+    assert err == f"runtime error: gaussian {out / ('x' + suffix)} {where}\n"
     assert list(out.iterdir()) == []
 
 
@@ -587,7 +586,8 @@ def assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, where):
 def test_gaussian_non_finite_trace_exit_3(tmp_path, capsys):
     """An intercept of 1e308 overflows the Sinkhorn means: no row reads inf <= inf as satisfied, no numpy warning."""
     kernel = {"alpha": [1e308], "beta": [[1.0]], "tau": [[1.0]]}
-    assert_gaussian_non_finite_exit_3(tmp_path, capsys, {"kernel": kernel}, "trace row n=0")
+    assert_gaussian_non_finite_exit_3(tmp_path, capsys, {"kernel": kernel}, "_trace.csv",
+                                      "row n=0 is not finite: H_bridge_gap inf")
 
 
 @pytest.mark.filterwarnings("error")
@@ -595,16 +595,16 @@ def test_gaussian_non_finite_proximal_exit_3(tmp_path, capsys):
     """The proximal prefactor ||chi||^2 ||tau|| ||u_plus|| overflows while eps and the trace stay finite."""
     model = {"kernel": {"alpha": [0.0], "beta": [[100.0]], "tau": [[100.0]]},
              "spec": {"u_plus": [[1e307]], "v_plus": [[1e-10]]}}
-    assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, "proximal row n=1")
+    assert_gaussian_non_finite_exit_3(tmp_path, capsys, model, "_proximal.csv",
+                                      "row n=1 is not finite: KL_envelope inf")
 
 
 def assert_non_finite_exit_3(tmp_path, capsys, command, where):
-    """The command stops with exit 3 naming the cell, and writes no file."""
+    """The command stops with exit 3 naming the file, the row and the column, and writes no file."""
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli([command, "--out", str(out / "x")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"runtime error: {where} is not finite")
+    assert capsys.readouterr().err == f"runtime error: {command} {out / 'x.csv'} {where}\n"
     assert list(out.iterdir()) == []
 
 
@@ -618,7 +618,7 @@ def test_discrete_non_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
         return rep
 
     monkeypatch.setattr(discrete, "entropy_report", planted)
-    assert_non_finite_exit_3(tmp_path, capsys, "discrete", "discrete trace")
+    assert_non_finite_exit_3(tmp_path, capsys, "discrete", "row n=3 is not finite: H_bridge_Pn nan")
 
 
 def test_bounds_non_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
@@ -632,7 +632,118 @@ def test_bounds_non_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
         return report
 
     monkeypatch.setattr(bounds, "rate_table", planted)
-    assert_non_finite_exit_3(tmp_path, capsys, "bounds", "bounds row n=5 two-step-entropy-rate")
+    assert_non_finite_exit_3(tmp_path, capsys, "bounds",
+                             "row n=5 theorem_tag=two-step-entropy-rate is not finite: bound nan")
+
+
+# one NaN in each file the CLI writes: a table's (column, row index) or a report's key path
+PLANTED = {
+    "riccati-csv": ("riccati", ".csv", ("envelope", 3), "row n=3 is not finite: envelope nan"),
+    "riccati-json": ("riccati", ".json", ("identities", "fixed_point_residual"),
+                     "report is not finite: identities.fixed_point_residual nan"),
+    "gaussian-trace": ("gaussian", "_trace.csv", ("W2_marginal_gap", 4), "row n=4 is not finite: W2_marginal_gap nan"),
+    "gaussian-ot-sweep": ("gaussian", "_ot_sweep.csv", ("slope_norm", 1), "row t=1 is not finite: slope_norm nan"),
+    "gaussian-proximal": ("gaussian", "_proximal.csv", ("KL", 2), "row n=2 is not finite: KL nan"),
+    "gaussian-report": ("gaussian", "_report.json", ("phi",), "report is not finite: phi nan"),
+    # a masked column is checked in every row its mask does not declare
+    "discrete-csv": ("discrete", ".csv", ("H_mu_pi2n1", 2), "row n=2 is not finite: H_mu_pi2n1 nan"),
+    "discrete-json": ("discrete", ".json", ("final_residual",), "report is not finite: final_residual nan"),
+    "bounds-csv": ("bounds", ".csv", ("bound", 23),
+                   "row n=2 theorem_tag=improved-entropy-rate is not finite: bound nan"),
+    "bounds-json": ("bounds", ".json", ("scalars", "iota", "value"), "report is not finite: scalars.iota.value nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_planted_nan_exit_3(tmp_path, capsys, monkeypatch, case):
+    """Each output file is checked before any is written: exit 3 names the file, row and column, and writes none."""
+    command, suffix, place, where = PLANTED[case]
+    compute = getattr(cli, f"_{command}")
+
+    def planted(*inputs):
+        files = compute(*inputs)
+        if suffix.endswith(".csv"):
+            column, row = place
+            values = files[suffix][column]
+            nan_column = np.array(getattr(values, "values", values), dtype=float)
+            nan_column[row] = np.nan
+            declared = isinstance(values, cli._Placeholders)
+            files[suffix][column] = values._replace(values=nan_column) if declared else nan_column
+        else:
+            *keys, last = place
+            doc = files[suffix]
+            for key in keys:
+                doc = doc[key]
+            doc[last] = float("nan")
+        return files
+
+    monkeypatch.setattr(cli, f"_{command}", planted)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli([command, "--out", str(out / "x")]) == 3
+    assert capsys.readouterr().err == f"runtime error: {command} {out / ('x' + suffix)} {where}\n"
+    assert list(out.iterdir()) == []
+
+
+def _leaves(node) -> list:
+    if isinstance(node, dict):
+        node = list(node.values())
+    return [x for v in node for x in _leaves(v)] if isinstance(node, list) else [node]
+
+
+def _non_finite_cells(path: Path) -> list:
+    """Each inf or NaN a written file holds: 'n=<n>[ <tag>] <column>=<cell>' for a table, the value for a report."""
+    if path.suffix == ".json":
+        return [x for x in _leaves(json.loads(path.read_text())) if isinstance(x, float) and not np.isfinite(x)]
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    tagged = header[1] == "theorem_tag"
+    return [" ".join([f"{header[0]}={row[0]}", *row[1:2 if tagged else 1], f"{name}={cell}"])
+            for row in rows for name, cell in zip(header, row)
+            if cell in ("inf", "-inf", "nan")]
+
+
+@pytest.mark.parametrize("command, model, non_finite", [
+    ("riccati", {}, {".json": [], ".csv": []}),
+    ("gaussian", {}, {"_trace.csv": ["n=0 envelope_phi=inf", "n=1 envelope_phi=inf"], "_ot_sweep.csv": [],
+                      "_proximal.csv": [], "_report.json": []}),
+    ("discrete", {}, {".csv": ["n=0 H_mu_pi2n1=nan"], ".json": []}),
+    ("bounds", {"p": 3}, {".json": [], ".csv": [
+        "n=0 improved-entropy-rate bound=inf", "n=1 improved-entropy-rate bound=inf",
+        "n=0 corrected-two-step-rate bound=inf", "n=1 corrected-two-step-rate bound=inf",
+        "n=2 corrected-two-step-rate bound=inf"]}),
+], ids=["riccati", "gaussian", "discrete", "bounds-p3"])
+def test_documented_placeholders_exit_0(tmp_path, command, model, non_finite):
+    """The declared placeholders, and only they, are written as inf or nan."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "model": model}))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out / "x")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted("x" + suffix for suffix in non_finite)
+    for suffix, cells in non_finite.items():
+        assert _non_finite_cells(out / ("x" + suffix)) == cells, suffix
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_verify_non_finite_detail_exit_3(tmp_path, capsys, monkeypatch, to_file):
+    """A NaN criterion detail stops verify with exit 3: nothing on stdout, and no --out file."""
+    criterion = dict(verify.CRITERIA)["ot-limit"]
+
+    def planted(seed):
+        result = criterion(seed=seed)
+        result["details"]["gaps"][1] = float("nan")
+        return result
+
+    criteria = [(name, planted if name == "ot-limit" else fn) for name, fn in verify.CRITERIA]
+    monkeypatch.setattr(verify, "CRITERIA", criteria)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["verify", "--json", "--filter", "ot-limit"] + (["--out", str(out / "v")] if to_file else [])
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    where = out / "v.json" if to_file else "stdout"
+    assert captured.out == ""
+    assert captured.err == f"runtime error: verify {where} report is not finite: criteria.0.details.gaps.1 nan\n"
+    assert list(out.iterdir()) == []
 
 
 def test_compute_bug_propagates(monkeypatch):

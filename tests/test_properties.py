@@ -7,16 +7,19 @@ any other exception fails the test.  Its contraction constants, from
 ``bounds.rate_table`` on the Gaussian-equality curvature, must all be
 finite and in range.  The closed-form Riccati trajectory must match the
 map stepped on the dense varpi.  The grid's two relative-entropy terms
-must be >= 0 and meet a 60-digit evaluation.
+must be >= 0 and meet a 60-digit evaluation.  The CLI's table renderer
+must refuse exactly the tables with a non-finite cell that no mask
+declares, and every cell it writes must parse back to its double.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from references import riccati_steps
-from sinkbridge import bounds, discrete, riccati, spd
+from sinkbridge import bounds, cli, discrete, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
@@ -171,3 +174,43 @@ def test_kl_terms_meet_60_digits(xs):
     assert np.all(back >= 0.0) and np.all(forward >= 0.0)
     assert np.all(np.abs(back - want_back) <= 1e-13 * want_back)
     assert np.all(np.abs(forward - want_forward) <= 1e-13 * want_forward)
+
+
+@st.composite
+def tables(draw):
+    """An n column and 1-4 float columns over 0-12 rows, with inf and NaN cells and random placeholder cells."""
+    rows = draw(st.integers(0, 12))
+    cell = st.floats() | st.sampled_from([np.inf, -np.inf, np.nan])
+    table = {"n": np.arange(rows)}
+    for j in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(cell, min_size=rows, max_size=rows))
+        mask = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        table[f"c{j}"] = cli._Placeholders(np.array(values, dtype=float), np.array(mask, dtype=bool))
+    return table
+
+
+@PROPERTY_SETTINGS
+@given(tables())
+def test_rendered_table_refuses_undeclared_non_finite_cells_and_round_trips(table):
+    """Rendering raises iff a cell outside the mask is inf or NaN, naming the first in row order.
+
+    Otherwise every cell parses back to its double.
+    """
+    floats = {name: column for name, column in table.items() if name != "n"}
+    bad = [(row, name) for name, column in floats.items() for row in range(len(column.values))
+           if not (np.isfinite(column.values[row]) or column.mask[row])]
+    if bad:
+        row, name = min(bad, key=lambda b: b[0])
+        with pytest.raises(DomainError) as err:
+            cli._csv("test x.csv", table)
+        assert str(err.value) == f"test x.csv row n={row} is not finite: {name} {floats[name].values[row]}"
+        return
+    header, *lines = cli._csv("test x.csv", table).splitlines()
+    assert header == ",".join(table) and len(lines) == len(table["n"])
+    for row, line in enumerate(lines):
+        n, *cells = line.split(",")
+        assert n == str(row)
+        for cell, column in zip(cells, floats.values()):
+            value, parsed = column.values[row], float(cell)
+            # the 17-digit promise, bit for bit (a NaN has no payload to keep)
+            assert np.isnan(parsed) if np.isnan(value) else np.float64(parsed).view(np.int64) == value.view(np.int64)
