@@ -6,6 +6,10 @@ matrices or the distinguished value ZERO for the upper-bound factors
 u_minus, v_minus (ZERO encodes "no upper curvature bound", which turns the
 matching Riccati parameters INFINITE).  Log-Sobolev constants that the
 theory only asserts to exist are accepted as user inputs, never computed.
+
+``CurvatureSpec``, ``eps_lg`` and ``varpi_family`` take a stack of
+models, as ``gaussian`` does: factors (..., d, d) give one constant or
+one family per model, each bitwise what that model alone gives.
 """
 
 from dataclasses import dataclass
@@ -40,17 +44,20 @@ class CurvatureSpec:
     v_minus: object = ZERO
 
     def __post_init__(self):
+        checked = {}  # each input validated once: ``gaussian`` passes u and v twice each
         for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
             val = getattr(self, name)
             if not (is_zero(val) and name.endswith("minus")):  # only an upper factor may be ZERO
-                object.__setattr__(self, name, spd.require_spd(spd.matrix(val)))
+                if id(val) not in checked:
+                    checked[id(val)] = spd.require_spd(spd.matrix(val))
+                object.__setattr__(self, name, checked[id(val)])
         shapes = {f.shape for f in (self.u_plus, self.v_plus, self.u_minus, self.v_minus) if not is_zero(f)}
         if len(shapes) > 1:
             raise ShapeError(f"curvature factors disagree in shape: {sorted(shapes)}")
 
     @property
     def dim(self) -> int:
-        return self.u_plus.shape[0]
+        return self.u_plus.shape[-1]
 
     @classmethod
     def gaussian(cls, u, v) -> "CurvatureSpec":
@@ -58,19 +65,23 @@ class CurvatureSpec:
         return cls(u_plus=u, v_plus=v, u_minus=u, v_minus=v)
 
 
-def eps_generic(kappa: float, rho1: float, rho2: float) -> float:
-    """Entropy-contraction coefficient kappa^2 * rho1 * rho2."""
-    if kappa <= 0 or rho1 <= 0 or rho2 <= 0:
+def eps_generic(kappa, rho1, rho2):
+    """Entropy-contraction coefficient kappa^2 * rho1 * rho2: a float, or an array for arrays of constants."""
+    if np.any(np.less_equal(kappa, 0)) or np.any(np.less_equal(rho1, 0)) or np.any(np.less_equal(rho2, 0)):
         raise DomainError("eps_generic requires positive arguments")
-    eps = kappa * kappa * rho1 * rho2
-    if eps == 0 or not np.isfinite(eps):
+    with np.errstate(over="ignore", under="ignore"):  # an array overflows as a float does, silently
+        eps = kappa * kappa * rho1 * rho2
+    ok = (eps != 0) & np.isfinite(eps)
+    if not np.all(ok):
+        i, where = spd._failing_slice(ok)
+        kappa, rho1, rho2, eps = (np.broadcast_to(x, np.shape(ok))[i] for x in (kappa, rho1, rho2, eps))
         how = "underflows to 0" if eps == 0 else "overflows"
-        raise DomainError(f"contraction coefficient {how}: kappa={kappa:.3e}, rho1={rho1:.3e}, rho2={rho2:.3e}")
+        raise DomainError(f"contraction coefficient{where} {how}: kappa={kappa:.3e}, rho1={rho1:.3e}, rho2={rho2:.3e}")
     return eps
 
 
-def eps_lg(k: LinearGaussianKernel, spec: CurvatureSpec) -> float:
-    """Entropy-contraction coefficient of a linear-Gaussian channel.
+def eps_lg(k: LinearGaussianKernel, spec: CurvatureSpec):
+    """Entropy-contraction coefficient of a linear-Gaussian channel, per model of a stack.
 
     ||tau^{-1} beta||^2 ||u_plus|| ||v_plus||; for beta = I, tau = t I this
     is ||u_plus|| ||v_plus|| / t^2.

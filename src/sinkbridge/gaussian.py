@@ -9,6 +9,14 @@ linear algebra: no sampling anywhere.
 
 ``bridge_solve`` decomposes a problem (mu, eta, k) once into a
 ``GaussianBridge``, which every map, flow, gap and noise sweep reads.
+
+Every measure, kernel, map, bridge and Sinkhorn state here holds one
+model or a stack of models of one dimension d: a mean (..., d) beside a
+covariance (..., d, d), the leading batch axes shared by every part of a
+problem.  One model is the stack with no leading axes.  Each LAPACK call
+and each step of the mean recursion is made once for the whole stack,
+and each model's result is bitwise the one a call on that model alone
+gives.  A failing slice of a stack is named by its index.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -19,6 +27,16 @@ import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
+
+
+def _mv(a, x) -> np.ndarray:
+    """a x for a matrix a and a vector x, or for each pair of a stack."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _t(a) -> np.ndarray:
+    """a', or the transpose of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -36,12 +54,12 @@ class GaussianMeasure:
     def __post_init__(self):
         object.__setattr__(self, "mean", _finite(np.atleast_1d(np.asarray(self.mean, dtype=float)), "mean"))
         object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
-        if self.mean.shape[0] != self.cov.shape[0]:
+        if self.mean.shape != self.cov.shape[:-1]:
             raise ShapeError(f"mean/cov mismatch: {self.mean.shape} vs {self.cov.shape}")
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -68,26 +86,27 @@ class LinearGaussianKernel:
         if spectrum is None:
             tau, *spectrum = spd._spd_eigh(spd.matrix(self.tau))
             object.__setattr__(self, "tau", tau)
-            if self.beta.shape[0] != self.beta.shape[1]:
+            if self.beta.shape[-1] != self.beta.shape[-2]:
                 raise ShapeError("beta must be square")
-            if np.linalg.cond(self.beta) >= 1e12:
-                raise DomainError("beta is singular or near-singular")
-            if self.alpha.shape[0] != self.beta.shape[0] or self.tau.shape[0] != self.beta.shape[0]:
+            regular = np.linalg.cond(self.beta) < 1e12
+            if not np.all(regular):
+                raise DomainError(f"beta{spd._failing_slice(regular)[1]} is singular or near-singular")
+            if self.alpha.shape != self.beta.shape[:-1] or self.tau.shape != self.beta.shape:
                 raise ShapeError("alpha/beta/tau dimensions disagree")
         w, q = spectrum
         object.__setattr__(self, "tau_spectrum", (w, q))
         # tau^{-1} from the spectrum that validated tau, as spd.sym_inv forms it
-        object.__setattr__(self, "chi", spd.symmetrize((q / w) @ q.T) @ self.beta)
+        object.__setattr__(self, "chi", spd.symmetrize((q / w[..., None, :]) @ _t(q)) @ self.beta)
 
     @property
     def dim(self) -> int:
-        return self.beta.shape[0]
+        return self.beta.shape[-1]
 
     def rescaled(self, t: float) -> "LinearGaussianKernel":
         """Same channel with noise covariance t * tau, from tau's spectrum scaled by t: no decomposition."""
         w, q = self.tau_spectrum
         w = t * w
-        spd._require(w[0] > spd.SPD_RTOL * np.max(w), w, "SPD")  # the check _spd_eigh makes of t * tau
+        spd._require_spd_spectrum(w)  # the check _spd_eigh makes of t * tau
         return LinearGaussianKernel(self.alpha, self.beta, t * self.tau, (w, q))
 
 
@@ -125,8 +144,8 @@ class GaussianSinkhornState:
 
 
 def _check_model(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
-    if not (mu.dim == eta.dim == k.dim):
-        raise ShapeError(f"dimension mismatch: mu {mu.dim}, eta {eta.dim}, kernel {k.dim}")
+    if not (mu.cov.shape == eta.cov.shape == k.tau.shape):
+        raise ShapeError(f"dimension mismatch: mu {mu.cov.shape}, eta {eta.cov.shape}, kernel {k.tau.shape}")
 
 
 class BridgeFactors(NamedTuple):
@@ -157,8 +176,8 @@ class BridgeFactors(NamedTuple):
 
 
 def _congruent(a, w) -> np.ndarray:
-    """a diag(w) a'."""
-    return spd.symmetrize((a * w) @ a.T)
+    """a diag(w) a', per slice of a stack."""
+    return spd.symmetrize((a * w[..., None, :]) @ _t(a))
 
 
 def bridge_factors(u, v, chi) -> BridgeFactors:
@@ -172,13 +191,16 @@ def bridge_factors(u, v, chi) -> BridgeFactors:
     u_half, u_ihalf = spd.sqrt_pair(u)
     v_half, v_ihalf = spd.sqrt_pair(v)
     p, s, rt = np.linalg.svd(v_half @ chi @ u_half)
-    return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, _in_double_range(s), rt.T)
+    return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, _in_double_range(s), _t(rt))
 
 
 def _in_double_range(s) -> np.ndarray:
-    """The descending singular values s, once they lie in [1e-150, 1e150]."""
-    if not (1e-150 <= s[-1] and s[0] <= 1e150):  # a NaN fails too
-        raise DomainError(f"bridge is degenerate: v^(1/2) chi u^(1/2) has singular values in [{s[-1]:.3e}, {s[0]:.3e}]")
+    """The descending singular values s, once each slice's lie in [1e-150, 1e150]."""
+    ok = (1e-150 <= s[..., -1]) & (s[..., 0] <= 1e150)  # a NaN fails too
+    if not np.all(ok):
+        i, where = spd._failing_slice(ok)
+        raise DomainError(f"bridge{where} is degenerate: v^(1/2) chi u^(1/2) has singular values in "
+                          f"[{s[i][-1]:.3e}, {s[i][0]:.3e}]")
     return s
 
 
@@ -202,7 +224,8 @@ class GaussianBridge:
         # entries of rho from drowning in the round-off of the large ones
         rho = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * self.factors.s**2))
         sigma = _congruent(half @ basis, rho)
-        return AffineGaussianMap(m_to - sigma @ chi @ m_from, sigma @ chi, sigma)
+        slope = sigma @ chi
+        return AffineGaussianMap(m_to - _mv(slope, m_from), slope, sigma)
 
     @cached_property
     def forward(self) -> AffineGaussianMap:
@@ -213,7 +236,7 @@ class GaussianBridge:
     def backward(self) -> AffineGaussianMap:
         """The transition y -> x; pushing eta through it reproduces mu exactly."""
         f = self.factors
-        return self._transition(f.u_half, f.r, self.k.chi.T, self.eta.mean, self.mu.mean)
+        return self._transition(f.u_half, f.r, _t(self.k.chi), self.eta.mean, self.mu.mean)
 
     def ot_limit(self) -> AffineGaussianMap:
         """The deterministic transport the bridge tends to as the noise t * tau vanishes.
@@ -224,7 +247,7 @@ class GaussianBridge:
         """
         f = self.factors
         slope = _congruent(f.v_half @ f.p, 1.0 / f.s) @ self.k.chi
-        return AffineGaussianMap(self.eta.mean - slope @ self.mu.mean, slope, np.zeros_like(self.mu.cov))
+        return AffineGaussianMap(self.eta.mean - _mv(slope, self.mu.mean), slope, np.zeros_like(self.mu.cov))
 
     def rescaled(self, t: float) -> "GaussianBridge":
         """The bridge for the channel noise t * tau, without a new decomposition.
@@ -244,8 +267,8 @@ def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKer
 
 def push_through(p: GaussianMeasure, f: AffineGaussianMap) -> GaussianMeasure:
     """Image of a Gaussian under an affine Gaussian map."""
-    mean = f.intercept + f.slope @ p.mean
-    cov = f.slope @ p.cov @ f.slope.T + f.noise_cov
+    mean = f.intercept + _mv(f.slope, p.mean)
+    cov = f.slope @ p.cov @ _t(f.slope) + f.noise_cov
     return GaussianMeasure(mean, cov)
 
 
@@ -267,7 +290,8 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
         State n carries the conditional covariance of the n-th transition,
         the mean of the n-th marginal flow and its covariance.  Even states
         describe transitions x -> y with second marginal pi_{2n}; odd states
-        describe transitions y -> x with first marginal pi_{2n+1}.
+        describe transitions y -> x with first marginal pi_{2n+1}.  For a
+        stack of bridges each state holds every model's, stacked alike.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -277,7 +301,7 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     chi = k.chi
 
     # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
-    tau_odd = spd.sym_inv(spd.sym_inv(u) + chi.T @ k.tau @ chi)
+    tau_odd = spd.sym_inv(spd.sym_inv(u) + _t(chi) @ k.tau @ chi)
     # the rescaled covariance flows do not depend on the means: one Riccati
     # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
     # the SVD gave; both starts are congruences of SPD matrices
@@ -287,24 +311,27 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     # parity: even states push u through x -> y, odd states push v through y -> x
     tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])
     tau_o = np.concatenate([tau_odd[None], spd.symmetrize(f.u_half @ odds[1:] @ f.u_half)])
-    sigma_e = spd.symmetrize(tau_e @ chi @ u @ chi.T @ tau_e + tau_e)
-    sigma_o = spd.symmetrize(tau_o @ chi.T @ v @ chi @ tau_o + tau_o)
-    gain_e, gain_o = tau_e @ chi, tau_o @ chi.T
+    sigma_e = spd.symmetrize(tau_e @ chi @ u @ _t(chi) @ tau_e + tau_e)
+    sigma_o = spd.symmetrize(tau_o @ _t(chi) @ v @ chi @ tau_o + tau_o)
+    gain_e, gain_o = tau_e @ chi, tau_o @ _t(chi)
 
-    # only the mean recursion runs state by state; beside it the offsets
-    # m_even - mbar and m_odd - m run as products, so that only the first is a difference
+    # only the mean recursion runs state by state, once for the whole stack and
+    # on column vectors (..., d, 1); beside it the offsets m_even - mbar and
+    # m_odd - m run as products, so that only the first is a difference
+    m, mbar = m[..., None], mbar[..., None]
+    neg_e, neg_o = -gain_e, -gain_o
     states = []
     for j in range(n_max + 1):
         if j == 0:
-            m_even = k.alpha + k.beta @ m
+            m_even = k.alpha[..., None] + k.beta @ m
             e = m_even - mbar
         else:
             m_even = mbar + gain_e[j] @ (m - m_odd)
-            e = -gain_e[j] @ o
+            e = neg_e[j] @ o
         m_odd = m + gain_o[j] @ (mbar - m_even)
-        o = -gain_o[j] @ e
-        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even, sigma_e[j], delta_e[j], e))
-        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd, sigma_o[j], delta_o[j], o))
+        o = neg_o[j] @ e
+        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even[..., 0], sigma_e[j], delta_e[j], e[..., 0]))
+        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd[..., 0], sigma_o[j], delta_o[j], o[..., 0]))
     return states
 
 
@@ -338,27 +365,29 @@ def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
     Y = W diag(y) W' each term is a sum of nonnegative ones, and nothing is
     subtracted after Delta_n and the offset, which ``sinkhorn_run`` carries,
     so a gap far below the round-off of the plans keeps its relative
-    accuracy.  One stacked d x d eigh per parity, whatever the number of states.
+    accuracy.  One stacked d x d eigh per parity, whatever the number of
+    states and models.  For a stack of bridges gaps[n] holds every model's
+    gap n, so each model's sequence is a column.
     """
     f = bridge.factors
     fix = riccati._fixed_scalar(f.lam)
-    root = np.sqrt(fix)
-    weight = f.s**2 * fix  # the diagonal of F^{1/2} S^2 F^{1/2}
+    root = np.sqrt(fix)[..., None, :]  # (..., 1, d): a state's axes follow the states axis
+    weight = (f.s**2 * fix)[..., None, :, None]  # the diagonal of F^{1/2} S^2 F^{1/2}
     parity = np.array([s.n % 2 for s in states])
-    gaps = np.empty(len(states))
+    gaps = np.empty((len(states), *f.s.shape[:-1]))
     for odd, ihalf, basis in ((0, f.v_ihalf, f.p), (1, f.u_ihalf, f.r)):
         i = np.flatnonzero(parity == odd)
         if not len(i):
             continue
-        delta = np.stack([states[j].delta for j in i])
-        y, w = np.linalg.eigh(delta / root[:, None] / root)
+        delta = np.stack([states[j].delta for j in i], axis=-3)
+        y, w = np.linalg.eigh(delta / root[..., None] / root[..., None, :])
         if not np.all(y > -1.0):  # a NaN fails too
             raise DomainError("a Sinkhorn state's conditional covariance is not positive definite")
         # W' F^{-1/2} e~, e~ = basis' ihalf e, for each offset e
-        z = (np.stack([states[j].offset for j in i]) @ ihalf @ basis / root)[:, None, :] @ w
-        mean_part = np.sum(z[:, 0] ** 2 / (1.0 + y), axis=-1)
-        cross_part = np.sum(y**2 / (1.0 + y) * (weight[:, None] * w**2).sum(axis=-2), axis=-1)
-        gaps[i] = 0.5 * (_psi(y).sum(axis=-1) + mean_part + cross_part)
+        z = (np.stack([states[j].offset for j in i], axis=-2) @ ihalf @ basis / root)[..., None, :] @ w
+        mean_part = np.sum(z[..., 0, :] ** 2 / (1.0 + y), axis=-1)
+        cross_part = np.sum(y**2 / (1.0 + y) * (weight * w**2).sum(axis=-2), axis=-1)
+        gaps[i] = np.moveaxis(0.5 * (_psi(y).sum(axis=-1) + mean_part + cross_part), -1, 0)
     return gaps
 
 
@@ -396,7 +425,7 @@ def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
     satisfies the conditional-covariance identity
     gradient @ chi == chi' @ noise_cov @ chi (and the flat analogue).
     """
-    return bridge.slope.T.copy()
+    return _t(bridge.slope).copy()
 
 
 def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel) -> GaussianMeasure:

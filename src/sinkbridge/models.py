@@ -18,7 +18,9 @@ grid-sized axis of the wrong length raises ShapeError before tabulation.
 A linear-Gaussian channel whose beta and tau have zero off-diagonal
 entries is separable: it is stored as one factor table per grid axis (see
 the ``discrete`` module docstring), which on a 2-d grid never forms the
-(N, N) table.  Every other channel is one dense (N, N) table.
+(N, N) table.  Every other channel is one dense (N, N) table.  A model
+whose largest channel table would exceed ``TABLE_BUDGET`` bytes is
+rejected by the loader before anything is read or allocated.
 """
 
 import numbers
@@ -30,6 +32,11 @@ import numpy as np
 from . import spd
 from .discrete import DiscreteModel, _neg_lse, build_model, channel_table, uniform_grid
 from .errors import ConfigError, DomainError, ShapeError
+
+# the largest channel table, in bytes of float64, that a model may hold: the
+# dense (4096, 4096) table of a 64 x 64 grid.  Building it holds a few such
+# arrays at once (the table, its scaled kernel and temporaries)
+TABLE_BUDGET = 8 * 4096**2
 
 
 def parse_array(value, name: str, ndim: int, finite: bool = False) -> np.ndarray:
@@ -191,11 +198,28 @@ CHANNEL_KINDS = {
 }
 
 
+def _separable(doc: dict) -> bool:
+    """Whether a linear-Gaussian channel's beta and tau have zero off-diagonal entries."""
+    return not any(np.any(a != np.diag(np.diag(a))) for a in (doc["beta"], doc["tau"]))
+
+
+def _check_table_size(dim: int, n: int, separable: bool) -> None:
+    """Raise ConfigError if the model's largest channel table would exceed ``TABLE_BUDGET`` bytes.
+
+    A separable channel holds one (n, n) factor per axis, any other the
+    dense (N, N) table, N = n**dim; only the sizes are computed.
+    """
+    side = n if separable else n**dim
+    size = 8 * side**2
+    if size > TABLE_BUDGET:
+        kind = "factor" if separable else "dense"
+        raise ConfigError(f"grid n = {n} in dim = {dim} needs a {kind} channel table of {side} x {side} doubles, "
+                          f"{size} bytes, over the budget of {TABLE_BUDGET} bytes")
+
+
 def _axis_factors(doc: dict, n: int, radius: float):
-    """Per-axis ``channel_table`` factors of a linear-Gaussian channel with diagonal beta and tau, else None."""
+    """Per-axis ``channel_table`` factors of a separable linear-Gaussian channel."""
     alpha, beta, tau = doc["alpha"], doc["beta"], doc["tau"]
-    if np.any(beta != np.diag(np.diag(beta))) or np.any(tau != np.diag(np.diag(tau))):
-        return None
     axis = uniform_grid(1, n, radius)
     return tuple(
         channel_table(linear_gaussian_channel_potential(alpha[k], beta[k, k], tau[k, k]), axis)
@@ -217,6 +241,7 @@ def model_from_spec(doc: dict) -> DiscreteModel:
     )
     w = read_object(doc["W"], "W", {}, dim, kinds=CHANNEL_KINDS)
     kind = w.pop("kind")
-    factors = _axis_factors(w, n, grid["radius"]) if kind == "linear-gaussian" else None
-    w_fn = factors or globals()[CHANNEL_KINDS[kind][0]](**w)
+    separable = kind == "linear-gaussian" and _separable(w)
+    _check_table_size(dim, n, separable)
+    w_fn = _axis_factors(w, n, grid["radius"]) if separable else globals()[CHANNEL_KINDS[kind][0]](**w)
     return build_model(u_fn, v_fn, w_fn, uniform_grid(dim, n, grid["radius"]))

@@ -12,12 +12,13 @@ free, so there are no unchecked twins of these functions: a second,
 unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
 
-``square``, ``symmetrize``, ``spectral_norm``, ``clamp_psd``,
-``require_spd``, ``sym_inv``, ``loewner_leq`` and ``loewner_lt`` take a
-stack (..., d, d) as well as one matrix, and make one batched LAPACK call
-for the whole stack.  Each slice is checked against its own spectral
-scale, never against the stack's, and gives bitwise the result a call on
-that slice alone gives.
+``matrix``, ``square``, ``symmetrize``, ``spectral_norm``, ``clamp_psd``,
+``require_spd``, ``sym_inv``, ``sqrt_pair``, ``loewner_leq`` and
+``loewner_lt`` take a stack (..., d, d) as well as one matrix, and make
+one batched LAPACK call for the whole stack.  Each slice is checked
+against its own spectral scale, never against the stack's, and gives
+bitwise the result a call on that slice alone gives.  ``eig_range`` and
+``principal_sqrt`` take one matrix.
 """
 
 import numpy as np
@@ -31,11 +32,8 @@ SPD_RTOL = 1e-12
 
 
 def matrix(a) -> np.ndarray:
-    """One matrix as a 2-d float array: a scalar becomes 1x1, a stack is rejected."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.ndim != 2:
-        raise ShapeError(f"expected one matrix, got shape {a.shape}")
-    return a
+    """One matrix, or a stack (..., m, n), as a float array: a scalar becomes 1x1."""
+    return np.atleast_2d(np.asarray(a, dtype=float))
 
 
 def square(a) -> np.ndarray:
@@ -132,12 +130,17 @@ def _spd_eigh(a):
     """
     a = symmetrize(a)
     w, u = np.linalg.eigh(a)
+    _require_spd_spectrum(w)
+    return a, w, u
+
+
+def _require_spd_spectrum(w) -> None:
+    """Raise DomainError unless each slice's ascending eigenvalues w have eig_min > rtol*eig_max."""
     # the largest eigenvalue read as max(w), not w[-1]: it is NaN when any
     # eigenvalue is, and eigh can leave a NaN between finite ends, as for
     # diag(1, nan, 1); a negative max fails as it fails against max(., 0)
     wt = w.T
     _require(wt[0] > SPD_RTOL * np.maximum.reduce(wt), w, "SPD")
-    return a, w, u
 
 
 def require_spd(a) -> np.ndarray:
@@ -159,11 +162,11 @@ def principal_sqrt(a) -> np.ndarray:
 
 
 def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of one SPD matrix and its inverse, from one decomposition."""
+    """Principal square root of an SPD matrix, or of each in a stack, and its inverse, from one decomposition."""
     _, w, u = _spd_eigh(a)
-    _one_matrix(w, a)
-    root = np.sqrt(w)
-    return symmetrize((u * root) @ u.T), symmetrize((u / root) @ u.T)
+    root = np.sqrt(w)[..., None, :]
+    ut = u.swapaxes(-1, -2)
+    return symmetrize((u * root) @ ut), symmetrize((u / root) @ ut)
 
 
 def _loewner_gap(a, b):

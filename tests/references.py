@@ -25,6 +25,13 @@ def varpi_pair(mu, eta, k):
     return g._congruent(f.p, f.lam), g._congruent(f.r, f.lam)
 
 
+def model_slice(model, j):
+    """Model j of a stacked model (mu, eta, k), built again as a model of its own."""
+    mu, eta, k = model
+    return (g.GaussianMeasure(mu.mean[j], mu.cov[j]), g.GaussianMeasure(eta.mean[j], eta.cov[j]),
+            g.LinearGaussianKernel(k.alpha[j], k.beta[j], k.tau[j]))
+
+
 @dataclass(frozen=True)
 class JointGaussian:
     """Gaussian law on pairs (x, y); mean has length 2d."""

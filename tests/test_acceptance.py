@@ -10,7 +10,7 @@ import inspect
 import numpy as np
 import pytest
 
-from sinkbridge import discrete, models, riccati, verify
+from sinkbridge import bounds, discrete, models, riccati, verify
 from sinkbridge import gaussian as g
 
 
@@ -74,6 +74,24 @@ def test_criterion_04_bridge_vs_sinkhorn():
     assert res["details"]["sigma_error_at_n50"] < 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_04_catches_a_pair_envelope_one_step_ahead(seed, monkeypatch):
+    # a planted defect: the pair envelope (1 + 1/eps)^-(n//2 + 1) gaps[0] from row 1 on,
+    # one step ahead of the claim.  The worst gap / envelope reads 1.43 at seed 0
+    # and 1.003 at seed 1 (0.74 at seed 2, where it passes)
+    envelopes = bounds.entropy_envelopes
+
+    def ahead(eps, gaps):
+        _, improved = envelopes(eps, gaps)
+        pair = [(1.0 + 1.0 / eps) ** -(n // 2 + 1) * gaps[0] if n else gaps[0] for n in range(len(gaps))]
+        return np.array(pair), improved
+
+    monkeypatch.setattr(bounds, "entropy_envelopes", ahead)
+    res = verify.criterion_bridge_vs_sinkhorn(seed=seed)
+    assert not res["passed"]
+    assert not res["details"]["random_models_ok"]
+
+
 def test_criterion_05_improved_rate():
     res = _criterion("improved-phi-rate")
     _check(res)
@@ -84,6 +102,17 @@ def test_criterion_06_entropic_map_identities():
     _check(res)
     assert res["details"]["max_barycentric_residual"] < 1e-10
     assert res["details"]["max_sandwich_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_06_catches_an_untransposed_gradient(seed, monkeypatch):
+    # a planted defect: the gradient of x -> intercept + slope x returned as the
+    # slope, not its transpose; on a non-symmetric chi the residuals read
+    # 1.05-1.23, against ~2e-15 when correct
+    monkeypatch.setattr(g, "entropic_map_gradient", lambda bridge: bridge.slope.copy())
+    res = verify.criterion_entropic_map_identities(seed=seed)
+    assert not res["passed"]
+    assert res["details"]["max_barycentric_residual"] > 1e-10
 
 
 def test_criterion_07_ot_limit():
@@ -199,15 +228,91 @@ def test_criterion_02_catches_a_rate_one_percent_too_fast(seed, monkeypatch):
 
 
 def test_criteria_04_05_read_no_zero_gap(monkeypatch):
-    # criteria 4 and 5 at seeds 0-2: eleven gap sequences each, all of them positive and decreasing
+    # criteria 4 and 5 at seeds 0-2: eleven gap sequences each, one per column of a
+    # stacked result, all of them positive and decreasing
     seen = []
     bridge_gaps = g.bridge_gaps
     monkeypatch.setattr(g, "bridge_gaps", lambda bridge, states: seen.append(bridge_gaps(bridge, states)) or seen[-1])
     for seed in (0, 1, 2):
         assert verify.criterion_bridge_vs_sinkhorn(seed=seed)["passed"]
         assert verify.criterion_improved_rate(seed=seed)["passed"]
-    assert len(seen) == 3 * 22
-    assert all(np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0) for gaps in seen)
+    sequences = [column for gaps in seen for column in gaps.reshape(len(gaps), -1).T]
+    assert len(sequences) == 3 * 22
+    assert all(np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0) for gaps in sequences)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criteria_04_05_gate_every_model_of_a_stack(seed, monkeypatch):
+    # a planted defect confined to one model: the last of the largest dimension
+    # stack stalls after its first Sinkhorn pair, so its gaps from n = 2 on
+    # read gap 0.  Each gate must see that column, not only the stack as a whole
+    stacks = verify._gaussian_models(seed + 3)  # the random models of criteria 4 and 5
+    dim = max(stacks, key=lambda stack: len(stack[0].mean))[0].dim
+    bridge_gaps = g.bridge_gaps
+
+    def stalled(bridge, states):
+        gaps = bridge_gaps(bridge, states)
+        if bridge.mu.mean.ndim == 2 and bridge.mu.dim == dim:
+            gaps[2:, -1] = gaps[0, -1]
+        return gaps
+
+    monkeypatch.setattr(g, "bridge_gaps", stalled)
+    res = verify.criterion_bridge_vs_sinkhorn(seed=seed)
+    assert not res["passed"] and not res["details"]["random_models_ok"]
+    res = verify.criterion_improved_rate(seed=seed)
+    assert not res["passed"] and not res["details"]["phi_envelope_dominates"]
+
+
+def _tiled(stacks):
+    """Each stacked model (mu, eta, k) with its models three times over."""
+
+    def tile(a):
+        return np.concatenate([a] * 3)
+
+    return [(g.GaussianMeasure(tile(mu.mean), tile(mu.cov)), g.GaussianMeasure(tile(eta.mean), tile(eta.cov)),
+             g.LinearGaussianKernel(tile(k.alpha), tile(k.beta), tile(k.tau))) for mu, eta, k in stacks]
+
+
+@pytest.mark.parametrize("criterion, offset", [
+    (verify.criterion_bridge_vs_sinkhorn, 3), (verify.criterion_improved_rate, 3),
+    (verify.criterion_entropic_map_identities, 4),
+], ids=["4", "5", "6"])
+def test_criteria_4_to_6_decompose_once_per_dimension(criterion, offset, decompositions, monkeypatch):
+    """Three times the models of each dimension, as many decompositions and solves: one batched call per stack."""
+    stacks = verify._gaussian_models(offset)  # the models the criterion draws at seed 0
+
+    def counted(models):
+        monkeypatch.setattr(verify, "_gaussian_models", lambda seed: models)
+        decompositions.clear()
+        assert criterion(seed=0)["passed"]
+        return dict(decompositions)
+
+    once = counted(stacks)
+    assert counted(_tiled(stacks)) == once
+    assert once["eigh"] > 0 and once["svd"] > 0
+
+
+@pytest.mark.parametrize("n_models", [10, 30])
+def test_gaussian_models_validate_once_per_dimension(n_models, decompositions):
+    # per dimension stack: one eigh each for mu's, eta's and tau's covariances and one SVD for cond(beta)
+    decompositions.clear()
+    groups = len(verify._gaussian_models(3, count=n_models))
+    assert decompositions == {"eigh": 3 * groups, "svd": groups, "norm_svd": groups}
+
+
+@pytest.mark.parametrize("n_models", [10, 30])
+def test_criterion_06_takes_ten_svds_per_dimension(n_models, decompositions, monkeypatch):
+    # per dimension stack: cond(beta) as the kernel stack is built, the bridge's
+    # SVD, one for each of varpi_family's two curvature pairs, and six spectral
+    # norms (two barycentric residuals and four sandwich ones); cond and the
+    # norms take theirs inside numpy's linalg module
+    draw = verify._gaussian_models
+    monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
+    groups = len(draw(4, count=n_models))  # criterion 6 draws from seed + 4
+    decompositions.clear()
+    assert verify.criterion_entropic_map_identities(seed=0)["passed"]
+    assert decompositions["svd"] == 10 * groups
+    assert decompositions["norm_svd"] == 7 * groups
 
 
 def _thrice(family):

@@ -833,6 +833,45 @@ def test_tabulated_channel_with_neg_inf_exit_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("dim, n, w", [
+    (2, 65, {"kind": "tabulated", "path": "never-read.npy"}),
+    (2, 65, {"kind": "linear-gaussian", "alpha": [0.0, 0.0], "beta": [[1.0, 0.2], [0.0, 1.0]], "tau": [[1.0, 0.0], [0.0, 1.0]]}),
+    (1, 4097, {"kind": "linear-gaussian", "alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]}),
+], ids=["tabulated-2d", "correlated-2d", "1d"])
+def test_channel_table_over_budget_exit_2(dim, n, w, tmp_path, capsys, monkeypatch):
+    """A channel table just over models.TABLE_BUDGET exits 2 at load; the table is never read or built."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an over-budget table was read or built")
+
+    for module, name in ((np, "load"), (np, "loadtxt"), (models, "channel_table"), (discrete, "channel_table"),
+                         (models, "uniform_grid"), (discrete, "uniform_grid")):
+        monkeypatch.setattr(module, name, unreachable)
+    side = n**dim
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "discrete", "model": {
+        "grid": {"dim": dim, "n": n, "radius": 8.0},
+        "U": {"kind": "quadratic", "params": {"mean": [0.0] * dim, "cov": np.eye(dim).tolist()}},
+        "V": {"kind": "quadratic", "params": {"mean": [0.0] * dim, "cov": np.eye(dim).tolist()}},
+        "W": w}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["discrete", "--config", str(cfg), "--out", str(out / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"grid n = {n} in dim = {dim}" in err and f"{8 * side**2} bytes" in err
+    assert list(out.iterdir()) == []
+
+
+def test_channel_table_budget_is_inclusive():
+    """64 x 64 dense and 4096 per axis factored are at the budget; one node more is over it."""
+    assert 8 * 4096**2 == models.TABLE_BUDGET
+    for dim, n, separable in ((2, 64, False), (1, 4096, False), (2, 4096, True), (3, 16, False)):
+        models._check_table_size(dim, n, separable)
+        with pytest.raises(models.ConfigError, match="over the budget"):
+            models._check_table_size(dim, n + 1, separable)
+
+
 def test_grid_engine_runs_without_scipy(tmp_path):
     """With scipy unimportable, the grid commands and the grid criteria all exit 0."""
     mixture = {"command": "discrete", "model": {

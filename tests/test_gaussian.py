@@ -6,10 +6,11 @@ import dataclasses
 
 import mpmath
 
-from references import bridge_gaps_mp, bridge_plan, geometric_mean, joint_gaps, joint_plan, varpi_pair
+from references import bridge_gaps_mp, bridge_plan, geometric_mean, joint_gaps, joint_plan, model_slice, varpi_pair
 from sinkbridge import cli, verify
 from sinkbridge import gaussian as g
 from sinkbridge import riccati, spd
+from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError, ShapeError
 
 GOLDEN = 0.6180339887498949
@@ -453,6 +454,53 @@ def test_dimension_mismatch_raises():
         g.bridge_solve(mu, eta, k)
 
 
+def _stacked_model(size=4, d=3):
+    """Arrays of ``size`` random models of dimension d: means, u, v, alpha, beta, tau."""
+    rng = np.random.default_rng(11)
+    spds = [np.stack([random_spd(rng, d) for _ in range(size)]) for _ in range(3)]
+    means = [rng.standard_normal((size, d)) for _ in range(3)]
+    beta = np.eye(d) + 0.3 * rng.standard_normal((size, d, d))
+    return means[0], spds[0], means[1], spds[1], means[2], beta, spds[2]
+
+
+@pytest.mark.parametrize("part", ["measure", "kernel", "spec"])
+def test_a_stacked_model_names_its_failing_slice(part):
+    """An indefinite slice 2 of a stack raises DomainError naming it, as the spd primitives do."""
+    m, u, mbar, v, alpha, beta, tau = _stacked_model()
+    u[2] = tau[2] = np.diag([1.0, -0.5, 1.0])
+    make = {
+        "measure": lambda: g.GaussianMeasure(m, u),
+        "kernel": lambda: g.LinearGaussianKernel(alpha, beta, tau),
+        "spec": lambda: CurvatureSpec.gaussian(v, u),
+    }[part]
+    with pytest.raises(DomainError, match="matrix 2 of the stack is not SPD"):
+        make()
+
+
+def test_a_stacked_kernel_names_its_singular_beta():
+    m, u, mbar, v, alpha, beta, tau = _stacked_model()
+    beta[1] = np.ones((3, 3))
+    with pytest.raises(DomainError, match="beta 1 of the stack is singular"):
+        g.LinearGaussianKernel(alpha, beta, tau)
+
+
+def test_a_stacked_model_needs_one_batch_shape():
+    """Parts of a model with different leading axes raise ShapeError; nothing is broadcast."""
+    m, u, mbar, v, alpha, beta, tau = _stacked_model()
+    with pytest.raises(ShapeError):
+        g.GaussianMeasure(m[:3], u)
+    with pytest.raises(ShapeError):
+        g.LinearGaussianKernel(alpha[:3], beta, tau)
+    with pytest.raises(ShapeError):
+        g.LinearGaussianKernel(alpha, beta, tau[:3])
+    with pytest.raises(ShapeError):
+        CurvatureSpec.gaussian(u[:3], v)
+    mu, eta, k = g.GaussianMeasure(m, u), g.GaussianMeasure(mbar, v), g.LinearGaussianKernel(alpha, beta, tau)
+    for parts in ((g.GaussianMeasure(m[:3], u[:3]), eta, k), (mu, eta, g.LinearGaussianKernel(alpha[0], beta[0], tau[0]))):
+        with pytest.raises(ShapeError):
+            g.bridge_solve(*parts)
+
+
 def log_spectrum_spd(rng, d, cond):
     """SPD matrix with a random eigenbasis and eigenvalues log-spaced over [1, cond]."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -558,10 +606,16 @@ def test_bridge_and_sinkhorn_take_one_svd(decompositions, monkeypatch, tmp_path)
         return len(calls)
 
     assert count(lambda: cli.main(["gaussian", "--out", str(tmp_path / "gaussian")])) == 1
-    # criteria 4 and 5: the standard model and ten random ones; criterion 7: one model, four noises
-    assert count(lambda: verify.criterion_bridge_vs_sinkhorn(seed=0)) == 11
-    assert count(lambda: verify.criterion_improved_rate(seed=0)) == 11
+    # criterion 7: one model, four noises
     assert count(lambda: verify.criterion_ot_limit(seed=0)) == 1
+    # criteria 4 and 5: the standard model alone, then one stack per dimension
+    # of the random models, whether ten are drawn or thirty
+    draw = verify._gaussian_models
+    for n_models in (10, 30):
+        monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
+        groups = len(draw(3, count=n_models))  # criteria 4 and 5 draw from seed + 3
+        assert count(lambda: verify.criterion_bridge_vs_sinkhorn(seed=0)) == 1 + groups
+        assert count(lambda: verify.criterion_improved_rate(seed=0)) == 1 + groups
 
 
 def _relative_error(got, want):
@@ -576,8 +630,8 @@ def test_bridge_gaps_match_the_per_state_reference():
     relative entropy subtracted in doubles, whose error is ~1e-13
     absolute, agrees to 1e-12.
     """
-    models = verify._gaussian_models(3, count=24)
-    firsts = {mu.dim: (mu, eta, k) for mu, eta, k in reversed(models)}
+    # each dimension's stack keeps draw order, so its slice 0 is the first model drawn of that dimension
+    firsts = {stack[0].dim: model_slice(stack, 0) for stack in verify._gaussian_models(3, count=24)}
     assert sorted(firsts) == [1, 2, 3, 4]
     for (mu, eta, k), n_pairs in [((firsts[d]), 6) for d in (1, 2, 3, 4)] + [(std_model(), 25)]:
         bridge = g.bridge_solve(mu, eta, k)
@@ -693,15 +747,21 @@ def test_rescaled_bridge_matches_a_fresh_solve():
 
     The zero-noise limit, which no noise level changes, is kept to round-off.
     """
-    for mu, eta, k in verify._gaussian_models(4):  # criterion 6's models at seed 0
+    def norm(a):
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+
+    def largest(a):
+        return np.abs(a).max(axis=(-2, -1))
+
+    for mu, eta, k in verify._gaussian_models(4):  # criterion 6's models at seed 0, a stack per dimension
         bridge = g.bridge_solve(mu, eta, k)
         lim = bridge.ot_limit().slope
         for t in np.logspace(-3.0, 3.0, 13):
             rescaled = bridge.rescaled(t)
             fresh = g.bridge_solve(mu, eta, k.rescaled(t)).forward
             for got, want in ((rescaled.forward.slope, fresh.slope), (rescaled.forward.noise_cov, fresh.noise_cov)):
-                assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
-            assert np.max(np.abs(rescaled.ot_limit().slope - lim)) <= 1e-14 * np.max(np.abs(lim))
+                assert np.all(norm(got - want) <= 1e-13 * norm(want))
+            assert np.all(largest(rescaled.ot_limit().slope - lim) <= 1e-14 * largest(lim))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

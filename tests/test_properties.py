@@ -7,7 +7,8 @@ any other exception fails the test.  Its contraction constants, from
 ``bounds.rate_table`` on the Gaussian-equality curvature, must all be
 finite and in range.  The closed-form Riccati trajectory must match the
 map stepped on the dense varpi.  The grid's two relative-entropy terms
-must be >= 0 and meet a 60-digit evaluation.  The CLI's table renderer
+must be >= 0 and meet a 60-digit evaluation.  A stack of Gaussian models
+must give bitwise what each of its models gives alone.  The CLI's table renderer
 must refuse exactly the tables with a non-finite cell that no mask
 declares, and every cell it writes must parse back to its double.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from references import riccati_steps
+from references import model_slice, riccati_steps
 from sinkbridge import bounds, cli, discrete, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
@@ -127,6 +128,59 @@ def test_rate_table_constants_are_finite_and_in_range(problem):
     assert values["iota"] >= 1.0
     assert 0.0 < values["delta_bar"] < 1.0 and values["c_bar"] >= 1.0
     assert 0.0 < values["composite_rate"] <= 1.0
+
+
+@st.composite
+def model_stacks(draw):
+    """One to five models of one dimension d <= 4, as stacked (mu, eta, k); cond(u), cond(v) <= 1e4."""
+    d, size = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spds(top, log_cond):
+        return np.stack([log_spectrum_spd(rng, d, top - log_cond, top) for _ in range(size)])
+
+    u, v = (spds(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 4.0))) for _ in range(2))
+    tau = spds(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    beta = spds(0.0, 1.0) if draw(st.booleans()) else np.eye(d) + 0.3 * rng.standard_normal((size, d, d))
+
+    def means():
+        return rng.standard_normal((size, d))
+
+    return g.GaussianMeasure(means(), u), g.GaussianMeasure(means(), v), g.LinearGaussianKernel(means(), beta, tau)
+
+
+def same(slices, arrays) -> bool:
+    """Each of ``slices``, one model's slices of stacked results, is bitwise the matching one of ``arrays``."""
+    return all(np.array_equal(a, b) for a, b in zip(slices, arrays, strict=True))
+
+
+@PROPERTY_SETTINGS
+@given(model_stacks(), st.integers(1, 6))
+def test_a_stacked_bridge_equals_its_models_bitwise(stack, n_pairs):
+    """Every stacked bridge quantity and constant is bitwise what the model alone gives."""
+    mu, eta, k = stack
+    bridge = g.bridge_solve(mu, eta, k)
+    states = g.sinkhorn_run(bridge, n_pairs)
+    gaps = g.bridge_gaps(bridge, states)
+    spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
+    eps, family = bounds.eps_lg(k, spec), bounds.varpi_family(k, spec)
+    maps = (bridge.forward, bridge.backward())
+    assert gaps.shape == (2 * n_pairs + 2, len(mu.mean))
+    for j in range(len(mu.mean)):
+        mu1, eta1, k1 = model_slice(stack, j)
+        one = g.bridge_solve(mu1, eta1, k1)
+        one_states = g.sinkhorn_run(one, n_pairs)
+        spec1 = CurvatureSpec.gaussian(mu1.cov, eta1.cov)
+        assert same((x[j] for x in bridge.factors), one.factors)
+        for s, s1 in zip(states, one_states):
+            assert same((x[j] for x in (s.tau_n, s.m_n, s.sigma_pi_n, s.delta, s.offset)),
+                        (s1.tau_n, s1.m_n, s1.sigma_pi_n, s1.delta, s1.offset))
+        assert np.array_equal(gaps[:, j], g.bridge_gaps(one, one_states))
+        for f, f1 in zip(maps, (one.forward, one.backward())):
+            assert same((x[j] for x in (f.intercept, f.slope, f.noise_cov)), (f1.intercept, f1.slope, f1.noise_cov))
+        assert eps[j] == bounds.eps_lg(k1, spec1)
+        for w, w1 in zip(family, bounds.varpi_family(k1, spec1)):
+            assert same((w.lam[j], w.q[j]), w1)
 
 
 @st.composite

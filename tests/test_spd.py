@@ -199,8 +199,10 @@ def test_stacked_clamp_accepts_singular_psd_slice():
     [
         spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv,
         lambda s: spd.loewner_leq(s, s), lambda s: spd.loewner_lt(s, 2.0 * s),
+        lambda s: np.stack(spd.sqrt_pair(s), axis=-3),
     ],
-    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "loewner_leq", "loewner_lt"],
+    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "loewner_leq", "loewner_lt",
+         "sqrt_pair"],
 )
 def test_stacked_primitive_matches_single_calls_bitwise(fn):
     """Slices of scales 1e-7 to 1e6 and sizes up to 8: a check on the stack's scale would reject the small ones."""
@@ -231,9 +233,5 @@ def test_one_matrix_entry_points_reject_a_stack():
         spd.eig_range(stack)
     with pytest.raises(ShapeError):
         spd.principal_sqrt(stack)
-    with pytest.raises(ShapeError):
-        spd.sqrt_pair(stack)
-    with pytest.raises(ShapeError):
-        gaussian.GaussianMeasure([0.0, 0.0], stack)
     with pytest.raises(ShapeError):
         riccati.decay_params(stack)
