@@ -496,7 +496,8 @@ def test_a_stacked_model_needs_one_batch_shape():
     with pytest.raises(ShapeError):
         CurvatureSpec.gaussian(u[:3], v)
     mu, eta, k = g.GaussianMeasure(m, u), g.GaussianMeasure(mbar, v), g.LinearGaussianKernel(alpha, beta, tau)
-    for parts in ((g.GaussianMeasure(m[:3], u[:3]), eta, k), (mu, eta, g.LinearGaussianKernel(alpha[0], beta[0], tau[0]))):
+    one_kernel = g.LinearGaussianKernel(alpha[0], beta[0], tau[0])
+    for parts in ((g.GaussianMeasure(m[:3], u[:3]), eta, k), (mu, eta, one_kernel)):
         with pytest.raises(ShapeError):
             g.bridge_solve(*parts)
 
