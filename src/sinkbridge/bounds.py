@@ -20,7 +20,7 @@ import numpy as np
 from . import riccati, spd
 from .errors import DomainError, ShapeError
 from .gaussian import (GaussianMeasure, LinearGaussianKernel, bridge_factors, bridge_solve, gaussian_kl,
-                       gelbrich_w2, proximal_step, sinkhorn_run)
+                       gelbrich_w2, proximal_chain, sinkhorn_run)
 from .riccati import INFINITE, Sentinel
 
 ZERO = Sentinel("ZERO")  # a null curvature factor (inverse = infinity)
@@ -118,7 +118,9 @@ def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
     u_plus^{1/2} gives (w0, w1_bar) and v_plus^{1/2} chi u_minus^{1/2}
     gives (w0_bar, w1).  Each finite member is a ``riccati.Spectrum`` read
     off its bridge's SVD, so no varpi matrix is assembled or decomposed
-    again.  A pair whose product contains a ZERO factor comes back as
+    again.  When the two products are of the same arrays, as
+    ``CurvatureSpec.gaussian`` holds them, one decomposition gives all
+    four.  A pair whose product contains a ZERO factor comes back as
     INFINITE.  For tau = t * tau0 every finite member's eigenvalues scale
     as t^2 times its tau0-normalized counterpart's.
     """
@@ -129,6 +131,8 @@ def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
         return bridge_factors(u, v, k.chi).spectra()
 
     w0, w1_bar = pair(spec.u_plus, spec.v_minus)
+    if spec.u_minus is spec.u_plus and spec.v_plus is spec.v_minus:
+        return w0, w1_bar, w0, w1_bar
     w0_bar, w1 = pair(spec.u_minus, spec.v_plus)
     return w0, w1, w0_bar, w1_bar
 
@@ -261,15 +265,14 @@ def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec) -> tuple[float,
 def proximal_trace(nu, mu, k: LinearGaussianKernel, a: float, b: float, steps: int) -> list:
     """Rows (W2, b^n W2_0, KL, a b^(2(n-1)) KL_0), n = 0..steps, of the Gibbs chain from nu to mu.
 
-    (a, b) are ``proximal_rates``; row 0's envelopes are W2_0 and KL_0.
+    (a, b) are ``proximal_rates``; row 0's envelopes are W2_0 and KL_0.  The
+    chain is ``proximal_chain``'s one stack, and every row's W2 and KL come
+    from one call each against mu.
     """
-    w0, h0 = gelbrich_w2(nu, mu), gaussian_kl(nu, mu)
-    rows = [(w0, w0, h0, h0)]
-    cur = nu
-    for n in range(1, steps + 1):
-        cur = proximal_step(cur, mu, k)
-        rows.append((gelbrich_w2(cur, mu), b**n * w0, gaussian_kl(cur, mu), a * b ** (2 * (n - 1)) * h0))
-    return rows
+    chain = proximal_chain(nu, mu, k, steps)
+    w2, kl = gelbrich_w2(chain, mu).tolist(), gaussian_kl(chain, mu).tolist()
+    w0, h0 = w2[0], kl[0]
+    return [(w0, w0, h0, h0)] + [(w2[n], b**n * w0, kl[n], a * b ** (2 * (n - 1)) * h0) for n in range(1, steps + 1)]
 
 
 def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:

@@ -279,7 +279,12 @@ def _gaussian(mu, eta, k, spec, n_max, t_grid):
     gaps = g.bridge_gaps(bridge, states)
     pair, improved = bounds.entropy_envelopes(eps, gaps)
     n = np.array([s.n for s in states])
-    w2 = [g.gelbrich_w2(mu if s.n % 2 else eta, g.GaussianMeasure(s.m_n, s.sigma_pi_n)) for s in states]
+    # each state's free marginal against its target, one stacked call per parity: eta at even n, mu at odd n
+    w2 = np.empty(len(states))
+    for parity, target in ((0, eta), (1, mu)):
+        free = states[parity::2]
+        w2[parity::2] = g.gelbrich_w2(target, g.GaussianMeasure(np.stack([s.m_n for s in free]),
+                                                                np.stack([s.sigma_pi_n for s in free])))
     # envelope_phi's inf before n = 2 is documented; any other inf would pass the gate as inf <= inf
     trace = {"n": n, "H_bridge_gap": gaps, "W2_marginal_gap": w2, "envelope_pair": pair,
              "envelope_phi": _Placeholders(improved, n < 2),

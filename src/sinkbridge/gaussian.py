@@ -391,30 +391,50 @@ def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
     return gaps
 
 
-def gaussian_kl(p, q) -> float:
-    """Relative entropy between two Gaussians, each given by its ``mean`` and ``cov``."""
-    if p.mean.shape != q.mean.shape:
+def _pair_dims(p, q) -> None:
+    """Raise ShapeError unless p and q have one dimension and, when both are stacks, one batch shape."""
+    a, b = p.mean.shape, q.mean.shape
+    if a[-1] != b[-1] or (len(a) > 1 and len(b) > 1 and a != b):
         raise ShapeError("dimension mismatch")
+
+
+def _per_model(x):
+    """A float for one model, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def gaussian_kl(p, q):
+    """Relative entropy between two Gaussians, each given by its ``mean`` and ``cov``.
+
+    Either side may be a stack against one measure on the other, whose
+    inverse and log-determinant are then made once; the result is a float
+    for one pair and one value per model for a stack.
+    """
+    _pair_dims(p, q)
     q_inv = spd.sym_inv(q.cov)
-    dm = (p.mean - q.mean)[None, :]
+    dm = (p.mean - q.mean)[..., None, :]
     _, ld_p = np.linalg.slogdet(p.cov)
     _, ld_q = np.linalg.slogdet(q.cov)
-    quad = (dm @ q_inv @ dm.T)[0, 0]
-    return float(np.maximum(0.5 * (np.trace(q_inv @ p.cov) - p.mean.shape[-1] + quad + ld_q - ld_p), 0.0))
+    quad = (dm @ q_inv @ _t(dm))[..., 0, 0]
+    tr = np.trace(q_inv @ p.cov, axis1=-2, axis2=-1)
+    return _per_model(np.maximum(0.5 * (tr - p.mean.shape[-1] + quad + ld_q - ld_p), 0.0))
 
 
-def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure) -> float:
-    """2-Wasserstein distance between Gaussians in closed form."""
-    if p.mean.shape != q.mean.shape:
-        raise ShapeError("dimension mismatch")
+def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure):
+    """2-Wasserstein distance between Gaussians in closed form.
+
+    Either side may be a stack against one measure on the other, whose
+    root is then taken once; a float for one pair, one value per model for a stack.
+    """
+    _pair_dims(p, q)
     # the covariance part tr(p + q - 2 (p^{1/2} q p^{1/2})^{1/2}) equals
     # ||p^{1/2} - q^{1/2} V W'||_F^2 for the SVD W S V' of p^{1/2} q^{1/2}:
     # a sum of squares, so it cannot cancel below round-off
     p_half = spd.principal_sqrt(p.cov)
     q_half = spd.principal_sqrt(q.cov)
     w, _, vt = np.linalg.svd(p_half @ q_half)
-    diff = p_half - q_half @ vt.T @ w.T
-    return float(np.sqrt(np.sum((p.mean - q.mean) ** 2) + np.sum(diff**2)))
+    diff = p_half - q_half @ _t(vt) @ _t(w)
+    return _per_model(np.sqrt(np.sum((p.mean - q.mean) ** 2, axis=-1) + np.sum(diff**2, axis=(-2, -1))))
 
 
 def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
@@ -428,6 +448,22 @@ def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
     return _t(bridge.slope).copy()
 
 
+def _gibbs_backward(mu: GaussianMeasure, k: LinearGaussianKernel):
+    """The gain and covariance of the exact conditional of the input given the output under mu x K."""
+    u = mu.cov
+    # sym_inv validates the forward covariance on the one decomposition it inverts with
+    gain = u @ k.beta.T @ spd.sym_inv(k.beta @ u @ k.beta.T + k.tau)
+    return gain, spd.clamp_psd(u - gain @ k.beta @ u)
+
+
+def _gibbs_sweep(mean, cov, mu: GaussianMeasure, k: LinearGaussianKernel, gain, back_cov):
+    """The mean and covariance of one sweep's image of N(mean, cov), from ``_gibbs_backward``'s pair; unvalidated."""
+    y_mean = k.alpha + k.beta @ mean
+    y_cov = k.beta @ cov @ k.beta.T + k.tau
+    mean = mu.mean + gain @ (y_mean - (k.alpha + k.beta @ mu.mean))
+    return mean, spd.symmetrize(gain @ y_cov @ gain.T + back_cov)
+
+
 def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel) -> GaussianMeasure:
     """One sweep of the forward/backward Gibbs chain targeting mu.
 
@@ -436,13 +472,21 @@ def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKer
     is invariant.
     """
     _check_model(nu, mu, k)
-    u = mu.cov
-    # sym_inv validates the forward covariance on the one decomposition it inverts with
-    gain = u @ k.beta.T @ spd.sym_inv(k.beta @ u @ k.beta.T + k.tau)
-    back_cov = spd.clamp_psd(u - gain @ k.beta @ u)
+    return GaussianMeasure(*_gibbs_sweep(nu.mean, nu.cov, mu, k, *_gibbs_backward(mu, k)))
 
-    y_mean = k.alpha + k.beta @ nu.mean
-    y_cov = k.beta @ nu.cov @ k.beta.T + k.tau
-    mean = mu.mean + gain @ (y_mean - (k.alpha + k.beta @ mu.mean))
-    cov = spd.symmetrize(gain @ y_cov @ gain.T + back_cov)
-    return GaussianMeasure(mean, cov)
+
+def proximal_chain(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel, steps: int) -> GaussianMeasure:
+    """nu and its images after 1, ..., ``steps`` sweeps of ``proximal_step``, as one stacked measure.
+
+    The gain and backward covariance are formed once, only the mean and
+    covariance recursion runs sweep by sweep, and the marginals are
+    validated as one stack; slice n is bitwise n ``proximal_step`` calls from nu.
+    """
+    _check_model(nu, mu, k)
+    gain, back_cov = _gibbs_backward(mu, k)
+    means, covs = [nu.mean], [nu.cov]
+    for _ in range(steps):
+        mean, cov = _gibbs_sweep(means[-1], covs[-1], mu, k, gain, back_cov)
+        means.append(mean)
+        covs.append(cov)
+    return GaussianMeasure(np.stack(means), np.stack(covs))

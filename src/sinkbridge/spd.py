@@ -13,12 +13,12 @@ unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
 
 ``matrix``, ``square``, ``symmetrize``, ``spectral_norm``, ``clamp_psd``,
-``require_spd``, ``sym_inv``, ``sqrt_pair``, ``loewner_leq`` and
-``loewner_lt`` take a stack (..., d, d) as well as one matrix, and make
-one batched LAPACK call for the whole stack.  Each slice is checked
-against its own spectral scale, never against the stack's, and gives
-bitwise the result a call on that slice alone gives.  ``eig_range`` and
-``principal_sqrt`` take one matrix.
+``require_spd``, ``sym_inv``, ``principal_sqrt``, ``sqrt_pair``,
+``loewner_leq`` and ``loewner_lt`` take a stack (..., d, d) as well as
+one matrix, and make one batched LAPACK call for the whole stack.  Each
+slice is checked against its own spectral scale, never against the
+stack's, and gives bitwise the result a call on that slice alone gives.
+``eig_range`` takes one matrix.
 """
 
 import numpy as np
@@ -155,10 +155,9 @@ def sym_inv(a) -> np.ndarray:
 
 
 def principal_sqrt(a) -> np.ndarray:
-    """Principal symmetric square root of one SPD matrix."""
+    """Principal symmetric square root of an SPD matrix, or of each in a stack."""
     _, w, u = _spd_eigh(a)
-    _one_matrix(w, a)
-    return symmetrize((u * np.sqrt(w)) @ u.T)
+    return symmetrize((u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2))
 
 
 def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:

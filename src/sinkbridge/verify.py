@@ -47,14 +47,18 @@ def chains_monotone(rep: dict) -> bool:
 
 
 def _spd_family(seed):
-    """Scalars 0.1, 1, 10, a diagonal, and 20 seed-fixed random SPD, d <= 8."""
+    """Scalars 0.1, 1, 10, a diagonal, and 20 seed-fixed random SPD, d <= 8.
+
+    The draws are made matrix by matrix in one generator's order; each
+    dimension's eigenbases come from one batched QR.
+    """
     rng = np.random.default_rng(seed)
-    fam = [np.array([[0.1]]), np.array([[1.0]]), np.array([[10.0]]), np.diag([1.0, 4.0])]
+    draws = []
     for _ in range(20):
         d = int(rng.integers(1, 9))
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        fam.append(spd.symmetrize((q * rng.uniform(0.2, 4.0, size=d)) @ q.T))
-    return fam
+        draws.append((rng.standard_normal((d, d)), rng.uniform(0.2, 4.0, size=d)))
+    fixed = [np.array([[0.1]]), np.array([[1.0]]), np.array([[10.0]]), np.diag([1.0, 4.0])]
+    return fixed + _per_dimension(draws, lambda z, w: g._congruent(np.linalg.qr(z)[0], w))
 
 
 def _dim_groups(mats):
@@ -67,6 +71,19 @@ def _dim_groups(mats):
 
 def _stack(mats, idx):
     return np.stack([mats[i] for i in idx])
+
+
+def _per_dimension(draws, fn) -> list:
+    """``fn`` of each dimension group of ``draws``, tuples whose first part fixes d, stacked part by part.
+
+    ``fn`` returns one result per member of the group; they come back as
+    one list in draw order.
+    """
+    out = [None] * len(draws)
+    for idx in _dim_groups([draw[0] for draw in draws]):
+        for i, x in zip(idx, fn(*(np.stack(part) for part in zip(*(draws[i] for i in idx))))):
+            out[i] = x
+    return out
 
 
 def _gaussian_models(seed, count=10, dmax=4):
@@ -128,7 +145,7 @@ def criterion_riccati_decay(seed=0):
         spectrum = riccati._spectrum(_stack(family, idx))
         r0 = spd.clamp_psd(_stack(starts, idx))
         # gaps[n, j]: slice j's distance to its fixed point after n steps, read off Delta_n
-        gaps = riccati.gap_norms(riccati._iterate_spectral(*spectrum, r0, n_max)[1])
+        gaps = riccati.gap_norms(riccati._delta_flow(*spectrum, r0, n_max))
         for j, one in enumerate(zip(*spectrum)):
             env = riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))
             on = env[1:] > 0.0
@@ -136,11 +153,12 @@ def criterion_riccati_decay(seed=0):
             envelope_ok = envelope_ok and bool(np.all(dominated(gaps[:, j], env)))
 
     # the closed form against the map stepped on the dense varpi, s <- (varpi + s + I)^{-1} (varpi + s),
-    # for five scalar flows as one (5, 1, 1) stack
+    # for five scalar flows as one (5, 1, 1) stack; a 1 x 1 solve is the division
     varpi, s = np.array([(0.1, 0.0), (1.0, 0.0), (1.0, 2.0), (10.0, 0.3), (2.0, 5.0)]).T.reshape(2, -1, 1, 1)
     steps = [s]
     for _ in range(100):
-        steps.append(np.linalg.solve(varpi + steps[-1] + np.eye(1), varpi + steps[-1]))
+        x = varpi + steps[-1]
+        steps.append(x / (x + 1.0))
     err = np.abs(riccati.iterate(varpi, s, 100) - np.array(steps))
     worst_cf = float(err.max())
     closed_ok = bool(np.all(err < 1e-12))
@@ -151,16 +169,24 @@ def criterion_riccati_decay(seed=0):
 
 
 def _psi_cases(seed):
-    """50 seed-fixed congruences gamma of cond <= 4 and diagonal PSD starts v, d <= 4."""
+    """50 seed-fixed congruences gamma of cond <= 4 and diagonal PSD starts v, d <= 4.
+
+    The draws are made case by case in one generator's order; each
+    dimension's two eigenbases per case come from one batched QR.
+    """
     rng = np.random.default_rng(seed + 2)
-    gammas, starts = [], []
+    draws = []
     for _ in range(50):
         d = int(rng.integers(1, 5))
-        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        gammas.append((q1 * rng.uniform(0.5, 2.0, size=d)) @ q2.T)
-        starts.append(np.diag(rng.uniform(0.0, 2.0, size=d)))
-    return gammas, starts
+        # in draw order: the two bases, the spectrum, the start
+        draws.append((rng.standard_normal((d, d)), rng.standard_normal((d, d)), rng.uniform(0.5, 2.0, size=d),
+                      np.diag(rng.uniform(0.0, 2.0, size=d))))
+
+    def congruences(z1, z2, w):
+        q1, q2 = np.linalg.qr(np.stack([z1, z2]))[0]
+        return (q1 * w[..., None, :]) @ q2.swapaxes(-1, -2)
+
+    return _per_dimension([draw[:3] for draw in draws], congruences), [draw[3] for draw in draws]
 
 
 def criterion_psi_factorization(seed=0):
@@ -321,31 +347,60 @@ def criterion_proximal_sampler(seed=0):
 
 
 def _desk_models():
+    """The three 1-d models of criterion 9, which share one tabulated channel."""
     grid = discrete.uniform_grid(1, 64, 8.0)
-    lg_channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]])
-    gauss = discrete.build_model(
-        models.quadratic_potential([0.0], [[1.0]]),
-        models.quadratic_potential([0.0], [[1.0]]),
-        lg_channel,
-        grid,
-    )
-    double_well = discrete.build_model(
-        models.quartic_double_well_potential(0.05, 0.8),
-        models.quadratic_potential([0.0], [[1.0]]),
-        lg_channel,
-        grid,
-    )
-    bimodal = discrete.build_model(
-        models.quadratic_potential([0.0], [[1.0]]),
-        models.gaussian_mixture_potential([0.5, 0.5], [[-2.0], [2.0]], [[[0.5]], [[0.5]]]),
-        lg_channel,
-        grid,
-    )
-    return {"gaussian": gauss, "double-well-u": double_well, "bimodal-v": bimodal}
+    channel = (discrete.channel_table(models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]]), grid),)
+    std = models.quadratic_potential([0.0], [[1.0]])
+    marginals = {
+        "gaussian": (std, std),
+        "double-well-u": (models.quartic_double_well_potential(0.05, 0.8), std),
+        "bimodal-v": (std, models.gaussian_mixture_potential([0.5, 0.5], [[-2.0], [2.0]], [[[0.5]], [[0.5]]])),
+    }
+    return {name: discrete.build_model(u, v, channel, grid) for name, (u, v) in marginals.items()}
+
+
+def _gated_residual(state) -> float:
+    """The marginal residual a state's plan has exactly, as ``discrete.marginal_residuals`` takes it.
+
+    The first marginal against mu for an even state, the second against eta
+    for an odd one; the other marginal is not formed.
+    """
+    model = state.model
+    if state.n % 2 == 0:
+        log_ratio, pot, target = discrete._kernel_pass(model, state.v, 1) - state.u, model.u_pot, model.log_mu
+    else:
+        log_ratio, pot, target = discrete._kernel_pass(model, state.u, 0) - state.v, model.v_pot, model.log_eta
+    supp = discrete._support(pot)
+    return discrete._residual(log_ratio[supp] - target[supp])
+
+
+def _plan_logs(states) -> np.ndarray:
+    """``discrete.plan_log_density`` of each state of one model, as one (S, N, N) stack built in place."""
+    logs = np.add(np.array([s.u for s in states])[:, :, None], states[0].model.w_pot)
+    logs += np.array([s.v for s in states])[:, None, :]
+    return np.negative(logs, out=logs)
+
+
+def _joint_entropies(ref, logs, weights) -> np.ndarray:
+    """``discrete.joint_relative_entropy(ref, logs[s], weights)`` for each slice s of a stack, consuming ``logs``.
+
+    The entries where ref is a hard zero are left out, as the single call
+    leaves them out, and each slice's terms are summed as one contiguous
+    run, so each value is bitwise the single call's.
+    """
+    p, q = ref.ravel(), logs.reshape(len(logs), -1)
+    w = (weights[:, None] * weights[None, :]).ravel()
+    on = p != -np.inf
+    if not on.all():
+        p, q, w = p[on], q.compress(on, axis=1), w[on]  # compress keeps each row contiguous; q[:, on] does not
+    np.subtract(p, q, out=q)
+    q *= w * np.exp(p)
+    return q.sum(axis=1)
 
 
 def criterion_discrete_sinkhorn(seed=0):
     tol_plans = 1e-12
+    n_plans = 11  # the states checked against matrix scaling: n = 0..10
     scaling_ok = True
     marginal_ok = True
     chains_ok = True
@@ -355,29 +410,37 @@ def criterion_discrete_sinkhorn(seed=0):
     worst_ratio = 0.0  # the largest entry[n] / entry[n - 1] of any chain
     min_entry = np.inf
     for name, model in _desk_models().items():
-        plans = discrete.matrix_scaling_plans(model, 10)
-        state = discrete.initial_state(model)
-        for n in range(11):
-            gap = float(np.max(np.abs(discrete.plan_mass(state) - plans[n])))
-            worst_plan_gap = max(worst_plan_gap, gap)
-            scaling_ok = scaling_ok and gap < tol_plans
-            r_mu, r_eta = discrete.marginal_residuals(state)
-            res = r_mu if state.n % 2 == 0 else r_eta
-            worst_marginal = max(worst_marginal, res)
-            marginal_ok = marginal_ok and res < tol_plans
-            state = discrete.sinkhorn_step(state)
-
         trace = discrete.run(model, 300, tol=1e-11)
         oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         rep = discrete.entropy_report(trace, oracle)
-        # the report's tail-sum bridge gaps against the dense joint relative entropies
         ref = discrete.plan_log_density(oracle.states[-2])
-        dense = [
-            discrete.joint_relative_entropy(ref, discrete.plan_log_density(s), model.grid.weights)
-            for s in trace.states
-        ]
+        w = model.grid.weights
+        states = list(trace.states)
+        while len(states) < n_plans:  # a run that stopped early is stepped on for the oracle comparison
+            states.append(discrete.sinkhorn_step(states[-1]))
+
+        # the plan tables as stacks of n_plans states, each consumed by the dense entropies; the first,
+        # states 0..10, is compared with the mass-domain oracle first.  Stacks of the whole run would
+        # raise the peak memory by a table per state (32 KB at N = 64) for no fewer calls per state
+        logs = _plan_logs(states[:n_plans])
+        mass = np.exp(logs)
+        mass *= w[:, None]
+        mass *= w[None, :]
+        for m, plan in zip(mass, discrete.matrix_scaling_plans(model, n_plans - 1)):
+            m -= plan
+        gap = float(np.abs(mass, out=mass).max())
+        worst_plan_gap = max(worst_plan_gap, gap)
+        scaling_ok = scaling_ok and gap < tol_plans
+        res = max(_gated_residual(state) for state in states[:n_plans])
+        worst_marginal = max(worst_marginal, res)
+        marginal_ok = marginal_ok and res < tol_plans
+
+        # the report's tail-sum bridge gaps against the dense joint relative entropies
+        dense = np.concatenate([_joint_entropies(ref, logs, w)] + [
+            _joint_entropies(ref, _plan_logs(states[i:i + n_plans]), w) for i in range(n_plans, len(states), n_plans)
+        ])[: len(trace.states)]
         fast = [x for pair in zip(rep["H_bridge_even"], rep["H_bridge_odd"]) for x in pair]
-        worst_gap_diff = max(worst_gap_diff, max(abs(a - b) for a, b in zip(dense, fast)))
+        worst_gap_diff = max(worst_gap_diff, float(np.abs(dense - fast).max()))
         chains_ok = chains_ok and chains_monotone(rep)
         # the four cross-chain inequalities, for n >= 1 and compared exactly
         chains = pe, ep, me, pm = [np.array(rep[key]) for key in CHAINS]

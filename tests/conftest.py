@@ -22,7 +22,7 @@ def hard_zero_target_model():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counts of numpy eigh, eigvalsh, svd and solve calls made while the test runs.
+    """Counts of numpy eigh, eigvalsh, svd, solve, qr and slogdet calls made while the test runs.
 
     ``svd`` counts every SVD, ``norm_svd`` the share that spectral norms make.
     A batched call on a stack counts once.
@@ -36,7 +36,7 @@ def decompositions(monkeypatch):
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh", "svd", "solve"):
+    for name in ("eigh", "eigvalsh", "svd", "solve", "qr", "slogdet"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     # np.linalg.norm(a, 2) reaches svd through the implementation module;
     # those calls count as svd and, on their own, as norm_svd

@@ -210,6 +210,41 @@ def curvature_flow_mp(k, spec, n_max, dps=60):
         return to_float(sigma), to_float(tau)
 
 
+def proximal_trace_steps(nu, mu, k, a, b, steps):
+    """``bounds.proximal_trace`` one ``gaussian.proximal_step`` at a time, each row's W2 and KL a call of its own."""
+    w0, h0 = g.gelbrich_w2(nu, mu), g.gaussian_kl(nu, mu)
+    rows = [(w0, w0, h0, h0)]
+    cur = nu
+    for n in range(1, steps + 1):
+        cur = g.proximal_step(cur, mu, k)
+        rows.append((g.gelbrich_w2(cur, mu), b**n * w0, g.gaussian_kl(cur, mu), a * b ** (2 * (n - 1)) * h0))
+    return rows
+
+
+def spd_family_per_matrix(seed):
+    """``verify._spd_family`` with one QR per drawn matrix."""
+    rng = np.random.default_rng(seed)
+    fam = [np.array([[0.1]]), np.array([[1.0]]), np.array([[10.0]]), np.diag([1.0, 4.0])]
+    for _ in range(20):
+        d = int(rng.integers(1, 9))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        fam.append(spd.symmetrize((q * rng.uniform(0.2, 4.0, size=d)) @ q.T))
+    return fam
+
+
+def psi_cases_per_matrix(seed):
+    """``verify._psi_cases`` with one QR per drawn basis."""
+    rng = np.random.default_rng(seed + 2)
+    gammas, starts = [], []
+    for _ in range(50):
+        d = int(rng.integers(1, 5))
+        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        gammas.append((q1 * rng.uniform(0.5, 2.0, size=d)) @ q2.T)
+        starts.append(np.diag(rng.uniform(0.0, 2.0, size=d)))
+    return gammas, starts
+
+
 def riccati_steps(varpi, r0, n):
     """r0, Ricc(r0), ..., Ricc^n(r0), each step s -> (varpi + s + I)^{-1} (varpi + s) solved on the dense varpi."""
     out = [r0]

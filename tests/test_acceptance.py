@@ -159,6 +159,19 @@ def test_criterion_09_catches_a_late_perturbed_potential(monkeypatch, seed):
     assert not res["details"]["entropy_chains_ok"]
 
 
+def test_criterion_09_steps_on_a_run_that_holds_fewer_states(monkeypatch):
+    # a run cut to two sweeps holds four states; the criterion steps on to the eleven it
+    # compares with matrix scaling, which are the same states, so those details do not move
+    full = verify.criterion_discrete_sinkhorn(seed=0)["details"]
+    run = discrete.run
+    # only the criterion's own run is cut: bridge_oracle resumes it from a start state
+    monkeypatch.setattr(discrete, "run", lambda model, n_sweeps, tol, start=None: run(
+        model, n_sweeps if start else 1, tol, start))
+    short = verify.criterion_discrete_sinkhorn(seed=0)["details"]
+    assert (short["max_scaling_gap"], short["max_marginal_residual"]) == (full["max_scaling_gap"],
+                                                                          full["max_marginal_residual"])
+
+
 def test_criterion_10_discretization_consistency():
     # every compared error above round-off, each grid pair at the midpoint-rule rate to 5%
     res = _criterion("discretization-consistency")
@@ -201,13 +214,13 @@ def test_criterion_10_runs_no_oracle(monkeypatch):
 
 def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):
     # one closed-form solve for each dimension's stack and one for the five scalar
-    # flows' (5, 1, 1) stack, then the 100 steps of their dense reference; one
-    # solve per matrix and step would be 24 * 60 + 5 * 100 = 1940
+    # flows' (5, 1, 1) stack; their dense reference steps a 1 x 1 solve, which is a
+    # division.  One solve per matrix and step would be 24 * 60 + 5 * 100 = 1940
     for seed in (0, 1):
         dims = {varpi.shape[0] for varpi in verify._spd_family(seed)}
         decompositions.clear()
         verify.criterion_riccati_decay(seed=seed)
-        assert decompositions["solve"] == len(dims) + 1 + 100
+        assert decompositions["solve"] == len(dims) + 1
 
 
 def test_criterion_02_reads_no_zero_gap(monkeypatch):
@@ -295,24 +308,53 @@ def test_criteria_4_to_6_decompose_once_per_dimension(criterion, offset, decompo
 @pytest.mark.parametrize("n_models", [10, 30])
 def test_gaussian_models_validate_once_per_dimension(n_models, decompositions):
     # per dimension stack: one eigh each for mu's, eta's and tau's covariances and one SVD for cond(beta)
+    # and one QR for the three eigenbases
     decompositions.clear()
     groups = len(verify._gaussian_models(3, count=n_models))
-    assert decompositions == {"eigh": 3 * groups, "svd": groups, "norm_svd": groups}
+    assert decompositions == {"eigh": 3 * groups, "svd": groups, "norm_svd": groups, "qr": groups}
 
 
 @pytest.mark.parametrize("n_models", [10, 30])
-def test_criterion_06_takes_ten_svds_per_dimension(n_models, decompositions, monkeypatch):
+def test_criterion_06_takes_nine_svds_per_dimension(n_models, decompositions, monkeypatch):
     # per dimension stack: cond(beta) as the kernel stack is built, the bridge's
-    # SVD, one for each of varpi_family's two curvature pairs, and six spectral
-    # norms (two barycentric residuals and four sandwich ones); cond and the
-    # norms take theirs inside numpy's linalg module
+    # SVD, one for varpi_family's two curvature pairs, which the Gaussian
+    # equality case makes the same (u, v), and six spectral norms (two
+    # barycentric residuals and four sandwich ones); cond and the norms take
+    # theirs inside numpy's linalg module
     draw = verify._gaussian_models
     monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
     groups = len(draw(4, count=n_models))  # criterion 6 draws from seed + 4
     decompositions.clear()
     assert verify.criterion_entropic_map_identities(seed=0)["passed"]
-    assert decompositions["svd"] == 10 * groups
+    assert decompositions["svd"] == 9 * groups
     assert decompositions["norm_svd"] == 7 * groups
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spd_family_and_psi_cases_take_one_qr_per_dimension(seed, decompositions):
+    # criteria 1 and 2's 20 random matrices and criterion 3's 100 bases: one batched QR per dimension
+    decompositions.clear()
+    family = verify._spd_family(seed)
+    assert decompositions["qr"] == len({varpi.shape[-1] for varpi in family[4:]}) < 20
+    decompositions.clear()
+    gammas, _ = verify._psi_cases(seed)
+    assert decompositions["qr"] == len({gamma.shape[-1] for gamma in gammas}) < 100
+
+
+def test_criterion_08_decomposes_alike_for_any_number_of_steps(decompositions):
+    # the chain's gain, backward covariance and stacked marginals, and one W2 and
+    # one KL call for all the rows: as many decompositions at 40 steps as at 20
+    mu, nu = g.GaussianMeasure([0.0], [[1.0]]), g.GaussianMeasure([3.0], [[2.0]])
+    k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
+
+    def counted(steps):
+        decompositions.clear()
+        assert len(bounds.proximal_trace(nu, mu, k, 1.0, 0.5, steps)) == steps + 1
+        return dict(decompositions)
+
+    twenty = counted(20)
+    assert counted(40) == twenty
+    assert twenty == {"eigh": 6, "svd": 1, "slogdet": 2}
 
 
 def _thrice(family):

@@ -132,6 +132,24 @@ def test_varpi_family_matches_gaussian_module():
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
 
 
+def test_varpi_family_equality_case_decomposes_once(monkeypatch):
+    """CurvatureSpec.gaussian holds one (u, v) pair: one bridge_factors call, bitwise the family of a spec of copies."""
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    u = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
+    v = spd.symmetrize((q * rng.uniform(0.5, 2.0, 3)) @ q.T)
+    k = g.LinearGaussianKernel(np.zeros(3), np.eye(3) + 0.3 * rng.standard_normal((3, 3)), np.diag([0.5, 1.0, 2.0]))
+    calls = []
+    bridge_factors = bounds.bridge_factors
+    monkeypatch.setattr(bounds, "bridge_factors", lambda *a: calls.append(a) or bridge_factors(*a))
+    family = bounds.varpi_family(k, CurvatureSpec.gaussian(u, v))
+    assert len(calls) == 1
+    copies = bounds.varpi_family(k, CurvatureSpec(u_plus=u, v_plus=v, u_minus=u.copy(), v_minus=v.copy()))
+    assert len(calls) == 3
+    for w, w_copy in zip(family, copies):
+        assert np.array_equal(w.lam, w_copy.lam) and np.array_equal(w.q, w_copy.q)
+
+
 def random_two_sided(seed):
     """A seed-fixed d = 3 kernel and a spec of four distinct SPD factors."""
     rng = np.random.default_rng(seed)

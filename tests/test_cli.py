@@ -75,6 +75,26 @@ def test_gaussian_command_outputs(tmp_path):
     assert report["proximal_b"] == 0.5
 
 
+@pytest.mark.parametrize("tau", [1.0, 1e-6])
+def test_gaussian_w2_column_equals_per_state_calls(tau, tmp_path):
+    """The two stacked W2 calls, one per parity, write what one gelbrich_w2 call per state gives, bit for bit.
+
+    Each state's free marginal is compared with eta at even n and with mu at odd n.
+    """
+    model = {"mu": {"mean": [0.5], "cov": [[2.0]]}, "eta": {"mean": [-1.0], "cov": [[0.5]]},
+             "kernel": {"alpha": [0.0], "beta": [[1.0]], "tau": [[tau]]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gaussian", "model": model}))
+    assert run_cli(["gaussian", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    header, *rows = (tmp_path / "g_trace.csv").read_text().strip().splitlines()
+    col = header.split(",").index("W2_marginal_gap")
+    mu, eta = (gaussian.GaussianMeasure(**model[key]) for key in ("mu", "eta"))
+    states = gaussian.sinkhorn_run(gaussian.bridge_solve(mu, eta, gaussian.LinearGaussianKernel(**model["kernel"])), 30)
+    want = [gaussian.gelbrich_w2(mu if s.n % 2 else eta, gaussian.GaussianMeasure(s.m_n, s.sigma_pi_n))
+            for s in states]
+    assert [float(r.split(",")[col]) for r in rows] == want
+
+
 def test_gaussian_sharp_kernel_every_row_satisfied(tmp_path):
     """At tau = 1e-6 the gaps sit near 1.25e-7 and each envelope just above: every row is decided exactly."""
     cfg = tmp_path / "cfg.json"

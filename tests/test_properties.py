@@ -8,7 +8,10 @@ any other exception fails the test.  Its contraction constants, from
 finite and in range.  The closed-form Riccati trajectory must match the
 map stepped on the dense varpi.  The grid's two relative-entropy terms
 must be >= 0 and meet a 60-digit evaluation.  A stack of Gaussian models
-must give bitwise what each of its models gives alone.  The CLI's table renderer
+must give bitwise what each of its models gives alone, and so must a
+stack of Gaussians against one, the proximal chain against its step loop,
+the batched draws of verify against per-matrix ones and criterion 9's
+stacked dense entropies against per-state ones.  The CLI's table renderer
 must refuse exactly the tables with a non-finite cell that no mask
 declares, and every cell it writes must parse back to its double.
 """
@@ -19,8 +22,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from references import model_slice, riccati_steps
-from sinkbridge import bounds, cli, discrete, riccati, spd
+from references import (model_slice, proximal_trace_steps, psi_cases_per_matrix, riccati_steps,
+                        spd_family_per_matrix)
+from sinkbridge import bounds, cli, discrete, riccati, spd, verify
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
 from sinkbridge.errors import DomainError
@@ -181,6 +185,81 @@ def test_a_stacked_bridge_equals_its_models_bitwise(stack, n_pairs):
         assert eps[j] == bounds.eps_lg(k1, spec1)
         for w, w1 in zip(family, bounds.varpi_family(k1, spec1)):
             assert same((w.lam[j], w.q[j]), w1)
+
+
+@st.composite
+def measure_pairs(draw):
+    """A stack of one to five Gaussians of one dimension d <= 4 and one Gaussian of that dimension; cond <= 1e4."""
+    d, size = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, log_cond = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 4.0))
+    covs = np.stack([log_spectrum_spd(rng, d, top - log_cond, top) for _ in range(size + 1)])
+    means = rng.standard_normal((size + 1, d))
+    return g.GaussianMeasure(means[1:], covs[1:]), g.GaussianMeasure(means[0], covs[0])
+
+
+@PROPERTY_SETTINGS
+@given(measure_pairs())
+def test_stacked_divergences_equal_per_slice_calls_bitwise(pair):
+    """KL and W2 of a stack against one Gaussian, either way round, are bitwise the per-slice calls."""
+    stack, one = pair
+    for fn in (g.gaussian_kl, g.gelbrich_w2):
+        forward, backward = fn(stack, one), fn(one, stack)
+        assert forward.shape == backward.shape == stack.mean.shape[:1]
+        for j in range(len(stack.mean)):
+            p = g.GaussianMeasure(stack.mean[j], stack.cov[j])
+            assert (forward[j], backward[j]) == (fn(p, one), fn(one, p))
+
+
+@st.composite
+def proximal_problems(draw):
+    """A start nu, a target mu and a channel of one dimension d <= 4, cond <= 1e4, and 1 to 25 sweeps."""
+    stack, target = draw(measure_pairs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = target.dim
+    beta = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    tau = 10.0 ** draw(st.floats(-2.0, 2.0)) * log_spectrum_spd(rng, d, 0.0, draw(st.floats(0.0, 2.0)))
+    nu = g.GaussianMeasure(stack.mean[0], stack.cov[0])
+    return nu, target, g.LinearGaussianKernel(rng.standard_normal(d), beta, tau), draw(st.integers(1, 25))
+
+
+@PROPERTY_SETTINGS
+@given(proximal_problems())
+def test_proximal_trace_equals_the_step_loop_bitwise(problem):
+    """Every row of the stacked chain is the row that proximal_step, gelbrich_w2 and gaussian_kl give one at a time."""
+    nu, mu, k, steps = problem
+    a, b = bounds.proximal_rates(k, CurvatureSpec(u_plus=mu.cov, v_plus=nu.cov))
+    assert bounds.proximal_trace(nu, mu, k, a, b, steps) == proximal_trace_steps(nu, mu, k, a, b, steps)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_draws_equal_per_matrix_draws_bitwise(seed):
+    """Criteria 1-3's cases, one QR per dimension, are bitwise those made with one QR per matrix."""
+    assert same(verify._spd_family(seed), spd_family_per_matrix(seed))
+    gammas, starts = verify._psi_cases(seed)
+    ref_gammas, ref_starts = psi_cases_per_matrix(seed)
+    assert same(gammas, ref_gammas) and same(starts, ref_starts)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "double-well-u", "bimodal-v", "hard-zero-target"])
+def test_stacked_dense_entropies_equal_per_state_ones_bitwise(name, request):
+    """Criterion 9's stacked plan tables and dense entropies against per-state ones.
+
+    The hard-zero target puts -inf in the reference plan, whose entries both sides leave out.
+    """
+    model = (request.getfixturevalue("hard_zero_target_model") if name == "hard-zero-target"
+             else verify._desk_models()[name])
+    trace = discrete.run(model, 300, tol=1e-11)
+    ref = discrete.plan_log_density(discrete.bridge_oracle(model, start=trace.states[-2]).states[-2])
+    assert np.any(ref == -np.inf) == (name == "hard-zero-target")
+    logs = verify._plan_logs(trace.states)
+    assert same(logs, [discrete.plan_log_density(s) for s in trace.states])
+    w = model.grid.weights
+    dense = verify._joint_entropies(ref, logs, w)
+    assert dense.tolist() == [discrete.joint_relative_entropy(ref, discrete.plan_log_density(s), w)
+                              for s in trace.states]
+    for s in trace.states[:11]:
+        assert verify._gated_residual(s) == discrete.marginal_residuals(s)[s.n % 2]
 
 
 @st.composite

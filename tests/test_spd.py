@@ -197,12 +197,12 @@ def test_stacked_clamp_accepts_singular_psd_slice():
 @pytest.mark.parametrize(
     "fn",
     [
-        spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv,
+        spd.symmetrize, spd.spectral_norm, spd.clamp_psd, spd.require_spd, spd.sym_inv, spd.principal_sqrt,
         lambda s: spd.loewner_leq(s, s), lambda s: spd.loewner_lt(s, 2.0 * s),
         lambda s: np.stack(spd.sqrt_pair(s), axis=-3),
     ],
-    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "loewner_leq", "loewner_lt",
-         "sqrt_pair"],
+    ids=["symmetrize", "spectral_norm", "clamp_psd", "require_spd", "sym_inv", "principal_sqrt", "loewner_leq",
+         "loewner_lt", "sqrt_pair"],
 )
 def test_stacked_primitive_matches_single_calls_bitwise(fn):
     """Slices of scales 1e-7 to 1e6 and sizes up to 8: a check on the stack's scale would reject the small ones."""
@@ -231,7 +231,5 @@ def test_one_matrix_entry_points_reject_a_stack():
     stack = np.stack([np.eye(2)] * 3)
     with pytest.raises(ShapeError):
         spd.eig_range(stack)
-    with pytest.raises(ShapeError):
-        spd.principal_sqrt(stack)
     with pytest.raises(ShapeError):
         riccati.decay_params(stack)
