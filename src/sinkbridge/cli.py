@@ -237,7 +237,7 @@ def _riccati(varpi, spectrum, r0, n):
                 ".csv": {"n": [0], "error": [0.0], "envelope": [0.0], "satisfied": [True]}}
     r_star = riccati.fixed_point(spectrum)
     delta, c_bound = riccati.decay_params(spectrum)
-    gaps = riccati.gap_norms(riccati._iterate_spectral(*spectrum, r0, n)[1])
+    gaps = riccati.gap_norms(riccati._delta_flow(*spectrum, r0, n)[0])
     env = riccati.decay_envelope(gaps, delta, c_bound)
     # empirical prefactor fit: the largest gap ratio against delta^k gap_0, over the rows where that is not 0
     scale = riccati._powers(delta, np.arange(1, n + 1)) * gaps[0]

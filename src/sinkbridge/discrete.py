@@ -392,40 +392,78 @@ def sinkhorn_step(state: SinkhornState) -> SinkhornState:
     return SinkhornState(model, state.n + 1, _update_u(model, state.v), state.v)
 
 
-def plan_log_density(state: SinkhornState) -> np.ndarray:
-    """Log density table of the coupling described by a state."""
-    return -(state.u[:, None] + state.model.w_pot + state.v[None, :])
+def _one_model(states) -> tuple[list, DiscreteModel]:
+    """The states of one state or of a sequence of states, and the one model they share."""
+    states = [states] if isinstance(states, SinkhornState) else list(states)
+    model = states[0].model
+    if any(s.model is not model for s in states):
+        raise ShapeError("a stack of states must share one model")
+    return states, model
+
+
+def plan_log_density(state) -> np.ndarray:
+    """Log density table of the coupling described by a state.
+
+    A sequence of states of one model gives an (S, N, N) stack, each slice
+    bitwise the table of its state alone.
+    """
+    states, model = _one_model(state)
+    logs = np.add(np.array([s.u for s in states])[:, :, None], model.w_pot)
+    logs += np.array([s.v for s in states])[:, None, :]
+    np.negative(logs, out=logs)
+    return logs[0] if isinstance(state, SinkhornState) else logs
+
+
+def plan_marginal(state: SinkhornState, side: int) -> np.ndarray:
+    """Log density of one marginal of the state's coupling: side 0 the first, side 1 the second."""
+    model = state.model
+    return _kernel_pass(model, state.v, 1) - state.u if side == 0 else _kernel_pass(model, state.u, 0) - state.v
 
 
 def plan_marginals(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
     """Log densities of the two marginals of the state's coupling."""
+    return plan_marginal(state, 0), plan_marginal(state, 1)
+
+
+def marginal_residual(state: SinkhornState, side: int) -> float:
+    """Sup-norm of one marginal log-ratio on its support: side 0 the first against mu, side 1 the second against eta."""
     model = state.model
-    return _kernel_pass(model, state.v, 1) - state.u, _kernel_pass(model, state.u, 0) - state.v
+    pot, target = (model.u_pot, model.log_mu) if side == 0 else (model.v_pot, model.log_eta)
+    supp = _support(pot)
+    return _residual(plan_marginal(state, side)[supp] - target[supp])
 
 
 def marginal_residuals(state: SinkhornState) -> tuple[float, float]:
     """Sup-norm of the marginal log-ratios against mu and eta, each on its support."""
-    model = state.model
-    first, second = plan_marginals(state)
-    mu_supp, eta_supp = _support(model.u_pot), _support(model.v_pot)
-    r_mu = _residual(first[mu_supp] - model.log_mu[mu_supp])
-    r_eta = _residual(second[eta_supp] - model.log_eta[eta_supp])
-    return r_mu, r_eta
+    return marginal_residual(state, 0), marginal_residual(state, 1)
 
 
-def relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) -> float:
+def relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray):
     """KL divergence between two densities tabulated on the same nodes.
 
-    Nodes where p vanishes contribute nothing (0 log 0 = 0).
+    Nodes where p vanishes contribute nothing (0 log 0 = 0).  ``log_q`` may
+    be a stack (S, *log_p.shape), which gives one KL per slice.  The slices
+    share one buffer of one table's size, so a stack makes no temporary of
+    its own size, and each slice's value is bitwise the single call's.
     """
-    on = log_p != -np.inf
-    if not on.all():
-        log_p, log_q, weights = log_p[on], log_q[on], weights[on]
-    return float(np.sum(weights * np.exp(log_p) * (log_p - log_q)))
+    log_q = np.asarray(log_q)
+    stacked = log_q.ndim > np.ndim(log_p)
+    p, w, q = np.ravel(log_p), np.ravel(weights), log_q.reshape(len(log_q) if stacked else 1, -1)
+    on = p != -np.inf
+    cut = not on.all()
+    if cut:
+        p, w = p[on], w[on]
+    mass = w * np.exp(p)
+    terms, kl = np.empty_like(p), np.empty(len(q))
+    for s, row in enumerate(q):
+        np.subtract(p, row[on] if cut else row, out=terms)
+        terms *= mass
+        kl[s] = terms.sum()
+    return kl if stacked else float(kl[0])
 
 
-def joint_relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray) -> float:
-    """KL divergence between two couplings tabulated on the product grid (dense)."""
+def joint_relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray):
+    """KL divergence between two couplings tabulated on the product grid (dense); log_q may be an (S, N, N) stack."""
     return relative_entropy(log_p, log_q, weights[:, None] * weights[None, :])
 
 
@@ -587,10 +625,17 @@ def matrix_scaling_plans(model: DiscreteModel, n_half_steps: int) -> list[np.nda
     return plans
 
 
-def plan_mass(state: SinkhornState) -> np.ndarray:
-    """Mass matrix (density times product weights) of a state's coupling."""
-    w = state.model.grid.weights
-    return np.exp(plan_log_density(state)) * w[:, None] * w[None, :]
+def plan_mass(state) -> np.ndarray:
+    """Mass matrix (density times product weights) of a state's coupling.
+
+    A sequence of states of one model gives an (S, N, N) stack.
+    """
+    w = _one_model(state)[1].grid.weights
+    mass = plan_log_density(state)
+    np.exp(mass, out=mass)
+    mass *= w[:, None]
+    mass *= w[None, :]
+    return mass
 
 
 def conditional_moments(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:

@@ -228,16 +228,17 @@ def _iterate_spectral(w, q, r0, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the trajectory, entry 0 r0 itself, and ``_delta_flow``'s Delta_n,
     rotated back as r_n = q (diag(f) + Delta_n) q'.
     """
-    deltas = _delta_flow(w, q, r0, n)
-    traj = np.concatenate([r0[None], _rotate(q, _diag(_fixed_scalar(w)) + deltas[1:])])
+    deltas, f = _delta_flow(w, q, r0, n)
+    traj = np.concatenate([r0[None], _rotate(q, _diag(f) + deltas[1:])])
     return traj, deltas
 
 
-def _delta_flow(w, q, r0, n: int) -> np.ndarray:
+def _delta_flow(w, q, r0, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Delta_n = q' r_n q - r*, n = 0..n, of ``iterate`` for varpi = q diag(w) q', as an (n+1, ..., d, d) array.
 
-    The spectral norm of Delta_n is ||r_n - r*||, so a caller that reads
-    only the gaps makes no rotation.  In varpi's eigenbasis r* = diag(f)
+    Returns Delta_n and f, r*'s eigenvalues, which a caller that rotates
+    r_n back reuses.  The spectral norm of Delta_n is ||r_n - r*||, so a
+    caller that reads only the gaps makes no rotation.  In varpi's eigenbasis r* = diag(f)
     and D = diag(d), d = 1 + w + f; the difference form Ricc(s) - r* =
     (D + Delta)^{-1} Delta D^{-1} makes X = Delta^{-1} obey X' = D X D + D, so
 
@@ -258,7 +259,7 @@ def _delta_flow(w, q, r0, n: int) -> np.ndarray:
     # Delta_0 (I + H Delta_0)^{-1} = (I/c + Delta_0 H / c)^{-1} Delta_0 / c
     m = np.linalg.solve(np.eye(w.shape[-1]) / c + delta0 / c * h[..., None, :], delta0 / c)
     deltas = spd.symmetrize(d_pow[..., :, None] * m * d_pow[..., None, :])
-    return np.concatenate([delta0[None], deltas])
+    return np.concatenate([delta0[None], deltas]), f
 
 
 def gap_norms(deltas):

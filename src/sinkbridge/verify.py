@@ -145,7 +145,7 @@ def criterion_riccati_decay(seed=0):
         spectrum = riccati._spectrum(_stack(family, idx))
         r0 = spd.clamp_psd(_stack(starts, idx))
         # gaps[n, j]: slice j's distance to its fixed point after n steps, read off Delta_n
-        gaps = riccati.gap_norms(riccati._delta_flow(*spectrum, r0, n_max))
+        gaps = riccati.gap_norms(riccati._delta_flow(*spectrum, r0, n_max)[0])
         for j, one in enumerate(zip(*spectrum)):
             env = riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))
             on = env[1:] > 0.0
@@ -359,45 +359,6 @@ def _desk_models():
     return {name: discrete.build_model(u, v, channel, grid) for name, (u, v) in marginals.items()}
 
 
-def _gated_residual(state) -> float:
-    """The marginal residual a state's plan has exactly, as ``discrete.marginal_residuals`` takes it.
-
-    The first marginal against mu for an even state, the second against eta
-    for an odd one; the other marginal is not formed.
-    """
-    model = state.model
-    if state.n % 2 == 0:
-        log_ratio, pot, target = discrete._kernel_pass(model, state.v, 1) - state.u, model.u_pot, model.log_mu
-    else:
-        log_ratio, pot, target = discrete._kernel_pass(model, state.u, 0) - state.v, model.v_pot, model.log_eta
-    supp = discrete._support(pot)
-    return discrete._residual(log_ratio[supp] - target[supp])
-
-
-def _plan_logs(states) -> np.ndarray:
-    """``discrete.plan_log_density`` of each state of one model, as one (S, N, N) stack built in place."""
-    logs = np.add(np.array([s.u for s in states])[:, :, None], states[0].model.w_pot)
-    logs += np.array([s.v for s in states])[:, None, :]
-    return np.negative(logs, out=logs)
-
-
-def _joint_entropies(ref, logs, weights) -> np.ndarray:
-    """``discrete.joint_relative_entropy(ref, logs[s], weights)`` for each slice s of a stack, consuming ``logs``.
-
-    The entries where ref is a hard zero are left out, as the single call
-    leaves them out, and each slice's terms are summed as one contiguous
-    run, so each value is bitwise the single call's.
-    """
-    p, q = ref.ravel(), logs.reshape(len(logs), -1)
-    w = (weights[:, None] * weights[None, :]).ravel()
-    on = p != -np.inf
-    if not on.all():
-        p, q, w = p[on], q.compress(on, axis=1), w[on]  # compress keeps each row contiguous; q[:, on] does not
-    np.subtract(p, q, out=q)
-    q *= w * np.exp(p)
-    return q.sum(axis=1)
-
-
 def criterion_discrete_sinkhorn(seed=0):
     tol_plans = 1e-12
     n_plans = 11  # the states checked against matrix scaling: n = 0..10
@@ -419,26 +380,23 @@ def criterion_discrete_sinkhorn(seed=0):
         while len(states) < n_plans:  # a run that stopped early is stepped on for the oracle comparison
             states.append(discrete.sinkhorn_step(states[-1]))
 
-        # the plan tables as stacks of n_plans states, each consumed by the dense entropies; the first,
-        # states 0..10, is compared with the mass-domain oracle first.  Stacks of the whole run would
-        # raise the peak memory by a table per state (32 KB at N = 64) for no fewer calls per state
-        logs = _plan_logs(states[:n_plans])
-        mass = np.exp(logs)
-        mass *= w[:, None]
-        mass *= w[None, :]
+        mass = discrete.plan_mass(states[:n_plans])
         for m, plan in zip(mass, discrete.matrix_scaling_plans(model, n_plans - 1)):
             m -= plan
         gap = float(np.abs(mass, out=mass).max())
         worst_plan_gap = max(worst_plan_gap, gap)
         scaling_ok = scaling_ok and gap < tol_plans
-        res = max(_gated_residual(state) for state in states[:n_plans])
+        # only the marginal a state's plan has exactly: the first at an even state, the second at an odd one
+        res = max(discrete.marginal_residual(state, state.n % 2) for state in states[:n_plans])
         worst_marginal = max(worst_marginal, res)
         marginal_ok = marginal_ok and res < tol_plans
 
-        # the report's tail-sum bridge gaps against the dense joint relative entropies
-        dense = np.concatenate([_joint_entropies(ref, logs, w)] + [
-            _joint_entropies(ref, _plan_logs(states[i:i + n_plans]), w) for i in range(n_plans, len(states), n_plans)
-        ])[: len(trace.states)]
+        # the report's tail-sum bridge gaps against the dense joint relative entropies, in stacks of
+        # n_plans states: a stack of the whole run would raise the peak memory by a table per state
+        dense = np.concatenate([
+            discrete.joint_relative_entropy(ref, discrete.plan_log_density(trace.states[i:i + n_plans]), w)
+            for i in range(0, len(trace.states), n_plans)
+        ])
         fast = [x for pair in zip(rep["H_bridge_even"], rep["H_bridge_odd"]) for x in pair]
         worst_gap_diff = max(worst_gap_diff, float(np.abs(dense - fast).max()))
         chains_ok = chains_ok and chains_monotone(rep)

@@ -245,6 +245,19 @@ def psi_cases_per_matrix(seed):
     return gammas, starts
 
 
+def plan_log_density_one(state):
+    """``discrete.plan_log_density`` of one state, as the plain broadcast expression."""
+    return -(state.u[:, None] + state.model.w_pot + state.v[None, :])
+
+
+def relative_entropy_one(log_p, log_q, weights):
+    """``discrete.relative_entropy`` of one pair of tables, as one masked ``np.sum``."""
+    on = log_p != -np.inf
+    if not on.all():
+        log_p, log_q, weights = log_p[on], log_q[on], weights[on]
+    return float(np.sum(weights * np.exp(log_p) * (log_p - log_q)))
+
+
 def riccati_steps(varpi, r0, n):
     """r0, Ricc(r0), ..., Ricc^n(r0), each step s -> (varpi + s + I)^{-1} (varpi + s) solved on the dense varpi."""
     out = [r0]

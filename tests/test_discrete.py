@@ -555,6 +555,20 @@ def test_relative_entropy_zero_log_zero():
     log_q = np.array([-np.inf, np.log(1.5), np.log(0.5)])
     assert abs(discrete.relative_entropy(log_p, log_q, w) - 0.5 * np.log(4.0 / 3.0)) < 1e-15
     assert discrete.relative_entropy(log_p, np.array([0.0, 0.0, -np.inf]), w) == np.inf
+    # a stack of log_q gives one KL per slice, as the single calls give them
+    stack = np.array([log_q, [0.0, 0.0, -np.inf], [7.0, 0.0, 0.0]])
+    kl = discrete.relative_entropy(log_p, stack, w)
+    assert kl.tolist() == [discrete.relative_entropy(log_p, q, w) for q in stack]
+
+
+def test_a_stack_of_states_shares_one_model():
+    grid = discrete.uniform_grid(1, 8, 4.0)
+    quad = models.quadratic_potential([0.0], [[1.0]])
+    channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[1.0]])
+    one, other = (discrete.initial_state(discrete.build_model(quad, quad, channel, grid)) for _ in range(2))
+    assert discrete.plan_mass([one, discrete.sinkhorn_step(one)]).shape == (2, 8, 8)
+    with pytest.raises(ShapeError, match="share one model"):
+        discrete.plan_log_density([one, other])
 
 
 def test_injected_nan_raises_within_the_sweep():

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from references import (model_slice, proximal_trace_steps, psi_cases_per_matrix, riccati_steps,
-                        spd_family_per_matrix)
+from references import (model_slice, plan_log_density_one, proximal_trace_steps, psi_cases_per_matrix,
+                        relative_entropy_one, riccati_steps, spd_family_per_matrix)
 from sinkbridge import bounds, cli, discrete, riccati, spd, verify
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
@@ -243,7 +243,8 @@ def test_batched_draws_equal_per_matrix_draws_bitwise(seed):
 
 @pytest.mark.parametrize("name", ["gaussian", "double-well-u", "bimodal-v", "hard-zero-target"])
 def test_stacked_dense_entropies_equal_per_state_ones_bitwise(name, request):
-    """Criterion 9's stacked plan tables and dense entropies against per-state ones.
+    """Plan tables, masses and dense entropies of a stack of states, and of each state alone,
+    against the per-state formulas of ``tests/references.py``.
 
     The hard-zero target puts -inf in the reference plan, whose entries both sides leave out.
     """
@@ -252,14 +253,16 @@ def test_stacked_dense_entropies_equal_per_state_ones_bitwise(name, request):
     trace = discrete.run(model, 300, tol=1e-11)
     ref = discrete.plan_log_density(discrete.bridge_oracle(model, start=trace.states[-2]).states[-2])
     assert np.any(ref == -np.inf) == (name == "hard-zero-target")
-    logs = verify._plan_logs(trace.states)
-    assert same(logs, [discrete.plan_log_density(s) for s in trace.states])
     w = model.grid.weights
-    dense = verify._joint_entropies(ref, logs, w)
-    assert dense.tolist() == [discrete.joint_relative_entropy(ref, discrete.plan_log_density(s), w)
-                              for s in trace.states]
-    for s in trace.states[:11]:
-        assert verify._gated_residual(s) == discrete.marginal_residuals(s)[s.n % 2]
+    singles = [plan_log_density_one(s) for s in trace.states]
+    logs = discrete.plan_log_density(trace.states)
+    assert same(logs, singles) and same([discrete.plan_log_density(s) for s in trace.states], singles)
+    masses = [np.exp(x) * w[:, None] * w[None, :] for x in singles]
+    assert same(discrete.plan_mass(trace.states), masses)
+    assert same([discrete.plan_mass(s) for s in trace.states], masses)
+    expected = [relative_entropy_one(ref, x, w[:, None] * w[None, :]) for x in singles]
+    assert discrete.joint_relative_entropy(ref, logs, w).tolist() == expected
+    assert [discrete.joint_relative_entropy(ref, x, w) for x in singles] == expected
 
 
 @st.composite
