@@ -41,7 +41,7 @@ print("  iota with ZERO minus factors:", iota_flat)
 # matching Gaussian model
 mu = g.GaussianMeasure([0.0], [[2.0]])
 eta = g.GaussianMeasure([1.0], [[2.0]])
-spec_g = CurvatureSpec.gaussian(mu.cov, eta.cov)
+spec_g = CurvatureSpec.gaussian(mu, eta)
 bridge = g.bridge_solve(mu, eta, k)
 gaps = g.bridge_gaps(bridge, g.sinkhorn_run(bridge, 8))
 ratios = [gaps[2 * n] / gaps[0] for n in range(9)]

@@ -30,7 +30,7 @@ even = [s for s in states if s.n % 2 == 0][-1]
 print("terminal even covariance vs bridge:", abs(even.tau_n[0, 0] - fwd.noise_cov[0, 0]))
 
 # entropy gap to the bridge, against the two-step and improved envelopes
-spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
+spec = CurvatureSpec.gaussian(mu, eta)
 eps = bounds.eps_lg(k, spec)
 ph = bounds.phi(eps)
 gaps = g.bridge_gaps(bridge, states)

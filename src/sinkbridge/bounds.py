@@ -7,19 +7,20 @@ u_minus, v_minus (ZERO encodes "no upper curvature bound", which turns the
 matching Riccati parameters INFINITE).  Log-Sobolev constants that the
 theory only asserts to exist are accepted as user inputs, never computed.
 
-``CurvatureSpec``, ``eps_lg`` and ``varpi_family`` take a stack of
-models, as ``gaussian`` does: factors (..., d, d) give one constant or
-one family per model, each bitwise what that model alone gives.
+``CurvatureSpec``, ``eps_lg``, ``varpi_family``, ``proximal_rates`` and
+``proximal_crossover`` take a stack of models, as ``gaussian`` does:
+factors (..., d, d) give one constant or one family per model, each
+bitwise what that model alone gives.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
-from .gaussian import (GaussianMeasure, LinearGaussianKernel, bridge_factors, bridge_solve, gaussian_kl,
+from .gaussian import (GaussianMeasure, LinearGaussianKernel, _per_model, bridge_factors, bridge_solve, gaussian_kl,
                        gelbrich_w2, proximal_chain, sinkhorn_run)
 from .riccati import INFINITE, Sentinel
 
@@ -36,21 +37,33 @@ class CurvatureSpec:
 
     u_plus and v_plus bound the Hessians below (as u_plus^{-1}, v_plus^{-1});
     u_minus and v_minus bound them above, with ZERO meaning unbounded.
+    ``spectra`` holds, by name, the (w, q) that validated each SPD factor,
+    from which ``varpi_family``, ``xi_iota``, ``rate_table`` and
+    ``proximal_rates`` build roots and inverses.  ``held`` is init-only:
+    triples (matrix, w, q) of inputs validated already, as ``gaussian``
+    hands over its measures' covariances.
     """
 
     u_plus: np.ndarray
     v_plus: np.ndarray
     u_minus: object = ZERO
     v_minus: object = ZERO
+    held: InitVar[tuple] = ()
+    spectra: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        checked = {}  # each input validated once: ``gaussian`` passes u and v twice each
+    def __post_init__(self, held):
+        # each input validated once: ``gaussian`` passes u and v twice each, already validated
+        checked = {id(a): (a, w, q) for a, w, q in held}
+        spectra = {}
         for name in ("u_plus", "v_plus", "u_minus", "v_minus"):
             val = getattr(self, name)
             if not (is_zero(val) and name.endswith("minus")):  # only an upper factor may be ZERO
                 if id(val) not in checked:
-                    checked[id(val)] = spd.require_spd(spd.matrix(val))
-                object.__setattr__(self, name, checked[id(val)])
+                    checked[id(val)] = spd._spd_eigh(spd.matrix(val))
+                a, w, q = checked[id(val)]
+                object.__setattr__(self, name, a)
+                spectra[name] = (w, q)
+        object.__setattr__(self, "spectra", spectra)
         shapes = {f.shape for f in (self.u_plus, self.v_plus, self.u_minus, self.v_minus) if not is_zero(f)}
         if len(shapes) > 1:
             raise ShapeError(f"curvature factors disagree in shape: {sorted(shapes)}")
@@ -60,9 +73,13 @@ class CurvatureSpec:
         return self.u_plus.shape[-1]
 
     @classmethod
-    def gaussian(cls, u, v) -> "CurvatureSpec":
-        """Equality case: both curvature bounds equal the true covariances."""
-        return cls(u_plus=u, v_plus=v, u_minus=u, v_minus=v)
+    def gaussian(cls, mu: GaussianMeasure, eta: GaussianMeasure) -> "CurvatureSpec":
+        """Equality case: both curvature bounds equal the covariances of the marginals mu and eta.
+
+        The measures' held spectra are handed over, so nothing is decomposed.
+        """
+        u, v = mu.cov, eta.cov
+        return cls(u_plus=u, v_plus=v, u_minus=u, v_minus=v, held=((u, *mu.cov_spectrum), (v, *eta.cov_spectrum)))
 
 
 def eps_generic(kappa, rho1, rho2):
@@ -126,14 +143,14 @@ def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
     """
 
     def pair(u, v):
-        if is_zero(u) or is_zero(v):
+        if u not in spec.spectra or v not in spec.spectra:  # a ZERO factor
             return INFINITE, INFINITE
-        return bridge_factors(u, v, k.chi).spectra()
+        return bridge_factors(spec.spectra[u], spec.spectra[v], k.chi).spectra()
 
-    w0, w1_bar = pair(spec.u_plus, spec.v_minus)
+    w0, w1_bar = pair("u_plus", "v_minus")
     if spec.u_minus is spec.u_plus and spec.v_plus is spec.v_minus:
         return w0, w1_bar, w0, w1_bar
-    w0_bar, w1 = pair(spec.u_minus, spec.v_plus)
+    w0_bar, w1 = pair("u_minus", "v_plus")
     return w0, w1, w0_bar, w1_bar
 
 
@@ -185,13 +202,18 @@ def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
 
 def _norm_ratios(spec: CurvatureSpec, w0_bar, w1_bar):
     """The maps m -> ||f|| / ||f^{1/2} m f^{1/2}|| for f = v_plus (even) and f = u_plus (odd),
-    and ``xi_iota``'s iota: their larger value at the fixed points of w0_bar and w1_bar."""
+    and ``xi_iota``'s iota: their larger value at the fixed points of w0_bar and w1_bar.
 
-    def ratio(f):
-        half, norm = spd.principal_sqrt(f), spd.spectral_norm(f)
+    Each root is built from the spectrum that validated f, the one its
+    bridge in ``varpi_family`` is built from, so no factor is decomposed
+    again, whether or not a ZERO upper factor left its bridge unformed.
+    """
+
+    def ratio(name):
+        half, norm = spd._sqrt(*spec.spectra[name]), spd.spectral_norm(getattr(spec, name))
         return lambda m: norm / spd.spectral_norm(half @ m @ half)
 
-    even, odd = ratio(spec.v_plus), ratio(spec.u_plus)
+    even, odd = ratio("v_plus"), ratio("u_plus")
     iota = max(even(riccati.fixed_point_like(w0_bar, spec.dim)), odd(riccati.fixed_point_like(w1_bar, spec.dim)))
     return even, odd, float(iota)
 
@@ -247,19 +269,22 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
     )
 
 
-def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec) -> tuple[float, float]:
-    """Prefactor and per-step rate of the forward/backward Gibbs chain.
+def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
+    """Prefactor and per-step rate of the forward/backward Gibbs chain, per model of a stack.
 
     a = ||chi||^2 ||tau|| ||u_plus||; b replaces ||u_plus|| with
     ||(u_plus^{-1} + beta' tau^{-1} beta)^{-1}||, so b <= a always.  For
     beta = I, tau = t I and scalar u_plus, b = ||u_plus|| / (t + ||u_plus||).
+    u_plus^{-1} and tau^{-1} come from the spectra that validated them.
+    Floats for one model, arrays for a stack.
     """
     kappa2 = spd.spectral_norm(k.chi) ** 2
     ntau = spd.spectral_norm(k.tau)
     a = kappa2 * ntau * spd.spectral_norm(spec.u_plus)
-    resolvent = spd.sym_inv(spd.sym_inv(spec.u_plus) + k.beta.T @ spd.sym_inv(k.tau) @ k.beta)
+    beta_t = k.beta.swapaxes(-1, -2)
+    resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
     b = kappa2 * ntau * spd.spectral_norm(resolvent)
-    return float(a), float(b)
+    return _per_model(a), _per_model(b)
 
 
 def proximal_trace(nu, mu, k: LinearGaussianKernel, a: float, b: float, steps: int) -> list:
@@ -280,7 +305,8 @@ def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:
 
     For beta = I and diagonal tau = t I the exact algebra gives
         (1 + 1/eps)^{-1} < b^2   iff   (t/2) (1/||v_plus|| - 1/||u_plus||) > 1.
-    Returns both sides so callers can verify the equivalence.
+    Returns both sides so callers can verify the equivalence: floats and
+    bools for one model, one array entry per model for a stack.
     """
     eps = eps_lg(k, spec)
     _, b = proximal_rates(k, spec)
@@ -290,7 +316,7 @@ def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:
     return {
         "pair_rate": pair_rate,
         "proximal_rate_sq": b**2,
-        "pair_rate_below": bool(pair_rate < b**2),
-        "margin": float(margin),
-        "margin_above_one": bool(margin > 1.0),
+        "pair_rate_below": pair_rate < b**2,
+        "margin": margin,
+        "margin_above_one": margin > 1.0,
     }

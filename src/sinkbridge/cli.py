@@ -264,7 +264,7 @@ def _load_gaussian(args):
     mu, eta = (g.GaussianMeasure(**read_object(model[key], key, {"mean": (1, 0), "cov": (2, 0)}))
                for key in ("mu", "eta"))
     k = _kernel(model["kernel"])
-    spec = CurvatureSpec.gaussian(mu.cov, eta.cov) if model["spec"] is None else _spec(model["spec"])
+    spec = CurvatureSpec.gaussian(mu, eta) if model["spec"] is None else _spec(model["spec"])
     _check_dims(mu=mu, eta=eta, kernel=k, spec=spec)
     t_grid = _positive(model["t_grid"], "t_grid", 1).tolist()
     return mu, eta, k, spec, parse_count(model["n_max"], "n_max", 1), t_grid
@@ -324,8 +324,8 @@ def _load_discrete(args):
 
 def _discrete(model, n_sweeps, tol):
     trace = discrete.run(model, n_sweeps, tol=tol)
-    # resume from the trace's last even state instead of redoing its sweeps
-    oracle = discrete.bridge_oracle(model, start=trace.states[-2])
+    # continue the trace past its last sweep: no half-step is made twice
+    oracle = discrete.bridge_oracle(model, start=trace)
     rep = discrete.entropy_report(trace, oracle)
     n = np.arange(len(rep["H_pi2n_eta"]))
     # H_mu_pi2n1 is read one sweep back: its row 0 is a NaN placeholder, as pi_{-1} does not exist

@@ -480,6 +480,8 @@ class SinkhornTrace:
     h_mu_pi2n1: list = field(default_factory=list)  # entry n holds H(mu | pi_{2n+1})
     h_pi2n1_mu: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
+    # the even state after the final sweep, already computed there: a continuation starts from it
+    resume: SinkhornState | None = None
 
     @property
     def n_sweeps(self) -> int:
@@ -540,6 +542,7 @@ def run(
             trace.converged = True
             break
         state = following
+    trace.resume = following
 
     # each chain entry is one row sum of the _kl_terms (module docstring)
     w = model.grid.weights
@@ -567,13 +570,21 @@ def _kl_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return back, forward
 
 
-def bridge_oracle(model: DiscreteModel, max_sweeps: int = 100000, start: SinkhornState | None = None) -> SinkhornTrace:
+def bridge_oracle(model: DiscreteModel, max_sweeps: int = 100000,
+                  start: SinkhornState | SinkhornTrace | None = None) -> SinkhornTrace:
     """``run`` from ``start`` continued to ``ORACLE_TOL``, the reference for the bridge gaps.
 
     The reference coupling is the returned trace's ``states[-2]``, the
     state a cold start reaches unless it would stop before ``start``.
+    ``start`` may be a trace of ``run``: the oracle then continues it from
+    its ``resume`` state, so no half-step is made twice, and is the trace
+    itself when the trace's last residual is already below ``ORACLE_TOL``.
     Raises on non-convergence and on a non-finite residual.
     """
+    if isinstance(start, SinkhornTrace):
+        if start.residuals[-1] < ORACLE_TOL:
+            return start
+        start = start.resume
     trace = run(model, max_sweeps, ORACLE_TOL, start)
     if not trace.converged:
         raise DomainError(f"bridge oracle did not converge to {ORACLE_TOL} in {max_sweeps} sweeps")

@@ -48,12 +48,23 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianMeasure:
+    """N(mean, cov), or a stack of them.
+
+    ``cov_spectrum`` holds the (w, q) of cov that validated it; the
+    bridge's roots, ``sinkhorn_run``'s inverse of u, ``gaussian_kl``'s
+    inverse and ``gelbrich_w2``'s roots are built from it, so cov is
+    decomposed once.
+    """
+
     mean: np.ndarray
     cov: np.ndarray
+    cov_spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _finite(np.atleast_1d(np.asarray(self.mean, dtype=float)), "mean"))
-        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
+        cov, *spectrum = spd._spd_eigh(spd.matrix(self.cov))
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov_spectrum", tuple(spectrum))
         if self.mean.shape != self.cov.shape[:-1]:
             raise ShapeError(f"mean/cov mismatch: {self.mean.shape} vs {self.cov.shape}")
 
@@ -88,15 +99,15 @@ class LinearGaussianKernel:
             object.__setattr__(self, "tau", tau)
             if self.beta.shape[-1] != self.beta.shape[-2]:
                 raise ShapeError("beta must be square")
-            regular = np.linalg.cond(self.beta) < 1e12
+            regular = spd.condition_number(self.beta) < 1e12
             if not np.all(regular):
                 raise DomainError(f"beta{spd._failing_slice(regular)[1]} is singular or near-singular")
             if self.alpha.shape != self.beta.shape[:-1] or self.tau.shape != self.beta.shape:
                 raise ShapeError("alpha/beta/tau dimensions disagree")
         w, q = spectrum
         object.__setattr__(self, "tau_spectrum", (w, q))
-        # tau^{-1} from the spectrum that validated tau, as spd.sym_inv forms it
-        object.__setattr__(self, "chi", spd.symmetrize((q / w[..., None, :]) @ _t(q)) @ self.beta)
+        # tau^{-1} from the spectrum that validated tau
+        object.__setattr__(self, "chi", spd._inverse(w, q) @ self.beta)
 
     @property
     def dim(self) -> int:
@@ -183,13 +194,15 @@ def _congruent(a, w) -> np.ndarray:
 def bridge_factors(u, v, chi) -> BridgeFactors:
     """The one decomposition of a bridge between N(., u) and N(., v) through chi.
 
-    One validated eigh each of u and v and one SVD of v^{1/2} chi u^{1/2};
-    no inverse of u, v or a congruence is formed.  Raises DomainError when
+    u and v come as the validated spectra (w, q) that a ``GaussianMeasure``
+    or a ``bounds.CurvatureSpec`` holds, so their roots need no
+    decomposition; the one made here is the SVD of v^{1/2} chi u^{1/2}.
+    No inverse of u, v or a congruence is formed.  Raises DomainError when
     a singular value lies outside [1e-150, 1e150], where s^2 or s^{-2}
     would over- or underflow.
     """
-    u_half, u_ihalf = spd.sqrt_pair(u)
-    v_half, v_ihalf = spd.sqrt_pair(v)
+    u_half, u_ihalf = spd._sqrt_pair(*u)
+    v_half, v_ihalf = spd._sqrt_pair(*v)
     p, s, rt = np.linalg.svd(v_half @ chi @ u_half)
     return BridgeFactors(u_half, u_ihalf, v_half, v_ihalf, p, _in_double_range(s), _t(rt))
 
@@ -262,7 +275,7 @@ class GaussianBridge:
 def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel) -> GaussianBridge:
     """Closed-form bridge between two Gaussians for a linear-Gaussian channel, decomposed once."""
     _check_model(mu, eta, k)
-    return GaussianBridge(mu, eta, k, bridge_factors(mu.cov, eta.cov, k.chi))
+    return GaussianBridge(mu, eta, k, bridge_factors(mu.cov_spectrum, eta.cov_spectrum, k.chi))
 
 
 def push_through(p: GaussianMeasure, f: AffineGaussianMap) -> GaussianMeasure:
@@ -300,8 +313,8 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     m, mbar = mu.mean, eta.mean
     chi = k.chi
 
-    # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
-    tau_odd = spd.sym_inv(spd.sym_inv(u) + _t(chi) @ k.tau @ chi)
+    # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate, u^{-1} from mu's spectrum
+    tau_odd = spd.sym_inv(spd._inverse(*mu.cov_spectrum) + _t(chi) @ k.tau @ chi)
     # the rescaled covariance flows do not depend on the means: one Riccati
     # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
     # the SVD gave; both starts are congruences of SPD matrices
@@ -403,15 +416,15 @@ def _per_model(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def gaussian_kl(p, q):
-    """Relative entropy between two Gaussians, each given by its ``mean`` and ``cov``.
+def gaussian_kl(p: GaussianMeasure, q: GaussianMeasure):
+    """Relative entropy between two Gaussians; q's inverse comes from its held spectrum.
 
     Either side may be a stack against one measure on the other, whose
     inverse and log-determinant are then made once; the result is a float
     for one pair and one value per model for a stack.
     """
     _pair_dims(p, q)
-    q_inv = spd.sym_inv(q.cov)
+    q_inv = spd._inverse(*q.cov_spectrum)
     dm = (p.mean - q.mean)[..., None, :]
     _, ld_p = np.linalg.slogdet(p.cov)
     _, ld_q = np.linalg.slogdet(q.cov)
@@ -424,14 +437,15 @@ def gelbrich_w2(p: GaussianMeasure, q: GaussianMeasure):
     """2-Wasserstein distance between Gaussians in closed form.
 
     Either side may be a stack against one measure on the other, whose
-    root is then taken once; a float for one pair, one value per model for a stack.
+    root is then taken once; a float for one pair, one value per model for
+    a stack.  Both roots come from the measures' held spectra.
     """
     _pair_dims(p, q)
     # the covariance part tr(p + q - 2 (p^{1/2} q p^{1/2})^{1/2}) equals
     # ||p^{1/2} - q^{1/2} V W'||_F^2 for the SVD W S V' of p^{1/2} q^{1/2}:
     # a sum of squares, so it cannot cancel below round-off
-    p_half = spd.principal_sqrt(p.cov)
-    q_half = spd.principal_sqrt(q.cov)
+    p_half = spd._sqrt(*p.cov_spectrum)
+    q_half = spd._sqrt(*q.cov_spectrum)
     w, _, vt = np.linalg.svd(p_half @ q_half)
     diff = p_half - q_half @ _t(vt) @ _t(w)
     return _per_model(np.sqrt(np.sum((p.mean - q.mean) ** 2, axis=-1) + np.sum(diff**2, axis=(-2, -1))))

@@ -291,11 +291,11 @@ def psi_map(gamma, v) -> np.ndarray:
     psi_map(g, psi_map(g', v)) == ricc_map((g g')^{-1}, v).
     """
     gamma = spd.square(gamma)
-    # checked before np.linalg.cond, whose SVD raises LinAlgError on a non-finite entry
+    # checked before the condition number, whose SVD raises LinAlgError on a non-finite entry
     finite = np.isfinite(gamma).all(axis=(-2, -1))
     if not np.all(finite):
         raise DomainError(f"gamma{spd._failing_slice(finite)[1]} has a non-finite entry")
-    ok = np.linalg.cond(gamma) <= 1e12
+    ok = spd.condition_number(gamma) <= 1e12
     if not np.all(ok):
         raise DomainError(f"gamma{spd._failing_slice(ok)[1]} is singular or near-singular")
     v = spd.clamp_psd(v)

@@ -12,7 +12,24 @@ free, so there are no unchecked twins of these functions: a second,
 unvalidated path per primitive would buy little speed and let a non-SPD
 input through silently.
 
-``matrix``, ``square``, ``symmetrize``, ``spectral_norm``, ``clamp_psd``,
+Norms and condition numbers come from singular values.  ``spectral_norm``
+is the first of the descending values of one ``svd(compute_uv=False)``,
+and ``condition_number`` divides that first value by the last: the same
+LAPACK call ``np.linalg.norm(a, 2)`` and ``np.linalg.cond`` make, with
+bitwise the same result, without their wrappers.  The Loewner tests read
+their noise scale ||b - a|| off the eigenvalues of b - a they already
+compute, as its spectral radius.
+
+A validated input carries its decomposition.  ``_spd_eigh`` returns the
+(w, q) that validated a matrix, and ``gaussian.GaussianMeasure``,
+``gaussian.LinearGaussianKernel`` and ``bounds.CurvatureSpec`` hold it.
+``_inverse``, ``_sqrt`` and ``_sqrt_pair`` build an inverse or a root
+from a held (w, q), by the same arithmetic as ``sym_inv``,
+``principal_sqrt`` and ``sqrt_pair`` use after their own decomposition,
+so a validated input is not decomposed again.
+
+``matrix``, ``square``, ``symmetrize``, ``spectral_norm``,
+``condition_number``, ``clamp_psd``,
 ``require_spd``, ``sym_inv``, ``principal_sqrt``, ``sqrt_pair``,
 ``loewner_leq`` and ``loewner_lt`` take a stack (..., d, d) as well as
 one matrix, and make one batched LAPACK call for the whole stack.  Each
@@ -59,8 +76,22 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 def spectral_norm(a):
     """Largest singular value: a float for one matrix, an array for a stack."""
-    norm = np.linalg.norm(np.atleast_2d(a), 2, axis=(-2, -1))
+    norm = np.linalg.svd(np.atleast_2d(a), compute_uv=False)[..., 0]
     return float(norm) if norm.ndim == 0 else norm
+
+
+def condition_number(a):
+    """s_max / s_min of a finite matrix, or of each in a stack, as ``np.linalg.cond`` gives it.
+
+    A singular matrix reads inf, and so does a null one, whose 0 / 0 is
+    NaN: a gate ``condition_number(a) < bound`` rejects both.  A float for
+    one matrix, an array for a stack.
+    """
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    cond = np.where(np.isnan(cond), np.inf, cond)  # the input is finite, so a NaN is 0 / 0
+    return float(cond) if cond.ndim == 0 else cond
 
 
 def eig_range(a) -> tuple[float, float]:
@@ -148,33 +179,50 @@ def require_spd(a) -> np.ndarray:
     return _spd_eigh(a)[0]
 
 
-def sym_inv(a) -> np.ndarray:
-    """Inverse of an SPD matrix, or of each in a stack, via eigendecomposition; preserves symmetry exactly."""
-    _, w, u = _spd_eigh(a)
+def _inverse(w, u) -> np.ndarray:
+    """u diag(1/w) u' from a validated spectrum (w, u): the inverse ``sym_inv`` forms."""
     return symmetrize((u / w[..., None, :]) @ u.swapaxes(-1, -2))
 
 
-def principal_sqrt(a) -> np.ndarray:
-    """Principal symmetric square root of an SPD matrix, or of each in a stack."""
-    _, w, u = _spd_eigh(a)
+def _sqrt(w, u) -> np.ndarray:
+    """u diag(w^{1/2}) u' from a validated spectrum (w, u): the root ``principal_sqrt`` forms."""
     return symmetrize((u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2))
 
 
-def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of an SPD matrix, or of each in a stack, and its inverse, from one decomposition."""
-    _, w, u = _spd_eigh(a)
+def _sqrt_pair(w, u) -> tuple[np.ndarray, np.ndarray]:
+    """The root and inverse root from a validated spectrum (w, u): the pair ``sqrt_pair`` forms."""
     root = np.sqrt(w)[..., None, :]
     ut = u.swapaxes(-1, -2)
     return symmetrize((u * root) @ ut), symmetrize((u / root) @ ut)
 
 
+def sym_inv(a) -> np.ndarray:
+    """Inverse of an SPD matrix, or of each in a stack, via eigendecomposition; preserves symmetry exactly."""
+    return _inverse(*_spd_eigh(a)[1:])
+
+
+def principal_sqrt(a) -> np.ndarray:
+    """Principal symmetric square root of an SPD matrix, or of each in a stack."""
+    return _sqrt(*_spd_eigh(a)[1:])
+
+
+def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
+    """Principal square root of an SPD matrix, or of each in a stack, and its inverse, from one decomposition."""
+    return _sqrt_pair(*_spd_eigh(a)[1:])
+
+
 def _loewner_gap(a, b):
-    """eig_min(b - a) and the noise scale 1 + ||b - a|| of two matrices, or of each pair of slices."""
+    """eig_min(b - a) and the noise scale 1 + ||b - a|| of two matrices, or of each pair of slices.
+
+    b - a is symmetric, so its norm is its spectral radius max(-w_0, w_max),
+    read off the one ``eigvalsh`` that gives eig_min.
+    """
     a = symmetrize(a)
     b = symmetrize(b)
     check_same_dim(a, b)
-    diff = b - a
-    return np.linalg.eigvalsh(diff)[..., 0], 1.0 + spectral_norm(diff)
+    w = np.linalg.eigvalsh(b - a)
+    lo = w[..., 0]
+    return lo, 1.0 + np.maximum(-lo, w[..., -1])
 
 
 def _verdict(ok):

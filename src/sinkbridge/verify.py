@@ -221,7 +221,7 @@ def _envelopes(mu, eta, k, gaps):
     ``gaps`` is (n, ...) for a stack of models (mu, eta, k), one column per
     model; each column's envelopes are ``bounds.entropy_envelopes``' Python-scalar ones.
     """
-    eps = np.asarray(bounds.eps_lg(k, CurvatureSpec.gaussian(mu.cov, eta.cov)))
+    eps = np.asarray(bounds.eps_lg(k, CurvatureSpec.gaussian(mu, eta)))
     pair, improved = np.empty_like(gaps), np.empty_like(gaps)
     for j in np.ndindex(eps.shape):
         column = (slice(None), *j)
@@ -287,7 +287,7 @@ def criterion_entropic_map_identities(seed=0):
         )
         # equality case: both two-sided bound families collapse onto the
         # gradient; the fixed points come from the family's bridge spectra
-        w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu.cov, eta.cov))
+        w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu, eta))
         v_half, u_half = bridge.factors.v_half, bridge.factors.u_half
         for w in (w0, w0b):
             bound = chi_t @ v_half @ riccati.fixed_point(w) @ v_half @ chi
@@ -330,15 +330,13 @@ def criterion_proximal_sampler(seed=0):
     decay_ok = all(w2 <= w2_env + 1e-13 and kl <= kl_env + 1e-13 for w2, w2_env, kl, kl_env in rows)
 
     # crossover: the rate comparison must match the exact margin predicate on
-    # both sides of the asymmetric-curvature boundary and for both outcomes
-    crossover_ok = True
-    outcomes = set()
-    for t, up, vp in [(1.0, 2.0, 1.0), (1.0, 1.0, 2.0), (10.0, 2.0, 1.0), (10.0, 1.0, 2.0)]:
-        spec_x = CurvatureSpec(u_plus=[[up]], v_plus=[[vp]])
-        out = bounds.proximal_crossover(k.rescaled(t), spec_x)
-        crossover_ok = crossover_ok and out["pair_rate_below"] == out["margin_above_one"]
-        outcomes.add(out["pair_rate_below"])
-    crossover_ok = crossover_ok and outcomes == {True, False}
+    # both sides of the asymmetric-curvature boundary and for both outcomes;
+    # the four cases (t, u_plus, v_plus) are one stack of 1-d models, k with noise t
+    t, up, vp = np.array([(1.0, 2.0, 1.0), (1.0, 1.0, 2.0), (10.0, 2.0, 1.0), (10.0, 1.0, 2.0)]).T.reshape(3, -1, 1, 1)
+    k_x = g.LinearGaussianKernel(np.zeros((len(t), 1)), np.ones_like(t), t)
+    out = bounds.proximal_crossover(k_x, CurvatureSpec(u_plus=up, v_plus=vp))
+    crossover_ok = bool(np.all(out["pair_rate_below"] == out["margin_above_one"]))
+    crossover_ok = crossover_ok and set(out["pair_rate_below"].tolist()) == {True, False}
     passed = rates_ok and decay_ok and crossover_ok
     return {
         "passed": bool(passed),
@@ -372,7 +370,7 @@ def criterion_discrete_sinkhorn(seed=0):
     min_entry = np.inf
     for name, model in _desk_models().items():
         trace = discrete.run(model, 300, tol=1e-11)
-        oracle = discrete.bridge_oracle(model, start=trace.states[-2])
+        oracle = discrete.bridge_oracle(model, start=trace)
         rep = discrete.entropy_report(trace, oracle)
         ref = discrete.plan_log_density(oracle.states[-2])
         w = model.grid.weights

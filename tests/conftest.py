@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from sinkbridge import discrete, models
+from sinkbridge import discrete, models, spd
 
 
 @pytest.fixture
@@ -24,8 +24,8 @@ def hard_zero_target_model():
 def decompositions(monkeypatch):
     """Counts of numpy eigh, eigvalsh, svd, solve, qr and slogdet calls made while the test runs.
 
-    ``svd`` counts every SVD, ``norm_svd`` the share that spectral norms make.
-    A batched call on a stack counts once.
+    ``svd`` counts every SVD, ``norm_svd`` the share that ``spd.spectral_norm``
+    and ``spd.condition_number`` make.  A batched call on a stack counts once.
     """
     counts = collections.Counter()
 
@@ -38,7 +38,7 @@ def decompositions(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "solve", "qr", "slogdet"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    # np.linalg.norm(a, 2) reaches svd through the implementation module;
-    # those calls count as svd and, on their own, as norm_svd
-    monkeypatch.setattr(np.linalg._linalg, "svd", counting("svd", counting("norm_svd", np.linalg._linalg.svd)))
+    # the spd helpers call np.linalg.svd, counted as svd above; each call of theirs is one norm_svd too
+    for name in ("spectral_norm", "condition_number"):
+        monkeypatch.setattr(spd, name, counting("norm_svd", getattr(spd, name)))
     return counts

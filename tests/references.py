@@ -32,18 +32,20 @@ def model_slice(model, j):
             g.LinearGaussianKernel(k.alpha[j], k.beta[j], k.tau[j]))
 
 
-@dataclass(frozen=True)
-class JointGaussian:
-    """Gaussian law on pairs (x, y); mean has length 2d."""
+def loewner_gap_svd(a, b):
+    """``spd._loewner_gap`` with its noise scale 1 + ||b - a|| from an SVD norm, a second decomposition of b - a."""
+    diff = spd.symmetrize(b) - spd.symmetrize(a)
+    return np.linalg.eigvalsh(diff)[..., 0], 1.0 + np.linalg.norm(diff, 2, axis=(-2, -1))
 
-    mean: np.ndarray
-    cov: np.ndarray
+
+@dataclass(frozen=True)
+class JointGaussian(g.GaussianMeasure):
+    """Gaussian law on pairs (x, y); mean has length 2d.  A ``GaussianMeasure``, so ``gaussian_kl`` takes it."""
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", spd.require_spd(spd.matrix(self.cov)))
-        if self.mean.shape[0] != self.cov.shape[0] or self.mean.shape[0] % 2:
-            raise ShapeError("joint mean must have even length matching cov")
+        super().__post_init__()
+        if self.mean.shape[0] % 2:
+            raise ShapeError("joint mean must have even length")
 
     @property
     def dim(self) -> int:

@@ -10,8 +10,9 @@ import inspect
 import numpy as np
 import pytest
 
-from sinkbridge import bounds, discrete, models, riccati, verify
+from sinkbridge import bounds, discrete, models, riccati, spd, verify
 from sinkbridge import gaussian as g
+from sinkbridge.bounds import CurvatureSpec
 
 
 def _criterion(name):
@@ -306,6 +307,42 @@ def test_criteria_4_to_6_decompose_once_per_dimension(criterion, offset, decompo
 
 
 @pytest.mark.parametrize("n_models", [10, 30])
+@pytest.mark.parametrize("criterion", [
+    verify.criterion_bridge_vs_sinkhorn, verify.criterion_improved_rate, verify.criterion_entropic_map_identities,
+    verify.criterion_ot_limit, verify.criterion_proximal_sampler,
+], ids=["4", "5", "6", "7", "8"])
+def test_criteria_4_to_8_decompose_no_validated_input_again(criterion, n_models, monkeypatch):
+    """No eigh of a covariance, noise or curvature factor a constructor has validated and holds.
+
+    Every SPD decomposition goes through spd._spd_eigh or spd.clamp_psd;
+    each call's input is compared by identity with the arrays that
+    GaussianMeasure, LinearGaussianKernel and CurvatureSpec hold.
+    """
+    held = []
+
+    def holding(cls, names):
+        post_init = cls.__post_init__
+
+        def recorded(self, *args):
+            post_init(self, *args)
+            held.extend(x for x in (getattr(self, name) for name in names) if isinstance(x, np.ndarray))
+
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+
+    holding(g.GaussianMeasure, ("cov",))
+    holding(g.LinearGaussianKernel, ("tau",))
+    holding(CurvatureSpec, ("u_plus", "v_plus", "u_minus", "v_minus"))
+    again = collections.Counter()
+    for name in ("_spd_eigh", "clamp_psd"):
+        fn = getattr(spd, name)
+        monkeypatch.setattr(spd, name, lambda a, _fn=fn: again.update([any(a is x for x in held)]) or _fn(a))
+    draw = verify._gaussian_models
+    monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
+    assert criterion(seed=0)["passed"]
+    assert again[False] > 0 and again[True] == 0
+
+
+@pytest.mark.parametrize("n_models", [10, 30])
 def test_gaussian_models_validate_once_per_dimension(n_models, decompositions):
     # per dimension stack: one eigh each for mu's, eta's and tau's covariances and one SVD for cond(beta)
     # and one QR for the three eigenbases
@@ -343,7 +380,8 @@ def test_spd_family_and_psi_cases_take_one_qr_per_dimension(seed, decompositions
 
 def test_criterion_08_decomposes_alike_for_any_number_of_steps(decompositions):
     # the chain's gain, backward covariance and stacked marginals, and one W2 and
-    # one KL call for all the rows: as many decompositions at 40 steps as at 20
+    # one KL call for all the rows: as many decompositions at 40 steps as at 20.
+    # W2's roots and KL's inverse come from the measures' held spectra
     mu, nu = g.GaussianMeasure([0.0], [[1.0]]), g.GaussianMeasure([3.0], [[2.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
 
@@ -354,7 +392,7 @@ def test_criterion_08_decomposes_alike_for_any_number_of_steps(decompositions):
 
     twenty = counted(20)
     assert counted(40) == twenty
-    assert twenty == {"eigh": 6, "svd": 1, "slogdet": 2}
+    assert twenty == {"eigh": 3, "svd": 1, "slogdet": 2}
 
 
 def _thrice(family):

@@ -10,6 +10,11 @@ from sinkbridge.bounds import ZERO, CurvatureSpec
 from sinkbridge.errors import DomainError
 
 
+def gaussian_spec(u, v):
+    """``CurvatureSpec.gaussian`` of the centred Gaussians with covariances u and v."""
+    return CurvatureSpec.gaussian(*(g.GaussianMeasure(np.zeros(np.shape(c)[:-1]), c) for c in (u, v)))
+
+
 def kernel_ti(t, d=1):
     return g.LinearGaussianKernel(np.zeros(d), np.eye(d), t * np.eye(d))
 
@@ -53,7 +58,7 @@ def test_kappa_from_kernel():
 
 
 def test_eps_lg_values():
-    spec = CurvatureSpec.gaussian(np.eye(1), np.eye(1))
+    spec = gaussian_spec(np.eye(1), np.eye(1))
     assert abs(bounds.eps_lg(kernel_ti(1.0), spec) - 1.0) < 1e-12
     assert abs(bounds.eps_lg(kernel_ti(10.0), spec) - 0.01) < 1e-14
     vals = [bounds.eps_lg(kernel_ti(t), spec) for t in [0.1, 1.0, 10.0, 100.0, 1000.0]]
@@ -91,7 +96,7 @@ def dense(w):
 
 
 def test_varpi_family_gaussian_equality_identity_model():
-    spec = CurvatureSpec.gaussian(np.eye(2), np.eye(2))
+    spec = gaussian_spec(np.eye(2), np.eye(2))
     family = bounds.varpi_family(kernel_ti(1.0, 2), spec)
     for w in family:
         assert np.allclose(dense(w), np.eye(2), atol=1e-12)
@@ -127,7 +132,7 @@ def test_varpi_family_matches_gaussian_module():
     # both functions come from one decomposition; the dense congruence formula checks them
     w0_ref, w1_ref = dense_varpi(k.chi, u, v), dense_varpi(k.chi.T, v, u)
     w0g, w1g = varpi_pair(mu, eta, k)
-    w0, w1, w0b, w1b = map(dense, bounds.varpi_family(k, CurvatureSpec.gaussian(u, v)))
+    w0, w1, w0b, w1b = map(dense, bounds.varpi_family(k, gaussian_spec(u, v)))
     for w, ref in ((w0g, w0_ref), (w0, w0_ref), (w0b, w0_ref), (w1g, w1_ref), (w1, w1_ref), (w1b, w1_ref)):
         assert np.linalg.norm(w - ref, 2) < 1e-10 * spd.spectral_norm(ref)
 
@@ -142,7 +147,7 @@ def test_varpi_family_equality_case_decomposes_once(monkeypatch):
     calls = []
     bridge_factors = bounds.bridge_factors
     monkeypatch.setattr(bounds, "bridge_factors", lambda *a: calls.append(a) or bridge_factors(*a))
-    family = bounds.varpi_family(k, CurvatureSpec.gaussian(u, v))
+    family = bounds.varpi_family(k, gaussian_spec(u, v))
     assert len(calls) == 1
     copies = bounds.varpi_family(k, CurvatureSpec(u_plus=u, v_plus=v, u_minus=u.copy(), v_minus=v.copy()))
     assert len(calls) == 3
@@ -196,11 +201,16 @@ def test_rate_table_makes_only_the_bridge_decompositions(decompositions, monkeyp
 
 @pytest.mark.parametrize("p", [1, 5])
 def test_rate_table_runs_no_correction_sequence(decompositions, p):
-    """iota needs only the two fixed points, so no Riccati iterate runs, whatever p is."""
+    """iota needs only the two fixed points, so no Riccati iterate runs, whatever p is.
+
+    The one eigh is of proximal_rates' resolvent: the bridges, roots and
+    inverses of the curvature factors and tau come from the spectra that
+    validated them.
+    """
     k, spec = random_two_sided(23)
     decompositions.clear()
     rep = bounds.rate_table(k, spec, 6, p=p)
-    assert (decompositions["solve"], decompositions["eigh"], decompositions["norm_svd"]) == (0, 9, 11)
+    assert (decompositions["solve"], decompositions["eigh"], decompositions["norm_svd"]) == (0, 1, 11)
     assert rep.scalars["iota"]["value"] == bounds.xi_iota(k, spec, p)[2]
 
 
@@ -214,7 +224,7 @@ def ill_conditioned_bridge(d, cond):
     """Gaussian-equality curvature whose flow parameters varpi have condition number ~cond^2."""
     beta = np.eye(d) + 0.1 * np.random.default_rng(5).standard_normal((d, d))
     k = g.LinearGaussianKernel(np.zeros(d), beta, np.eye(d))
-    return k, CurvatureSpec.gaussian(log_spectrum_spd(d, cond, 0), log_spectrum_spd(d, cond, 1))
+    return k, gaussian_spec(log_spectrum_spd(d, cond, 0), log_spectrum_spd(d, cond, 1))
 
 
 @pytest.mark.parametrize("d, cond", [(16, 1e7), (32, 1e8), (64, 1e8)])
@@ -249,7 +259,7 @@ def test_curvature_flow_equality_case_matches_sinkhorn():
     mu = g.GaussianMeasure(np.zeros(2), u)
     eta = g.GaussianMeasure(np.zeros(2), v)
     k = g.LinearGaussianKernel(np.zeros(2), np.eye(2), 0.7 * np.eye(2))
-    spec = CurvatureSpec.gaussian(u, v)
+    spec = gaussian_spec(u, v)
     sigma, tau = bounds.curvature_flow(k, spec, 8)
     states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8)
     for s in states:
@@ -346,7 +356,7 @@ def test_xi_iota_zero_case():
 
 
 def test_xi_iota_gaussian_equality_scalar():
-    spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
+    spec = gaussian_spec([[1.0]], [[1.0]])
     k = kernel_ti(1.0)
     _, _, iota = bounds.xi_iota(k, spec, 4)
     r = riccati.fixed_point(np.array([[1.0]]))[0, 0]
@@ -370,7 +380,7 @@ def test_xi_monotone_and_bounded_by_iota():
 
 
 def test_rate_table_napkin_numbers():
-    spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
+    spec = gaussian_spec([[1.0]], [[1.0]])
     rep = bounds.rate_table(kernel_ti(1.0), spec, 10)
     assert abs(rep.scalars["pair_rate"]["value"] - 0.5) < 1e-12
     assert abs(rep.scalars["phi_rate_squared"]["value"] - 0.381966) < 1e-6
@@ -383,7 +393,7 @@ def test_rate_table_napkin_numbers():
 @pytest.mark.parametrize("beta, eps", [(1e8, 1e16), (1e10, 1e20)])
 def test_rate_table_strict_ordering_past_rounding(beta, eps):
     # both rates round to 1.0 here; the ordering is read from phi (2 + phi) > 1/eps
-    spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
+    spec = gaussian_spec([[1.0]], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[beta]], [[1.0]])
     rep = bounds.rate_table(k, spec, 3)
     assert rep.scalars["eps"]["value"] == eps
@@ -404,7 +414,7 @@ def test_rate_table_dominates_empirical_gaussian_decay():
     mu = g.GaussianMeasure(np.zeros(2), u)
     eta = g.GaussianMeasure([0.4, -0.2], v)
     k = kernel_ti(1.0, 2)
-    spec = CurvatureSpec.gaussian(u, v)
+    spec = gaussian_spec(u, v)
     bridge = g.bridge_solve(mu, eta, k)
     states = g.sinkhorn_run(bridge, 12)
     gaps = g.bridge_gaps(bridge, states)
@@ -460,8 +470,46 @@ def test_proximal_crossover_exact_equivalence():
     assert seen == {True, False}
 
 
+def test_stacked_proximal_rates_and_crossover_equal_per_model_calls():
+    """A stack of models gives, per model, bitwise the floats and bools of that model alone.
+
+    The 1-d stack is criterion 8's four cases, each alone on kernel_ti(t);
+    the 3-d stack has correlated beta, tau and u_plus.
+    """
+    t, up, vp = np.array([(1.0, 2.0, 1.0), (1.0, 1.0, 2.0), (10.0, 2.0, 1.0), (10.0, 1.0, 2.0)]).T.reshape(3, -1, 1, 1)
+    singles = [(kernel_ti(float(t[j, 0, 0])), CurvatureSpec(u_plus=up[j], v_plus=vp[j])) for j in range(4)]
+    stacks = [(g.LinearGaussianKernel(np.zeros((4, 1)), np.ones_like(t), t), CurvatureSpec(u_plus=up, v_plus=vp))]
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 4, 3, 3)))
+    tau, u, v = g._congruent(q, rng.uniform(0.3, 3.0, (3, 4, 3)))
+    beta = np.eye(3) + 0.3 * rng.standard_normal((4, 3, 3))
+    stacks.append((g.LinearGaussianKernel(np.zeros((4, 3)), beta, tau), CurvatureSpec(u_plus=u, v_plus=v)))
+    singles += [(g.LinearGaussianKernel(np.zeros(3), beta[j], tau[j]), CurvatureSpec(u_plus=u[j], v_plus=v[j]))
+                for j in range(4)]
+    for i, (k, spec) in enumerate(stacks):
+        rates, crossover = bounds.proximal_rates(k, spec), bounds.proximal_crossover(k, spec)
+        for j, (k1, spec1) in enumerate(singles[4 * i: 4 * i + 4]):
+            assert tuple(x[j] for x in rates) == bounds.proximal_rates(k1, spec1)
+            assert {key: x[j] for key, x in crossover.items()} == bounds.proximal_crossover(k1, spec1)
+
+
+def test_rate_table_builds_roots_and_inverses_from_held_spectra(decompositions):
+    """With ZERO upper factors no bridge gives v_plus's or u_plus's root; the held spectra still do.
+
+    The one eigh left is of proximal_rates' resolvent, as with four SPD factors.
+    """
+    k, spec = random_two_sided(23)
+    flat = CurvatureSpec(u_plus=spec.u_plus, v_plus=spec.v_plus)
+    decompositions.clear()
+    rep = bounds.rate_table(k, flat, 6)
+    assert decompositions["eigh"] == 1
+    iota = max(spd.spectral_norm(f) / spd.spectral_norm(spd.principal_sqrt(f) @ spd.principal_sqrt(f))
+               for f in (flat.u_plus, flat.v_plus))
+    assert rep.scalars["iota"]["value"] == iota
+
+
 def test_bound_report_serialization_roundtrip(tmp_path):
-    spec = CurvatureSpec.gaussian([[1.0]], [[1.0]])
+    spec = gaussian_spec([[1.0]], [[1.0]])
     rep = bounds.rate_table(kernel_ti(1.0), spec, 3)
     assert rep.scalars["eps"] == {"value": 1.0, "tag": "contraction-coefficient"}
     assert len(rep.envelopes) == 3 * 4

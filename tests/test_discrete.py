@@ -450,6 +450,31 @@ def test_resumed_oracle_equals_cold_oracle():
         discrete.bridge_oracle(model, start=trace.states[-1])
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-14])
+def test_oracle_continues_a_run_without_repeating_a_kernel_pass(tol, monkeypatch, hard_zero_target_model):
+    """Each kernel pass makes the next state from state 0 on, so n + 1 passes reach state n with none repeated.
+
+    The oracle continues the trace from the even state its final sweep
+    made; a run already below ORACLE_TOL (tol 1e-14) is its own oracle.
+    Both give bitwise the report and reference of an oracle restarted at
+    the trace's last even state.
+    """
+    passes = []
+    kernel_pass = discrete._kernel_pass
+    monkeypatch.setattr(discrete, "_kernel_pass", lambda *a: passes.append(a) or kernel_pass(*a))
+    for model in [*verify._desk_models().values(), hard_zero_target_model]:
+        passes.clear()
+        trace = discrete.run(model, 300, tol=tol)
+        oracle = discrete.bridge_oracle(model, start=trace)
+        assert trace.converged and (oracle is trace) == (tol < discrete.ORACLE_TOL)
+        assert oracle.states[0].n == (0 if oracle is trace else trace.states[-1].n + 1)
+        assert len(passes) == oracle.resume.n + 1
+        restarted = discrete.bridge_oracle(model, start=trace.states[-2])
+        assert discrete.entropy_report(trace, oracle) == discrete.entropy_report(trace, restarted)
+        assert np.array_equal(discrete.plan_log_density(oracle.states[-2]),
+                              discrete.plan_log_density(restarted.states[-2]))
+
+
 def test_hard_zero_target_converges_on_its_support(hard_zero_target_model):
     model = hard_zero_target_model
     assert np.isinf(model.v_pot).any()

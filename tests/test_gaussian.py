@@ -471,7 +471,7 @@ def test_a_stacked_model_names_its_failing_slice(part):
     make = {
         "measure": lambda: g.GaussianMeasure(m, u),
         "kernel": lambda: g.LinearGaussianKernel(alpha, beta, tau),
-        "spec": lambda: CurvatureSpec.gaussian(v, u),
+        "spec": lambda: CurvatureSpec(u_plus=v, v_plus=u),
     }[part]
     with pytest.raises(DomainError, match="matrix 2 of the stack is not SPD"):
         make()
@@ -494,7 +494,7 @@ def test_a_stacked_model_needs_one_batch_shape():
     with pytest.raises(ShapeError):
         g.LinearGaussianKernel(alpha, beta, tau[:3])
     with pytest.raises(ShapeError):
-        CurvatureSpec.gaussian(u[:3], v)
+        CurvatureSpec(u_plus=u[:3], v_plus=v)
     mu, eta, k = g.GaussianMeasure(m, u), g.GaussianMeasure(mbar, v), g.LinearGaussianKernel(alpha, beta, tau)
     one_kernel = g.LinearGaussianKernel(alpha[0], beta[0], tau[0])
     for parts in ((g.GaussianMeasure(m[:3], u[:3]), eta, k), (mu, eta, one_kernel)):

@@ -11,7 +11,9 @@ must be >= 0 and meet a 60-digit evaluation.  A stack of Gaussian models
 must give bitwise what each of its models gives alone, and so must a
 stack of Gaussians against one, the proximal chain against its step loop,
 the batched draws of verify against per-matrix ones and criterion 9's
-stacked dense entropies against per-state ones.  The CLI's table renderer
+stacked dense entropies against per-state ones.  ``spd``'s norm and
+condition number must equal numpy's bitwise, and the Loewner tests must
+give the verdicts of an SVD noise scale on criterion 1's stacks.  The CLI's table renderer
 must refuse exactly the tables with a non-finite cell that no mask
 declares, and every cell it writes must parse back to its double.
 """
@@ -22,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from references import (model_slice, plan_log_density_one, proximal_trace_steps, psi_cases_per_matrix,
-                        relative_entropy_one, riccati_steps, spd_family_per_matrix)
+from references import (loewner_gap_svd, model_slice, plan_log_density_one, proximal_trace_steps,
+                        psi_cases_per_matrix, relative_entropy_one, riccati_steps, spd_family_per_matrix)
 from sinkbridge import bounds, cli, discrete, riccati, spd, verify
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import CurvatureSpec
@@ -126,7 +128,7 @@ def test_bridge_solves_to_round_off_or_raises_domain_error(problem):
 @given(curvature_problems())
 def test_rate_table_constants_are_finite_and_in_range(problem):
     mu, eta, k = problem
-    rep = bounds.rate_table(k, CurvatureSpec.gaussian(mu.cov, eta.cov), 4, p=2)
+    rep = bounds.rate_table(k, CurvatureSpec.gaussian(mu, eta), 4, p=2)
     values = {name: s["value"] for name, s in rep.scalars.items()}
     assert all(np.isfinite(float(v)) for v in values.values())
     assert values["iota"] >= 1.0
@@ -166,7 +168,7 @@ def test_a_stacked_bridge_equals_its_models_bitwise(stack, n_pairs):
     bridge = g.bridge_solve(mu, eta, k)
     states = g.sinkhorn_run(bridge, n_pairs)
     gaps = g.bridge_gaps(bridge, states)
-    spec = CurvatureSpec.gaussian(mu.cov, eta.cov)
+    spec = CurvatureSpec.gaussian(mu, eta)
     eps, family = bounds.eps_lg(k, spec), bounds.varpi_family(k, spec)
     maps = (bridge.forward, bridge.backward())
     assert gaps.shape == (2 * n_pairs + 2, len(mu.mean))
@@ -174,7 +176,7 @@ def test_a_stacked_bridge_equals_its_models_bitwise(stack, n_pairs):
         mu1, eta1, k1 = model_slice(stack, j)
         one = g.bridge_solve(mu1, eta1, k1)
         one_states = g.sinkhorn_run(one, n_pairs)
-        spec1 = CurvatureSpec.gaussian(mu1.cov, eta1.cov)
+        spec1 = CurvatureSpec.gaussian(mu1, eta1)
         assert same((x[j] for x in bridge.factors), one.factors)
         for s, s1 in zip(states, one_states):
             assert same((x[j] for x in (s.tau_n, s.m_n, s.sigma_pi_n, s.delta, s.offset)),
@@ -263,6 +265,55 @@ def test_stacked_dense_entropies_equal_per_state_ones_bitwise(name, request):
     expected = [relative_entropy_one(ref, x, w[:, None] * w[None, :]) for x in singles]
     assert discrete.joint_relative_entropy(ref, logs, w).tolist() == expected
     assert [discrete.joint_relative_entropy(ref, x, w) for x in singles] == expected
+
+
+@st.composite
+def general_matrices(draw):
+    """One d x d matrix or a stack of 1-5, d <= 8, with singular values spread over up to 16 decades.
+
+    Some draws zero a row, or the whole of a slice, so exactly singular and null matrices occur.
+    """
+    d = draw(st.integers(1, 8))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,), (5,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, log_cond = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.0, 16.0))
+    left, _ = np.linalg.qr(rng.standard_normal((*batch, d, d)))
+    right, _ = np.linalg.qr(rng.standard_normal((*batch, d, d)))
+    a = (left * np.logspace(top, top - log_cond, d)) @ right.swapaxes(-1, -2)
+    zeroed = draw(st.sampled_from(["none", "row", "all"]))
+    if zeroed == "row":
+        a[..., 0, :] = 0.0
+    elif zeroed == "all":
+        a[...] = 0.0
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(general_matrices())
+@example(np.zeros((1, 1)))
+@example(np.array([[1.0, 0.0], [0.0, 1e-17]]))
+def test_norm_and_condition_number_equal_numpys_bitwise(a):
+    """spd reads both off one svd(compute_uv=False), as np.linalg.norm(a, 2) and np.linalg.cond do."""
+    norm, cond = spd.spectral_norm(a), spd.condition_number(a)
+    want_norm, want_cond = np.linalg.norm(a, 2, axis=(-2, -1)), np.linalg.cond(a)
+    if a.ndim == 2:
+        assert type(norm) is float and type(cond) is float
+    assert np.array_equal(norm, want_norm) and np.array_equal(cond, want_cond)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_loewner_verdicts_on_criterion_1_stacks_match_an_svd_scale(seed, monkeypatch):
+    """The noise scale 1 + ||b - a|| read off eigvalsh(b - a) gives the verdicts an SVD norm gives."""
+    compared = []
+    loewner_lt = spd.loewner_lt
+    monkeypatch.setattr(spd, "loewner_lt", lambda a, b, tol=1e-10: compared.append((a, b, tol)) or loewner_lt(a, b, tol))
+    assert verify.criterion_riccati_fixed_point(seed=seed)["passed"]
+    monkeypatch.undo()
+    assert len(compared) == 4 * len(verify._dim_groups(verify._spd_family(seed)))
+    for a, b, tol in compared:
+        lo, scale = loewner_gap_svd(a, b)
+        assert np.array_equal(spd.loewner_lt(a, b, tol), lo > tol * scale)
+        assert np.array_equal(spd.loewner_leq(a, b, tol), lo >= -tol * scale)
 
 
 @st.composite
