@@ -75,11 +75,15 @@ that bound, because a subnormal operand slows a BLAS product several-fold
 (a sharp channel, W growing like squared distance over a small noise
 scale, has a band of them on each side of its diagonal).  Above
 _THETA = 1e-280 that is a relative error below 6.7e-28 n, far below
-round-off for any table that fits in memory.  The entries of s below
-_THETA are recomputed by the exact reduction ``_neg_lse`` against F; when
-more than half of a contraction's entries are below it, the whole
-contraction is.  A NaN reaches s and propagates as it does through the
-reduction.  The pass is a pure function of (model, potential): it keeps
+round-off for any table that fits in memory.  A pass makes one test of s,
+min s >= _THETA; when it holds, as it does unless a channel is sharp or a
+potential has hard zeros, the pass finishes in the product's own buffer.
+Otherwise the entries of s below _THETA are recomputed by the exact
+reduction ``_neg_lse`` against F; when more than half of a contraction's
+entries are below it, the whole contraction is.  A NaN fails the test,
+reaches s and propagates as it does through the reduction.  A pass returns
+-log K(e^{-f}), the sign of a potential, which the updates subtract.  The
+pass is a pure function of (model, potential): it keeps
 no state between calls (no absorption of large potentials into the
 kernel), so a resumed iteration repeats a cold one bit for bit.
 ``matrix_scaling_plans`` forms its own exp(-W), so it stays an
@@ -91,7 +95,10 @@ normalisation: the normaliser z = log(K w) - m_raw shifts a whole row,
 so F = W_raw + z and m = m_raw + z are shifts of the raw values and
 exp(m - F) is the same K.  ``channel_table`` therefore returns the
 scaled kernel with the factor, and a model builds kernels only when its
-factors come without them.  Validation reads the row minima: a
+factors come without them.  A table made by the library's own channel
+constructors is normalized in place, so a dense channel holds two N x N
+arrays, F and K; a table a caller's callable returns is left as it is and
+F is a new array.  Validation reads the row minima: a
 NaN or -inf entry makes its row's minimum NaN or -inf, and an all-+inf
 row (no mass) makes it +inf, so no check passes over the N x N table.
 """
@@ -211,6 +218,17 @@ def _normalize_potential(raw: np.ndarray, log_w: np.ndarray, what: str) -> np.nd
     return raw + log_z
 
 
+def _fresh_tables(w_fn):
+    """Mark a channel callable each of whose calls returns a table that no one else holds.
+
+    ``channel_table`` normalizes such a table in place instead of making
+    the normalized table F = W + z beside it; the library's channel
+    constructors mark their callables so.  Returns ``w_fn``.
+    """
+    w_fn.fresh_tables = True
+    return w_fn
+
+
 def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Tabulate a channel potential on grid x grid, each kernel row normalized.
 
@@ -218,7 +236,8 @@ def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     that its kernel row integrates to one (a normalization the recursion
     tolerates).  On one axis of a tensor grid this gives a factor table.
     Returns the table F with its scaled kernel (m, K), made with one exp
-    per entry (module docstring).
+    per entry (module docstring).  A table from a callable marked by
+    ``_fresh_tables`` becomes F in place; any other is left as it is.
     """
     w_raw = np.asarray(w_fn(grid.points, grid.points), dtype=float)
     if w_raw.shape != (grid.size, grid.size):
@@ -230,7 +249,8 @@ def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
         raise DomainError("a channel row underflows entirely: grid too narrow for this kernel")
     kern = _kernel_exp(np.subtract(m_raw[:, None], w_raw))
     z = np.log(kern @ grid.weights) - m_raw
-    return w_raw + z[:, None], (m_raw + z, kern)
+    own = getattr(w_fn, "fresh_tables", False)
+    return np.add(w_raw, z[:, None], out=w_raw if own else None), (m_raw + z, kern)
 
 
 def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
@@ -279,7 +299,7 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
     throughout (no mass) gives -inf, and a NaN gives NaN.
     """
     shift = t.min(axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
+    shift[np.isinf(shift)] = 0.0  # a NaN shift stays: its slice is NaN anyway, and 0 could overflow exp
     np.subtract(shift, t, out=t)
     np.exp(t, out=t)
     with np.errstate(divide="ignore"):
@@ -289,7 +309,8 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
 def _kernel_exp(shifted: np.ndarray) -> np.ndarray:
     """exp of a row-shifted table in place, subnormal results set to 0 (module docstring)."""
     np.exp(shifted, out=shifted)
-    shifted[shifted < _TINY] = 0.0
+    if shifted.min() < _TINY:  # one scan; the mask is made only when an entry underflows
+        shifted[shifted < _TINY] = 0.0
     return shifted
 
 
@@ -303,56 +324,61 @@ def _scaled_kernel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.ndarray:
     """-log sum exp(-F - a) over one axis of the factor F, for every row of ``a`` (M, n).
 
-    The scaled product of the module docstring.  The entries whose scaled
-    sum falls below _THETA are recomputed exactly by ``_neg_lse``, and so
-    is the whole contraction when more than half of them fall below it.
+    The scaled product of the module docstring, finished in the product's
+    own buffer.  One guard, min s >= _THETA, lets a pass through with
+    nothing recomputed; a NaN fails it too.  Past the guard the entries
+    below _THETA are recomputed exactly by ``_neg_lse``, and so is the
+    whole contraction when more than half of them fall below it.
     """
     m, kern = scaled
     b = a if axis == 1 else a + m
     c = b.min(axis=1, keepdims=True)
-    c[~np.isfinite(c)] = 0.0
-    s = np.exp(c - b) @ (kern.T if axis == 1 else kern)
-    low = s < _THETA
-    n_low = np.count_nonzero(low)
-    if 2 * n_low > low.size:
-        return -_neg_lse(f + (a[:, None, :] if axis == 1 else a[:, :, None]), axis - 2)
-    if n_low:
-        s[low] = 1.0  # recomputed below; keeps a zero out of the log
-    out = c - np.log(s)
+    c[np.isinf(c)] = 0.0  # as in _neg_lse
+    e = np.subtract(c, b)
+    np.exp(e, out=e)
+    s = e @ (kern.T if axis == 1 else kern)
+    rows = cols = ()
+    if not s.min() >= _THETA:
+        rows, cols = np.nonzero(s < _THETA)
+        if 2 * len(rows) > s.size:
+            return -_neg_lse(f + (a[:, None, :] if axis == 1 else a[:, :, None]), axis - 2)
+        s[rows, cols] = 1.0  # recomputed below; keeps a zero out of the log
+    np.log(s, out=s)
+    np.subtract(c, s, out=s)
     if axis == 1:
-        out += m
-    if n_low:
-        rows, cols = np.nonzero(low)
-        out[rows, cols] = -_neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
-    return out
+        s += m
+    if len(rows):
+        s[rows, cols] = -_neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
+    return s
 
 
 def _kernel_pass(model: DiscreteModel, pot: np.ndarray, axis: int) -> np.ndarray:
-    """log of the channel kernel applied to exp(-pot), one factor at a time.
+    """-log of the channel kernel applied to exp(-pot), one factor at a time.
 
     axis=1 sums over the second argument of the channel:
-    log sum_j w_j exp(-W_ij - pot_j) for every i, that is log K_W(exp(-pot)).
-    axis=0 sums over the first: log sum_i w_i exp(-pot_i - W_ij) for every j.
+    -log sum_j w_j exp(-W_ij - pot_j) for every i, that is -log K_W(exp(-pot)).
+    axis=0 sums over the first: -log sum_i w_i exp(-pot_i - W_ij) for every j.
     The potential is reshaped to the factors' tensor shape and each factor
     contracts its axis with its scaled kernel (module docstring); one
-    factor is the dense pass.
+    factor is the dense pass.  The sign is that of a potential, so the
+    updates subtract the pass and nothing negates it.
     """
     t = pot - model.log_w
     if len(model.channel) == 1:
-        return -_factor_pass(model.channel[0], model.kernels[0], t[None, :], axis)[0]
+        return _factor_pass(model.channel[0], model.kernels[0], t[None, :], axis)[0]
     t = t.reshape([f.shape[0] for f in model.channel])
     for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
         a = t.swapaxes(k, -1)
         t = _factor_pass(f, scaled, a.reshape(-1, a.shape[-1]), axis).reshape(a.shape).swapaxes(k, -1)
-    return -t.reshape(-1)
+    return t.reshape(-1)
 
 
 def _update_u(model: DiscreteModel, v: np.ndarray) -> np.ndarray:
-    return model.u_pot + _kernel_pass(model, v, 1)
+    return model.u_pot - _kernel_pass(model, v, 1)
 
 
 def _update_v(model: DiscreteModel, u: np.ndarray) -> np.ndarray:
-    return model.v_pot + _kernel_pass(model, u, 0)
+    return model.v_pot - _kernel_pass(model, u, 0)
 
 
 def _support(pot: np.ndarray) -> np.ndarray | slice:
@@ -364,7 +390,7 @@ def _support(pot: np.ndarray) -> np.ndarray | slice:
 def _residual(log_ratio: np.ndarray) -> float:
     """Sup-norm of a marginal log-ratio on a support; non-finite raises."""
     r = float(np.abs(log_ratio).max())
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise DomainError(
             "non-finite marginal residual on the support: a table holds NaN, "
             "or the channel cannot reach a node of a marginal's support"
@@ -417,7 +443,7 @@ def plan_log_density(state) -> np.ndarray:
 def plan_marginal(state: SinkhornState, side: int) -> np.ndarray:
     """Log density of one marginal of the state's coupling: side 0 the first, side 1 the second."""
     model = state.model
-    return _kernel_pass(model, state.v, 1) - state.u if side == 0 else _kernel_pass(model, state.u, 0) - state.v
+    return -_kernel_pass(model, state.v, 1) - state.u if side == 0 else -_kernel_pass(model, state.u, 0) - state.v
 
 
 def plan_marginals(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:

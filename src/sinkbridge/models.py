@@ -30,7 +30,7 @@ import reprlib
 import numpy as np
 
 from . import spd
-from .discrete import DiscreteModel, _neg_lse, build_model, channel_table, uniform_grid
+from .discrete import DiscreteModel, _fresh_tables, _neg_lse, build_model, channel_table, uniform_grid
 from .errors import ConfigError, DomainError, ShapeError
 
 # the largest channel table, in bytes of float64, that a model may hold: the
@@ -160,24 +160,40 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
     beta = parse_array(beta, "beta", 2)
     prec = spd.sym_inv(parse_array(tau, "tau", 2))
 
+    @_fresh_tables
     def w(xs, ys):
         pred = alpha[None, :] + xs @ beta.T
         diff = ys[None, :, :] - pred[:, None, :]
-        return 0.5 * np.einsum("ijk,kl,ijl->ij", diff, prec, diff)
+        table = np.einsum("ijk,kl,ijl->ij", diff, prec, diff)
+        table *= 0.5  # in place: no second (N, N) array
+        return table
 
     return w
 
 
-def tabulated_channel_potential(path: str):
-    if not isinstance(path, (str, os.PathLike)):
-        raise ConfigError(f"tabulated channel path must be a string, got {reprlib.repr(path)}")
+def _read_table(path) -> np.ndarray:
+    """The (N, N) table stored at ``path`` as .npy or delimited text, as a float array of its own."""
     try:
         raw = np.load(path) if str(path).endswith(".npy") else np.loadtxt(path)
     except EOFError as exc:  # an empty .npy file
         raise ConfigError(f"tabulated channel table {path} is empty: {exc}") from exc
-    table = parse_array(raw, str(path), 2)
+    return parse_array(raw, str(path), 2)
 
+
+def tabulated_channel_potential(path: str):
+    """W read from a table file, checked against the grid when tabulated.
+
+    The table is read here.  The first call hands it over, so that
+    ``channel_table`` normalizes it in place, and a later call reads the
+    file again: no call returns a table another one did.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"tabulated channel path must be a string, got {reprlib.repr(path)}")
+    held = [_read_table(path)]
+
+    @_fresh_tables
     def w(xs, ys):
+        table = held.pop() if held else _read_table(path)
         if table.shape != (xs.shape[0], ys.shape[0]):
             raise DomainError(f"tabulated channel is {table.shape}, grid wants {(xs.shape[0], ys.shape[0])}")
         return table

@@ -196,9 +196,10 @@ def criterion_psi_factorization(seed=0):
     for idx in _dim_groups(gammas):
         gamma = _stack(gammas, idx)
         gamma_t = gamma.swapaxes(-1, -2)
-        v = spd.clamp_psd(_stack(starts, idx))
+        v = _stack(starts, idx)  # psi_map and ricc_map each validate it
         lhs = riccati.psi_map(gamma, riccati.psi_map(gamma_t, v))
-        param = spd.sym_inv(spd.symmetrize(gamma @ gamma_t))
+        # one decomposition of the parameter serves the map and its fixed point
+        param = riccati._spectrum(spd.sym_inv(spd.symmetrize(gamma @ gamma_t)))
         worst_fact = max(worst_fact, float(spd.spectral_norm(lhs - riccati.ricc_map(param, v)).max()))
         left = riccati.psi_map(gamma_t, riccati.fixed_point(param))
         right = riccati.fixed_point(spd.sym_inv(spd.symmetrize(gamma_t @ gamma)))

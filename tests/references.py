@@ -454,3 +454,30 @@ def grid_entropies_mp(model, n_half, dps=60):
         out["H_bridge_even"] = [float(x) for x in gaps[0::2]]
         out["H_bridge_odd"] = [float(x) for x in gaps[1::2]]
         return out
+
+
+def factor_pass(f, scaled, a, axis):
+    """``discrete._factor_pass`` before its one guard: every pass builds the low mask and a new output.
+
+    Returns -log sum exp(-F - a) over one axis of F for every row of ``a``,
+    the sign of a potential, as the library's pass does; the two must
+    agree bit for bit, NaN entries included.
+    """
+    m, kern = scaled
+    b = a if axis == 1 else a + m
+    c = b.min(axis=1, keepdims=True)
+    c[~np.isfinite(c)] = 0.0
+    s = np.exp(c - b) @ (kern.T if axis == 1 else kern)
+    low = s < discrete._THETA
+    n_low = np.count_nonzero(low)
+    if 2 * n_low > low.size:
+        return -discrete._neg_lse(f + (a[:, None, :] if axis == 1 else a[:, :, None]), axis - 2)
+    if n_low:
+        s[low] = 1.0
+    out = c - np.log(s)
+    if axis == 1:
+        out += m
+    if n_low:
+        rows, cols = np.nonzero(low)
+        out[rows, cols] = -discrete._neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
+    return out

@@ -5,6 +5,7 @@ PASS/FAIL line so `pytest -s tests/test_acceptance.py` reads as a report.
 """
 
 import collections
+import dataclasses
 import inspect
 
 import numpy as np
@@ -67,6 +68,33 @@ def test_criterion_03_psi_factorization():
     assert res["details"]["max_transport_residual"] < 1e-9
 
 
+def test_criterion_03_catches_a_perturbed_fixed_point(monkeypatch):
+    # a planted defect: every fixed point off by 1e-8 I.  The transport
+    # residual reads 1.6e-8 at seed 0, against ~1e-15 when correct
+    fixed_point = riccati.fixed_point
+
+    def perturbed(varpi):
+        r = fixed_point(varpi)
+        return r + 1e-8 * np.eye(r.shape[-1])
+
+    monkeypatch.setattr(riccati, "fixed_point", perturbed)
+    res = verify.criterion_psi_factorization(seed=0)
+    assert not res["passed"]
+    assert res["details"]["max_transport_residual"] > 1e-9
+
+
+def test_criterion_03_decomposes_each_parameter_once(decompositions):
+    """11 eigh per dimension: a clamp and an inverse in each of three psi_map calls, the
+    inverses of gamma gamma' and gamma' gamma, one spectrum of the first that ricc_map
+    and fixed_point share, ricc_map's clamp of the start and the second fixed point.
+
+    The parent made 13: a second decomposition of the first parameter, and the
+    criterion's own clamp of the starts before psi_map and ricc_map validate them.
+    """
+    assert verify.criterion_psi_factorization(seed=0)["passed"]
+    assert decompositions["eigh"] == 4 * 11
+
+
 def test_criterion_04_bridge_vs_sinkhorn():
     # sigma -> 0.6180339887 within 1e-10 by n = 50; gap monotone and under
     # the (1 + 1/eps)^{-floor(n/2)} envelope on the standard and 10 random models
@@ -120,6 +148,20 @@ def test_criterion_07_ot_limit():
     res = _criterion("ot-limit")
     _check(res)
     assert res["details"]["gaps"][-1] < 5e-3
+
+
+def test_criterion_07_catches_a_limit_slope_off_by_1e_10(monkeypatch):
+    # a planted defect: the OT limit's slope 1e-10 above the exact 1/2
+    ot_limit = g.GaussianBridge.ot_limit
+
+    def off(bridge):
+        lim = ot_limit(bridge)
+        return dataclasses.replace(lim, slope=lim.slope + 1e-10)
+
+    monkeypatch.setattr(g.GaussianBridge, "ot_limit", off)
+    res = verify.criterion_ot_limit(seed=0)
+    assert not res["passed"]
+    assert not res["details"]["limit_slope_ok"]
 
 
 def test_criterion_08_proximal_sampler():

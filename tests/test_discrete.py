@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import references
 import scipy.special
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, logsumexp
 
 from sinkbridge import discrete, models, verify
@@ -818,13 +820,13 @@ def test_factored_model_at_128_per_axis_stays_small():
 
 
 def reference_pass(model, pot, axis):
-    """The kernel pass as log-domain reductions only, one (.., n, n) table per factor."""
+    """The kernel pass, -log K(exp(-pot)), as log-domain reductions only, one (.., n, n) table per factor."""
     t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
     for k, f in enumerate(model.channel):
         a = t.swapaxes(k, -1)
         table = f + (a[..., None, :] if axis == 1 else a[..., :, None])
         t = (-discrete._neg_lse(table, axis - 2)).swapaxes(k, -1)
-    return -t.reshape(-1)
+    return t.reshape(-1)
 
 
 def assert_matches_reference(got, want):
@@ -907,6 +909,151 @@ def test_sharp_channel_kernels_hold_no_subnormals(monkeypatch):
     discrete.run(model, 5, tol=0.0)
     for _, pot, axis in list(passes):
         assert_matches_reference(discrete._kernel_pass(model, pot, axis), reference_pass(model, pot, axis))
+
+
+def assert_bitwise(got, want):
+    """Equal bit for bit, with a NaN wherever the other has one."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def assert_passes_match_reference(model, pot):
+    """Each factor pass of both kernel passes, and the kernel pass itself, bitwise those of ``references.factor_pass``."""
+    for axis in (0, 1):
+        t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
+        for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
+            a = t.swapaxes(k, -1)
+            rows = a.reshape(-1, a.shape[-1])
+            # the reference shifts a NaN slice by 0, so its exp can overflow and its product meet inf * 0;
+            # the library keeps the NaN shift, and its slice is NaN without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = references.factor_pass(f, scaled, rows.copy(), axis)
+            assert_bitwise(discrete._factor_pass(f, scaled, rows.copy(), axis), want)
+            t = want.reshape(a.shape).swapaxes(k, -1)
+        assert_bitwise(discrete._kernel_pass(model, pot, axis), t.reshape(-1))
+
+
+@st.composite
+def pass_problems(draw):
+    """A 1-d or 2-d model, dense or separable, and a potential to pass through its channel.
+
+    The channel noise runs from sharp (t = 1e-3, where scaled sums
+    underflow and are recomputed) to broad.  The potential may hold +inf
+    hard zeros, a whole +inf slice (every node, or one grid line) and a NaN.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 48) if dim == 1 else st.integers(2, 8))
+    radius = draw(st.sampled_from([2.0, 8.0]))
+    t = draw(st.sampled_from([1e-3, 1e-2, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta, tau = np.diag(rng.uniform(0.5, 1.0, dim)), np.diag(t * rng.uniform(0.5, 1.5, dim))
+    quad = {"kind": "quadratic", "params": {"mean": [0.0] * dim, "cov": np.eye(dim).tolist()}}
+    doc = {"grid": {"dim": dim, "n": n, "radius": radius}, "U": quad, "V": quad,
+           "W": {"kind": "linear-gaussian", "alpha": [0.0] * dim, "beta": beta.tolist(), "tau": tau.tolist()}}
+    if draw(st.booleans()):  # separable: one factor per axis
+        model = models.model_from_spec(doc)
+    else:
+        potential = models.quadratic_potential([0.0] * dim, np.eye(dim))
+        channel = models.linear_gaussian_channel_potential([0.0] * dim, beta, tau)
+        model = discrete.build_model(potential, potential, channel, discrete.uniform_grid(dim, n, radius))
+    size = model.grid.size
+    pot = rng.uniform(-1.0, 1.0, size) * draw(st.sampled_from([1.0, 30.0, 1e3]))
+    pot[rng.uniform(size=size) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.inf
+    cut = draw(st.sampled_from(["none", "all", "line"]))
+    if cut == "all":
+        pot[:] = np.inf
+    elif cut == "line":
+        lines = pot.reshape(n, -1)
+        j = int(rng.integers(lines.shape[-1]))
+        (lines[:, j] if dim == 2 and draw(st.booleans()) else lines[j % n])[...] = np.inf
+    if draw(st.booleans()):
+        pot[rng.integers(size)] = np.nan
+    return model, pot
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pass_problems())
+def test_factor_pass_equals_the_unguarded_pass_bitwise(problem):
+    assert_passes_match_reference(*problem)
+
+
+def test_factor_pass_equals_the_unguarded_pass_on_both_exact_reductions(monkeypatch):
+    model = far_hard_zero_model()
+    x = model.grid.points[:, 0]
+    exact = counted_calls(monkeypatch, "_neg_lse")
+    # the rows far from [-3, 3] underflow, fewer than half of them; then most of them do
+    for pot, axis, whole in ((np.where(np.abs(x) < 3.0, 0.0, np.inf), 0, False),
+                             (np.where(np.abs(x) < 3.0, 0.0, np.inf), 1, False), (model.v_pot, 1, True)):
+        exact.clear()
+        discrete._kernel_pass(model, pot, axis)
+        ((table, _),) = exact
+        assert (table.ndim == 3) == whole
+        assert_passes_match_reference(model, pot)
+    # a NaN propagates to the same entries; a NaN-free model's pass has none
+    pot = model.u_pot.copy()
+    pot[100] = np.nan
+    assert_passes_match_reference(model, pot)
+    assert np.isnan(discrete._kernel_pass(model, pot, 0)).any()
+
+
+def models_equal(first, second):
+    """Whether two models hold bitwise the same tables and scaled kernels."""
+    arrays = [(first.u_pot, second.u_pot), (first.v_pot, second.v_pot), *zip(first.channel, second.channel),
+              *((a, b) for pair in zip(first.kernels, second.kernels) for a, b in zip(*pair))]
+    return len(first.channel) == len(second.channel) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in arrays)
+
+
+def test_tables_a_caller_holds_stay_untouched():
+    # the two-point model of test_two_point_toy_matches_hand_scaling, with rows that need normalizing
+    grid = discrete.Grid(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
+    u_tab = np.array([np.log(2.0), np.log(2.0)])
+    v_tab = np.array([np.log(4.0) - np.log(3.0), np.log(4.0)])
+    w_tab = np.log(np.array([[1.0, 3.0], [2.0, 5.0]]))
+    held = [tab.tobytes() for tab in (u_tab, v_tab, w_tab)]
+    first, second = (discrete.build_model(lambda p: u_tab, lambda p: v_tab, lambda xs, ys: w_tab, grid)
+                     for _ in range(2))
+    assert [tab.tobytes() for tab in (u_tab, v_tab, w_tab)] == held
+    assert models_equal(first, second)
+    assert not np.array_equal(first.channel[0], w_tab)  # the rows were shifted, in a table of the model's own
+
+
+def test_tabulated_channel_builds_alike_twice(tmp_path):
+    n = 6
+    grid = discrete.uniform_grid(2, n, 3.0)
+    pts = grid.points
+    diff = pts[None, :, :] - 0.9 * pts[:, None, :]
+    table = 0.5 * np.einsum("ijk,kl,ijl->ij", diff, np.array([[2.0, 0.5], [0.5, 1.0]]), diff)
+    path = tmp_path / "w.npy"
+    np.save(path, table)
+    quad = {"kind": "quadratic", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+    doc = {"grid": {"dim": 2, "n": n, "radius": 3.0}, "U": quad, "V": quad, "W": {"kind": "tabulated", "path": str(path)}}
+    first, second = models.model_from_spec(doc), models.model_from_spec(doc)
+    assert models_equal(first, second)
+    # one constructor's callable tabulated twice: it hands its table over once, then reads the file again
+    potential = models.quadratic_potential([0.0, 0.0], np.eye(2))
+    w_fn = models.tabulated_channel_potential(str(path))
+    for _ in range(2):
+        assert models_equal(discrete.build_model(potential, potential, w_fn, grid), first)
+    assert np.load(path).tobytes() == table.tobytes()
+
+
+def test_library_tables_become_the_channel_in_place():
+    """A library-made table is normalized where it lies: building it allocates the kernel K and O(N) more, no F beside it."""
+    grid = discrete.uniform_grid(2, 24, 6.0)
+    table_bytes = 8 * grid.size**2
+    w_fn = models.linear_gaussian_channel_potential([0.0, 0.0], [[0.9, 0.1], [0.0, 0.9]], [[0.8, 0.3], [0.3, 0.8]])
+    raw = w_fn(grid.points, grid.points)
+    tracemalloc.start()
+    try:
+        f, (m, kern) = discrete.channel_table(discrete._fresh_tables(lambda xs, ys: raw), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f is raw
+    assert peak < 1.1 * table_bytes
 
 
 def counted_exp(monkeypatch):
