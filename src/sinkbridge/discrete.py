@@ -95,10 +95,11 @@ normalisation: the normaliser z = log(K w) - m_raw shifts a whole row,
 so F = W_raw + z and m = m_raw + z are shifts of the raw values and
 exp(m - F) is the same K.  ``channel_table`` therefore returns the
 scaled kernel with the factor, and a model builds kernels only when its
-factors come without them.  A table made by the library's own channel
-constructors is normalized in place, so a dense channel holds two N x N
-arrays, F and K; a table a caller's callable returns is left as it is and
-F is a new array.  Validation reads the row minima: a
+factors come without them.  ``_normalize_channel`` makes F in the raw
+table's own buffer, so a dense channel holds two N x N arrays, F and K:
+``models`` hands it the tables its constructors make, and
+``channel_table`` a copy of the table a caller's callable returns, which
+stays as it is.  Validation reads the row minima: a
 NaN or -inf entry makes its row's minimum NaN or -inf, and an all-+inf
 row (no mass) makes it +inf, so no check passes over the N x N table.
 """
@@ -218,17 +219,6 @@ def _normalize_potential(raw: np.ndarray, log_w: np.ndarray, what: str) -> np.nd
     return raw + log_z
 
 
-def _fresh_tables(w_fn):
-    """Mark a channel callable each of whose calls returns a table that no one else holds.
-
-    ``channel_table`` normalizes such a table in place instead of making
-    the normalized table F = W + z beside it; the library's channel
-    constructors mark their callables so.  Returns ``w_fn``.
-    """
-    w_fn.fresh_tables = True
-    return w_fn
-
-
 def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Tabulate a channel potential on grid x grid, each kernel row normalized.
 
@@ -236,10 +226,14 @@ def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     that its kernel row integrates to one (a normalization the recursion
     tolerates).  On one axis of a tensor grid this gives a factor table.
     Returns the table F with its scaled kernel (m, K), made with one exp
-    per entry (module docstring).  A table from a callable marked by
-    ``_fresh_tables`` becomes F in place; any other is left as it is.
+    per entry (module docstring).  F is a copy: the callable's table is
+    left as it is.
     """
-    w_raw = np.asarray(w_fn(grid.points, grid.points), dtype=float)
+    return _normalize_channel(np.array(w_fn(grid.points, grid.points), dtype=float), grid)
+
+
+def _normalize_channel(w_raw: np.ndarray, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``channel_table`` of a raw float table that no one else holds, consumed: it becomes F in place."""
     if w_raw.shape != (grid.size, grid.size):
         raise ShapeError(f"channel table must be (N, N), got {w_raw.shape}")
     m_raw = w_raw.min(axis=1)
@@ -249,8 +243,8 @@ def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
         raise DomainError("a channel row underflows entirely: grid too narrow for this kernel")
     kern = _kernel_exp(np.subtract(m_raw[:, None], w_raw))
     z = np.log(kern @ grid.weights) - m_raw
-    own = getattr(w_fn, "fresh_tables", False)
-    return np.add(w_raw, z[:, None], out=w_raw if own else None), (m_raw + z, kern)
+    w_raw += z[:, None]
+    return w_raw, (m_raw + z, kern)
 
 
 def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
@@ -309,7 +303,7 @@ def _neg_lse(t: np.ndarray, axis: int) -> np.ndarray:
 def _kernel_exp(shifted: np.ndarray) -> np.ndarray:
     """exp of a row-shifted table in place, subnormal results set to 0 (module docstring)."""
     np.exp(shifted, out=shifted)
-    if shifted.min() < _TINY:  # one scan; the mask is made only when an entry underflows
+    if not shifted.min() >= _TINY:  # one scan; the mask is made only when an entry underflows or is NaN
         shifted[shifted < _TINY] = 0.0
     return shifted
 

@@ -30,7 +30,7 @@ import reprlib
 import numpy as np
 
 from . import spd
-from .discrete import DiscreteModel, _fresh_tables, _neg_lse, build_model, channel_table, uniform_grid
+from .discrete import DiscreteModel, Grid, _neg_lse, _normalize_channel, build_model, uniform_grid
 from .errors import ConfigError, DomainError, ShapeError
 
 # the largest channel table, in bytes of float64, that a model may hold: the
@@ -160,7 +160,6 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
     beta = parse_array(beta, "beta", 2)
     prec = spd.sym_inv(parse_array(tau, "tau", 2))
 
-    @_fresh_tables
     def w(xs, ys):
         pred = alpha[None, :] + xs @ beta.T
         diff = ys[None, :, :] - pred[:, None, :]
@@ -171,29 +170,17 @@ def linear_gaussian_channel_potential(alpha, beta, tau):
     return w
 
 
-def _read_table(path) -> np.ndarray:
-    """The (N, N) table stored at ``path`` as .npy or delimited text, as a float array of its own."""
-    try:
-        raw = np.load(path) if str(path).endswith(".npy") else np.loadtxt(path)
-    except EOFError as exc:  # an empty .npy file
-        raise ConfigError(f"tabulated channel table {path} is empty: {exc}") from exc
-    return parse_array(raw, str(path), 2)
-
-
 def tabulated_channel_potential(path: str):
-    """W read from a table file, checked against the grid when tabulated.
-
-    The table is read here.  The first call hands it over, so that
-    ``channel_table`` normalizes it in place, and a later call reads the
-    file again: no call returns a table another one did.
-    """
+    """W read from a table file, checked against the grid; each call reads the file into a table of its own."""
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"tabulated channel path must be a string, got {reprlib.repr(path)}")
-    held = [_read_table(path)]
 
-    @_fresh_tables
     def w(xs, ys):
-        table = held.pop() if held else _read_table(path)
+        try:
+            raw = np.load(path) if str(path).endswith(".npy") else np.loadtxt(path)
+        except EOFError as exc:  # an empty .npy file
+            raise ConfigError(f"tabulated channel table {path} is empty: {exc}") from exc
+        table = parse_array(raw, str(path), 2)
         if table.shape != (xs.shape[0], ys.shape[0]):
             raise DomainError(f"tabulated channel is {table.shape}, grid wants {(xs.shape[0], ys.shape[0])}")
         return table
@@ -233,12 +220,21 @@ def _check_table_size(dim: int, n: int, separable: bool) -> None:
                           f"{size} bytes, over the budget of {TABLE_BUDGET} bytes")
 
 
+def _own_channel(w_fn, grid: Grid):
+    """``channel_table`` of a channel made by a constructor of this module.
+
+    Each call of such a ``w_fn`` makes a table that nothing else holds, so
+    the table becomes the channel F in place (``discrete._normalize_channel``).
+    """
+    return _normalize_channel(w_fn(grid.points, grid.points), grid)
+
+
 def _axis_factors(doc: dict, n: int, radius: float):
-    """Per-axis ``channel_table`` factors of a separable linear-Gaussian channel."""
+    """Per-axis channel factors of a separable linear-Gaussian channel."""
     alpha, beta, tau = doc["alpha"], doc["beta"], doc["tau"]
     axis = uniform_grid(1, n, radius)
     return tuple(
-        channel_table(linear_gaussian_channel_potential(alpha[k], beta[k, k], tau[k, k]), axis)
+        _own_channel(linear_gaussian_channel_potential(alpha[k], beta[k, k], tau[k, k]), axis)
         for k in range(alpha.size)
     )
 
@@ -259,5 +255,9 @@ def model_from_spec(doc: dict) -> DiscreteModel:
     kind = w.pop("kind")
     separable = kind == "linear-gaussian" and _separable(w)
     _check_table_size(dim, n, separable)
-    w_fn = _axis_factors(w, n, grid["radius"]) if separable else globals()[CHANNEL_KINDS[kind][0]](**w)
-    return build_model(u_fn, v_fn, w_fn, uniform_grid(dim, n, grid["radius"]))
+    nodes = uniform_grid(dim, n, grid["radius"])
+    if separable:
+        channel = _axis_factors(w, n, grid["radius"])
+    else:
+        channel = (_own_channel(globals()[CHANNEL_KINDS[kind][0]](**w), nodes),)
+    return build_model(u_fn, v_fn, channel, nodes)

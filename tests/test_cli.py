@@ -864,7 +864,7 @@ def test_channel_table_over_budget_exit_2(dim, n, w, tmp_path, capsys, monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("an over-budget table was read or built")
 
-    for module, name in ((np, "load"), (np, "loadtxt"), (models, "channel_table"), (discrete, "channel_table"),
+    for module, name in ((np, "load"), (np, "loadtxt"), (models, "_normalize_channel"), (discrete, "_normalize_channel"),
                          (models, "uniform_grid"), (discrete, "uniform_grid")):
         monkeypatch.setattr(module, name, unreachable)
     side = n**dim

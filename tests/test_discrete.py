@@ -911,6 +911,22 @@ def test_sharp_channel_kernels_hold_no_subnormals(monkeypatch):
         assert_matches_reference(discrete._kernel_pass(model, pot, axis), reference_pass(model, pot, axis))
 
 
+def test_kernel_with_a_nan_row_still_holds_no_subnormals():
+    """A NaN makes the kernel's minimum NaN; the subnormal entries of the other rows are still stored as 0."""
+    model = gaussian_desk_model(n=128, t=0.05)
+    f = model.channel[0].copy()
+    f[3, 5] = np.nan
+    tiny = np.finfo(float).tiny
+    m = f.min(axis=1)
+    m[~np.isfinite(m)] = 0.0
+    raw = np.exp(m[:, None] - f)
+    assert np.count_nonzero((raw > 0.0) & (raw < tiny)) > 0
+    _, kern = discrete._scaled_kernel(f)
+    assert np.array_equal(np.argwhere(np.isnan(kern)), [[3, 5]])
+    assert not np.any((kern > 0.0) & (kern < tiny))
+    assert np.array_equal(kern, np.where(raw < tiny, 0.0, raw), equal_nan=True)
+
+
 def assert_bitwise(got, want):
     """Equal bit for bit, with a NaN wherever the other has one."""
     nan = np.isnan(want)
@@ -1032,7 +1048,7 @@ def test_tabulated_channel_builds_alike_twice(tmp_path):
     doc = {"grid": {"dim": 2, "n": n, "radius": 3.0}, "U": quad, "V": quad, "W": {"kind": "tabulated", "path": str(path)}}
     first, second = models.model_from_spec(doc), models.model_from_spec(doc)
     assert models_equal(first, second)
-    # one constructor's callable tabulated twice: it hands its table over once, then reads the file again
+    # one constructor's callable tabulated twice: each call reads the file into a table of its own
     potential = models.quadratic_potential([0.0, 0.0], np.eye(2))
     w_fn = models.tabulated_channel_potential(str(path))
     for _ in range(2):
@@ -1040,20 +1056,66 @@ def test_tabulated_channel_builds_alike_twice(tmp_path):
     assert np.load(path).tobytes() == table.tobytes()
 
 
-def test_library_tables_become_the_channel_in_place():
-    """A library-made table is normalized where it lies: building it allocates the kernel K and O(N) more, no F beside it."""
-    grid = discrete.uniform_grid(2, 24, 6.0)
-    table_bytes = 8 * grid.size**2
-    w_fn = models.linear_gaussian_channel_potential([0.0, 0.0], [[0.9, 0.1], [0.0, 0.9]], [[0.8, 0.3], [0.3, 0.8]])
-    raw = w_fn(grid.points, grid.points)
+def recorded_tables(monkeypatch, name):
+    """Wrap the channel constructor ``models.<name>``: each table its callables make is recorded with the
+    traced memory at that moment, and the tracemalloc peak reset, so the peak that follows counts what the
+    build adds to it."""
+    made = []
+    inner = getattr(models, name)
+
+    def constructor(*args, **kwargs):
+        w_fn = inner(*args, **kwargs)
+
+        def w(xs, ys):
+            table = w_fn(xs, ys)
+            made.append((table, tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+            return table
+
+        return w
+
+    monkeypatch.setattr(models, name, constructor)
+    return made
+
+
+@pytest.mark.parametrize("kind", ["dense", "tabulated", "factors"])
+def test_library_tables_become_the_channel_in_place(monkeypatch, tmp_path, kind):
+    """Each table a library constructor makes is the model's channel factor, normalized where it lies.
+
+    Building a dense channel from its table allocates the kernel K and O(N)
+    more, no F beside it: the channel holds two N x N arrays, not three.
+    """
+    doc = diagonal_spec(n=24)
+    if kind == "dense":
+        doc["W"]["beta"] = [[0.9, 0.1], [0.0, 0.9]]
+    elif kind == "tabulated":
+        grid = discrete.uniform_grid(2, 24, doc["grid"]["radius"])
+        np.save(tmp_path / "w.npy", models.linear_gaussian_channel_potential(
+            [0.0, 0.0], [[0.9, 0.1], [0.0, 0.9]], [[0.8, 0.3], [0.3, 0.8]])(grid.points, grid.points))
+        doc["W"] = {"kind": "tabulated", "path": str(tmp_path / "w.npy")}
+    made = recorded_tables(monkeypatch, "tabulated_channel_potential" if kind == "tabulated"
+                           else "linear_gaussian_channel_potential")
     tracemalloc.start()
     try:
-        f, (m, kern) = discrete.channel_table(discrete._fresh_tables(lambda xs, ys: raw), grid)
+        model = models.model_from_spec(doc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert f is raw
-    assert peak < 1.1 * table_bytes
+    assert len(made) == len(model.channel) == (2 if kind == "factors" else 1)
+    assert all(f is table for f, (table, _) in zip(model.channel, made))
+    if kind != "factors":  # after the dense table: its kernel, and the marginals' O(N)
+        table_bytes = 8 * model.grid.size**2
+        assert table_bytes <= peak - made[0][1] < 1.1 * table_bytes
+
+
+def test_channel_table_leaves_the_callables_table_as_it_is():
+    grid = discrete.uniform_grid(1, 16, 4.0)
+    raw = models.linear_gaussian_channel_potential([0.0], [[0.9]], [[0.5]])(grid.points, grid.points)
+    held = raw.tobytes()
+    f, (m, kern) = discrete.channel_table(lambda xs, ys: raw, grid)
+    assert f is not raw and raw.tobytes() == held
+    assert np.allclose(np.exp(m[:, None] - f), kern, rtol=1e-14, atol=0.0)
+    assert np.allclose(np.exp(-f) @ grid.weights, 1.0, rtol=1e-14, atol=0.0)
 
 
 def counted_exp(monkeypatch):
@@ -1174,7 +1236,7 @@ BAD_CHANNELS = {
 def test_channel_build_rejects_bad_entries(monkeypatch, case, beta):
     """Each bad entry in the second factor of a diagonal 2-d channel, and in a dense (N, N) table.
 
-    Both reach ``channel_table`` with a callable W.
+    Both reach ``discrete._normalize_channel`` as a table from a callable W.
     """
     edit, message = BAD_CHANNELS[case]
     good = models.linear_gaussian_channel_potential
