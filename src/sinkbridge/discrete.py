@@ -252,8 +252,9 @@ def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
 
     u_fn and v_fn map an (N, dim) array of points to length-N potential
     values.  w_fn maps two point arrays to the (N, N) channel potential
-    table (tabulated by ``channel_table``), or is a tuple of factors, each
-    made by ``channel_table`` on one axis of a tensor grid.  The marginal
+    table (tabulated by ``channel_table``), or is a tuple of factors with
+    their scaled kernels as ``channel_table`` returns them: one per axis of
+    a tensor grid, or the one dense factor.  The marginal
     potentials are shifted so the densities integrate to one.
     """
     pts = grid.points
