@@ -269,6 +269,15 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
     )
 
 
+def _rate_norms(k: LinearGaussianKernel, spec: CurvatureSpec):
+    """||chi||, ||u_plus||, ||tau|| and ``proximal_rates``' (a, b) before conversion, each norm taken once."""
+    kappa, nu, ntau = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(k.tau)
+    beta_t = k.beta.swapaxes(-1, -2)
+    resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
+    kappa2 = kappa**2
+    return kappa, nu, ntau, kappa2 * ntau * nu, kappa2 * ntau * spd.spectral_norm(resolvent)
+
+
 def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
     """Prefactor and per-step rate of the forward/backward Gibbs chain, per model of a stack.
 
@@ -278,12 +287,7 @@ def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
     u_plus^{-1} and tau^{-1} come from the spectra that validated them.
     Floats for one model, arrays for a stack.
     """
-    kappa2 = spd.spectral_norm(k.chi) ** 2
-    ntau = spd.spectral_norm(k.tau)
-    a = kappa2 * ntau * spd.spectral_norm(spec.u_plus)
-    beta_t = k.beta.swapaxes(-1, -2)
-    resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
-    b = kappa2 * ntau * spd.spectral_norm(resolvent)
+    *_, a, b = _rate_norms(k, spec)
     return _per_model(a), _per_model(b)
 
 
@@ -306,13 +310,15 @@ def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:
     For beta = I and diagonal tau = t I the exact algebra gives
         (1 + 1/eps)^{-1} < b^2   iff   (t/2) (1/||v_plus|| - 1/||u_plus||) > 1.
     Returns both sides so callers can verify the equivalence: floats and
-    bools for one model, one array entry per model for a stack.
+    bools for one model, one array entry per model for a stack.  Each of
+    the five norms is taken once, and eps and b are ``eps_lg``'s and
+    ``proximal_rates``' own arithmetic.
     """
-    eps = eps_lg(k, spec)
-    _, b = proximal_rates(k, spec)
-    pair_rate = 1.0 / (1.0 + 1.0 / eps)
-    t = spd.spectral_norm(k.tau)
-    margin = 0.5 * t * (1.0 / spd.spectral_norm(spec.v_plus) - 1.0 / spd.spectral_norm(spec.u_plus))
+    kappa, nu, t, _, b = _rate_norms(k, spec)
+    nv = spd.spectral_norm(spec.v_plus)
+    pair_rate = 1.0 / (1.0 + 1.0 / eps_generic(kappa, nu, nv))
+    b = _per_model(b)
+    margin = 0.5 * t * (1.0 / nv - 1.0 / nu)
     return {
         "pair_rate": pair_rate,
         "proximal_rate_sq": b**2,

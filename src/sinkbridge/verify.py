@@ -1,19 +1,24 @@
 """Acceptance checks: one function per criterion, shared by CLI and tests.
 
 Every check pins its tolerance here, computes its own reference values
-(iteration oracles, closed forms, exact Gaussian divergences) and returns a
-dict {passed, details}; ``run_criteria`` adds its id and name from its
-place in ``CRITERIA``.  All randomness is seed-fixed; results are
-deterministic for a given seed.  Criteria 1-6 draw all their cases first
-and then run the cases of each dimension as one stack: one call of each
-decomposition, and one Gaussian mean recursion, per dimension, whatever
-the number of cases.  Only the Python-scalar envelopes of
-``bounds.entropy_envelopes`` are evaluated model by model.  The commands'
-``satisfied`` and ``entropy_monotone`` outputs call the gates below, so a
-claim and its criterion share one gate.
+(iteration oracles, closed forms, exact Gaussian divergences) and returns
+its records: a ``Gate`` (name, observed, allowed, op) for each comparison
+it makes, and a (name, numbers) pair for a list it only reports.
+``run_criteria`` adds its id and name from its place in ``CRITERIA``, and
+it alone decides ``passed``: no gate fails.  A gate over arrays is reported
+by the entry that decides it (``_worst``).  All randomness is seed-fixed;
+results are deterministic for a given seed.  Criteria 1-6 draw all their
+cases first and then run the cases of each dimension as one stack: one
+call of each decomposition, and one Gaussian mean recursion, per
+dimension, whatever the number of cases.  Only the Python-scalar envelopes
+of ``bounds.entropy_envelopes`` are evaluated model by model.  The
+commands' ``satisfied`` and ``entropy_monotone`` outputs call the gates
+below, so a claim and its criterion share one gate.
 """
 
 import json
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,22 +33,63 @@ DETERMINISM = "determinism"  # criterion 11, which runs the others
 def dominated(obs, env):
     """The envelope gate of the Riccati decay and the Gaussian entropy claims: obs[n] <= env[n], with no slack.
 
-    The gaps compared keep their relative accuracy, so an exact comparison is the claim itself.
+    The gaps compared keep their relative accuracy, so an exact comparison is
+    the claim itself.  It is the ``<=`` of every ``Gate``.
     """
     return obs <= env
-
-
-def _nonincreasing(seq) -> bool:
-    """Each entry at most the one before, compared exactly; each column of a stacked sequence (n, ...) alike."""
-    return bool(np.all(np.diff(seq, axis=0) <= 0.0))
 
 
 def chains_monotone(rep: dict) -> bool:
     """The entropy-chain gate: every marginal chain of a ``discrete.entropy_report`` is nonincreasing.
 
-    The bridge gaps are tail sums of nonnegative terms, which cannot rise.
+    Compared exactly.  The bridge gaps are tail sums of nonnegative terms, which cannot rise.
     """
-    return all(_nonincreasing(rep[key]) for key in CHAINS)
+    return all(bool(np.all(np.diff(rep[key], axis=0) <= 0.0)) for key in CHAINS)
+
+
+OPS = {"<": operator.lt, "<=": dominated, ">": operator.gt, "==": operator.eq}
+
+
+class Gate(NamedTuple):
+    """One comparison of a criterion, made exactly: it holds when ``observed op allowed``."""
+
+    name: str
+    observed: float
+    allowed: float
+    op: str  # a key of OPS
+
+    @property
+    def holds(self) -> bool:
+        return bool(OPS[self.op](self.observed, self.allowed))
+
+
+def failing(records) -> list:
+    """The names of the gates among a criterion's records that do not hold; a (name, numbers) pair never fails."""
+    return [r.name for r in records if isinstance(r, Gate) and not r.holds]
+
+
+def _worst(name, observed, allowed, op="<=") -> Gate:
+    """The upper-bound gate ``observed op allowed`` over arrays, as the one entry that decides it.
+
+    That entry is the first that fails, else the one with the largest
+    observed / allowed (of those, the largest observed), so the gate holds
+    exactly when every entry does.  ``observed`` is a list of arrays,
+    flattened in order; ``allowed`` a list of like arrays, or one bound for all.
+    """
+    obs = np.concatenate([np.ravel(x) for x in observed])
+    if isinstance(allowed, list):
+        lim = np.concatenate([np.ravel(x) for x in allowed])
+    else:
+        lim = np.full(obs.shape, float(allowed))
+    holds = OPS[op](obs, lim)
+    if not holds.all():
+        i = int(np.argmin(holds))
+    else:
+        with np.errstate(all="ignore"):  # a 0 / 0 or inf / inf ratio ranks below every number
+            ratio = np.fmax(obs / lim, -np.inf)
+        top = np.flatnonzero(ratio == ratio.max())
+        i = int(top[np.argmax(obs[top])])
+    return Gate(name, float(obs[i]), float(lim[i]), op)
 
 
 def _spd_family(seed):
@@ -118,27 +164,22 @@ def _std_model():
 
 
 def criterion_riccati_fixed_point(seed=0):
-    worst_map = 0.0
-    worst_quad = 0.0
-    sandwich_ok = True
     family = _spd_family(seed)
-    for idx in _dim_groups(family):
-        rep = riccati.fixed_point_identities(_stack(family, idx))
-        worst_map = max(worst_map, float(rep["fixed_point_residual"].max()))
-        worst_quad = max(worst_quad, float(rep["quadratic_identity_residual"].max()))
-        sandwich_ok = sandwich_ok and bool(np.all(rep["sandwich_strict"] & rep["inverse_sandwich_strict"]))
-    passed = worst_map < 1e-10 and worst_quad < 1e-9 and sandwich_ok
-    return {
-        "passed": bool(passed),
-        "details": {"max_map_residual": worst_map, "max_identity_residual": worst_quad, "sandwich_strict": sandwich_ok},
-    }
+    reps = [riccati.fixed_point_identities(_stack(family, idx)) for idx in _dim_groups(family)]
+    strict = np.concatenate([rep["sandwich_strict"] & rep["inverse_sandwich_strict"] for rep in reps])
+    return [
+        _worst("max_map_residual", [rep["fixed_point_residual"] for rep in reps], 1e-10, "<"),
+        _worst("max_identity_residual", [rep["quadratic_identity_residual"] for rep in reps], 1e-9, "<"),
+        Gate("sandwich_violations", int(np.count_nonzero(~strict)), 0, "=="),  # either strict sandwich not strict
+    ]
 
 
 def criterion_riccati_decay(seed=0):
     n_max = 60
     rng = np.random.default_rng(seed + 1)
-    envelope_ok = True
-    worst_ratio = 0.0  # the largest gap / envelope over rows n >= 1 with a positive envelope
+    # each slice's gaps and envelope from row 1 on: row 0 of the envelope is the gap itself,
+    # and a NaN there reaches every later row
+    gaps_on, envelopes = [], []
     family = _spd_family(seed)
     starts = [np.diag(rng.uniform(0.0, 2.0, size=varpi.shape[0])) for varpi in family]
     for idx in _dim_groups(family):
@@ -147,10 +188,8 @@ def criterion_riccati_decay(seed=0):
         # gaps[n, j]: slice j's distance to its fixed point after n steps, read off Delta_n
         gaps = riccati.gap_norms(riccati._delta_flow(*spectrum, r0, n_max)[0])
         for j, one in enumerate(zip(*spectrum)):
-            env = riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))
-            on = env[1:] > 0.0
-            worst_ratio = max(worst_ratio, float((gaps[1:, j][on] / env[1:][on]).max(initial=0.0)))
-            envelope_ok = envelope_ok and bool(np.all(dominated(gaps[:, j], env)))
+            gaps_on.append(gaps[1:, j])
+            envelopes.append(riccati.decay_envelope(gaps[:, j], *riccati.decay_params(riccati.Spectrum(*one)))[1:])
 
     # the closed form against the map stepped on the dense varpi, s <- (varpi + s + I)^{-1} (varpi + s),
     # for five scalar flows as one (5, 1, 1) stack; a 1 x 1 solve is the division
@@ -160,12 +199,7 @@ def criterion_riccati_decay(seed=0):
         x = varpi + steps[-1]
         steps.append(x / (x + 1.0))
     err = np.abs(riccati.iterate(varpi, s, 100) - np.array(steps))
-    worst_cf = float(err.max())
-    closed_ok = bool(np.all(err < 1e-12))
-    return {
-        "passed": bool(envelope_ok and closed_ok),
-        "details": {"worst_envelope_ratio": worst_ratio, "max_closed_form_error": worst_cf},
-    }
+    return [_worst("envelope", gaps_on, envelopes), _worst("max_closed_form_error", [err], 1e-12, "<")]
 
 
 def _psi_cases(seed):
@@ -190,8 +224,7 @@ def _psi_cases(seed):
 
 
 def criterion_psi_factorization(seed=0):
-    worst_fact = 0.0
-    worst_transport = 0.0
+    factorization, transport = [], []
     gammas, starts = _psi_cases(seed)
     for idx in _dim_groups(gammas):
         gamma = _stack(gammas, idx)
@@ -200,15 +233,12 @@ def criterion_psi_factorization(seed=0):
         lhs = riccati.psi_map(gamma, riccati.psi_map(gamma_t, v))
         # one decomposition of the parameter serves the map and its fixed point
         param = riccati._spectrum(spd.sym_inv(spd.symmetrize(gamma @ gamma_t)))
-        worst_fact = max(worst_fact, float(spd.spectral_norm(lhs - riccati.ricc_map(param, v)).max()))
+        factorization.append(spd.spectral_norm(lhs - riccati.ricc_map(param, v)))
         left = riccati.psi_map(gamma_t, riccati.fixed_point(param))
         right = riccati.fixed_point(spd.sym_inv(spd.symmetrize(gamma_t @ gamma)))
-        worst_transport = max(worst_transport, float(spd.spectral_norm(left - right).max()))
-    passed = worst_fact < 1e-9 and worst_transport < 1e-9
-    return {
-        "passed": bool(passed),
-        "details": {"max_factorization_residual": worst_fact, "max_transport_residual": worst_transport},
-    }
+        transport.append(spd.spectral_norm(left - right))
+    return [_worst("max_factorization_residual", factorization, 1e-9, "<"),
+            _worst("max_transport_residual", transport, 1e-9, "<")]
 
 
 def _bridge_gaps(mu, eta, k, n_pairs):
@@ -234,73 +264,59 @@ def criterion_bridge_vs_sinkhorn(seed=0):
     bridge = g.bridge_solve(*_std_model())
     states = g.sinkhorn_run(bridge, 25)
     golden = riccati.fixed_point(np.array([[1.0]]))[0, 0]
-    sigma_err = max(
-        abs(s.tau_n[0, 0] - golden) for s in states if s.n in (50, 51)
-    )
+    sigma_err = max(abs(s.tau_n[0, 0] - golden) for s in states if s.n in (50, 51))
     gaps = g.bridge_gaps(bridge, states)
-    monotone = _nonincreasing(gaps)
-    envelope = all(gaps[2 * n] <= 0.5**n * gaps[0] for n in range(1, 26))
 
-    rate_ok = True
+    # each random model's gaps (n, models) and pair envelope; row 0 of the envelope is the gap itself,
+    # and a NaN there reaches every later row
+    random_gaps, pairs = [], []
     for mu_r, eta_r, k_r in _gaussian_models(seed + 3):
-        gaps_r = _bridge_gaps(mu_r, eta_r, k_r, 15)
-        pair, _ = _envelopes(mu_r, eta_r, k_r, gaps_r)
-        rate_ok = rate_ok and _nonincreasing(gaps_r) and bool(np.all(dominated(gaps_r, pair)))
-    passed = sigma_err < 1e-10 and monotone and envelope and rate_ok
-    return {
-        "passed": bool(passed),
-        "details": {
-            "sigma_error_at_n50": sigma_err,
-            "standard_model_monotone": monotone,
-            "standard_model_envelope": envelope,
-            "random_models_ok": rate_ok,
-        },
-    }
+        random_gaps.append(_bridge_gaps(mu_r, eta_r, k_r, 15))
+        pairs.append(_envelopes(mu_r, eta_r, k_r, random_gaps[-1])[0])
+    return [
+        Gate("sigma_error_at_n50", float(sigma_err), 1e-10, "<"),
+        _worst("standard_model_monotone", [gaps[1:]], [gaps[:-1]]),
+        _worst("standard_model_envelope", [gaps[2:51:2]], [0.5 ** np.arange(1, 26) * gaps[0]]),
+        _worst("random_models_monotone", [x[1:] for x in random_gaps], [x[:-1] for x in random_gaps]),
+        _worst("random_models_pair_envelope", [x[1:] for x in random_gaps], [x[1:] for x in pairs]),
+    ]
 
 
 def criterion_improved_rate(seed=0):
-    arithmetic_ok = all((1.0 + bounds.phi(e)) ** -2 < (1.0 + 1.0 / e) ** -1 for e in [0.01, 0.25, 1.0, 4.0, 100.0])
+    eps = [0.01, 0.25, 1.0, 4.0, 100.0]
+    ordering = _worst("strict_ordering", [[(1.0 + bounds.phi(e)) ** -2 for e in eps]],
+                      [[(1.0 + 1.0 / e) ** -1 for e in eps]], "<")
 
-    env_ok = True
+    gaps_on, improved_on = [], []  # from n = 2 on, where the improved envelope is finite
     for mu, eta, k in [_std_model()] + _gaussian_models(seed + 3):
         gaps = _bridge_gaps(mu, eta, k, 10)
-        _, improved = _envelopes(mu, eta, k, gaps)
-        env_ok = env_ok and bool(np.all(dominated(gaps[2:], improved[2:])))
-    return {
-        "passed": bool(arithmetic_ok and env_ok),
-        "details": {"strict_ordering": arithmetic_ok, "phi_envelope_dominates": env_ok},
-    }
+        gaps_on.append(gaps[2:])
+        improved_on.append(_envelopes(mu, eta, k, gaps)[1][2:])
+    return [ordering, _worst("phi_envelope", gaps_on, improved_on)]
 
 
 def criterion_entropic_map_identities(seed=0):
-    worst_bary = 0.0
-    worst_sandwich = 0.0
+    barycentric, sandwich = [], []
     for mu, eta, k in _gaussian_models(seed + 4):
         chi = k.chi
         chi_t = chi.swapaxes(-1, -2)
         bridge = g.bridge_solve(mu, eta, k)
         fwd, bwd = bridge.forward, bridge.backward()
         grad_fwd, grad_bwd = g.entropic_map_gradient(fwd) @ chi, g.entropic_map_gradient(bwd) @ chi_t
-        worst_bary = max(
-            worst_bary,
-            float(spd.spectral_norm(chi_t @ fwd.noise_cov @ chi - grad_fwd).max()),
-            float(spd.spectral_norm(chi @ bwd.noise_cov @ chi_t - grad_bwd).max()),
-        )
+        barycentric += [spd.spectral_norm(chi_t @ fwd.noise_cov @ chi - grad_fwd),
+                        spd.spectral_norm(chi @ bwd.noise_cov @ chi_t - grad_bwd)]
         # equality case: both two-sided bound families collapse onto the
         # gradient; the fixed points come from the family's bridge spectra
         w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu, eta))
         v_half, u_half = bridge.factors.v_half, bridge.factors.u_half
         for w in (w0, w0b):
             bound = chi_t @ v_half @ riccati.fixed_point(w) @ v_half @ chi
-            worst_sandwich = max(worst_sandwich, float(spd.spectral_norm(grad_fwd - bound).max()))
+            sandwich.append(spd.spectral_norm(grad_fwd - bound))
         for w in (w1, w1b):
             bound = chi @ u_half @ riccati.fixed_point(w) @ u_half @ chi_t
-            worst_sandwich = max(worst_sandwich, float(spd.spectral_norm(grad_bwd - bound).max()))
-    passed = worst_bary < 1e-10 and worst_sandwich < 1e-10
-    return {
-        "passed": bool(passed),
-        "details": {"max_barycentric_residual": worst_bary, "max_sandwich_residual": worst_sandwich},
-    }
+            sandwich.append(spd.spectral_norm(grad_bwd - bound))
+    return [_worst("max_barycentric_residual", barycentric, 1e-10, "<"),
+            _worst("max_sandwich_residual", sandwich, 1e-10, "<")]
 
 
 def criterion_ot_limit(seed=0):
@@ -309,15 +325,14 @@ def criterion_ot_limit(seed=0):
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
     bridge = g.bridge_solve(mu, eta, k)
     lim = bridge.ot_limit()
-    limit_ok = abs(lim.slope[0, 0] - 0.5) < 1e-12
     # one decomposition for the whole sweep: a rescaled bridge reuses it
-    gaps = [abs(bridge.rescaled(t).forward.slope[0, 0] - lim.slope[0, 0]) for t in [1.0, 0.1, 0.01, 0.001]]
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    passed = limit_ok and monotone and gaps[-1] < 5e-3
-    return {
-        "passed": bool(passed),
-        "details": {"limit_slope_ok": limit_ok, "gaps": gaps, "monotone": monotone},
-    }
+    gaps = [float(abs(bridge.rescaled(t).forward.slope[0, 0] - lim.slope[0, 0])) for t in [1.0, 0.1, 0.01, 0.001]]
+    return [
+        Gate("limit_slope_error", float(abs(lim.slope[0, 0] - 0.5)), 1e-12, "<"),
+        _worst("monotone", [gaps[1:]], [gaps[:-1]], "<"),
+        Gate("final_gap", gaps[-1], 5e-3, "<"),
+        ("gaps", gaps),
+    ]
 
 
 def criterion_proximal_sampler(seed=0):
@@ -326,9 +341,8 @@ def criterion_proximal_sampler(seed=0):
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
     spec = CurvatureSpec(u_plus=[[1.0]], v_plus=[[1.0]])
     a, b = bounds.proximal_rates(k, spec)
-    rates_ok = a == 1.0 and b == 0.5
-    rows = bounds.proximal_trace(nu, mu, k, a, b, 20)
-    decay_ok = all(w2 <= w2_env + 1e-13 and kl <= kl_env + 1e-13 for w2, w2_env, kl, kl_env in rows)
+    # rows n >= 1: row 0's envelopes are W2_0 and KL_0 themselves, and a NaN there reaches every later row
+    w2, w2_env, kl, kl_env = np.array(bounds.proximal_trace(nu, mu, k, a, b, 20)[1:]).T
 
     # crossover: the rate comparison must match the exact margin predicate on
     # both sides of the asymmetric-curvature boundary and for both outcomes;
@@ -336,13 +350,14 @@ def criterion_proximal_sampler(seed=0):
     t, up, vp = np.array([(1.0, 2.0, 1.0), (1.0, 1.0, 2.0), (10.0, 2.0, 1.0), (10.0, 1.0, 2.0)]).T.reshape(3, -1, 1, 1)
     k_x = g.LinearGaussianKernel(np.zeros((len(t), 1)), np.ones_like(t), t)
     out = bounds.proximal_crossover(k_x, CurvatureSpec(u_plus=up, v_plus=vp))
-    crossover_ok = bool(np.all(out["pair_rate_below"] == out["margin_above_one"]))
-    crossover_ok = crossover_ok and set(out["pair_rate_below"].tolist()) == {True, False}
-    passed = rates_ok and decay_ok and crossover_ok
-    return {
-        "passed": bool(passed),
-        "details": {"rates_ok": rates_ok, "decay_ok": decay_ok, "crossover_ok": crossover_ok},
-    }
+    return [
+        Gate("prefactor_a", a, 1.0, "=="),
+        Gate("rate_b", b, 0.5, "=="),
+        _worst("w2_envelope", [w2], [w2_env + 1e-13]),
+        _worst("kl_envelope", [kl], [kl_env + 1e-13]),
+        Gate("crossover_disagreements", np.count_nonzero(out["pair_rate_below"] != out["margin_above_one"]), 0, "=="),
+        Gate("crossover_outcomes", len(set(out["pair_rate_below"].tolist())), 2, "=="),
+    ]
 
 
 def _desk_models():
@@ -361,15 +376,8 @@ def _desk_models():
 def criterion_discrete_sinkhorn(seed=0):
     tol_plans = 1e-12
     n_plans = 11  # the states checked against matrix scaling: n = 0..10
-    scaling_ok = True
-    marginal_ok = True
-    chains_ok = True
-    worst_plan_gap = 0.0
-    worst_marginal = 0.0
-    worst_gap_diff = 0.0
-    worst_ratio = 0.0  # the largest entry[n] / entry[n - 1] of any chain
-    min_entry = np.inf
-    for name, model in _desk_models().items():
+    plan_gaps, marginals, gap_diffs, chains = [], [], [], []  # chains: each model's four, in CHAINS order
+    for model in _desk_models().values():
         trace = discrete.run(model, 300, tol=1e-11)
         oracle = discrete.bridge_oracle(model, start=trace)
         rep = discrete.entropy_report(trace, oracle)
@@ -382,13 +390,9 @@ def criterion_discrete_sinkhorn(seed=0):
         mass = discrete.plan_mass(states[:n_plans])
         for m, plan in zip(mass, discrete.matrix_scaling_plans(model, n_plans - 1)):
             m -= plan
-        gap = float(np.abs(mass, out=mass).max())
-        worst_plan_gap = max(worst_plan_gap, gap)
-        scaling_ok = scaling_ok and gap < tol_plans
+        plan_gaps.append(np.abs(mass, out=mass).max())
         # only the marginal a state's plan has exactly: the first at an even state, the second at an odd one
-        res = max(discrete.marginal_residual(state, state.n % 2) for state in states[:n_plans])
-        worst_marginal = max(worst_marginal, res)
-        marginal_ok = marginal_ok and res < tol_plans
+        marginals.append([discrete.marginal_residual(state, state.n % 2) for state in states[:n_plans]])
 
         # the report's tail-sum bridge gaps against the dense joint relative entropies, in stacks of
         # n_plans states: a stack of the whole run would raise the peak memory by a table per state
@@ -397,27 +401,20 @@ def criterion_discrete_sinkhorn(seed=0):
             for i in range(0, len(trace.states), n_plans)
         ])
         fast = [x for pair in zip(rep["H_bridge_even"], rep["H_bridge_odd"]) for x in pair]
-        worst_gap_diff = max(worst_gap_diff, float(np.abs(dense - fast).max()))
-        chains_ok = chains_ok and chains_monotone(rep)
-        # the four cross-chain inequalities, for n >= 1 and compared exactly
-        chains = pe, ep, me, pm = [np.array(rep[key]) for key in CHAINS]
-        chains_ok = chains_ok and bool(np.all(
-            (pe[1:] <= me[:-1]) & (me[:-1] <= pe[:-1]) & (pm[1:] <= ep[1:]) & (ep[1:] <= pm[:-1])
-        ))
-        min_entry = min(min_entry, *(float(c.min()) for c in chains))
-        worst_ratio = max(worst_ratio, *(float(np.max(c[1:] / c[:-1])) for c in chains))
-    passed = scaling_ok and marginal_ok and chains_ok and min_entry > 0.0 and worst_gap_diff < tol_plans
-    return {
-        "passed": bool(passed),
-        "details": {
-            "max_scaling_gap": worst_plan_gap,
-            "max_marginal_residual": worst_marginal,
-            "max_bridge_gap_diff": worst_gap_diff,
-            "entropy_chains_ok": chains_ok,
-            "max_chain_ratio": worst_ratio,
-            "min_chain_entry": min_entry,
-        },
-    }
+        gap_diffs.append(np.abs(dense - fast))
+        chains.append([np.array(rep[key]) for key in CHAINS])
+    each = [c for four in chains for c in four]
+    return [
+        _worst("max_scaling_gap", plan_gaps, tol_plans, "<"),
+        _worst("max_marginal_residual", marginals, tol_plans, "<"),
+        _worst("max_bridge_gap_diff", gap_diffs, tol_plans, "<"),
+        # every chain entry at most the one before: ``chains_monotone``'s claim, compared entry by entry
+        _worst("chains_monotone", [c[1:] for c in each], [c[:-1] for c in each]),
+        # the four cross-chain inequalities, for n >= 1
+        _worst("cross_chain", [x for pe, ep, me, pm in chains for x in (pe[1:], me[:-1], pm[1:], ep[1:])],
+               [x for pe, ep, me, pm in chains for x in (me[:-1], pe[:-1], ep[1:], pm[:-1])]),
+        Gate("min_chain_entry", float(np.min(np.concatenate(each))), 0.0, ">"),
+    ]
 
 
 def criterion_discretization_consistency(seed=0):
@@ -448,16 +445,11 @@ def criterion_discretization_consistency(seed=0):
     # the c of err = A h^-2 exp(-c / h^2) that each pair of neighbouring grids gives, at each n
     inv_h2 = (np.array(sizes) / (2.0 * radius)) ** 2
     fitted = (np.log(errs[:-1] / errs[1:]) - np.log(inv_h2[:-1] / inv_h2[1:])[:, None]) / np.diff(inv_h2)[:, None]
-    deviation = float(np.abs(fitted / (2.0 * np.pi**2 * t) - 1.0).max())
-    passed = errs.min() > floor and deviation <= margin
-    return {
-        "passed": bool(passed),
-        "details": {
-            "max_errors": [float(e) for e in errs.max(axis=1)],
-            "min_error": float(errs.min()),
-            "max_rate_deviation": deviation,
-        },
-    }
+    return [
+        Gate("min_error", float(errs.min()), floor, ">"),
+        _worst("max_rate_deviation", [np.abs(fitted / (2.0 * np.pi**2 * t) - 1.0)], margin),
+        ("max_errors", [float(e) for e in errs.max(axis=1)]),
+    ]
 
 
 CRITERIA = [
@@ -475,40 +467,41 @@ CRITERIA = [
 
 
 def run_criteria(seed: int = 0, name_filter: str | None = None) -> list[dict]:
-    """Run the numbered checks, optionally restricted by a name substring; id i is CRITERIA[i - 1]."""
-    return [{"id": i, "name": name, **fn(seed=seed)}
-            for i, (name, fn) in enumerate(CRITERIA, 1) if not name_filter or name_filter in name]
+    """Run the numbered checks, optionally restricted by a name substring; id i is CRITERIA[i - 1].
+
+    A criterion passes when none of its gates fails.  Its details hold each
+    gate as {observed, allowed, op} and each (name, numbers) pair's numbers.
+    """
+    results = []
+    for i, (name, fn) in enumerate(CRITERIA, 1):
+        if not name_filter or name_filter in name:
+            records = fn(seed=seed)
+            details = {r[0]: {"observed": r.observed, "allowed": r.allowed, "op": r.op} if isinstance(r, Gate)
+                       else r[1] for r in records}
+            results.append({"id": i, "name": name, "passed": not failing(records), "details": details})
+    return results
 
 
 def summary_document(results: list[dict], seed: int) -> str:
     """Canonical machine-readable summary; byte-stable for a fixed seed."""
-    doc = {
-        "schema": "sinkbridge/v1",
-        "seed": seed,
-        "all_passed": all(r["passed"] for r in results),
-        "criteria": [
-            {
-                "id": r["id"],
-                "name": r["name"],
-                "passed": r["passed"],
-                "details": {k: _canonical(v) for k, v in sorted(r["details"].items())},
-            }
-            for r in results
-        ],
-    }
+    doc = {"schema": "sinkbridge/v1", "seed": seed, "all_passed": all(r["passed"] for r in results),
+           "criteria": _canonical(results)}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _canonical(v):
+    """A result as the summary writes it: each float as its 17-digit string, so the text is byte-stable."""
     if isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, dict):
+        return {k: _canonical(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_canonical(x) for x in v]
     if isinstance(v, np.generic):
         return _canonical(v.item())
-    return str(v)
+    raise TypeError(f"a criterion detail of type {type(v).__name__} has no canonical form")
 
 
 def criterion_determinism(seed: int = 0, first: str | None = None) -> dict:
@@ -519,11 +512,5 @@ def criterion_determinism(seed: int = 0, first: str | None = None) -> dict:
     """
     if first is None:
         first = summary_document(run_criteria(seed=seed), seed)
-    second = summary_document(run_criteria(seed=seed), seed)
-    passed = first == second
-    return {
-        "id": 11,
-        "name": DETERMINISM,
-        "passed": bool(passed),
-        "details": {"byte_identical": passed},
-    }
+    passed = first == summary_document(run_criteria(seed=seed), seed)
+    return {"id": 11, "name": DETERMINISM, "passed": passed, "details": {"byte_identical": passed}}

@@ -481,3 +481,22 @@ def factor_pass(f, scaled, a, axis):
         rows, cols = np.nonzero(low)
         out[rows, cols] = -discrete._neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
     return out
+
+
+def proximal_crossover_composed(k, spec):
+    """``bounds.proximal_crossover`` composed of ``eps_lg`` and ``proximal_rates``' own arithmetic.
+
+    It takes ten SVD norms of five matrices, each call its own; the library's
+    crossover must agree with it bit for bit, on one model or a stack.
+    """
+    eps = bounds.eps_lg(k, spec)
+    kappa2 = spd.spectral_norm(k.chi) ** 2
+    ntau = spd.spectral_norm(k.tau)
+    beta_t = k.beta.swapaxes(-1, -2)
+    resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
+    b = g._per_model(kappa2 * ntau * spd.spectral_norm(resolvent))
+    pair_rate = 1.0 / (1.0 + 1.0 / eps)
+    t = spd.spectral_norm(k.tau)
+    margin = 0.5 * t * (1.0 / spd.spectral_norm(spec.v_plus) - 1.0 / spd.spectral_norm(spec.u_plus))
+    return {"pair_rate": pair_rate, "proximal_rate_sq": b**2, "pair_rate_below": pair_rate < b**2, "margin": margin,
+            "margin_above_one": margin > 1.0}

@@ -28,17 +28,29 @@ def _check(result):
     assert result["passed"], result
 
 
+def _observed(result, gate):
+    """The observed value of one gate of a criterion result."""
+    return result["details"][gate]["observed"]
+
+
+def _gates(records):
+    """A criterion's records by name."""
+    return {r[0]: r for r in records}
+
+
 def test_criterion_01_riccati_fixed_point():
     # map residual < 1e-10, quadratic identity to 1e-9, strict sandwich
     res = _criterion("riccati-fixed-point")
     _check(res)
-    assert res["details"]["max_map_residual"] < 1e-10
-    assert res["details"]["max_identity_residual"] < 1e-9
+    assert _observed(res, "max_map_residual") < 1e-10
+    assert _observed(res, "max_identity_residual") < 1e-9
+    assert _observed(res, "sandwich_violations") == 0
 
 
 def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
     # a planted defect: the spectral layer rotates with Q' where it should
-    # rotate with Q.  The dense map residual sees it.  Criterion 2 cannot:
+    # rotate with Q.  Every gate sees it: the dense map residual reads 0.23,
+    # and 14 sandwiches are not strict at seed 0.  Criterion 2 cannot:
     # every spectral quantity is then that of Q' diag(lam) Q, a consistent
     # flow whose iterates and fixed point agree with each other.
     spectrum = riccati._spectrum
@@ -48,24 +60,40 @@ def test_criterion_01_catches_a_transposed_eigenbasis(monkeypatch):
         return riccati.Spectrum(w, q.swapaxes(-1, -2))  # each slice's Q'; the criterion passes stacks
 
     monkeypatch.setattr(riccati, "_spectrum", transposed)
-    res = verify.criterion_riccati_fixed_point(seed=0)
-    assert not res["passed"]
-    assert res["details"]["max_map_residual"] > 1e-10
+    records = verify.criterion_riccati_fixed_point(seed=0)
+    assert verify.failing(records) == ["max_map_residual", "max_identity_residual", "sandwich_violations"]
+    assert _gates(records)["max_map_residual"].observed > 1e-10
+
+
+def test_criterion_01_catches_a_nan_residual(monkeypatch):
+    # a planted defect: every map residual NaN.  Accumulated by Python's max from 0.0, a NaN
+    # was dropped and the criterion passed reading 0.0; the gate's record is now the NaN
+    identities = riccati.fixed_point_identities
+
+    def nan_residuals(varpi):
+        rep = identities(varpi)
+        rep["fixed_point_residual"] = np.full_like(rep["fixed_point_residual"], np.nan)
+        return rep
+
+    monkeypatch.setattr(riccati, "fixed_point_identities", nan_residuals)
+    records = verify.criterion_riccati_fixed_point(seed=0)
+    assert verify.failing(records) == ["max_map_residual"]
+    assert np.isnan(_gates(records)["max_map_residual"].observed)
 
 
 def test_criterion_02_riccati_decay():
     # certified envelope for n <= 60; the closed form matches the dense steps to 1e-12
     res = _criterion("riccati-decay")
     _check(res)
-    assert res["details"]["max_closed_form_error"] < 1e-12
+    assert _observed(res, "max_closed_form_error") < 1e-12
 
 
 def test_criterion_03_psi_factorization():
     # factorization and fixed-point transport to 1e-9 on 50 cases, d <= 4
     res = _criterion("psi-factorization")
     _check(res)
-    assert res["details"]["max_factorization_residual"] < 1e-9
-    assert res["details"]["max_transport_residual"] < 1e-9
+    assert _observed(res, "max_factorization_residual") < 1e-9
+    assert _observed(res, "max_transport_residual") < 1e-9
 
 
 def test_criterion_03_catches_a_perturbed_fixed_point(monkeypatch):
@@ -78,9 +106,9 @@ def test_criterion_03_catches_a_perturbed_fixed_point(monkeypatch):
         return r + 1e-8 * np.eye(r.shape[-1])
 
     monkeypatch.setattr(riccati, "fixed_point", perturbed)
-    res = verify.criterion_psi_factorization(seed=0)
-    assert not res["passed"]
-    assert res["details"]["max_transport_residual"] > 1e-9
+    records = verify.criterion_psi_factorization(seed=0)
+    assert verify.failing(records) == ["max_transport_residual"]
+    assert _gates(records)["max_transport_residual"].observed > 1e-9
 
 
 def test_criterion_03_decomposes_each_parameter_once(decompositions):
@@ -91,7 +119,7 @@ def test_criterion_03_decomposes_each_parameter_once(decompositions):
     The parent made 13: a second decomposition of the first parameter, and the
     criterion's own clamp of the starts before psi_map and ricc_map validate them.
     """
-    assert verify.criterion_psi_factorization(seed=0)["passed"]
+    assert not verify.failing(verify.criterion_psi_factorization(seed=0))
     assert decompositions["eigh"] == 4 * 11
 
 
@@ -100,7 +128,7 @@ def test_criterion_04_bridge_vs_sinkhorn():
     # the (1 + 1/eps)^{-floor(n/2)} envelope on the standard and 10 random models
     res = _criterion("gaussian-bridge-vs-sinkhorn")
     _check(res)
-    assert res["details"]["sigma_error_at_n50"] < 1e-10
+    assert _observed(res, "sigma_error_at_n50") < 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -116,9 +144,7 @@ def test_criterion_04_catches_a_pair_envelope_one_step_ahead(seed, monkeypatch):
         return np.array(pair), improved
 
     monkeypatch.setattr(bounds, "entropy_envelopes", ahead)
-    res = verify.criterion_bridge_vs_sinkhorn(seed=seed)
-    assert not res["passed"]
-    assert not res["details"]["random_models_ok"]
+    assert verify.failing(verify.criterion_bridge_vs_sinkhorn(seed=seed)) == ["random_models_pair_envelope"]
 
 
 def test_criterion_05_improved_rate():
@@ -129,8 +155,8 @@ def test_criterion_05_improved_rate():
 def test_criterion_06_entropic_map_identities():
     res = _criterion("entropic-map-identities")
     _check(res)
-    assert res["details"]["max_barycentric_residual"] < 1e-10
-    assert res["details"]["max_sandwich_residual"] < 1e-10
+    assert _observed(res, "max_barycentric_residual") < 1e-10
+    assert _observed(res, "max_sandwich_residual") < 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -139,15 +165,15 @@ def test_criterion_06_catches_an_untransposed_gradient(seed, monkeypatch):
     # slope, not its transpose; on a non-symmetric chi the residuals read
     # 1.05-1.23, against ~2e-15 when correct
     monkeypatch.setattr(g, "entropic_map_gradient", lambda bridge: bridge.slope.copy())
-    res = verify.criterion_entropic_map_identities(seed=seed)
-    assert not res["passed"]
-    assert res["details"]["max_barycentric_residual"] > 1e-10
+    records = verify.criterion_entropic_map_identities(seed=seed)
+    assert verify.failing(records) == ["max_barycentric_residual", "max_sandwich_residual"]
+    assert _gates(records)["max_barycentric_residual"].observed > 1e-10
 
 
 def test_criterion_07_ot_limit():
     res = _criterion("ot-limit")
     _check(res)
-    assert res["details"]["gaps"][-1] < 5e-3
+    assert res["details"]["gaps"][-1] == _observed(res, "final_gap") < 5e-3
 
 
 def test_criterion_07_catches_a_limit_slope_off_by_1e_10(monkeypatch):
@@ -159,9 +185,7 @@ def test_criterion_07_catches_a_limit_slope_off_by_1e_10(monkeypatch):
         return dataclasses.replace(lim, slope=lim.slope + 1e-10)
 
     monkeypatch.setattr(g.GaussianBridge, "ot_limit", off)
-    res = verify.criterion_ot_limit(seed=0)
-    assert not res["passed"]
-    assert not res["details"]["limit_slope_ok"]
+    assert verify.failing(verify.criterion_ot_limit(seed=0)) == ["limit_slope_error"]
 
 
 def test_criterion_08_proximal_sampler():
@@ -172,13 +196,13 @@ def test_criterion_08_proximal_sampler():
 def test_criterion_09_discrete_sinkhorn():
     res = _criterion("discrete-sinkhorn-correctness")
     _check(res)
-    assert res["details"]["max_scaling_gap"] < 1e-12
-    assert res["details"]["max_marginal_residual"] < 1e-12
-    assert res["details"]["max_bridge_gap_diff"] < 1e-12
+    assert _observed(res, "max_scaling_gap") < 1e-12
+    assert _observed(res, "max_marginal_residual") < 1e-12
+    assert _observed(res, "max_bridge_gap_diff") < 1e-12
     # every chain strictly positive and decreasing with no slack (the largest ratio reads ~0.055)
-    assert res["details"]["entropy_chains_ok"]
-    assert res["details"]["min_chain_entry"] > 0.0
-    assert res["details"]["max_chain_ratio"] < 1.0
+    assert _observed(res, "min_chain_entry") > 0.0
+    chain = res["details"]["chains_monotone"]
+    assert chain["observed"] / chain["allowed"] < 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -197,20 +221,18 @@ def test_criterion_09_catches_a_late_perturbed_potential(monkeypatch, seed):
         return out
 
     monkeypatch.setattr(discrete, "sinkhorn_step", perturbed)
-    res = verify.criterion_discrete_sinkhorn(seed=seed)
-    assert not res["passed"]
-    assert not res["details"]["entropy_chains_ok"]
+    assert verify.failing(verify.criterion_discrete_sinkhorn(seed=seed)) == ["cross_chain"]
 
 
 def test_criterion_09_steps_on_a_run_that_holds_fewer_states(monkeypatch):
     # a run cut to two sweeps holds four states; the criterion steps on to the eleven it
     # compares with matrix scaling, which are the same states, so those details do not move
-    full = verify.criterion_discrete_sinkhorn(seed=0)["details"]
+    full = _gates(verify.criterion_discrete_sinkhorn(seed=0))
     run = discrete.run
     # only the criterion's own run is cut: bridge_oracle resumes it from a start state
     monkeypatch.setattr(discrete, "run", lambda model, n_sweeps, tol, start=None: run(
         model, n_sweeps if start else 1, tol, start))
-    short = verify.criterion_discrete_sinkhorn(seed=0)["details"]
+    short = _gates(verify.criterion_discrete_sinkhorn(seed=0))
     assert (short["max_scaling_gap"], short["max_marginal_residual"]) == (full["max_scaling_gap"],
                                                                           full["max_marginal_residual"])
 
@@ -219,8 +241,8 @@ def test_criterion_10_discretization_consistency():
     # every compared error above round-off, each grid pair at the midpoint-rule rate to 5%
     res = _criterion("discretization-consistency")
     _check(res)
-    assert res["details"]["min_error"] > 1e-10
-    assert res["details"]["max_rate_deviation"] <= 0.05
+    assert _observed(res, "min_error") > 1e-10
+    assert _observed(res, "max_rate_deviation") <= 0.05
 
 
 def test_criterion_10_catches_a_mistabulated_channel(monkeypatch):
@@ -230,18 +252,18 @@ def test_criterion_10_catches_a_mistabulated_channel(monkeypatch):
     monkeypatch.setattr(
         models, "linear_gaussian_channel_potential", lambda alpha, beta, tau: channel(alpha, beta, np.multiply(tau, 1 + 1e-4))
     )
-    res = verify.criterion_discretization_consistency(seed=0)
-    assert not res["passed"]
-    assert res["details"]["max_rate_deviation"] > 0.05
+    records = verify.criterion_discretization_consistency(seed=0)
+    assert verify.failing(records) == ["max_rate_deviation"]
+    assert _gates(records)["max_rate_deviation"].observed > 0.05
 
 
 def test_criterion_10_catches_an_off_by_one_index(monkeypatch):
     # a planted defect: grid state n is compared with the Gaussian tau_{n+1}
     run = g.sinkhorn_run
     monkeypatch.setattr(g, "sinkhorn_run", lambda bridge, n_max: run(bridge, n_max + 1)[1 : 2 * n_max + 3])
-    res = verify.criterion_discretization_consistency(seed=0)
-    assert not res["passed"]
-    assert res["details"]["max_rate_deviation"] > 0.05
+    records = verify.criterion_discretization_consistency(seed=0)
+    assert verify.failing(records) == ["max_rate_deviation"]
+    assert _gates(records)["max_rate_deviation"].observed > 0.05
 
 
 def test_criterion_10_runs_no_oracle(monkeypatch):
@@ -251,7 +273,7 @@ def test_criterion_10_runs_no_oracle(monkeypatch):
     for name in ("bridge_oracle", "sinkhorn_step"):
         fn = getattr(discrete, name)
         monkeypatch.setattr(discrete, name, lambda *a, _fn=fn, _name=name, **kw: calls.update([_name]) or _fn(*a, **kw))
-    assert verify.criterion_discretization_consistency(seed=0)["passed"]
+    assert not verify.failing(verify.criterion_discretization_consistency(seed=0))
     assert calls == {"sinkhorn_step": 3 * 11}
 
 
@@ -262,16 +284,16 @@ def test_criterion_02_makes_one_solve_per_step_and_dimension(decompositions):
     for seed in (0, 1):
         dims = {varpi.shape[0] for varpi in verify._spd_family(seed)}
         decompositions.clear()
-        verify.criterion_riccati_decay(seed=seed)
+        assert not verify.failing(verify.criterion_riccati_decay(seed=seed))
         assert decompositions["solve"] == len(dims) + 1
 
 
 def test_criterion_02_reads_no_zero_gap(monkeypatch):
     # the smallest true gap of the family at n <= 60 is ~5e-130, and Delta_n resolves it
     seen = []
-    holds = verify.dominated
-    monkeypatch.setattr(verify, "dominated", lambda gaps, env: seen.append(gaps) or holds(gaps, env))
-    assert verify.criterion_riccati_decay(seed=0)["passed"]
+    envelope = riccati.decay_envelope
+    monkeypatch.setattr(riccati, "decay_envelope", lambda gaps, *params: seen.append(gaps) or envelope(gaps, *params))
+    assert not verify.failing(verify.criterion_riccati_decay(seed=0))
     assert len(seen) == 24 and all(np.all(gaps > 0.0) for gaps in seen)
 
 
@@ -280,7 +302,7 @@ def test_criterion_02_catches_a_rate_one_percent_too_fast(seed, monkeypatch):
     # with no slack on the gate, a delta shrunk by 1% fails rows the true delta passes
     decay_params = riccati.decay_params
     monkeypatch.setattr(riccati, "decay_params", lambda varpi: (0.99 * decay_params(varpi)[0], decay_params(varpi)[1]))
-    assert not verify.criterion_riccati_decay(seed=seed)["passed"]
+    assert verify.failing(verify.criterion_riccati_decay(seed=seed)) == ["envelope"]
 
 
 def test_criteria_04_05_read_no_zero_gap(monkeypatch):
@@ -290,8 +312,8 @@ def test_criteria_04_05_read_no_zero_gap(monkeypatch):
     bridge_gaps = g.bridge_gaps
     monkeypatch.setattr(g, "bridge_gaps", lambda bridge, states: seen.append(bridge_gaps(bridge, states)) or seen[-1])
     for seed in (0, 1, 2):
-        assert verify.criterion_bridge_vs_sinkhorn(seed=seed)["passed"]
-        assert verify.criterion_improved_rate(seed=seed)["passed"]
+        assert not verify.failing(verify.criterion_bridge_vs_sinkhorn(seed=seed))
+        assert not verify.failing(verify.criterion_improved_rate(seed=seed))
     sequences = [column for gaps in seen for column in gaps.reshape(len(gaps), -1).T]
     assert len(sequences) == 3 * 22
     assert all(np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0) for gaps in sequences)
@@ -313,10 +335,9 @@ def test_criteria_04_05_gate_every_model_of_a_stack(seed, monkeypatch):
         return gaps
 
     monkeypatch.setattr(g, "bridge_gaps", stalled)
-    res = verify.criterion_bridge_vs_sinkhorn(seed=seed)
-    assert not res["passed"] and not res["details"]["random_models_ok"]
-    res = verify.criterion_improved_rate(seed=seed)
-    assert not res["passed"] and not res["details"]["phi_envelope_dominates"]
+    assert verify.failing(verify.criterion_bridge_vs_sinkhorn(seed=seed)) == [
+        "random_models_monotone", "random_models_pair_envelope"]
+    assert verify.failing(verify.criterion_improved_rate(seed=seed)) == ["phi_envelope"]
 
 
 def _tiled(stacks):
@@ -340,7 +361,7 @@ def test_criteria_4_to_6_decompose_once_per_dimension(criterion, offset, decompo
     def counted(models):
         monkeypatch.setattr(verify, "_gaussian_models", lambda seed: models)
         decompositions.clear()
-        assert criterion(seed=0)["passed"]
+        assert not verify.failing(criterion(seed=0))
         return dict(decompositions)
 
     once = counted(stacks)
@@ -380,7 +401,7 @@ def test_criteria_4_to_8_decompose_no_validated_input_again(criterion, n_models,
         monkeypatch.setattr(spd, name, lambda a, _fn=fn: again.update([any(a is x for x in held)]) or _fn(a))
     draw = verify._gaussian_models
     monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
-    assert criterion(seed=0)["passed"]
+    assert not verify.failing(criterion(seed=0))
     assert again[False] > 0 and again[True] == 0
 
 
@@ -404,7 +425,7 @@ def test_criterion_06_takes_nine_svds_per_dimension(n_models, decompositions, mo
     monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
     groups = len(draw(4, count=n_models))  # criterion 6 draws from seed + 4
     decompositions.clear()
-    assert verify.criterion_entropic_map_identities(seed=0)["passed"]
+    assert not verify.failing(verify.criterion_entropic_map_identities(seed=0))
     assert decompositions["svd"] == 9 * groups
     assert decompositions["norm_svd"] == 7 * groups
 
@@ -460,7 +481,7 @@ def test_criteria_1_to_3_decompose_once_per_dimension(criterion, cases, triple, 
 
     def counted():
         decompositions.clear()
-        assert criterion(seed=0)["passed"]
+        assert not verify.failing(criterion(seed=0))
         return dict(decompositions)
 
     once = counted()

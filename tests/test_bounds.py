@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from references import curvature_flow_mp, varpi_pair
+from references import curvature_flow_mp, proximal_crossover_composed, varpi_pair
 from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import ZERO, CurvatureSpec
@@ -491,6 +491,32 @@ def test_stacked_proximal_rates_and_crossover_equal_per_model_calls():
         for j, (k1, spec1) in enumerate(singles[4 * i: 4 * i + 4]):
             assert tuple(x[j] for x in rates) == bounds.proximal_rates(k1, spec1)
             assert {key: x[j] for key, x in crossover.items()} == bounds.proximal_crossover(k1, spec1)
+
+
+def test_proximal_crossover_takes_each_norm_once(decompositions):
+    # ||chi||, ||tau||, ||u_plus||, ||v_plus|| and the resolvent's norm, once each: composed of eps_lg
+    # and proximal_rates, the crossover took ten
+    k, spec = kernel_ti(10.0), CurvatureSpec(u_plus=[[2.0]], v_plus=[[1.0]])
+    decompositions.clear()
+    bounds.proximal_crossover(k, spec)
+    assert decompositions["norm_svd"] == 5
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_proximal_crossover_is_bitwise_its_composed_form(d):
+    """On a stack of four models and on each alone, every output equals the composed form's, in value and type."""
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 4, d, d)))
+    tau, u, v = g._congruent(q, rng.uniform(0.3, 3.0, (3, 4, d)))
+    beta = np.eye(d) + 0.3 * rng.standard_normal((4, d, d))
+    cases = [(g.LinearGaussianKernel(np.zeros((4, d)), beta, tau), CurvatureSpec(u_plus=u, v_plus=v))]
+    cases += [(g.LinearGaussianKernel(np.zeros(d), beta[j], tau[j]), CurvatureSpec(u_plus=u[j], v_plus=v[j]))
+              for j in range(4)]
+    for k, spec in cases:
+        got, want = bounds.proximal_crossover(k, spec), proximal_crossover_composed(k, spec)
+        assert got.keys() == want.keys()
+        for key, x in want.items():
+            assert type(got[key]) is type(x) and np.array_equal(got[key], x), key
 
 
 def test_rate_table_builds_roots_and_inverses_from_held_spectra(decompositions):

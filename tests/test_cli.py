@@ -308,10 +308,10 @@ def test_verify_only_flags_rejected_elsewhere(command, flag, tmp_path, capsys):
 
 def test_verify_full_suite_runs_two_passes(monkeypatch, capsys):
     def one(seed=0):
-        return {"passed": True, "details": {"seed": seed}}
+        return [verify.Gate("seed", seed, 3, "==")]
 
     def two(seed=0):
-        return {"passed": True, "details": {}}
+        return []
 
     passes = []
     run_criteria = verify.run_criteria
@@ -749,9 +749,9 @@ def test_verify_non_finite_detail_exit_3(tmp_path, capsys, monkeypatch, to_file)
     criterion = dict(verify.CRITERIA)["ot-limit"]
 
     def planted(seed):
-        result = criterion(seed=seed)
-        result["details"]["gaps"][1] = float("nan")
-        return result
+        records = criterion(seed=seed)
+        next(numbers for name, numbers, *_ in records if name == "gaps")[1] = float("nan")
+        return records
 
     criteria = [(name, planted if name == "ot-limit" else fn) for name, fn in verify.CRITERIA]
     monkeypatch.setattr(verify, "CRITERIA", criteria)
@@ -815,7 +815,7 @@ def test_riccati_unsatisfied_envelope_row_exits_1(tmp_path, capsys, monkeypatch)
     assert out.with_suffix(".json").exists()
     assert "satisfied=0" in capsys.readouterr().err
     # criterion 2 reads the same envelope and gate
-    assert not verify.criterion_riccati_decay(seed=0)["passed"]
+    assert verify.failing(verify.criterion_riccati_decay(seed=0)) == ["envelope"]
 
 
 def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
@@ -830,8 +830,8 @@ def test_gaussian_unsatisfied_trace_row_exits_1(tmp_path, capsys, monkeypatch):
         assert (tmp_path / f"gauss{suffix}").exists()
     assert "satisfied=0" in capsys.readouterr().err
     # criteria 4 and 5 read the same envelopes and gate
-    assert not verify.criterion_bridge_vs_sinkhorn(seed=0)["passed"]
-    assert not verify.criterion_improved_rate(seed=0)["passed"]
+    assert verify.failing(verify.criterion_bridge_vs_sinkhorn(seed=0)) == ["random_models_pair_envelope"]
+    assert verify.failing(verify.criterion_improved_rate(seed=0)) == ["phi_envelope"]
 
 
 def test_tabulated_channel_with_neg_inf_exit_2(tmp_path, capsys):
@@ -983,6 +983,44 @@ def test_benchmark_rounds_succeed_and_repeat_byte_identical(tmp_path, capsys):
     first = {name: run_round(plan) for name, plan in plans.items()}
     assert all(files for _, files in first["grid"])
     assert run_round(plans["grid"]) == first["grid"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_verify_round_passes_its_checks(seed, tmp_path, capsys):
+    """The benchmark's verify round at seeds 0-4, each operation through the benchmark's own output checks."""
+    workloads, checks = perfbench_modules()
+    for op in workloads.generate("verify", seed, tmp_path)["round"]:
+        rc = run_cli(op["argv"])
+        assert checks.check(op, rc, capsys.readouterr().out) == [], op["id"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_summary_holds_records_and_number_lists(seed, capsys):
+    """Every detail is a gate record {observed, allowed, op} or a list of numbers; byte_identical is the one boolean.
+
+    Each record's finite observed and allowed, read back from the summary, give its criterion's verdict.
+    """
+    assert run_cli(["verify", "--json", "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"] and [c["id"] for c in doc["criteria"]] == list(range(1, 12))
+    for criterion in doc["criteria"][:10]:
+        verdicts = []
+        for name, detail in criterion["details"].items():
+            if isinstance(detail, list):
+                assert all(type(x) is not bool and np.isfinite(float(x)) for x in detail), name
+                continue
+            assert sorted(detail) == ["allowed", "observed", "op"] and detail["op"] in verify.OPS, name
+            observed, allowed = (detail[key] for key in ("observed", "allowed"))
+            assert type(observed) is not bool and np.isfinite([float(observed), float(allowed)]).all(), name
+            verdicts.append(verify.OPS[detail["op"]](float(observed), float(allowed)))
+        assert verdicts and all(verdicts), criterion["name"]
+    assert doc["criteria"][10]["details"] == {"byte_identical": True}
+
+
+def test_verify_summary_refuses_a_detail_it_cannot_write():
+    result = {"id": 1, "name": "one", "passed": True, "details": {"thing": object()}}
+    with pytest.raises(TypeError, match="object"):
+        verify.summary_document([result], 0)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

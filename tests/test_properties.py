@@ -307,7 +307,7 @@ def test_loewner_verdicts_on_criterion_1_stacks_match_an_svd_scale(seed, monkeyp
     compared = []
     loewner_lt = spd.loewner_lt
     monkeypatch.setattr(spd, "loewner_lt", lambda a, b, tol=1e-10: compared.append((a, b, tol)) or loewner_lt(a, b, tol))
-    assert verify.criterion_riccati_fixed_point(seed=seed)["passed"]
+    assert not verify.failing(verify.criterion_riccati_fixed_point(seed=seed))
     monkeypatch.undo()
     assert len(compared) == 4 * len(verify._dim_groups(verify._spd_family(seed)))
     for a, b, tol in compared:
@@ -401,3 +401,24 @@ def test_rendered_table_refuses_undeclared_non_finite_cells_and_round_trips(tabl
             value, parsed = column.values[row], float(cell)
             # the 17-digit promise, bit for bit (a NaN has no payload to keep)
             assert np.isnan(parsed) if np.isnan(value) else np.float64(parsed).view(np.int64) == value.view(np.int64)
+
+
+GATE_VALUES = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf, np.nan])
+
+
+@given(st.lists(st.one_of(st.tuples(GATE_VALUES, GATE_VALUES), st.tuples(GATE_VALUES, GATE_VALUES).map(sorted)),
+                min_size=1, max_size=12),
+       st.integers(1, 3), st.sampled_from(["<", "<="]))
+@example([(0.5, 0.5), (1.0, 2.0)], 1, "<=")
+def test_an_array_gate_holds_exactly_when_every_entry_does(pairs, parts, op):
+    """The record of a gate over arrays is one of its entries, a failing one if any fails; zeros, infinities and
+    NaN included, split into parts or not."""
+    obs, allowed = np.array(pairs).T
+    cut = np.array_split(np.arange(len(pairs)), parts)
+    gate = verify._worst("gate", [obs[i] for i in cut], [allowed[i] for i in cut], op)
+    assert gate.holds == bool(np.all(verify.OPS[op](obs, allowed)))
+    assert any(np.array_equal((gate.observed, gate.allowed), pair, equal_nan=True) for pair in pairs)
+    if gate.holds:  # no entry's observed / allowed is a larger number than the record's
+        with np.errstate(all="ignore"):
+            ratios, ratio = obs / allowed, np.float64(gate.observed) / gate.allowed
+        assert not np.any(ratios > np.nan_to_num(ratio, nan=-np.inf, posinf=np.inf))
