@@ -6,13 +6,10 @@ its records: a ``Gate`` (name, observed, allowed, op) for each comparison
 it makes, and a (name, numbers) pair for a list it only reports.
 ``run_criteria`` adds its id and name from its place in ``CRITERIA``, and
 it alone decides ``passed``: no gate fails.  A gate over arrays is reported
-by the entry that decides it (``_worst``).  All randomness is seed-fixed;
-results are deterministic for a given seed.  Criteria 1-6 draw all their
-cases first and then run the cases of each dimension as one stack: one
-call of each decomposition, and one Gaussian mean recursion, per
-dimension, whatever the number of cases.  Only the Python-scalar envelopes
-of ``bounds.entropy_envelopes`` are evaluated model by model.  The
-commands' ``satisfied`` and ``entropy_monotone`` outputs call the gates
+by the entry that decides it (``_worst``).  Results are deterministic for a
+given seed.  Criteria 1-6 run the cases of each dimension as one stack: one
+call of each decomposition, and one Gaussian mean recursion, per dimension.
+The commands' ``satisfied`` and ``entropy_monotone`` outputs call the gates
 below, so a claim and its criterion share one gate.
 """
 
@@ -39,14 +36,6 @@ def dominated(obs, env):
     return obs <= env
 
 
-def chains_monotone(rep: dict) -> bool:
-    """The entropy-chain gate: every marginal chain of a ``discrete.entropy_report`` is nonincreasing.
-
-    Compared exactly.  The bridge gaps are tail sums of nonnegative terms, which cannot rise.
-    """
-    return all(bool(np.all(np.diff(rep[key], axis=0) <= 0.0)) for key in CHAINS)
-
-
 OPS = {"<": operator.lt, "<=": dominated, ">": operator.gt, "==": operator.eq}
 
 
@@ -71,25 +60,40 @@ def failing(records) -> list:
 def _worst(name, observed, allowed, op="<=") -> Gate:
     """The upper-bound gate ``observed op allowed`` over arrays, as the one entry that decides it.
 
-    That entry is the first that fails, else the one with the largest
-    observed / allowed (of those, the largest observed), so the gate holds
-    exactly when every entry does.  ``observed`` is a list of arrays,
-    flattened in order; ``allowed`` a list of like arrays, or one bound for all.
+    Among the failing entries (all, if none fails) that is the first with a
+    NaN, else the one with the largest observed / allowed, then observed: the
+    gate holds exactly when every entry does.  ``observed`` is a list of
+    arrays, flattened in order; ``allowed`` a list of like arrays, or one bound.
     """
     obs = np.concatenate([np.ravel(x) for x in observed])
     if isinstance(allowed, list):
         lim = np.concatenate([np.ravel(x) for x in allowed])
     else:
         lim = np.full(obs.shape, float(allowed))
-    holds = OPS[op](obs, lim)
-    if not holds.all():
-        i = int(np.argmin(holds))
+    fails = ~OPS[op](obs, lim)
+    cand = np.flatnonzero(fails) if fails.any() else np.arange(obs.size)
+    nan = cand[np.isnan(obs[cand]) | np.isnan(lim[cand])]
+    if nan.size:
+        i = int(nan[0])
     else:
         with np.errstate(all="ignore"):  # a 0 / 0 or inf / inf ratio ranks below every number
-            ratio = np.fmax(obs / lim, -np.inf)
-        top = np.flatnonzero(ratio == ratio.max())
+            ratio = np.fmax(obs[cand] / lim[cand], -np.inf)
+        top = cand[ratio == ratio.max()]
         i = int(top[np.argmax(obs[top])])
     return Gate(name, float(obs[i]), float(lim[i]), op)
+
+
+def _nonincreasing(name, seqs) -> Gate:
+    """The gate that no entry of any sequence rises above the one before: each ``np.diff`` step <= 0, the largest reported."""
+    return _worst(name, [np.diff(seq, axis=0) for seq in seqs], 0.0)
+
+
+def chains_monotone(rep: dict) -> bool:
+    """The entropy-chain gate, criterion 9's too: every marginal chain of a ``discrete.entropy_report`` is nonincreasing.
+
+    The bridge gaps are tail sums of nonnegative terms, which cannot rise.
+    """
+    return _nonincreasing("chains_monotone", [rep[key] for key in CHAINS]).holds
 
 
 def _spd_family(seed):
@@ -275,9 +279,9 @@ def criterion_bridge_vs_sinkhorn(seed=0):
         pairs.append(_envelopes(mu_r, eta_r, k_r, random_gaps[-1])[0])
     return [
         Gate("sigma_error_at_n50", float(sigma_err), 1e-10, "<"),
-        _worst("standard_model_monotone", [gaps[1:]], [gaps[:-1]]),
+        _nonincreasing("standard_model_monotone", [gaps]),
         _worst("standard_model_envelope", [gaps[2:51:2]], [0.5 ** np.arange(1, 26) * gaps[0]]),
-        _worst("random_models_monotone", [x[1:] for x in random_gaps], [x[:-1] for x in random_gaps]),
+        _nonincreasing("random_models_monotone", random_gaps),
         _worst("random_models_pair_envelope", [x[1:] for x in random_gaps], [x[1:] for x in pairs]),
     ]
 
@@ -408,8 +412,7 @@ def criterion_discrete_sinkhorn(seed=0):
         _worst("max_scaling_gap", plan_gaps, tol_plans, "<"),
         _worst("max_marginal_residual", marginals, tol_plans, "<"),
         _worst("max_bridge_gap_diff", gap_diffs, tol_plans, "<"),
-        # every chain entry at most the one before: ``chains_monotone``'s claim, compared entry by entry
-        _worst("chains_monotone", [c[1:] for c in each], [c[:-1] for c in each]),
+        _nonincreasing("chains_monotone", each),  # the gate of ``chains_monotone``
         # the four cross-chain inequalities, for n >= 1
         _worst("cross_chain", [x for pe, ep, me, pm in chains for x in (pe[1:], me[:-1], pm[1:], ep[1:])],
                [x for pe, ep, me, pm in chains for x in (me[:-1], pe[:-1], ep[1:], pm[:-1])]),

@@ -199,10 +199,9 @@ def test_criterion_09_discrete_sinkhorn():
     assert _observed(res, "max_scaling_gap") < 1e-12
     assert _observed(res, "max_marginal_residual") < 1e-12
     assert _observed(res, "max_bridge_gap_diff") < 1e-12
-    # every chain strictly positive and decreasing with no slack (the largest ratio reads ~0.055)
+    # every chain strictly positive and decreasing with no slack: its largest step is below 0
     assert _observed(res, "min_chain_entry") > 0.0
-    chain = res["details"]["chains_monotone"]
-    assert chain["observed"] / chain["allowed"] < 1.0
+    assert _observed(res, "chains_monotone") < 0.0 == res["details"]["chains_monotone"]["allowed"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -403,6 +403,16 @@ def test_rendered_table_refuses_undeclared_non_finite_cells_and_round_trips(tabl
             assert np.isnan(parsed) if np.isnan(value) else np.float64(parsed).view(np.int64) == value.view(np.int64)
 
 
+@pytest.mark.parametrize("chain", [[np.inf, np.inf, 1.0], [5.0, 5.0, 0.0], [np.inf, 2.0, 1.0], [1.0, 2.0], [1.0, np.nan]])
+def test_chains_monotone_is_the_diff_gate(chain):
+    """``entropy_monotone``'s gate, which criterion 9 reads too, is ``np.diff(chain) <= 0``, equal infinities and
+    NaN included."""
+    rep = dict.fromkeys(verify.CHAINS, np.array([3.0, 2.0, 1.0]))
+    rep[verify.CHAINS[2]] = np.array(chain)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert verify.chains_monotone(rep) == bool(np.all(np.diff(chain) <= 0.0))
+
+
 GATE_VALUES = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf, np.nan])
 
 
@@ -410,15 +420,23 @@ GATE_VALUES = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf, np.nan
                 min_size=1, max_size=12),
        st.integers(1, 3), st.sampled_from(["<", "<="]))
 @example([(0.5, 0.5), (1.0, 2.0)], 1, "<=")
+@example([(2.0, 1.0), (1e300, 1.0), (0.5, 1.0)], 2, "<")
+@example([(2.0, 1.0), (np.nan, 1.0), (1.0, np.nan)], 1, "<=")
 def test_an_array_gate_holds_exactly_when_every_entry_does(pairs, parts, op):
-    """The record of a gate over arrays is one of its entries, a failing one if any fails; zeros, infinities and
-    NaN included, split into parts or not."""
+    """The record of a gate over arrays is one of its entries, a failing one if any fails, with a NaN if a failing
+    one has one, else with the largest observed / allowed of them; zeros, infinities and NaN included, split into
+    parts or not."""
     obs, allowed = np.array(pairs).T
     cut = np.array_split(np.arange(len(pairs)), parts)
     gate = verify._worst("gate", [obs[i] for i in cut], [allowed[i] for i in cut], op)
-    assert gate.holds == bool(np.all(verify.OPS[op](obs, allowed)))
-    assert any(np.array_equal((gate.observed, gate.allowed), pair, equal_nan=True) for pair in pairs)
-    if gate.holds:  # no entry's observed / allowed is a larger number than the record's
+    fails = ~verify.OPS[op](obs, allowed)
+    assert gate.holds == (not fails.any())
+    cand = fails if fails.any() else ~fails
+    obs, allowed = obs[cand], allowed[cand]
+    assert any(np.array_equal((gate.observed, gate.allowed), pair, equal_nan=True) for pair in zip(obs, allowed))
+    if np.isnan(obs).any() or np.isnan(allowed).any():
+        assert np.isnan(gate.observed) or np.isnan(gate.allowed)
+    else:  # no such entry's observed / allowed is a larger number than the record's
         with np.errstate(all="ignore"):
             ratios, ratio = obs / allowed, np.float64(gate.observed) / gate.allowed
         assert not np.any(ratios > np.nan_to_num(ratio, nan=-np.inf, posinf=np.inf))
