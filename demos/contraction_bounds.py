@@ -4,7 +4,9 @@ flows, correction sequences, and a rate envelope beside an observed decay.
 Run:  python3 demos/contraction_bounds.py
 """
 
-from sinkbridge import bounds, gaussian as g, riccati
+import numpy as np
+
+from sinkbridge import bounds, gaussian as g, riccati, spd
 from sinkbridge.bounds import ZERO, CurvatureSpec
 
 k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
@@ -26,16 +28,22 @@ print("\n n   lower envelope   upper envelope")
 for n in range(6):
     print(f"{n:>2}   {sigma[n][0, 0]:.8f}       {tau[n][0, 0]:.8f}")
 
-xi_even, xi_odd, iota = bounds.xi_iota(k, spec, 6)
+# the correction sequences ||f|| / ||f^{1/2} r_p f^{1/2}|| along the Riccati
+# iterates r_p of the upper flows from the identity, f = v_plus (even) and
+# u_plus (odd); rate_table reads only their limit iota, at the fixed points
+def xi(f, w):
+    half = spd.principal_sqrt(f)
+    return [spd.spectral_norm(f) / spd.spectral_norm(half @ r @ half) for r in riccati.iterate(w, np.eye(1), 6)]
+
+
 print("\ncorrection sequences (nondecreasing, capped by iota):")
-print("  xi_even:", [round(x, 6) for x in xi_even])
-print("  xi_odd: ", [round(x, 6) for x in xi_odd])
-print("  iota:   ", iota)
+print("  xi_even:", [round(x, 6) for x in xi(spec.v_plus, w0b)])
+print("  xi_odd: ", [round(x, 6) for x in xi(spec.u_plus, w1b)])
+print("  iota:   ", bounds.rate_table(k, spec, 0).scalars["iota"]["value"])
 
 # with no upper curvature bounds all corrections collapse to one
 flat = CurvatureSpec(u_plus=[[2.0]], v_plus=[[2.0]], u_minus=ZERO, v_minus=ZERO)
-_, _, iota_flat = bounds.xi_iota(k, flat, 6)
-print("  iota with ZERO minus factors:", iota_flat)
+print("  iota with ZERO minus factors:", bounds.rate_table(k, flat, 0).scalars["iota"]["value"])
 
 # the two-step envelope beside the decay of the bridge gaps measured on the
 # matching Gaussian model

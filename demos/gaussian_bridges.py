@@ -17,8 +17,9 @@ bridge = g.bridge_solve(mu, eta, k)
 fwd = bridge.forward
 print("bridge forward slope:", fwd.slope[0, 0])
 print("bridge conditional covariance:", fwd.noise_cov[0, 0])
-pushed = g.push_through(mu, fwd)
-print("push-forward of mu:", pushed.mean[0], pushed.cov[0, 0], "(target -1, 1)")
+# the image of mu under the forward map: mean intercept + slope m, covariance slope u slope' + noise
+mean, cov = fwd.intercept + fwd.slope @ mu.mean, fwd.slope @ mu.cov @ fwd.slope.T + fwd.noise_cov
+print("push-forward of mu:", mean[0], cov[0, 0], "(target -1, 1)")
 
 # the Sinkhorn recursion drives conditional covariances and marginal means
 # to the bridge values

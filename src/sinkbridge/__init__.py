@@ -13,7 +13,6 @@ from .bounds import (
     proximal_rates,
     rate_table,
     varpi_family,
-    xi_iota,
 )
 from .discrete import (
     DiscreteModel,
@@ -40,7 +39,6 @@ from .gaussian import (
     gaussian_kl,
     gelbrich_w2,
     proximal_step,
-    push_through,
     sinkhorn_run,
 )
 from .riccati import (

@@ -38,8 +38,8 @@ class CurvatureSpec:
     u_plus and v_plus bound the Hessians below (as u_plus^{-1}, v_plus^{-1});
     u_minus and v_minus bound them above, with ZERO meaning unbounded.
     ``spectra`` holds, by name, the (w, q) that validated each SPD factor,
-    from which ``varpi_family``, ``xi_iota``, ``rate_table`` and
-    ``proximal_rates`` build roots and inverses.  ``held`` is init-only:
+    from which ``varpi_family``, ``rate_table`` and ``proximal_rates``
+    build roots and inverses.  ``held`` is init-only:
     triples (matrix, w, q) of inputs validated already, as ``gaussian``
     hands over its measures' covariances.
     """
@@ -186,36 +186,20 @@ def _sinkhorn_covariances(k: LinearGaussianKernel, u, v, n_max: int) -> list:
     return [s.tau_n for s in states[: 2 * n_max + 2]]
 
 
-def xi_iota(k: LinearGaussianKernel, spec: CurvatureSpec, p_max: int):
-    """Log-Lyapunov correction sequences and their limit.
-
-    xi_even[p] and xi_odd[p] are nondecreasing in p, live in [1, iota], and
-    are built from p-fold Riccati iterates started at the identity; iota is
-    the larger of the two fixed-point norm ratios and is always >= 1.
-    """
-    _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    ratio_even, ratio_odd, iota = _norm_ratios(spec, w0_bar, w1_bar)
-    xi_even = [ratio_even(m) for m in riccati.iterate(w0_bar, np.eye(spec.dim), p_max)]
-    xi_odd = [ratio_odd(m) for m in riccati.iterate(w1_bar, np.eye(spec.dim), p_max)]
-    return xi_even, xi_odd, iota
-
-
-def _norm_ratios(spec: CurvatureSpec, w0_bar, w1_bar):
-    """The maps m -> ||f|| / ||f^{1/2} m f^{1/2}|| for f = v_plus (even) and f = u_plus (odd),
-    and ``xi_iota``'s iota: their larger value at the fixed points of w0_bar and w1_bar.
+def _iota(spec: CurvatureSpec, nu, nv, w0_bar, w1_bar) -> float:
+    """The norm-ratio limit iota: the larger ratio ||f|| / ||f^{1/2} r* f^{1/2}||, of f = v_plus at
+    w0_bar's fixed point r* and of f = u_plus at w1_bar's, given nu = ||u_plus|| and nv = ||v_plus||.
 
     Each root is built from the spectrum that validated f, the one its
     bridge in ``varpi_family`` is built from, so no factor is decomposed
     again, whether or not a ZERO upper factor left its bridge unformed.
     """
 
-    def ratio(name):
-        half, norm = spd._sqrt(*spec.spectra[name]), spd.spectral_norm(getattr(spec, name))
-        return lambda m: norm / spd.spectral_norm(half @ m @ half)
+    def ratio(name, norm, w):
+        half = spd._sqrt(*spec.spectra[name])
+        return norm / spd.spectral_norm(half @ riccati.fixed_point_like(w, spec.dim) @ half)
 
-    even, odd = ratio("v_plus"), ratio("u_plus")
-    iota = max(even(riccati.fixed_point_like(w0_bar, spec.dim)), odd(riccati.fixed_point_like(w1_bar, spec.dim)))
-    return even, odd, float(iota)
+    return float(max(ratio("v_plus", nv, w0_bar), ratio("u_plus", nu, w1_bar)))
 
 
 class BoundReport(NamedTuple):
@@ -226,8 +210,12 @@ class BoundReport(NamedTuple):
 
 
 def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int = 1) -> BoundReport:
-    """Every contraction constant, and every envelope for n <= n_max (inf before it applies)."""
-    eps = eps_lg(k, spec)
+    """Every contraction constant, and every envelope for n <= n_max (inf before it applies).
+
+    eps, iota and the proximal rates share ||chi||, ||u_plus|| and ||v_plus||; eps is checked first.
+    """
+    kappa, nu, nv = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(spec.v_plus)
+    eps = eps_generic(kappa, nu, nv)
     ph = phi(eps)
     base_rate = 1.0 / (1.0 + 1.0 / eps)
     # (1 + phi)^-2 < (1 + 1/eps)^-1 is phi (2 + phi) > 1/eps; both rates
@@ -237,12 +225,12 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
         raise DomainError("improved rate failed to dominate the basic rate")
 
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    *_, iota = _norm_ratios(spec, w0_bar, w1_bar)  # no correction sequence: rate_table reads only iota
+    iota = _iota(spec, nu, nv, w0_bar, w1_bar)
     decays = [riccati.decay_params(w) for w in (w0_bar, w1_bar) if not riccati.is_infinite(w)]
     delta_bar = max((d for d, _ in decays), default=0.0)
     c_bar = max((c for _, c in decays), default=0.0)
     composite_rate = 1.0 / (1.0 + (iota / eps) / (1.0 + c_bar * delta_bar**p))
-    a, b = proximal_rates(k, spec)
+    _, a, b = map(_per_model, _proximal_norms(k, spec, kappa, nu))
 
     scalars = {
         "eps": (eps, "contraction-coefficient"),
@@ -269,13 +257,13 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
     )
 
 
-def _rate_norms(k: LinearGaussianKernel, spec: CurvatureSpec):
-    """||chi||, ||u_plus||, ||tau|| and ``proximal_rates``' (a, b) before conversion, each norm taken once."""
-    kappa, nu, ntau = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(k.tau)
+def _proximal_norms(k: LinearGaussianKernel, spec: CurvatureSpec, kappa, nu):
+    """||tau|| and ``proximal_rates``' (a, b) before conversion, from kappa = ||chi|| and nu = ||u_plus||."""
+    ntau = spd.spectral_norm(k.tau)
     beta_t = k.beta.swapaxes(-1, -2)
     resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
     kappa2 = kappa**2
-    return kappa, nu, ntau, kappa2 * ntau * nu, kappa2 * ntau * spd.spectral_norm(resolvent)
+    return ntau, kappa2 * ntau * nu, kappa2 * ntau * spd.spectral_norm(resolvent)
 
 
 def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
@@ -287,8 +275,8 @@ def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
     u_plus^{-1} and tau^{-1} come from the spectra that validated them.
     Floats for one model, arrays for a stack.
     """
-    *_, a, b = _rate_norms(k, spec)
-    return _per_model(a), _per_model(b)
+    _, a, b = map(_per_model, _proximal_norms(k, spec, spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus)))
+    return a, b
 
 
 def proximal_trace(nu, mu, k: LinearGaussianKernel, a: float, b: float, steps: int) -> list:
@@ -314,10 +302,9 @@ def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:
     the five norms is taken once, and eps and b are ``eps_lg``'s and
     ``proximal_rates``' own arithmetic.
     """
-    kappa, nu, t, _, b = _rate_norms(k, spec)
-    nv = spd.spectral_norm(spec.v_plus)
+    kappa, nu, nv = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(spec.v_plus)
+    t, _, b = map(_per_model, _proximal_norms(k, spec, kappa, nu))
     pair_rate = 1.0 / (1.0 + 1.0 / eps_generic(kappa, nu, nv))
-    b = _per_model(b)
     margin = 0.5 * t * (1.0 / nv - 1.0 / nu)
     return {
         "pair_rate": pair_rate,

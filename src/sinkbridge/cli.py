@@ -70,7 +70,10 @@ MODEL_DEFAULTS = {
 
 
 def _json_default(x):
-    return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else str(x)
+    """An array or a numpy scalar as its list or number; a report holds no other type that json cannot write."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"a report value of type {type(x).__name__} has no JSON form")
 
 
 class _Placeholders(NamedTuple):

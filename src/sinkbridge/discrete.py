@@ -441,22 +441,12 @@ def plan_marginal(state: SinkhornState, side: int) -> np.ndarray:
     return -_kernel_pass(model, state.v, 1) - state.u if side == 0 else -_kernel_pass(model, state.u, 0) - state.v
 
 
-def plan_marginals(state: SinkhornState) -> tuple[np.ndarray, np.ndarray]:
-    """Log densities of the two marginals of the state's coupling."""
-    return plan_marginal(state, 0), plan_marginal(state, 1)
-
-
 def marginal_residual(state: SinkhornState, side: int) -> float:
     """Sup-norm of one marginal log-ratio on its support: side 0 the first against mu, side 1 the second against eta."""
     model = state.model
     pot, target = (model.u_pot, model.log_mu) if side == 0 else (model.v_pot, model.log_eta)
     supp = _support(pot)
     return _residual(plan_marginal(state, side)[supp] - target[supp])
-
-
-def marginal_residuals(state: SinkhornState) -> tuple[float, float]:
-    """Sup-norm of the marginal log-ratios against mu and eta, each on its support."""
-    return marginal_residual(state, 0), marginal_residual(state, 1)
 
 
 def relative_entropy(log_p: np.ndarray, log_q: np.ndarray, weights: np.ndarray):

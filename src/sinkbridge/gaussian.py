@@ -278,13 +278,6 @@ def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKer
     return GaussianBridge(mu, eta, k, bridge_factors(mu.cov_spectrum, eta.cov_spectrum, k.chi))
 
 
-def push_through(p: GaussianMeasure, f: AffineGaussianMap) -> GaussianMeasure:
-    """Image of a Gaussian under an affine Gaussian map."""
-    mean = f.intercept + _mv(f.slope, p.mean)
-    cov = f.slope @ p.cov @ _t(f.slope) + f.noise_cov
-    return GaussianMeasure(mean, cov)
-
-
 def sinkhorn_run(bridge: GaussianBridge, n_max: int):
     """Run the closed-form Gaussian Sinkhorn recursion.
 

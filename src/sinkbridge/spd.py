@@ -23,19 +23,17 @@ compute, as its spectral radius.
 A validated input carries its decomposition.  ``_spd_eigh`` returns the
 (w, q) that validated a matrix, and ``gaussian.GaussianMeasure``,
 ``gaussian.LinearGaussianKernel`` and ``bounds.CurvatureSpec`` hold it.
-``_inverse``, ``_sqrt`` and ``_sqrt_pair`` build an inverse or a root
-from a held (w, q), by the same arithmetic as ``sym_inv``,
-``principal_sqrt`` and ``sqrt_pair`` use after their own decomposition,
-so a validated input is not decomposed again.
+``_inverse`` and ``_sqrt`` build an inverse or a root from a held
+(w, q), by the same arithmetic as ``sym_inv`` and ``principal_sqrt`` use
+after their own decomposition, and ``_sqrt_pair`` builds the root and its
+inverse together, so a validated input is not decomposed again.
 
 ``matrix``, ``square``, ``symmetrize``, ``spectral_norm``,
-``condition_number``, ``clamp_psd``,
-``require_spd``, ``sym_inv``, ``principal_sqrt``, ``sqrt_pair``,
+``condition_number``, ``clamp_psd``, ``sym_inv``, ``principal_sqrt``,
 ``loewner_leq`` and ``loewner_lt`` take a stack (..., d, d) as well as
 one matrix, and make one batched LAPACK call for the whole stack.  Each
 slice is checked against its own spectral scale, never against the
 stack's, and gives bitwise the result a call on that slice alone gives.
-``eig_range`` takes one matrix.
 """
 
 import numpy as np
@@ -92,19 +90,6 @@ def condition_number(a):
         cond = s[..., 0] / s[..., -1]
     cond = np.where(np.isnan(cond), np.inf, cond)  # the input is finite, so a NaN is 0 / 0
     return float(cond) if cond.ndim == 0 else cond
-
-
-def eig_range(a) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of one symmetrized matrix."""
-    w = np.linalg.eigvalsh(symmetrize(a))
-    _one_matrix(w, a)
-    return float(w[0]), float(w[-1])
-
-
-def _one_matrix(w, a) -> None:
-    """Raise ShapeError unless the spectrum ``w`` of ``a`` is that of one matrix."""
-    if w.ndim != 1:
-        raise ShapeError(f"expected one matrix, got a stack of shape {np.shape(a)}")
 
 
 def _require(ok, w, what: str) -> None:
@@ -174,11 +159,6 @@ def _require_spd_spectrum(w) -> None:
     _require(wt[0] > SPD_RTOL * np.maximum.reduce(wt), w, "SPD")
 
 
-def require_spd(a) -> np.ndarray:
-    """Validated SPD constructor: symmetrize and check eig_min > rtol*eig_max, per slice of a stack."""
-    return _spd_eigh(a)[0]
-
-
 def _inverse(w, u) -> np.ndarray:
     """u diag(1/w) u' from a validated spectrum (w, u): the inverse ``sym_inv`` forms."""
     return symmetrize((u / w[..., None, :]) @ u.swapaxes(-1, -2))
@@ -190,7 +170,7 @@ def _sqrt(w, u) -> np.ndarray:
 
 
 def _sqrt_pair(w, u) -> tuple[np.ndarray, np.ndarray]:
-    """The root and inverse root from a validated spectrum (w, u): the pair ``sqrt_pair`` forms."""
+    """The root and its inverse from a validated spectrum (w, u), one product each."""
     root = np.sqrt(w)[..., None, :]
     ut = u.swapaxes(-1, -2)
     return symmetrize((u * root) @ ut), symmetrize((u / root) @ ut)
@@ -204,11 +184,6 @@ def sym_inv(a) -> np.ndarray:
 def principal_sqrt(a) -> np.ndarray:
     """Principal symmetric square root of an SPD matrix, or of each in a stack."""
     return _sqrt(*_spd_eigh(a)[1:])
-
-
-def sqrt_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of an SPD matrix, or of each in a stack, and its inverse, from one decomposition."""
-    return _sqrt_pair(*_spd_eigh(a)[1:])
 
 
 def _loewner_gap(a, b):

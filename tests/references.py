@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from sinkbridge import bounds, discrete, spd
+from sinkbridge import bounds, discrete, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.errors import DomainError, ShapeError
 
@@ -23,6 +23,11 @@ def varpi_pair(mu, eta, k):
     """
     f = g.bridge_solve(mu, eta, k).factors
     return g._congruent(f.p, f.lam), g._congruent(f.r, f.lam)
+
+
+def push_through(p, f):
+    """Image N(intercept + slope m, slope u slope' + noise_cov) of a Gaussian N(m, u) under an affine Gaussian map."""
+    return g.GaussianMeasure(f.intercept + f.slope @ p.mean, f.slope @ p.cov @ f.slope.T + f.noise_cov)
 
 
 def model_slice(model, j):
@@ -172,8 +177,8 @@ def geometric_mean(u, v):
     Computed as v^{1/2} (v^{-1/2} u v^{-1/2})^{1/2} v^{1/2}; symmetric in its
     arguments, and equal to (uv)^{1/2} when u and v commute.
     """
-    u = spd.require_spd(u)
-    v_half, v_inv_half = spd.sqrt_pair(v)
+    u = spd._spd_eigh(u)[0]
+    v_half, v_inv_half = spd._sqrt_pair(*spd._spd_eigh(v)[1:])
     spd.check_same_dim(u, v_half)
     inner = spd.principal_sqrt(v_inv_half @ u @ v_inv_half)
     return spd.symmetrize(v_half @ inner @ v_half)
@@ -377,7 +382,7 @@ def linear_bridge_gaps(trace, oracle):
     model, reference = trace.model, oracle.states[-2]
     w = model.grid.weights
     mu_supp, eta_supp = model.u_pot != np.inf, model.v_pot != np.inf
-    first, second = discrete.plan_marginals(reference)
+    first, second = discrete.plan_marginal(reference, 0), discrete.plan_marginal(reference, 1)
     ref_1, ref_2 = (w * np.exp(first))[mu_supp], (w * np.exp(second))[eta_supp]
     gaps = [float(np.sum(ref_1 * (s.u[mu_supp] - reference.u[mu_supp]))
                   + np.sum(ref_2 * (s.v[eta_supp] - reference.v[eta_supp]))) for s in trace.states]
@@ -481,6 +486,27 @@ def factor_pass(f, scaled, a, axis):
         rows, cols = np.nonzero(low)
         out[rows, cols] = -discrete._neg_lse((f if axis == 1 else f.T)[cols] + a[rows], 1)
     return out
+
+
+def norm_ratio(f, m):
+    """||f|| / ||f^{1/2} m f^{1/2}||, with f's root taken afresh."""
+    half = spd.principal_sqrt(f)
+    return spd.spectral_norm(f) / spd.spectral_norm(half @ m @ half)
+
+
+def correction_sequences(k, spec, p_max):
+    """The correction sequences xi_even, xi_odd for p = 0..p_max and their limit iota.
+
+    xi_even[p] is ``norm_ratio(v_plus, .)`` at the p-th Riccati iterate of
+    w0_bar from the identity, xi_odd[p] ``norm_ratio(u_plus, .)`` at that of
+    w1_bar; iota is the larger of the two ratios at the flows' fixed points,
+    the one ``bounds.rate_table`` reports.
+    """
+    _, _, w0_bar, w1_bar = bounds.varpi_family(k, spec)
+    sides = ((spec.v_plus, w0_bar), (spec.u_plus, w1_bar))
+    xi_even, xi_odd = ([norm_ratio(f, m) for m in riccati.iterate(w, np.eye(spec.dim), p_max)] for f, w in sides)
+    iota = max(norm_ratio(f, riccati.fixed_point_like(w, spec.dim)) for f, w in sides)
+    return xi_even, xi_odd, float(iota)
 
 
 def proximal_crossover_composed(k, spec):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from references import curvature_flow_mp, proximal_crossover_composed, varpi_pair
+from references import correction_sequences, curvature_flow_mp, proximal_crossover_composed, varpi_pair
 from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import ZERO, CurvatureSpec
@@ -210,8 +210,20 @@ def test_rate_table_runs_no_correction_sequence(decompositions, p):
     k, spec = random_two_sided(23)
     decompositions.clear()
     rep = bounds.rate_table(k, spec, 6, p=p)
-    assert (decompositions["solve"], decompositions["eigh"], decompositions["norm_svd"]) == (0, 1, 11)
-    assert rep.scalars["iota"]["value"] == bounds.xi_iota(k, spec, p)[2]
+    assert (decompositions["solve"], decompositions["eigh"], decompositions["norm_svd"]) == (0, 1, 7)
+    assert rep.scalars["iota"]["value"] == correction_sequences(k, spec, p)[2]
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22, 23, "zero-minus"])
+def test_rate_table_constants_are_their_public_parts(seed):
+    """rate_table shares its norms among eps, iota and the proximal rates; each constant is bitwise
+    what ``eps_lg`` and ``proximal_rates`` give, with four SPD factors or with ZERO minus factors."""
+    k, spec = random_two_sided(23 if seed == "zero-minus" else seed)
+    if seed == "zero-minus":
+        spec = CurvatureSpec(u_plus=spec.u_plus, v_plus=spec.v_plus)
+    scalars = {name: entry["value"] for name, entry in bounds.rate_table(k, spec, 4).scalars.items()}
+    assert scalars["eps"] == bounds.eps_lg(k, spec)
+    assert (scalars["proximal_a"], scalars["proximal_b"]) == bounds.proximal_rates(k, spec)
 
 
 def log_spectrum_spd(d, cond, seed):
@@ -350,15 +362,15 @@ def test_curvature_flow_matches_the_high_precision_recursion(drop, n_max):
 
 def test_xi_iota_zero_case():
     spec = CurvatureSpec(u_plus=np.eye(2), v_plus=np.eye(2))
-    xi_even, xi_odd, iota = bounds.xi_iota(kernel_ti(1.0, 2), spec, 6)
-    assert iota == 1.0
+    k = kernel_ti(1.0, 2)
+    xi_even, xi_odd, iota = correction_sequences(k, spec, 6)
+    assert iota == bounds.rate_table(k, spec, 0).scalars["iota"]["value"] == 1.0
     assert all(abs(x - 1.0) < 1e-14 for x in xi_even + xi_odd)
 
 
 def test_xi_iota_gaussian_equality_scalar():
     spec = gaussian_spec([[1.0]], [[1.0]])
-    k = kernel_ti(1.0)
-    _, _, iota = bounds.xi_iota(k, spec, 4)
+    iota = bounds.rate_table(kernel_ti(1.0), spec, 0).scalars["iota"]["value"]
     r = riccati.fixed_point(np.array([[1.0]]))[0, 0]
     assert abs(iota - 1.0 / r) < 1e-12
 
@@ -372,7 +384,9 @@ def test_xi_monotone_and_bounded_by_iota():
         u_minus=spd.symmetrize((q * [0.6, 1.1]) @ q.T),
         v_minus=np.diag([0.7, 0.4]),
     )
-    xi_even, xi_odd, iota = bounds.xi_iota(kernel_ti(0.8, 2), spec, 10)
+    k = kernel_ti(0.8, 2)
+    xi_even, xi_odd, iota = correction_sequences(k, spec, 10)
+    assert iota == bounds.rate_table(k, spec, 0).scalars["iota"]["value"]
     for seq in (xi_even, xi_odd):
         assert all(x >= 1.0 - 1e-12 for x in seq)
         assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))

@@ -1023,6 +1023,11 @@ def test_verify_summary_refuses_a_detail_it_cannot_write():
         verify.summary_document([result], 0)
 
 
+def test_rendered_report_refuses_a_value_it_cannot_write():
+    with pytest.raises(TypeError, match="object"):
+        cli._render("bounds", Path("out/bounds.json"), {"scalars": {"thing": object()}})
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -15,5 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True)
+    # the suite's own warning policy (pyproject.toml): a demo that warns fails
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
