@@ -23,18 +23,17 @@ print("push-forward of mu:", mean[0], cov[0, 0], "(target -1, 1)")
 
 # the Sinkhorn recursion drives conditional covariances and marginal means
 # to the bridge values
-states = g.sinkhorn_run(bridge, 20)
+run = g.sinkhorn_run(bridge, 20)
 print("\n n   tau_n        m_n")
-for s in states[:8]:
-    print(f"{s.n:>2}   {s.tau_n[0, 0]:.8f}   {s.m_n[0]:+.8f}")
-even = [s for s in states if s.n % 2 == 0][-1]
-print("terminal even covariance vs bridge:", abs(even.tau_n[0, 0] - fwd.noise_cov[0, 0]))
+for n in range(8):
+    print(f"{n:>2}   {run.tau[n, 0, 0]:.8f}   {run.mean[n, 0]:+.8f}")
+print("terminal even covariance vs bridge:", abs(run.tau[-2, 0, 0] - fwd.noise_cov[0, 0]))
 
 # entropy gap to the bridge, against the two-step and improved envelopes
 spec = CurvatureSpec.gaussian(mu, eta)
 eps = bounds.eps_lg(k, spec)
 ph = bounds.phi(eps)
-gaps = g.bridge_gaps(bridge, states)
+gaps = g.bridge_gaps(bridge, run)
 print(f"\neps = {eps}, pair rate = {1/(1+1/eps):.3f}, phi rate^2 = {(1+ph)**-2:.6f}")
 print(" n   gap              (1+1/eps)^-(n/2)        (1+phi)^-(n-2)")
 for n in [0, 2, 4, 8, 12]:
@@ -43,5 +42,6 @@ for n in [0, 2, 4, 8, 12]:
     print(f"{n:>2}   {gaps[n]:.6e}     {pair:.6e}        {impr:.6e}")
 
 # exact divergences between Gaussians, no sampling anywhere
-print("\nKL(eta | pi_0) =", g.gaussian_kl(eta, g.GaussianMeasure(states[0].m_n, states[0].sigma_pi_n)))
-print("W2(eta, pi_0)  =", g.gelbrich_w2(eta, g.GaussianMeasure(states[0].m_n, states[0].sigma_pi_n)))
+pi_0 = g.GaussianMeasure(run.mean[0], run.sigma[0])
+print("\nKL(eta | pi_0) =", g.gaussian_kl(eta, pi_0))
+print("W2(eta, pi_0)  =", g.gelbrich_w2(eta, pi_0))

@@ -32,7 +32,7 @@ from .gaussian import (
     AffineGaussianMap,
     GaussianBridge,
     GaussianMeasure,
-    GaussianSinkhornState,
+    GaussianSinkhornRun,
     LinearGaussianKernel,
     bridge_solve,
     entropic_map_gradient,

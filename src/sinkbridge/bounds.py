@@ -14,14 +14,15 @@ bitwise what that model alone gives.
 """
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import riccati, spd
 from .errors import DomainError, ShapeError
-from .gaussian import (GaussianMeasure, LinearGaussianKernel, _per_model, bridge_factors, bridge_solve, gaussian_kl,
-                       gelbrich_w2, proximal_chain, sinkhorn_run)
+from .gaussian import (GaussianMeasure, LinearGaussianKernel, _covariance_flows, _interleave, _per_model,
+                       bridge_factors, gaussian_kl, gelbrich_w2, proximal_chain)
 from .riccati import INFINITE, Sentinel
 
 ZERO = Sentinel("ZERO")  # a null curvature factor (inverse = infinity)
@@ -72,6 +73,11 @@ class CurvatureSpec:
     def dim(self) -> int:
         return self.u_plus.shape[-1]
 
+    @cached_property
+    def plus_norms(self):
+        """(||u_plus||, ||v_plus||), taken once for every constant that reads them."""
+        return spd.spectral_norm(self.u_plus), spd.spectral_norm(self.v_plus)
+
     @classmethod
     def gaussian(cls, mu: GaussianMeasure, eta: GaussianMeasure) -> "CurvatureSpec":
         """Equality case: both curvature bounds equal the covariances of the marginals mu and eta.
@@ -103,8 +109,7 @@ def eps_lg(k: LinearGaussianKernel, spec: CurvatureSpec):
     ||tau^{-1} beta||^2 ||u_plus|| ||v_plus||; for beta = I, tau = t I this
     is ||u_plus|| ||v_plus|| / t^2.
     """
-    kappa = spd.spectral_norm(k.chi)
-    return eps_generic(kappa, spd.spectral_norm(spec.u_plus), spd.spectral_norm(spec.v_plus))
+    return eps_generic(k.chi_norm, *spec.plus_norms)
 
 
 def phi(eps: float) -> float:
@@ -157,38 +162,39 @@ def varpi_family(k: LinearGaussianKernel, spec: CurvatureSpec):
 def curvature_flow(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int):
     """Interleaved two-sided conditional-covariance envelopes.
 
-    Returns (sigma_flow, tau_flow), two lists of length 2*n_max + 2 with
+    Returns (sigma_flow, tau_flow), two stacks of 2*n_max + 2 matrices with
     sigma_n <= tau_n for every n.  They interleave the conditional
     covariances of two Gaussian Sinkhorn runs through k, A from N(0, u_plus)
     to N(0, v_minus) and B from N(0, u_minus) to N(0, v_plus): sigma_n is
-    A's at even n and B's at odd n, tau_n the other way round.
+    A's at even n and B's at odd n, tau_n the other way round.  Only the
+    runs' covariance flows are formed, from the spectra the spec holds.
     """
-    a = _sinkhorn_covariances(k, spec.u_plus, spec.v_minus, n_max)
-    b = _sinkhorn_covariances(k, spec.u_minus, spec.v_plus, n_max)
-    sigma = [(b if n % 2 else a)[n] for n in range(len(a))]
-    tau = [(a if n % 2 else b)[n] for n in range(len(a))]
-    return sigma, tau
+    a_even, a_odd = _sinkhorn_covariances(k, spec, "u_plus", "v_minus", n_max)
+    b_even, b_odd = _sinkhorn_covariances(k, spec, "u_minus", "v_plus", n_max)
+    return _interleave(a_even, b_odd), _interleave(b_even, a_odd)
 
 
-def _sinkhorn_covariances(k: LinearGaussianKernel, u, v, n_max: int) -> list:
-    """tau_0, ..., tau_{2 n_max + 1} of the Gaussian Sinkhorn run from N(0, u) to N(0, v) through k.
+def _sinkhorn_covariances(k: LinearGaussianKernel, spec: CurvatureSpec, u: str, v: str, n_max: int):
+    """The even and the odd tau_n of the Gaussian Sinkhorn run from N(0, u) to N(0, v) through k, u and v named in spec.
 
     A ZERO factor leaves the run without a bridge: each step into its side
     is the null matrix, and each step out of it gives the opposite factor.
     """
+    def flow(first, rest):
+        return np.stack([first] + [rest] * n_max)
+
     zero = np.zeros_like(k.tau)
-    if is_zero(u):
-        return [k.tau] + [zero, v] * n_max + [zero]
-    if is_zero(v):
-        return [k.tau, spd.sym_inv(spd.sym_inv(u) + k.chi.T @ k.tau @ k.chi)] + [zero, u] * n_max
-    origin = np.zeros(k.dim)
-    states = sinkhorn_run(bridge_solve(GaussianMeasure(origin, u), GaussianMeasure(origin, v), k), max(n_max, 1))
-    return [s.tau_n for s in states[: 2 * n_max + 2]]
+    if u not in spec.spectra:  # a ZERO u
+        return flow(k.tau, getattr(spec, v)), flow(zero, zero)
+    u_inv = spd._inverse(*spec.spectra[u])
+    if v not in spec.spectra:  # a ZERO v
+        return flow(k.tau, zero), flow(spd.sym_inv(u_inv + k.chi.T @ k.tau @ k.chi), getattr(spec, u))
+    return _covariance_flows(bridge_factors(spec.spectra[u], spec.spectra[v], k.chi), k, u_inv, n_max)[0]
 
 
-def _iota(spec: CurvatureSpec, nu, nv, w0_bar, w1_bar) -> float:
+def _iota(spec: CurvatureSpec, w0_bar, w1_bar) -> float:
     """The norm-ratio limit iota: the larger ratio ||f|| / ||f^{1/2} r* f^{1/2}||, of f = v_plus at
-    w0_bar's fixed point r* and of f = u_plus at w1_bar's, given nu = ||u_plus|| and nv = ||v_plus||.
+    w0_bar's fixed point r* and of f = u_plus at w1_bar's.
 
     Each root is built from the spectrum that validated f, the one its
     bridge in ``varpi_family`` is built from, so no factor is decomposed
@@ -199,7 +205,7 @@ def _iota(spec: CurvatureSpec, nu, nv, w0_bar, w1_bar) -> float:
         half = spd._sqrt(*spec.spectra[name])
         return norm / spd.spectral_norm(half @ riccati.fixed_point_like(w, spec.dim) @ half)
 
-    return float(max(ratio("v_plus", nv, w0_bar), ratio("u_plus", nu, w1_bar)))
+    return float(max(ratio("v_plus", spec.plus_norms[1], w0_bar), ratio("u_plus", spec.plus_norms[0], w1_bar)))
 
 
 class BoundReport(NamedTuple):
@@ -214,8 +220,7 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
 
     eps, iota and the proximal rates share ||chi||, ||u_plus|| and ||v_plus||; eps is checked first.
     """
-    kappa, nu, nv = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(spec.v_plus)
-    eps = eps_generic(kappa, nu, nv)
+    eps = eps_lg(k, spec)
     ph = phi(eps)
     base_rate = 1.0 / (1.0 + 1.0 / eps)
     # (1 + phi)^-2 < (1 + 1/eps)^-1 is phi (2 + phi) > 1/eps; both rates
@@ -225,12 +230,12 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
         raise DomainError("improved rate failed to dominate the basic rate")
 
     _, _, w0_bar, w1_bar = varpi_family(k, spec)
-    iota = _iota(spec, nu, nv, w0_bar, w1_bar)
+    iota = _iota(spec, w0_bar, w1_bar)
     decays = [riccati.decay_params(w) for w in (w0_bar, w1_bar) if not riccati.is_infinite(w)]
     delta_bar = max((d for d, _ in decays), default=0.0)
     c_bar = max((c for _, c in decays), default=0.0)
     composite_rate = 1.0 / (1.0 + (iota / eps) / (1.0 + c_bar * delta_bar**p))
-    _, a, b = map(_per_model, _proximal_norms(k, spec, kappa, nu))
+    _, a, b = map(_per_model, _proximal_norms(k, spec))
 
     scalars = {
         "eps": (eps, "contraction-coefficient"),
@@ -257,13 +262,13 @@ def rate_table(k: LinearGaussianKernel, spec: CurvatureSpec, n_max: int, p: int 
     )
 
 
-def _proximal_norms(k: LinearGaussianKernel, spec: CurvatureSpec, kappa, nu):
-    """||tau|| and ``proximal_rates``' (a, b) before conversion, from kappa = ||chi|| and nu = ||u_plus||."""
+def _proximal_norms(k: LinearGaussianKernel, spec: CurvatureSpec):
+    """||tau|| and ``proximal_rates``' (a, b) before conversion."""
     ntau = spd.spectral_norm(k.tau)
     beta_t = k.beta.swapaxes(-1, -2)
     resolvent = spd.sym_inv(spd._inverse(*spec.spectra["u_plus"]) + beta_t @ spd._inverse(*k.tau_spectrum) @ k.beta)
-    kappa2 = kappa**2
-    return ntau, kappa2 * ntau * nu, kappa2 * ntau * spd.spectral_norm(resolvent)
+    kappa2 = k.chi_norm**2
+    return ntau, kappa2 * ntau * spec.plus_norms[0], kappa2 * ntau * spd.spectral_norm(resolvent)
 
 
 def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
@@ -275,7 +280,7 @@ def proximal_rates(k: LinearGaussianKernel, spec: CurvatureSpec):
     u_plus^{-1} and tau^{-1} come from the spectra that validated them.
     Floats for one model, arrays for a stack.
     """
-    _, a, b = map(_per_model, _proximal_norms(k, spec, spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus)))
+    _, a, b = map(_per_model, _proximal_norms(k, spec))
     return a, b
 
 
@@ -302,9 +307,9 @@ def proximal_crossover(k: LinearGaussianKernel, spec: CurvatureSpec) -> dict:
     the five norms is taken once, and eps and b are ``eps_lg``'s and
     ``proximal_rates``' own arithmetic.
     """
-    kappa, nu, nv = spd.spectral_norm(k.chi), spd.spectral_norm(spec.u_plus), spd.spectral_norm(spec.v_plus)
-    t, _, b = map(_per_model, _proximal_norms(k, spec, kappa, nu))
-    pair_rate = 1.0 / (1.0 + 1.0 / eps_generic(kappa, nu, nv))
+    nu, nv = spec.plus_norms
+    t, _, b = map(_per_model, _proximal_norms(k, spec))
+    pair_rate = 1.0 / (1.0 + 1.0 / eps_lg(k, spec))
     margin = 0.5 * t * (1.0 / nv - 1.0 / nu)
     return {
         "pair_rate": pair_rate,

@@ -19,9 +19,10 @@ become exit codes:
   ``discrete`` ``H_mu_pi2n1`` at row 0;
 - any other error is a bug and propagates.
 
-``write`` returns 0 on success, 1 for a verification failure, a broken
-invariant or a row that reads ``satisfied=0``, and 3 for a grid run that
-did not converge.  Every emitted float round-trips its double (table
+``write`` returns 0 on success; 1 for a failed ``verify`` criterion, a
+non-monotone ``discrete`` entropy chain or a row that reads ``satisfied=0``
+(``riccati``'s ``identities.ok`` is reported, never gated); 3 for a grid
+run that did not converge.  Every emitted float round-trips its double (table
 cells carry 17 significant digits); identical config and seed give
 byte-identical outputs.
 """
@@ -278,16 +279,14 @@ def _load_gaussian(args):
 def _gaussian(mu, eta, k, spec, n_max, t_grid):
     eps = bounds.eps_lg(k, spec)
     bridge = g.bridge_solve(mu, eta, k)
-    states = g.sinkhorn_run(bridge, n_max)
-    gaps = g.bridge_gaps(bridge, states)
+    run = g.sinkhorn_run(bridge, n_max)
+    gaps = g.bridge_gaps(bridge, run)
     pair, improved = bounds.entropy_envelopes(eps, gaps)
-    n = np.array([s.n for s in states])
+    n = np.arange(len(gaps))
     # each state's free marginal against its target, one stacked call per parity: eta at even n, mu at odd n
-    w2 = np.empty(len(states))
+    w2 = np.empty(len(gaps))
     for parity, target in ((0, eta), (1, mu)):
-        free = states[parity::2]
-        w2[parity::2] = g.gelbrich_w2(target, g.GaussianMeasure(np.stack([s.m_n for s in free]),
-                                                                np.stack([s.sigma_pi_n for s in free])))
+        w2[parity::2] = g.gelbrich_w2(target, g.GaussianMeasure(run.mean[parity::2], run.sigma[parity::2]))
     # envelope_phi's inf before n = 2 is documented; any other inf would pass the gate as inf <= inf
     trace = {"n": n, "H_bridge_gap": gaps, "W2_marginal_gap": w2, "envelope_pair": pair,
              "envelope_phi": _Placeholders(improved, n < 2),

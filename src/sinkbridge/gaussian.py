@@ -10,7 +10,7 @@ linear algebra: no sampling anywhere.
 ``bridge_solve`` decomposes a problem (mu, eta, k) once into a
 ``GaussianBridge``, which every map, flow, gap and noise sweep reads.
 
-Every measure, kernel, map, bridge and Sinkhorn state here holds one
+Every measure, kernel, map, bridge and Sinkhorn run here holds one
 model or a stack of models of one dimension d: a mean (..., d) beside a
 covariance (..., d, d), the leading batch axes shared by every part of a
 problem.  One model is the stack with no leading axes.  Each LAPACK call
@@ -113,6 +113,11 @@ class LinearGaussianKernel:
     def dim(self) -> int:
         return self.beta.shape[-1]
 
+    @cached_property
+    def chi_norm(self):
+        """||chi||, taken once: ``bounds.eps_lg`` and ``bounds.proximal_rates`` both read it."""
+        return spd.spectral_norm(self.chi)
+
     def rescaled(self, t: float) -> "LinearGaussianKernel":
         """Same channel with noise covariance t * tau, from tau's spectrum scaled by t: no decomposition."""
         w, q = self.tau_spectrum
@@ -135,23 +140,28 @@ class AffineGaussianMap:
         object.__setattr__(self, "noise_cov", spd.clamp_psd(spd.matrix(self.noise_cov)))
 
 
-@dataclass(frozen=True)
-class GaussianSinkhornState:
-    """One Sinkhorn iterate: conditional covariance, marginal mean and covariance.
+class GaussianSinkhornRun(NamedTuple):
+    """The Sinkhorn states n = 0, 1, ..., 2 n_max + 1, each field stacked with n first, then any model axes.
 
-    ``delta`` is tau_n's distance to the bridge's conditional covariance,
-    Delta_n = q' h^{-1} tau_n h^{-1} q - diag(f(lam)) with (h, q) = (v^{1/2}, p)
-    for even n and (u^{1/2}, r) for odd n, as the Riccati flow gives it;
-    ``offset`` is m_n minus the bridge's mean of the same marginal, mbar for
-    even n and m for odd n.  ``bridge_gaps`` reads both.
+    tau[n] is state n's conditional covariance, mean[n] and sigma[n] its
+    marginal's: even states are transitions x -> y with second marginal
+    pi_{2n}, odd ones y -> x with first marginal pi_{2n+1}.  delta[n] is
+    Delta_n = q' h^{-1} tau_n h^{-1} q - diag(f(lam)), (h, q) = (v^{1/2}, p) at
+    even n and (u^{1/2}, r) at odd n, as the Riccati flow gives it, and
+    offset[n] is m_n minus the bridge's mean of that marginal (mbar at even
+    n, m at odd n); ``bridge_gaps`` reads both.
     """
 
-    n: int
-    tau_n: np.ndarray
-    m_n: np.ndarray
-    sigma_pi_n: np.ndarray
+    tau: np.ndarray
+    mean: np.ndarray
+    sigma: np.ndarray
     delta: np.ndarray
     offset: np.ndarray
+
+
+def _interleave(even, odd) -> np.ndarray:
+    """The stack even[0], odd[0], even[1], odd[1], ... of two stacks of one shape."""
+    return np.stack([even, odd], axis=1).reshape(-1, *even.shape[1:])
 
 
 def _check_model(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKernel):
@@ -266,8 +276,10 @@ class GaussianBridge:
         """The bridge for the channel noise t * tau, without a new decomposition.
 
         Scaling tau by t scales chi by 1/t, so of all the factors only the
-        singular values change, to s / t.
+        singular values change, to s / t.  At t = 1 it is this bridge itself.
         """
+        if t == 1.0:
+            return self
         k = self.k.rescaled(t)
         return GaussianBridge(self.mu, self.eta, k, self.factors._replace(s=_in_double_range(self.factors.s / t)))
 
@@ -278,55 +290,43 @@ def bridge_solve(mu: GaussianMeasure, eta: GaussianMeasure, k: LinearGaussianKer
     return GaussianBridge(mu, eta, k, bridge_factors(mu.cov_spectrum, eta.cov_spectrum, k.chi))
 
 
-def sinkhorn_run(bridge: GaussianBridge, n_max: int):
-    """Run the closed-form Gaussian Sinkhorn recursion.
+def _covariance_flows(f: BridgeFactors, k: LinearGaussianKernel, u_inv, n_max: int):
+    """The mean-free half of ``sinkhorn_run``, one stack per parity: (tau_even, tau_odd) and (Delta_even, Delta_odd).
 
-    Parameters
-    ----------
-    bridge : GaussianBridge
-        The bridge of the marginals N(m, u), N(mbar, v) and the reference
-        channel, whose decomposition both Riccati flows run from.
-    n_max : int
-        Number of half-step pairs; the returned list holds states for
-        n = 0, 1, ..., 2*n_max + 1.
+    f is the bridge's decomposition and u_inv is u^{-1}, formed from the spectrum that validated u.
+    """
+    # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate
+    tau_odd = spd.sym_inv(u_inv + _t(k.chi) @ k.tau @ k.chi)
+    # one Riccati trajectory per parity, in the eigenbases p and r of varpi_0
+    # and varpi_1 that the SVD gave; both starts are congruences of SPD matrices
+    evens, delta_e = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
+    odds, delta_o = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
+    tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])
+    tau_o = np.concatenate([tau_odd[None], spd.symmetrize(f.u_half @ odds[1:] @ f.u_half)])
+    return (tau_e, tau_o), (delta_e, delta_o)
 
-    Returns
-    -------
-    list of GaussianSinkhornState
-        State n carries the conditional covariance of the n-th transition,
-        the mean of the n-th marginal flow and its covariance.  Even states
-        describe transitions x -> y with second marginal pi_{2n}; odd states
-        describe transitions y -> x with first marginal pi_{2n+1}.  For a
-        stack of bridges each state holds every model's, stacked alike.
+
+def sinkhorn_run(bridge: GaussianBridge, n_max: int) -> GaussianSinkhornRun:
+    """The closed-form Gaussian Sinkhorn states n = 0, 1, ..., 2 n_max + 1, for n_max >= 1 half-step pairs.
+
+    Both Riccati flows run from the bridge's one decomposition; a run on a
+    stack of bridges holds every model's states.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    mu, eta, k, f = bridge.mu, bridge.eta, bridge.k, bridge.factors
-    u, v = mu.cov, eta.cov
-    m, mbar = mu.mean, eta.mean
-    chi = k.chi
-
-    # n = 0: the reference channel itself, pi_0 = mu K; n = 1: its conjugate, u^{-1} from mu's spectrum
-    tau_odd = spd.sym_inv(spd._inverse(*mu.cov_spectrum) + _t(chi) @ k.tau @ chi)
-    # the rescaled covariance flows do not depend on the means: one Riccati
-    # trajectory each, in the eigenbases p and r of varpi_0 and varpi_1 that
-    # the SVD gave; both starts are congruences of SPD matrices
-    evens, delta_e = riccati._iterate_spectral(f.lam, f.p, spd.symmetrize(f.v_ihalf @ k.tau @ f.v_ihalf), n_max)
-    odds, delta_o = riccati._iterate_spectral(f.lam, f.r, spd.symmetrize(f.u_ihalf @ tau_odd @ f.u_ihalf), n_max)
-    # the conditional and marginal covariances of every state, one stack per
-    # parity: even states push u through x -> y, odd states push v through y -> x
-    tau_e = np.concatenate([k.tau[None], spd.symmetrize(f.v_half @ evens[1:] @ f.v_half)])
-    tau_o = np.concatenate([tau_odd[None], spd.symmetrize(f.u_half @ odds[1:] @ f.u_half)])
-    sigma_e = spd.symmetrize(tau_e @ chi @ u @ _t(chi) @ tau_e + tau_e)
-    sigma_o = spd.symmetrize(tau_o @ _t(chi) @ v @ chi @ tau_o + tau_o)
-    gain_e, gain_o = tau_e @ chi, tau_o @ _t(chi)
+    mu, eta, k = bridge.mu, bridge.eta, bridge.k
+    (tau_e, tau_o), (delta_e, delta_o) = _covariance_flows(bridge.factors, k, spd._inverse(*mu.cov_spectrum), n_max)
+    # the marginal covariances: even states push u through x -> y, odd states push v through y -> x
+    sigma_e = spd.symmetrize(tau_e @ k.chi @ mu.cov @ _t(k.chi) @ tau_e + tau_e)
+    sigma_o = spd.symmetrize(tau_o @ _t(k.chi) @ eta.cov @ k.chi @ tau_o + tau_o)
+    gain_e, gain_o = tau_e @ k.chi, tau_o @ _t(k.chi)
 
     # only the mean recursion runs state by state, once for the whole stack and
     # on column vectors (..., d, 1); beside it the offsets m_even - mbar and
     # m_odd - m run as products, so that only the first is a difference
-    m, mbar = m[..., None], mbar[..., None]
+    m, mbar = mu.mean[..., None], eta.mean[..., None]
     neg_e, neg_o = -gain_e, -gain_o
-    states = []
+    means, offsets = [], []
     for j in range(n_max + 1):
         if j == 0:
             m_even = k.alpha[..., None] + k.beta @ m
@@ -336,9 +336,10 @@ def sinkhorn_run(bridge: GaussianBridge, n_max: int):
             e = neg_e[j] @ o
         m_odd = m + gain_o[j] @ (mbar - m_even)
         o = neg_o[j] @ e
-        states.append(GaussianSinkhornState(2 * j, tau_e[j], m_even[..., 0], sigma_e[j], delta_e[j], e[..., 0]))
-        states.append(GaussianSinkhornState(2 * j + 1, tau_o[j], m_odd[..., 0], sigma_o[j], delta_o[j], o[..., 0]))
-    return states
+        means += [m_even[..., 0], m_odd[..., 0]]
+        offsets += [e[..., 0], o[..., 0]]
+    return GaussianSinkhornRun(_interleave(tau_e, tau_o), np.stack(means), _interleave(sigma_e, sigma_o),
+                               _interleave(delta_e, delta_o), np.stack(offsets))
 
 
 def _psi(y):
@@ -355,13 +356,13 @@ def _psi(y):
     return np.where(small, series, direct)
 
 
-def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
-    """The relative entropy H(P* | P_n) of the bridge plan to each state's plan, as one array.
+def bridge_gaps(bridge: GaussianBridge, run: GaussianSinkhornRun) -> np.ndarray:
+    """The relative entropy H(P* | P_n) of the bridge plan to each plan of a run, as one array.
 
     An even plan shares its first marginal mu with the bridge, an odd plan
     its second marginal eta, so by the chain rule its gap is the average
     over that marginal of the KL between the two Gaussian transitions.  In
-    the whitened basis of the state's parity (``GaussianSinkhornState``) the
+    the whitened basis of the state's parity (``GaussianSinkhornRun``) the
     bridge's conditional covariance is F = diag(f(lam)) and the state's
     A = F + Delta; with S = diag(s) and the offset e~ in that basis,
 
@@ -379,21 +380,17 @@ def bridge_gaps(bridge: GaussianBridge, states) -> np.ndarray:
     fix = riccati._fixed_scalar(f.lam)
     root = np.sqrt(fix)[..., None, :]  # (..., 1, d): a state's axes follow the states axis
     weight = (f.s**2 * fix)[..., None, :, None]  # the diagonal of F^{1/2} S^2 F^{1/2}
-    parity = np.array([s.n % 2 for s in states])
-    gaps = np.empty((len(states), *f.s.shape[:-1]))
+    gaps = np.empty(run.delta.shape[:-2])
     for odd, ihalf, basis in ((0, f.v_ihalf, f.p), (1, f.u_ihalf, f.r)):
-        i = np.flatnonzero(parity == odd)
-        if not len(i):
-            continue
-        delta = np.stack([states[j].delta for j in i], axis=-3)
+        delta = np.moveaxis(run.delta[odd::2], 0, -3)
         y, w = np.linalg.eigh(delta / root[..., None] / root[..., None, :])
         if not np.all(y > -1.0):  # a NaN fails too
             raise DomainError("a Sinkhorn state's conditional covariance is not positive definite")
         # W' F^{-1/2} e~, e~ = basis' ihalf e, for each offset e
-        z = (np.stack([states[j].offset for j in i], axis=-2) @ ihalf @ basis / root)[..., None, :] @ w
+        z = (np.moveaxis(run.offset[odd::2], 0, -2) @ ihalf @ basis / root)[..., None, :] @ w
         mean_part = np.sum(z[..., 0, :] ** 2 / (1.0 + y), axis=-1)
         cross_part = np.sum(y**2 / (1.0 + y) * (weight * w**2).sum(axis=-2), axis=-1)
-        gaps[i] = np.moveaxis(0.5 * (_psi(y).sum(axis=-1) + mean_part + cross_part), -1, 0)
+        gaps[odd::2] = np.moveaxis(0.5 * (_psi(y).sum(axis=-1) + mean_part + cross_part), -1, 0)
     return gaps
 
 

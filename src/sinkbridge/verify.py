@@ -266,10 +266,9 @@ def _envelopes(mu, eta, k, gaps):
 
 def criterion_bridge_vs_sinkhorn(seed=0):
     bridge = g.bridge_solve(*_std_model())
-    states = g.sinkhorn_run(bridge, 25)
+    run = g.sinkhorn_run(bridge, 25)
     golden = riccati.fixed_point(np.array([[1.0]]))[0, 0]
-    sigma_err = max(abs(s.tau_n[0, 0] - golden) for s in states if s.n in (50, 51))
-    gaps = g.bridge_gaps(bridge, states)
+    gaps = g.bridge_gaps(bridge, run)
 
     # each random model's gaps (n, models) and pair envelope; row 0 of the envelope is the gap itself,
     # and a NaN there reaches every later row
@@ -278,7 +277,7 @@ def criterion_bridge_vs_sinkhorn(seed=0):
         random_gaps.append(_bridge_gaps(mu_r, eta_r, k_r, 15))
         pairs.append(_envelopes(mu_r, eta_r, k_r, random_gaps[-1])[0])
     return [
-        Gate("sigma_error_at_n50", float(sigma_err), 1e-10, "<"),
+        Gate("sigma_error_at_n50", float(np.max(np.abs(run.tau[50:, 0, 0] - golden))), 1e-10, "<"),  # states 50, 51
         _nonincreasing("standard_model_monotone", [gaps]),
         _worst("standard_model_envelope", [gaps[2:51:2]], [0.5 ** np.arange(1, 26) * gaps[0]]),
         _nonincreasing("random_models_monotone", random_gaps),
@@ -432,7 +431,7 @@ def criterion_discretization_consistency(seed=0):
     std = g.GaussianMeasure([0.0], [[1.0]])
     bridge = g.bridge_solve(std, std, g.LinearGaussianKernel([0.0], [[1.0]], [[t]]))
     # states n = 0, 1, ..., n_steps
-    taus = np.array([s.tau_n[0, 0] for s in g.sinkhorn_run(bridge, n_steps // 2)])
+    taus = g.sinkhorn_run(bridge, n_steps // 2).tau[:, 0, 0]
     quadratic = models.quadratic_potential([0.0], [[1.0]])
     channel = models.linear_gaussian_channel_potential([0.0], [[1.0]], [[t]])
     errs = []

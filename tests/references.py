@@ -82,20 +82,21 @@ def bridge_plan(bridge) -> JointGaussian:
     return joint_plan(bridge.mu, bridge.forward)
 
 
-def state_plan(state, mu, eta, k) -> JointGaussian:
-    """Joint Gaussian coupling described by one Sinkhorn state, on (x, y)."""
-    chi = k.chi
-    if state.n % 2 == 0:
-        f = g.AffineGaussianMap(state.m_n - state.tau_n @ chi @ mu.mean, state.tau_n @ chi, state.tau_n)
+def state_plan(run, n, mu, eta, k) -> JointGaussian:
+    """Joint Gaussian coupling described by state n of a ``gaussian.GaussianSinkhornRun``, on (x, y)."""
+    chi, tau, mean = k.chi, run.tau[n], run.mean[n]
+    if n % 2 == 0:
+        f = g.AffineGaussianMap(mean - tau @ chi @ mu.mean, tau @ chi, tau)
         return joint_plan(mu, f)
-    f = g.AffineGaussianMap(state.m_n - state.tau_n @ chi.T @ eta.mean, state.tau_n @ chi.T, state.tau_n)
+    f = g.AffineGaussianMap(mean - tau @ chi.T @ eta.mean, tau @ chi.T, tau)
     return joint_plan(eta, f).swapped()
 
 
-def joint_gaps(bridge, states) -> np.ndarray:
-    """The bridge gap of each state as the relative entropy of two 2d x 2d joints, subtracted in doubles."""
+def joint_gaps(bridge, run) -> np.ndarray:
+    """The bridge gap of each state of a run as the relative entropy of two 2d x 2d joints, subtracted in doubles."""
     plan = bridge_plan(bridge)
-    return np.array([g.gaussian_kl(plan, state_plan(s, bridge.mu, bridge.eta, bridge.k)) for s in states])
+    return np.array([g.gaussian_kl(plan, state_plan(run, n, bridge.mu, bridge.eta, bridge.k))
+                     for n in range(len(run.tau))])
 
 
 def bridge_gaps_mp(mu, eta, k, n_max, dps=80):

@@ -258,8 +258,9 @@ def test_criterion_10_catches_a_mistabulated_channel(monkeypatch):
 
 def test_criterion_10_catches_an_off_by_one_index(monkeypatch):
     # a planted defect: grid state n is compared with the Gaussian tau_{n+1}
-    run = g.sinkhorn_run
-    monkeypatch.setattr(g, "sinkhorn_run", lambda bridge, n_max: run(bridge, n_max + 1)[1 : 2 * n_max + 3])
+    sinkhorn_run = g.sinkhorn_run
+    monkeypatch.setattr(g, "sinkhorn_run", lambda bridge, n_max: g.GaussianSinkhornRun._make(
+        x[1 : 2 * n_max + 3] for x in sinkhorn_run(bridge, n_max + 1)))
     records = verify.criterion_discretization_consistency(seed=0)
     assert verify.failing(records) == ["max_rate_deviation"]
     assert _gates(records)["max_rate_deviation"].observed > 0.05
@@ -309,7 +310,7 @@ def test_criteria_04_05_read_no_zero_gap(monkeypatch):
     # stacked result, all of them positive and decreasing
     seen = []
     bridge_gaps = g.bridge_gaps
-    monkeypatch.setattr(g, "bridge_gaps", lambda bridge, states: seen.append(bridge_gaps(bridge, states)) or seen[-1])
+    monkeypatch.setattr(g, "bridge_gaps", lambda bridge, run: seen.append(bridge_gaps(bridge, run)) or seen[-1])
     for seed in (0, 1, 2):
         assert not verify.failing(verify.criterion_bridge_vs_sinkhorn(seed=seed))
         assert not verify.failing(verify.criterion_improved_rate(seed=seed))
@@ -327,8 +328,8 @@ def test_criteria_04_05_gate_every_model_of_a_stack(seed, monkeypatch):
     dim = max(stacks, key=lambda stack: len(stack[0].mean))[0].dim
     bridge_gaps = g.bridge_gaps
 
-    def stalled(bridge, states):
-        gaps = bridge_gaps(bridge, states)
+    def stalled(bridge, run):
+        gaps = bridge_gaps(bridge, run)
         if bridge.mu.mean.ndim == 2 and bridge.mu.dim == dim:
             gaps[2:, -1] = gaps[0, -1]
         return gaps

@@ -273,11 +273,11 @@ def test_curvature_flow_equality_case_matches_sinkhorn():
     k = g.LinearGaussianKernel(np.zeros(2), np.eye(2), 0.7 * np.eye(2))
     spec = gaussian_spec(u, v)
     sigma, tau = bounds.curvature_flow(k, spec, 8)
-    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8)
-    for s in states:
-        if s.n < len(tau):
-            assert np.linalg.norm(tau[s.n] - s.tau_n, 2) < 1e-10
-            assert np.linalg.norm(sigma[s.n] - s.tau_n, 2) < 1e-10
+    run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8)
+    assert len(sigma) == len(tau) == len(run.tau)
+    for n, tau_n in enumerate(run.tau):
+        assert np.linalg.norm(tau[n] - tau_n, 2) < 1e-10
+        assert np.linalg.norm(sigma[n] - tau_n, 2) < 1e-10
 
 
 def test_curvature_flow_sandwich_and_rescaled_recursion():
@@ -360,6 +360,21 @@ def test_curvature_flow_matches_the_high_precision_recursion(drop, n_max):
             assert np.linalg.norm(m - m_ref, 2) <= 1e-11 * np.linalg.norm(m_ref, 2)
 
 
+@pytest.mark.parametrize("drop, eighs", [((), 2), (("u_minus", "v_minus"), 1)], ids=["two-sided", "zero-minus"])
+def test_curvature_flow_decomposes_no_held_factor_again(drop, eighs, decompositions):
+    """The flows start from the spectra the spec holds: one eigh per bridged run, for its odd start.
+
+    Building a spec and running its flows decomposes no input twice.
+    """
+    k, _ = ill_conditioned_bridge(3, 1e2)
+    decompositions.clear()
+    spec = two_sided_spec(3, 1e2, drop)
+    held = decompositions["eigh"]
+    bounds.curvature_flow(k, spec, 5)
+    assert decompositions["eigh"] - held == eighs
+    assert decompositions["repeated"] == 0
+
+
 def test_xi_iota_zero_case():
     spec = CurvatureSpec(u_plus=np.eye(2), v_plus=np.eye(2))
     k = kernel_ti(1.0, 2)
@@ -430,8 +445,7 @@ def test_rate_table_dominates_empirical_gaussian_decay():
     k = kernel_ti(1.0, 2)
     spec = gaussian_spec(u, v)
     bridge = g.bridge_solve(mu, eta, k)
-    states = g.sinkhorn_run(bridge, 12)
-    gaps = g.bridge_gaps(bridge, states)
+    gaps = g.bridge_gaps(bridge, g.sinkhorn_run(bridge, 12))
     even_ratio = [gaps[2 * n] / gaps[0] for n in range(13)]
     rep = bounds.rate_table(k, spec, 12)
     bound = [b for _, tag, b in rep.envelopes if tag == "two-step-entropy-rate"]

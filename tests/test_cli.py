@@ -75,6 +75,23 @@ def test_gaussian_command_outputs(tmp_path):
     assert report["proximal_b"] == 0.5
 
 
+def test_gaussian_compute_decomposes_no_input_twice(decompositions, tmp_path):
+    """On a d = 2 model whose mu, eta and tau all differ, no decomposition of the compute phase repeats an input.
+
+    Equal inputs would repeat by coincidence.  The default t_grid holds
+    t = 1, whose rescaled bridge is the bridge itself.
+    """
+    model = {"mu": {"mean": [0.5, -0.2], "cov": [[2.0, 0.3], [0.3, 1.0]]},
+             "eta": {"mean": [-1.0, 0.4], "cov": [[0.8, -0.1], [-0.1, 1.5]]},
+             "kernel": {"alpha": [0.1, 0.0], "beta": [[1.0, 0.2], [0.0, 0.9]], "tau": [[0.7, 0.1], [0.1, 0.5]]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gaussian", "model": model}))
+    inputs = cli._load_gaussian(cli._parser().parse_args(["gaussian", "--config", str(cfg)]))
+    decompositions.clear()
+    cli._gaussian(*inputs)
+    assert decompositions["eigh"] > 0 and decompositions["repeated"] == 0
+
+
 @pytest.mark.parametrize("tau", [1.0, 1e-6])
 def test_gaussian_w2_column_equals_per_state_calls(tau, tmp_path):
     """The two stacked W2 calls, one per parity, write what one gelbrich_w2 call per state gives, bit for bit.
@@ -89,9 +106,9 @@ def test_gaussian_w2_column_equals_per_state_calls(tau, tmp_path):
     header, *rows = (tmp_path / "g_trace.csv").read_text().strip().splitlines()
     col = header.split(",").index("W2_marginal_gap")
     mu, eta = (gaussian.GaussianMeasure(**model[key]) for key in ("mu", "eta"))
-    states = gaussian.sinkhorn_run(gaussian.bridge_solve(mu, eta, gaussian.LinearGaussianKernel(**model["kernel"])), 30)
-    want = [gaussian.gelbrich_w2(mu if s.n % 2 else eta, gaussian.GaussianMeasure(s.m_n, s.sigma_pi_n))
-            for s in states]
+    run = gaussian.sinkhorn_run(gaussian.bridge_solve(mu, eta, gaussian.LinearGaussianKernel(**model["kernel"])), 30)
+    want = [gaussian.gelbrich_w2(mu if n % 2 else eta, gaussian.GaussianMeasure(run.mean[n], run.sigma[n]))
+            for n in range(len(run.tau))]
     assert [float(r.split(",")[col]) for r in rows] == want
 
 

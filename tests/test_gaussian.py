@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import collections
-import dataclasses
 
 import mpmath
 
@@ -129,33 +128,30 @@ def test_bridge_cross_covariance_schur_oracle():
 def test_sinkhorn_initial_state():
     rng = np.random.default_rng(9)
     mu, eta, k = random_model(rng, 3)
-    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 1)
-    s0 = states[0]
-    assert s0.n == 0
-    assert np.allclose(s0.tau_n, k.tau)
-    assert np.allclose(s0.m_n, k.alpha + k.beta @ mu.mean)
+    run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 1)
+    assert run.tau.shape == run.sigma.shape == run.delta.shape == (4, 3, 3)
+    assert run.mean.shape == run.offset.shape == (4, 3)
+    assert np.allclose(run.tau[0], k.tau)
+    assert np.allclose(run.mean[0], k.alpha + k.beta @ mu.mean)
     # pi_0 = mu K pushed through the channel
-    assert np.allclose(s0.sigma_pi_n, k.beta @ mu.cov @ k.beta.T + k.tau, atol=1e-12)
+    assert np.allclose(run.sigma[0], k.beta @ mu.cov @ k.beta.T + k.tau, atol=1e-12)
 
 
 def test_sinkhorn_standard_model_convergence():
     mu, eta, k = std_model()
-    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 25)
-    for s in states:
-        assert abs(s.m_n[0]) < 1e-14
-    assert abs(states[-2].tau_n[0, 0] - GOLDEN) < 1e-10
-    assert abs(states[-1].tau_n[0, 0] - GOLDEN) < 1e-10
+    run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 25)
+    assert np.all(np.abs(run.mean[:, 0]) < 1e-14)
+    assert abs(run.tau[-2, 0, 0] - GOLDEN) < 1e-10
+    assert abs(run.tau[-1, 0, 0] - GOLDEN) < 1e-10
 
 
 def test_sinkhorn_means_converge_to_targets():
     mu = g.GaussianMeasure([1.0], [[1.0]])
     eta = g.GaussianMeasure([-1.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 60)
-    even = [s for s in states if s.n % 2 == 0]
-    odd = [s for s in states if s.n % 2 == 1]
-    assert abs(even[-1].m_n[0] - (-1.0)) < 1e-10
-    assert abs(odd[-1].m_n[0] - 1.0) < 1e-10
+    run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 60)
+    assert abs(run.mean[-2, 0] - (-1.0)) < 1e-10  # the last even state
+    assert abs(run.mean[-1, 0] - 1.0) < 1e-10  # the last odd state
 
 
 def test_sinkhorn_terminal_matches_bridge():
@@ -165,13 +161,11 @@ def test_sinkhorn_terminal_matches_bridge():
         mu, eta, k = random_model(rng, d)
         bridge = g.bridge_solve(mu, eta, k)
         fwd, bwd = bridge.forward, bridge.backward()
-        states = g.sinkhorn_run(bridge, 400)
-        even = [s for s in states if s.n % 2 == 0][-1]
-        odd = [s for s in states if s.n % 2 == 1][-1]
-        assert np.linalg.norm(even.tau_n - fwd.noise_cov, 2) < 1e-10
-        assert np.linalg.norm(odd.tau_n - bwd.noise_cov, 2) < 1e-10
-        assert np.linalg.norm(even.m_n - eta.mean) < 1e-9
-        assert np.linalg.norm(odd.m_n - mu.mean) < 1e-9
+        run = g.sinkhorn_run(bridge, 400)
+        assert np.linalg.norm(run.tau[-2] - fwd.noise_cov, 2) < 1e-10
+        assert np.linalg.norm(run.tau[-1] - bwd.noise_cov, 2) < 1e-10
+        assert np.linalg.norm(run.mean[-2] - eta.mean) < 1e-9
+        assert np.linalg.norm(run.mean[-1] - mu.mean) < 1e-9
 
 
 def test_sinkhorn_rescaled_recursion_exact():
@@ -184,8 +178,7 @@ def test_sinkhorn_rescaled_recursion_exact():
     v_ih = spd.sym_inv(v_half)
     u_half = spd.principal_sqrt(mu.cov)
     u_ih = spd.sym_inv(u_half)
-    states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 10)
-    taus = {s.n: s.tau_n for s in states}
+    taus = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 10).tau
     for n in range(2, 20, 2):
         lhs = v_ih @ taus[n] @ v_ih
         rhs = riccati.ricc_map(w0, v_ih @ taus[n - 2] @ v_ih)
@@ -203,10 +196,10 @@ def test_sinkhorn_rescaled_sandwich():
     mu, eta, k = random_model(rng, 3)
     v_ih = spd.sym_inv(spd.principal_sqrt(eta.cov))
     u_ih = spd.sym_inv(spd.principal_sqrt(mu.cov))
-    for s in g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8):
-        if s.n >= 2:
-            scaled = (v_ih if s.n % 2 == 0 else u_ih)
-            assert spd.loewner_leq(scaled @ s.tau_n @ scaled, np.eye(3), tol=1e-12)
+    for n, tau in enumerate(g.sinkhorn_run(g.bridge_solve(mu, eta, k), 8).tau):
+        if n >= 2:
+            scaled = (v_ih if n % 2 == 0 else u_ih)
+            assert spd.loewner_leq(scaled @ tau @ scaled, np.eye(3), tol=1e-12)
 
 
 def test_pi_referenced_fixed_point_identity():
@@ -218,14 +211,15 @@ def test_pi_referenced_fixed_point_identity():
         d = int(rng.integers(1, 4))
         mu, eta, k = random_model(rng, d)
         chi = k.chi
-        for s in g.sinkhorn_run(g.bridge_solve(mu, eta, k), 6):
-            if s.n % 2 == 0:
+        run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 6)
+        for n, (tau, sigma) in enumerate(zip(run.tau, run.sigma)):
+            if n % 2 == 0:
                 core = spd.sym_inv(chi @ mu.cov @ chi.T)
             else:
                 core = spd.sym_inv(chi.T @ eta.cov @ chi)
-            s_ih = spd.sym_inv(spd.principal_sqrt(s.sigma_pi_n))
+            s_ih = spd.sym_inv(spd.principal_sqrt(sigma))
             w_pi = spd.symmetrize(s_ih @ core @ s_ih)
-            r_pi = spd.symmetrize(s_ih @ s.tau_n @ s_ih)
+            r_pi = spd.symmetrize(s_ih @ tau @ s_ih)
             assert np.linalg.norm(riccati.ricc_map(w_pi, r_pi) - r_pi, 2) < 1e-10
 
 
@@ -370,8 +364,7 @@ def test_proximal_w2_and_entropy_decay():
 
 def bridge_gap_sequence(mu, eta, k, n_steps):
     bridge = g.bridge_solve(mu, eta, k)
-    states = g.sinkhorn_run(bridge, n_steps)
-    return g.bridge_gaps(bridge, states)
+    return g.bridge_gaps(bridge, g.sinkhorn_run(bridge, n_steps))
 
 
 def test_bridge_entropy_monotone_and_rate():
@@ -418,8 +411,8 @@ def test_marginal_decay_envelopes():
             * spd.spectral_norm(eta.cov)
         )
         rate = 1.0 + phi(eps)
-        states = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 12)
-        pis = {s.n: g.GaussianMeasure(s.m_n, s.sigma_pi_n) for s in states}
+        run = g.sinkhorn_run(g.bridge_solve(mu, eta, k), 12)
+        pis = [g.GaussianMeasure(m, sigma) for m, sigma in zip(run.mean, run.sigma)]
         h0 = g.gaussian_kl(eta, pis[0])
         w0 = g.gelbrich_w2(eta, pis[0])
         for n in range(1, 13):
@@ -630,22 +623,22 @@ def test_bridge_gaps_match_the_per_state_reference():
     The first model of each dimension 1..4 among 24 random ones, and the
     standard model to n = 25, where the gaps fall to ~1e-44.  The joint
     relative entropy subtracted in doubles, whose error is ~1e-13
-    absolute, agrees to 1e-12.
+    absolute, agrees to 1e-12.  A run of 3 pairs, its record and its gaps,
+    is bitwise the first 8 states of the longer run.
     """
     # each dimension's stack keeps draw order, so its slice 0 is the first model drawn of that dimension
     firsts = {stack[0].dim: model_slice(stack, 0) for stack in verify._gaussian_models(3, count=24)}
     assert sorted(firsts) == [1, 2, 3, 4]
     for (mu, eta, k), n_pairs in [((firsts[d]), 6) for d in (1, 2, 3, 4)] + [(std_model(), 25)]:
         bridge = g.bridge_solve(mu, eta, k)
-        states = g.sinkhorn_run(bridge, n_pairs)
-        gaps = g.bridge_gaps(bridge, states)
-        ref = bridge_gaps_mp(mu, eta, k, n_pairs)
+        run = g.sinkhorn_run(bridge, n_pairs)
+        gaps = g.bridge_gaps(bridge, run)
         assert gaps.shape == (2 * n_pairs + 2,)
-        assert _relative_error(gaps, ref) <= 1e-12
-        assert np.max(np.abs(gaps - joint_gaps(bridge, states))) <= 1e-12
-        # any subset of states, in any order, odd states alone included
-        some = states[5::-2]
-        assert _relative_error(g.bridge_gaps(bridge, some), ref[5::-2]) <= 1e-12
+        assert _relative_error(gaps, bridge_gaps_mp(mu, eta, k, n_pairs)) <= 1e-12
+        assert np.max(np.abs(gaps - joint_gaps(bridge, run))) <= 1e-12
+        short = g.sinkhorn_run(bridge, 3)
+        assert all(np.array_equal(x, y[:8]) for x, y in zip(short, run, strict=True))
+        assert np.array_equal(g.bridge_gaps(bridge, short), gaps[:8])
 
 
 def test_bridge_gaps_keep_relative_accuracy_for_a_sharp_kernel():
@@ -660,10 +653,11 @@ def test_bridge_gaps_keep_relative_accuracy_for_a_sharp_kernel():
 def test_bridge_gaps_reject_a_state_that_is_not_positive_definite():
     """A conditional covariance F + Delta with an eigenvalue at 0 raises DomainError, not an inf or NaN gap."""
     bridge = g.bridge_solve(*std_model())
-    state = g.sinkhorn_run(bridge, 1)[2]
-    flat = dataclasses.replace(state, delta=-np.diag(riccati._fixed_scalar(bridge.factors.lam)))
+    run = g.sinkhorn_run(bridge, 1)
+    delta = run.delta.copy()
+    delta[2] = -np.diag(riccati._fixed_scalar(bridge.factors.lam))  # state 2's A = F + Delta is null
     with pytest.raises(DomainError, match="not positive definite"):
-        g.bridge_gaps(bridge, [flat])
+        g.bridge_gaps(bridge, run._replace(delta=delta))
 
 
 def test_psi_series_meets_the_direct_form():
@@ -699,9 +693,9 @@ def test_bridge_gaps_decompose_once_for_any_number_of_states(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     counts = []
     for n_pairs in (5, 40):
-        states = g.sinkhorn_run(bridge, n_pairs)
+        run = g.sinkhorn_run(bridge, n_pairs)
         seen.clear()
-        g.bridge_gaps(bridge, states)
+        g.bridge_gaps(bridge, run)
         counts.append(dict(seen))
     assert counts[0] == counts[1] == {("eigh", d): 2}
 
@@ -712,9 +706,9 @@ def test_gaps_run_no_second_riccati_trajectory(monkeypatch):
     iterate = riccati._iterate_spectral
     monkeypatch.setattr(riccati, "_iterate_spectral", lambda *a: calls.append(a) or iterate(*a))
     bridge = g.bridge_solve(*random_model(np.random.default_rng(8), 3))
-    states = g.sinkhorn_run(bridge, 12)
+    run = g.sinkhorn_run(bridge, 12)
     assert len(calls) == 2
-    g.bridge_gaps(bridge, states)
+    g.bridge_gaps(bridge, run)
     assert len(calls) == 2
 
 

@@ -91,6 +91,21 @@ def test_fixed_point_identities_identity_d3():
     assert rep["quadratic_identity_residual"] < 1e-10
 
 
+def test_fixed_point_identities_decompose_only_varpi_twice(decompositions):
+    """On a stack, varpi alone is decomposed twice: by its validation and again by ``sym_inv``.
+
+    The second decomposition is kept on purpose.  With varpi^{-1} read off
+    the validating spectrum, the quadratic identity and both sandwiches
+    would share the eigenbasis r is rotated with, and a transposed
+    eigenbasis would pass them (``test_criterion_01_catches_a_transposed_eigenbasis``).
+    """
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_spd(rng, 3) for _ in range(5)])
+    decompositions.clear()
+    assert np.all(riccati.fixed_point_identities(stack)["ok"])
+    assert decompositions["repeated"] == 1
+
+
 def test_fixed_point_identities_random_sweep():
     rng = np.random.default_rng(42)
     for _ in range(25):
