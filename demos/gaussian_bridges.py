@@ -34,12 +34,11 @@ spec = CurvatureSpec.gaussian(mu, eta)
 eps = bounds.eps_lg(k, spec)
 ph = bounds.phi(eps)
 gaps = g.bridge_gaps(bridge, run)
+pair, impr = bounds.entropy_envelopes(eps, gaps)
 print(f"\neps = {eps}, pair rate = {1/(1+1/eps):.3f}, phi rate^2 = {(1+ph)**-2:.6f}")
 print(" n   gap              (1+1/eps)^-(n/2)        (1+phi)^-(n-2)")
 for n in [0, 2, 4, 8, 12]:
-    pair = (1 + 1 / eps) ** -(n // 2) * gaps[0]
-    impr = (1 + ph) ** -(n - 2) * gaps[0] if n >= 2 else float("inf")
-    print(f"{n:>2}   {gaps[n]:.6e}     {pair:.6e}        {impr:.6e}")
+    print(f"{n:>2}   {gaps[n]:.6e}     {pair[n]:.6e}        {impr[n]:.6e}")
 
 # exact divergences between Gaussians, no sampling anywhere
 pi_0 = g.GaussianMeasure(run.mean[0], run.sigma[0])

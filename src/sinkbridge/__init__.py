@@ -38,7 +38,6 @@ from .gaussian import (
     entropic_map_gradient,
     gaussian_kl,
     gelbrich_w2,
-    proximal_step,
     sinkhorn_run,
 )
 from .riccati import (

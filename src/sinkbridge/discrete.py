@@ -51,16 +51,17 @@ K = K_1 (x) ... (x) K_d, and with f reshaped to the grid's tensor shape
     log K(e^{-f}) = L_d(... L_2(L_1(f))),
 where L_k is a log-sum-exp over axis k against the factor table F_k (each
 intermediate is negated before the next one; the L_k commute).  The
-model stores the channel as the tuple (F_1, ..., F_d); a dense channel is
-the one factor (N, N).  A linear-Gaussian channel with diagonal beta and
-tau is separable, with F_k its 1-d channel (alpha_k, beta_kk, tau_kk) on
-axis k; ``models.model_from_spec`` picks that form.  On an n x n grid a
+model stores the channel as the tuple of factors (F_1, ..., F_d); a dense
+channel is the one factor (N, N).  A linear-Gaussian channel with
+diagonal beta and tau is separable, with F_k its 1-d channel
+(alpha_k, beta_kk, tau_kk) on axis k; ``models.model_from_spec`` picks
+that form.  On an n x n grid a
 kernel pass then costs O(n^3) instead of O(n^4), and the channel takes
 2 n^2 floats instead of n^4.
 
 Kernel passes are scaled matrix products.  Each factor F keeps its row
-minima m (non-finite ones set to 0) and K = exp(-(F - m)), whose rows peak
-at 1; they are made once per model.  For one slice a of the contracted axis,
+minima m and K = exp(-(F - m)), whose rows peak at 1; they are made once,
+with the factor (below).  For one slice a of the contracted axis,
 with b = a (axis=1) or b_i = a_i + m_i (axis=0) and c = min b,
     sum_j exp(-F_ij - a_j) = exp(-c - m_i) s_i,   s = exp(c - b) K^T,
     sum_i exp(-a_i - F_ij) = exp(-c) s_j,         s = exp(c - b) K,
@@ -93,9 +94,11 @@ A factor is built with one exp per entry.  With m_raw the row minima of
 the raw table W_raw, K = exp(m_raw - W_raw) does not depend on the row
 normalisation: the normaliser z = log(K w) - m_raw shifts a whole row,
 so F = W_raw + z and m = m_raw + z are shifts of the raw values and
-exp(m - F) is the same K.  ``channel_table`` therefore returns the
-scaled kernel with the factor, and a model builds kernels only when its
-factors come without them.  ``_normalize_channel`` makes F in the raw
+exp(m - F) is the same K.  A factor is therefore the record
+``Factor(table, m, kernel)``, made only by ``_normalize_channel`` (so by
+``channel_table`` and the constructors of ``models``), and nothing rebuilds
+its kernel: a model carries the kernels of the factors it is handed,
+``dataclasses.replace`` included.  ``_normalize_channel`` makes F in the raw
 table's own buffer, so a dense channel holds two N x N arrays, F and K:
 ``models`` hands it the tables its constructors make, and
 ``channel_table`` a copy of the table a caller's callable returns, which
@@ -105,7 +108,8 @@ row (no mass) makes it +inf, so no check passes over the N x N table.
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,34 +165,33 @@ def uniform_grid(dim: int, n: int, radius: float) -> Grid:
     return Grid(pts, np.full(pts.shape[0], h**dim))
 
 
+class Factor(NamedTuple):
+    """One channel factor: its table F, row minima m and scaled kernel K = exp(-(F - m)) (module docstring)."""
+
+    table: np.ndarray  # (n, n), every row integrates to one against its axis weights
+    m: np.ndarray  # (n,)
+    kernel: np.ndarray  # (n, n), rows peak at 1, subnormal entries stored as 0
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
     """Normalized potential tables for one Sinkhorn problem.
 
-    ``channel`` holds the factor tables F_k of W(x, y) = sum_k F_k(x_k, y_k),
+    ``channel`` holds the ``Factor`` records of W(x, y) = sum_k F_k(x_k, y_k),
     one (n_k, n_k) table per axis of a tensor grid in C order (the sizes
     multiply to N); a dense channel is the one factor (N, N).  Every factor
     row integrates to one against its axis weights, so every row of the
     channel does.
-
-    ``scaled`` hands over the (m, K) pairs that ``channel_table`` made with
-    the factors; without it the model builds them.  It is init-only, so a
-    model made with ``dataclasses.replace`` builds its kernels afresh from
-    its own channel.
     """
 
     grid: Grid
     u_pot: np.ndarray  # (N,), mu = exp(-u_pot) integrates to 1
     v_pot: np.ndarray  # (N,)
-    channel: tuple  # factor tables, see above
-    scaled: InitVar[tuple | None] = None
-    # one (m, K) pair per factor, the scaled kernel of the module docstring, set once at construction
-    kernels: tuple = field(init=False, repr=False, compare=False)
-    # log of the quadrature weights, which every kernel pass reads, also set once
+    channel: tuple  # Factor records, see above
+    # log of the quadrature weights, which every kernel pass reads, set once at construction
     log_w: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, scaled):
-        object.__setattr__(self, "kernels", scaled or tuple(_scaled_kernel(f) for f in self.channel))
+    def __post_init__(self):
         object.__setattr__(self, "log_w", np.log(self.grid.weights))
 
     @property
@@ -198,9 +201,9 @@ class DiscreteModel:
         For the dense reference computations (plans, matrix scaling,
         conditional moments); the engine never reads it.
         """
-        w = self.channel[0]
+        w = self.channel[0].table
         for f in self.channel[1:]:
-            w = (w[:, None, :, None] + f[None, :, None, :]).reshape(w.shape[0] * f.shape[0], -1)
+            w = (w[:, None, :, None] + f.table[None, :, None, :]).reshape(w.shape[0] * f.table.shape[0], -1)
         return w
 
     @property
@@ -219,20 +222,20 @@ def _normalize_potential(raw: np.ndarray, log_w: np.ndarray, what: str) -> np.nd
     return raw + log_z
 
 
-def channel_table(w_fn, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def channel_table(w_fn, grid: Grid) -> Factor:
     """Tabulate a channel potential on grid x grid, each kernel row normalized.
 
     w_fn maps two point arrays to the (N, N) table; every row is shifted so
     that its kernel row integrates to one (a normalization the recursion
     tolerates).  On one axis of a tensor grid this gives a factor table.
-    Returns the table F with its scaled kernel (m, K), made with one exp
-    per entry (module docstring).  F is a copy: the callable's table is
-    left as it is.
+    Returns the ``Factor`` of the table F with its scaled kernel (m, K),
+    made with one exp per entry (module docstring).  F is a copy: the
+    callable's table is left as it is.
     """
     return _normalize_channel(np.array(w_fn(grid.points, grid.points), dtype=float), grid)
 
 
-def _normalize_channel(w_raw: np.ndarray, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _normalize_channel(w_raw: np.ndarray, grid: Grid) -> Factor:
     """``channel_table`` of a raw float table that no one else holds, consumed: it becomes F in place."""
     if w_raw.shape != (grid.size, grid.size):
         raise ShapeError(f"channel table must be (N, N), got {w_raw.shape}")
@@ -244,7 +247,7 @@ def _normalize_channel(w_raw: np.ndarray, grid: Grid) -> tuple[np.ndarray, tuple
     kern = _kernel_exp(np.subtract(m_raw[:, None], w_raw))
     z = np.log(kern @ grid.weights) - m_raw
     w_raw += z[:, None]
-    return w_raw, (m_raw + z, kern)
+    return Factor(w_raw, m_raw + z, kern)
 
 
 def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
@@ -252,10 +255,10 @@ def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
 
     u_fn and v_fn map an (N, dim) array of points to length-N potential
     values.  w_fn maps two point arrays to the (N, N) channel potential
-    table (tabulated by ``channel_table``), or is a tuple of factors with
-    their scaled kernels as ``channel_table`` returns them: one per axis of
-    a tensor grid, or the one dense factor.  The marginal
-    potentials are shifted so the densities integrate to one.
+    table (tabulated by ``channel_table``), or is a tuple of the ``Factor``
+    records that ``channel_table`` returns: one per axis of a tensor grid,
+    or the one dense factor.  The marginal potentials are shifted so the
+    densities integrate to one.
     """
     pts = grid.points
     log_w = np.log(grid.weights)
@@ -270,10 +273,11 @@ def build_model(u_fn, v_fn, w_fn, grid: Grid) -> DiscreteModel:
 
     u_pot = _normalize_potential(u_raw, log_w, "mu")
     v_pot = _normalize_potential(v_raw, log_w, "eta")
-    channel, scaled = zip(*(w_fn if isinstance(w_fn, tuple) else (channel_table(w_fn, grid),)))
-    if math.prod(f.shape[0] for f in channel) != grid.size:
-        raise ShapeError(f"channel factors {[f.shape for f in channel]} do not tile a grid of {grid.size} nodes")
-    return DiscreteModel(grid, u_pot, v_pot, channel, scaled)
+    channel = (channel_table(w_fn, grid),) if callable(w_fn) else tuple(w_fn)  # a Factor is a tuple too
+    shapes = [f.table.shape for f in channel]
+    if math.prod(shape[0] for shape in shapes) != grid.size:
+        raise ShapeError(f"channel factors {shapes} do not tile a grid of {grid.size} nodes")
+    return DiscreteModel(grid, u_pot, v_pot, channel)
 
 
 @dataclass(frozen=True)
@@ -309,15 +313,8 @@ def _kernel_exp(shifted: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _scaled_kernel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, K) of a factor table: its row minima (non-finite ones set to 0) and exp(-(F - m))."""
-    m = f.min(axis=1)
-    m[~np.isfinite(m)] = 0.0
-    return m, _kernel_exp(m[:, None] - f)
-
-
-def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.ndarray:
-    """-log sum exp(-F - a) over one axis of the factor F, for every row of ``a`` (M, n).
+def _factor_pass(factor: Factor, a: np.ndarray, axis: int) -> np.ndarray:
+    """-log sum exp(-F - a) over one axis of the factor's table F, for every row of ``a`` (M, n).
 
     The scaled product of the module docstring, finished in the product's
     own buffer.  One guard, min s >= _THETA, lets a pass through with
@@ -325,7 +322,7 @@ def _factor_pass(f: np.ndarray, scaled: tuple, a: np.ndarray, axis: int) -> np.n
     below _THETA are recomputed exactly by ``_neg_lse``, and so is the
     whole contraction when more than half of them fall below it.
     """
-    m, kern = scaled
+    f, m, kern = factor
     b = a if axis == 1 else a + m
     c = b.min(axis=1, keepdims=True)
     c[np.isinf(c)] = 0.0  # as in _neg_lse
@@ -360,11 +357,11 @@ def _kernel_pass(model: DiscreteModel, pot: np.ndarray, axis: int) -> np.ndarray
     """
     t = pot - model.log_w
     if len(model.channel) == 1:
-        return _factor_pass(model.channel[0], model.kernels[0], t[None, :], axis)[0]
-    t = t.reshape([f.shape[0] for f in model.channel])
-    for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
+        return _factor_pass(model.channel[0], t[None, :], axis)[0]
+    t = t.reshape([f.table.shape[0] for f in model.channel])
+    for k, factor in enumerate(model.channel):
         a = t.swapaxes(k, -1)
-        t = _factor_pass(f, scaled, a.reshape(-1, a.shape[-1]), axis).reshape(a.shape).swapaxes(k, -1)
+        t = _factor_pass(factor, a.reshape(-1, a.shape[-1]), axis).reshape(a.shape).swapaxes(k, -1)
     return t.reshape(-1)
 
 

@@ -452,45 +452,24 @@ def entropic_map_gradient(bridge: AffineGaussianMap) -> np.ndarray:
     return _t(bridge.slope).copy()
 
 
-def _gibbs_backward(mu: GaussianMeasure, k: LinearGaussianKernel):
-    """The gain and covariance of the exact conditional of the input given the output under mu x K."""
+def proximal_chain(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel, steps: int) -> GaussianMeasure:
+    """nu and its images after 1, ..., ``steps`` sweeps of the forward/backward Gibbs chain targeting mu, stacked.
+
+    A sweep pushes N(mean, cov) through the channel, then through the exact
+    Gaussian conditional of the input given the output under mu x K, whose
+    gain and covariance are formed once; the target mu is invariant.  Only
+    the mean and covariance recursion runs sweep by sweep, and the
+    marginals are validated as one stack.
+    """
+    _check_model(nu, mu, k)
     u = mu.cov
     # sym_inv validates the forward covariance on the one decomposition it inverts with
     gain = u @ k.beta.T @ spd.sym_inv(k.beta @ u @ k.beta.T + k.tau)
-    return gain, spd.clamp_psd(u - gain @ k.beta @ u)
-
-
-def _gibbs_sweep(mean, cov, mu: GaussianMeasure, k: LinearGaussianKernel, gain, back_cov):
-    """The mean and covariance of one sweep's image of N(mean, cov), from ``_gibbs_backward``'s pair; unvalidated."""
-    y_mean = k.alpha + k.beta @ mean
-    y_cov = k.beta @ cov @ k.beta.T + k.tau
-    mean = mu.mean + gain @ (y_mean - (k.alpha + k.beta @ mu.mean))
-    return mean, spd.symmetrize(gain @ y_cov @ gain.T + back_cov)
-
-
-def proximal_step(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel) -> GaussianMeasure:
-    """One sweep of the forward/backward Gibbs chain targeting mu.
-
-    Pushes nu through the channel, then through the exact Gaussian
-    conditional of the input given the output under mu x K.  The target mu
-    is invariant.
-    """
-    _check_model(nu, mu, k)
-    return GaussianMeasure(*_gibbs_sweep(nu.mean, nu.cov, mu, k, *_gibbs_backward(mu, k)))
-
-
-def proximal_chain(nu: GaussianMeasure, mu: GaussianMeasure, k: LinearGaussianKernel, steps: int) -> GaussianMeasure:
-    """nu and its images after 1, ..., ``steps`` sweeps of ``proximal_step``, as one stacked measure.
-
-    The gain and backward covariance are formed once, only the mean and
-    covariance recursion runs sweep by sweep, and the marginals are
-    validated as one stack; slice n is bitwise n ``proximal_step`` calls from nu.
-    """
-    _check_model(nu, mu, k)
-    gain, back_cov = _gibbs_backward(mu, k)
+    back_cov = spd.clamp_psd(u - gain @ k.beta @ u)
     means, covs = [nu.mean], [nu.cov]
     for _ in range(steps):
-        mean, cov = _gibbs_sweep(means[-1], covs[-1], mu, k, gain, back_cov)
-        means.append(mean)
-        covs.append(cov)
+        y_mean = k.alpha + k.beta @ means[-1]
+        y_cov = k.beta @ covs[-1] @ k.beta.T + k.tau
+        means.append(mu.mean + gain @ (y_mean - (k.alpha + k.beta @ mu.mean)))
+        covs.append(spd.symmetrize(gain @ y_cov @ gain.T + back_cov))
     return GaussianMeasure(np.stack(means), np.stack(covs))

@@ -309,13 +309,14 @@ def criterion_entropic_map_identities(seed=0):
         barycentric += [spd.spectral_norm(chi_t @ fwd.noise_cov @ chi - grad_fwd),
                         spd.spectral_norm(chi @ bwd.noise_cov @ chi_t - grad_bwd)]
         # equality case: both two-sided bound families collapse onto the
-        # gradient; the fixed points come from the family's bridge spectra
+        # gradient; the fixed points come from the family's bridge spectra,
+        # and a member the family returns twice (w0b is w0) is gated once
         w0, w1, w0b, w1b = bounds.varpi_family(k, CurvatureSpec.gaussian(mu, eta))
         v_half, u_half = bridge.factors.v_half, bridge.factors.u_half
-        for w in (w0, w0b):
+        for w in {id(w): w for w in (w0, w0b)}.values():
             bound = chi_t @ v_half @ riccati.fixed_point(w) @ v_half @ chi
             sandwich.append(spd.spectral_norm(grad_fwd - bound))
-        for w in (w1, w1b):
+        for w in {id(w): w for w in (w1, w1b)}.values():
             bound = chi @ u_half @ riccati.fixed_point(w) @ u_half @ chi_t
             sandwich.append(spd.spectral_norm(grad_bwd - bound))
     return [_worst("max_barycentric_residual", barycentric, 1e-10, "<"),

@@ -218,13 +218,31 @@ def curvature_flow_mp(k, spec, n_max, dps=60):
         return to_float(sigma), to_float(tau)
 
 
+def proximal_step(nu, mu, k):
+    """One sweep of the forward/backward Gibbs chain targeting mu, the per-sweep form of ``gaussian.proximal_chain``.
+
+    Pushes nu through the channel, then through the exact Gaussian
+    conditional of the input given the output under mu x K, with the gain
+    and backward covariance formed afresh: slice n of the chain is bitwise
+    n calls from nu.
+    """
+    g._check_model(nu, mu, k)
+    u = mu.cov
+    gain = u @ k.beta.T @ spd.sym_inv(k.beta @ u @ k.beta.T + k.tau)
+    back_cov = spd.clamp_psd(u - gain @ k.beta @ u)
+    y_mean = k.alpha + k.beta @ nu.mean
+    y_cov = k.beta @ nu.cov @ k.beta.T + k.tau
+    mean = mu.mean + gain @ (y_mean - (k.alpha + k.beta @ mu.mean))
+    return g.GaussianMeasure(mean, spd.symmetrize(gain @ y_cov @ gain.T + back_cov))
+
+
 def proximal_trace_steps(nu, mu, k, a, b, steps):
-    """``bounds.proximal_trace`` one ``gaussian.proximal_step`` at a time, each row's W2 and KL a call of its own."""
+    """``bounds.proximal_trace`` one ``proximal_step`` at a time, each row's W2 and KL a call of its own."""
     w0, h0 = g.gelbrich_w2(nu, mu), g.gaussian_kl(nu, mu)
     rows = [(w0, w0, h0, h0)]
     cur = nu
     for n in range(1, steps + 1):
-        cur = g.proximal_step(cur, mu, k)
+        cur = proximal_step(cur, mu, k)
         rows.append((g.gelbrich_w2(cur, mu), b**n * w0, g.gaussian_kl(cur, mu), a * b ** (2 * (n - 1)) * h0))
     return rows
 
@@ -462,14 +480,14 @@ def grid_entropies_mp(model, n_half, dps=60):
         return out
 
 
-def factor_pass(f, scaled, a, axis):
+def factor_pass(factor, a, axis):
     """``discrete._factor_pass`` before its one guard: every pass builds the low mask and a new output.
 
-    Returns -log sum exp(-F - a) over one axis of F for every row of ``a``,
+    Returns -log sum exp(-F - a) over one axis of the factor's table F for every row of ``a``,
     the sign of a potential, as the library's pass does; the two must
     agree bit for bit, NaN entries included.
     """
-    m, kern = scaled
+    f, m, kern = factor
     b = a if axis == 1 else a + m
     c = b.min(axis=1, keepdims=True)
     c[~np.isfinite(c)] = 0.0

@@ -415,19 +415,20 @@ def test_gaussian_models_validate_once_per_dimension(n_models, decompositions):
 
 
 @pytest.mark.parametrize("n_models", [10, 30])
-def test_criterion_06_takes_nine_svds_per_dimension(n_models, decompositions, monkeypatch):
+def test_criterion_06_takes_seven_svds_per_dimension(n_models, decompositions, monkeypatch):
     # per dimension stack: cond(beta) as the kernel stack is built, the bridge's
     # SVD, one for varpi_family's two curvature pairs, which the Gaussian
-    # equality case makes the same (u, v), and six spectral norms (two
-    # barycentric residuals and four sandwich ones); cond and the norms take
-    # theirs inside numpy's linalg module
+    # equality case makes the same (u, v), and four spectral norms (two
+    # barycentric residuals and two sandwich ones: the equality case's family
+    # returns w0 and w1 twice, and each distinct member is gated once); cond
+    # and the norms take theirs inside numpy's linalg module
     draw = verify._gaussian_models
     monkeypatch.setattr(verify, "_gaussian_models", lambda seed: draw(seed, count=n_models))
     groups = len(draw(4, count=n_models))  # criterion 6 draws from seed + 4
     decompositions.clear()
     assert not verify.failing(verify.criterion_entropic_map_identities(seed=0))
-    assert decompositions["svd"] == 9 * groups
-    assert decompositions["norm_svd"] == 7 * groups
+    assert decompositions["svd"] == 7 * groups
+    assert decompositions["norm_svd"] == 5 * groups
 
 
 @pytest.mark.parametrize("seed", [0, 1])

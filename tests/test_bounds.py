@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from references import correction_sequences, curvature_flow_mp, proximal_crossover_composed, varpi_pair
+from references import correction_sequences, curvature_flow_mp, proximal_crossover_composed, proximal_step, varpi_pair
 from sinkbridge import bounds, cli, riccati, spd
 from sinkbridge import gaussian as g
 from sinkbridge.bounds import ZERO, CurvatureSpec
@@ -46,7 +46,7 @@ def test_proximal_trace_rows():
     assert len(rows) == 5 and rows[0] == (w0, w0, h0, h0)
     cur = nu
     for n, (w2, w2_env, kl, kl_env) in enumerate(rows[1:], 1):
-        cur = g.proximal_step(cur, mu, k)
+        cur = proximal_step(cur, mu, k)
         assert (w2, kl) == (g.gelbrich_w2(cur, mu), g.gaussian_kl(cur, mu))
         assert (w2_env, kl_env) == (b**n * w0, a * b ** (2 * (n - 1)) * h0)
         assert w2 <= w2_env and kl <= kl_env

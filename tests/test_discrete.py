@@ -591,11 +591,16 @@ def test_a_stack_of_states_shares_one_model():
         discrete.plan_log_density([one, other])
 
 
+def with_nan(factor, i, j):
+    """A copy of a channel factor with a NaN planted at (i, j) of its table and of its kernel."""
+    table, kern = factor.table.copy(), factor.kernel.copy()
+    table[i, j] = kern[i, j] = np.nan
+    return discrete.Factor(table, factor.m, kern)
+
+
 def test_injected_nan_raises_within_the_sweep():
     model = gaussian_desk_model()
-    w_pot = model.w_pot.copy()
-    w_pot[3, 5] = np.nan
-    broken = dataclasses.replace(model, channel=(w_pot,))
+    broken = dataclasses.replace(model, channel=(with_nan(model.channel[0], 3, 5),))
     for call in (lambda: discrete.run(broken, 100000), lambda: discrete.bridge_oracle(broken)):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="non-finite"):
@@ -687,21 +692,21 @@ def axis_factors(doc):
 def test_model_from_spec_routes_diagonal_channels_to_factors(tmp_path):
     doc = diagonal_spec(n=8)
     model = models.model_from_spec(doc)
-    assert [f.shape for f in model.channel] == [(8, 8), (8, 8)]
+    assert [f.table.shape for f in model.channel] == [(8, 8), (8, 8)]
     # the on-demand dense table is the dense model's table
     assert np.max(np.abs(model.w_pot - dense_twin(doc).w_pot)) < 1e-12
 
     correlated = diagonal_spec(n=8)
     correlated["W"]["beta"] = [[0.9, 0.1], [0.0, 0.7]]
-    assert [f.shape for f in models.model_from_spec(correlated).channel] == [(64, 64)]
+    assert [f.table.shape for f in models.model_from_spec(correlated).channel] == [(64, 64)]
     correlated_noise = diagonal_spec(n=8)
     correlated_noise["W"]["tau"] = [[0.6, 0.2], [0.2, 1.1]]
-    assert [f.shape for f in models.model_from_spec(correlated_noise).channel] == [(64, 64)]
+    assert [f.table.shape for f in models.model_from_spec(correlated_noise).channel] == [(64, 64)]
 
     path = tmp_path / "w.npy"
     np.save(path, dense_twin(doc).w_pot)
     tabulated = dict(doc, W={"kind": "tabulated", "path": str(path)})
-    assert [f.shape for f in models.model_from_spec(tabulated).channel] == [(64, 64)]
+    assert [f.table.shape for f in models.model_from_spec(tabulated).channel] == [(64, 64)]
 
     one_d = {
         "grid": {"dim": 1, "n": 32, "radius": 6.0},
@@ -710,7 +715,7 @@ def test_model_from_spec_routes_diagonal_channels_to_factors(tmp_path):
         "W": {"kind": "linear-gaussian", "alpha": [0.0], "beta": [[1.0]], "tau": [[1.0]]},
     }
     model = models.model_from_spec(one_d)
-    assert [f.shape for f in model.channel] == [(32, 32)]
+    assert [f.table.shape for f in model.channel] == [(32, 32)]
     assert np.array_equal(model.w_pot, gaussian_desk_model(n=32, radius=6.0).w_pot)
 
 
@@ -788,9 +793,7 @@ def test_factored_hard_zero_target_converges():
 def test_nan_in_one_factor_raises_within_the_sweep():
     model = models.model_from_spec(diagonal_spec())
     first, second = model.channel
-    second = second.copy()
-    second[3, 5] = np.nan
-    broken = dataclasses.replace(model, channel=(first, second))
+    broken = dataclasses.replace(model, channel=(first, with_nan(second, 3, 5)))
     for call in (lambda: discrete.run(broken, 100000), lambda: discrete.bridge_oracle(broken)):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="non-finite"):
@@ -807,7 +810,7 @@ def test_factored_model_at_128_per_axis_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [f.shape for f in model.channel] == [(128, 128), (128, 128)]
+    assert [f.table.shape for f in model.channel] == [(128, 128), (128, 128)]
     assert trace.n_sweeps == 3 and np.all(np.isfinite(trace.residuals))
     dense_bytes = 8 * model.grid.size**2  # 2.1 GB
     assert peak < dense_bytes / 20
@@ -815,10 +818,10 @@ def test_factored_model_at_128_per_axis_stays_small():
 
 def reference_pass(model, pot, axis):
     """The kernel pass, -log K(exp(-pot)), as log-domain reductions only, one (.., n, n) table per factor."""
-    t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
+    t = (pot - model.log_w).reshape([f.table.shape[0] for f in model.channel])
     for k, f in enumerate(model.channel):
         a = t.swapaxes(k, -1)
-        table = f + (a[..., None, :] if axis == 1 else a[..., :, None])
+        table = f.table + (a[..., None, :] if axis == 1 else a[..., :, None])
         t = (-discrete._neg_lse(table, axis - 2)).swapaxes(k, -1)
     return t.reshape(-1)
 
@@ -884,21 +887,18 @@ def test_underflowing_rows_take_the_exact_reduction(monkeypatch):
 
 
 def test_sharp_channel_kernels_hold_no_subnormals(monkeypatch):
-    """A t = 0.05 channel on 128 nodes has 238 subnormal kernel entries; both builds store them as 0.
+    """A t = 0.05 channel on 128 nodes has 238 subnormal kernel entries; its factor stores them as 0.
 
     Each is below the 2^-1022 error the scaled product already allows, so
     every kernel pass of a run still matches the log-domain reference.
     """
     model = gaussian_desk_model(n=128, t=0.05)
-    ((m, _),) = model.kernels
-    raw = np.exp(m[:, None] - model.channel[0])
+    ((f, m, kern),) = model.channel
+    raw = np.exp(m[:, None] - f)
     tiny = np.finfo(float).tiny
     assert np.count_nonzero((raw > 0.0) & (raw < tiny)) == 238
-    bare = discrete.DiscreteModel(model.grid, model.u_pot, model.v_pot, model.channel)
-    for built in (model, bare):  # made by channel_table, and by _scaled_kernel
-        ((_, kern),) = built.kernels
-        assert not np.any((kern > 0.0) & (kern < tiny))
-        assert np.array_equal(kern, np.where(raw < tiny, 0.0, raw))
+    assert not np.any((kern > 0.0) & (kern < tiny))
+    assert np.array_equal(kern, np.where(raw < tiny, 0.0, raw))
     passes = counted_calls(monkeypatch, "_kernel_pass")
     discrete.run(model, 5, tol=0.0)
     for _, pot, axis in list(passes):
@@ -908,14 +908,14 @@ def test_sharp_channel_kernels_hold_no_subnormals(monkeypatch):
 def test_kernel_with_a_nan_row_still_holds_no_subnormals():
     """A NaN makes the kernel's minimum NaN; the subnormal entries of the other rows are still stored as 0."""
     model = gaussian_desk_model(n=128, t=0.05)
-    f = model.channel[0].copy()
+    f = model.channel[0].table.copy()
     f[3, 5] = np.nan
     tiny = np.finfo(float).tiny
     m = f.min(axis=1)
     m[~np.isfinite(m)] = 0.0
     raw = np.exp(m[:, None] - f)
     assert np.count_nonzero((raw > 0.0) & (raw < tiny)) > 0
-    _, kern = discrete._scaled_kernel(f)
+    kern = discrete._kernel_exp(m[:, None] - f)
     assert np.array_equal(np.argwhere(np.isnan(kern)), [[3, 5]])
     assert not np.any((kern > 0.0) & (kern < tiny))
     assert np.array_equal(kern, np.where(raw < tiny, 0.0, raw), equal_nan=True)
@@ -931,15 +931,15 @@ def assert_bitwise(got, want):
 def assert_passes_match_reference(model, pot):
     """Each factor pass of both kernel passes, and the kernel pass itself, bitwise those of ``references.factor_pass``."""
     for axis in (0, 1):
-        t = (pot - model.log_w).reshape([f.shape[0] for f in model.channel])
-        for k, (f, scaled) in enumerate(zip(model.channel, model.kernels)):
+        t = (pot - model.log_w).reshape([f.table.shape[0] for f in model.channel])
+        for k, factor in enumerate(model.channel):
             a = t.swapaxes(k, -1)
             rows = a.reshape(-1, a.shape[-1])
             # the reference shifts a NaN slice by 0, so its exp can overflow and its product meet inf * 0;
             # the library keeps the NaN shift, and its slice is NaN without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                want = references.factor_pass(f, scaled, rows.copy(), axis)
-            assert_bitwise(discrete._factor_pass(f, scaled, rows.copy(), axis), want)
+                want = references.factor_pass(factor, rows.copy(), axis)
+            assert_bitwise(discrete._factor_pass(factor, rows.copy(), axis), want)
             t = want.reshape(a.shape).swapaxes(k, -1)
         assert_bitwise(discrete._kernel_pass(model, pot, axis), t.reshape(-1))
 
@@ -1009,9 +1009,9 @@ def test_factor_pass_equals_the_unguarded_pass_on_both_exact_reductions(monkeypa
 
 
 def models_equal(first, second):
-    """Whether two models hold bitwise the same tables and scaled kernels."""
-    arrays = [(first.u_pot, second.u_pot), (first.v_pot, second.v_pot), *zip(first.channel, second.channel),
-              *((a, b) for pair in zip(first.kernels, second.kernels) for a, b in zip(*pair))]
+    """Whether two models hold bitwise the same tables and channel factors (tables, minima and scaled kernels)."""
+    arrays = [(first.u_pot, second.u_pot), (first.v_pot, second.v_pot),
+              *((a, b) for pair in zip(first.channel, second.channel) for a, b in zip(*pair))]
     return len(first.channel) == len(second.channel) and all(
         a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in arrays)
 
@@ -1027,7 +1027,7 @@ def test_tables_a_caller_holds_stay_untouched():
                      for _ in range(2))
     assert [tab.tobytes() for tab in (u_tab, v_tab, w_tab)] == held
     assert models_equal(first, second)
-    assert not np.array_equal(first.channel[0], w_tab)  # the rows were shifted, in a table of the model's own
+    assert not np.array_equal(first.channel[0].table, w_tab)  # the rows were shifted, in a table of the model's own
 
 
 def test_tabulated_channel_builds_alike_twice(tmp_path):
@@ -1096,7 +1096,7 @@ def test_library_tables_become_the_channel_in_place(monkeypatch, tmp_path, kind)
     finally:
         tracemalloc.stop()
     assert len(made) == len(model.channel) == (2 if kind == "factors" else 1)
-    assert all(f is table for f, (table, _) in zip(model.channel, made))
+    assert all(f.table is table for f, (table, _) in zip(model.channel, made))
     if kind != "factors":  # after the dense table: its kernel, and the marginals' O(N)
         table_bytes = 8 * model.grid.size**2
         assert table_bytes <= peak - made[0][1] < 1.1 * table_bytes
@@ -1106,7 +1106,7 @@ def test_channel_table_leaves_the_callables_table_as_it_is():
     grid = discrete.uniform_grid(1, 16, 4.0)
     raw = models.linear_gaussian_channel_potential([0.0], [[0.9]], [[0.5]])(grid.points, grid.points)
     held = raw.tobytes()
-    f, (m, kern) = discrete.channel_table(lambda xs, ys: raw, grid)
+    f, m, kern = discrete.channel_table(lambda xs, ys: raw, grid)
     assert f is not raw and raw.tobytes() == held
     assert np.allclose(np.exp(m[:, None] - f), kern, rtol=1e-14, atol=0.0)
     assert np.allclose(np.exp(-f) @ grid.weights, 1.0, rtol=1e-14, atol=0.0)
@@ -1155,51 +1155,42 @@ def test_dense_build_exponentiates_each_channel_entry_once(monkeypatch):
         exps.clear()
         model = models.model_from_spec(doc)
         n = model.grid.size
-        assert [f.shape for f in model.channel] == [(n, n)]
+        assert [f.table.shape for f in model.channel] == [(n, n)]
         # the normaliser and the scaled kernel share one exp per entry; the
         # marginals add O(N) (two exps per entry made 2 N^2 before)
         assert n * n <= sum(exps) <= n * n + 8 * n
 
 
 def test_scaled_kernels_are_built_once_per_model(monkeypatch):
-    built = counted_calls(monkeypatch, "_scaled_kernel")
+    built = counted_calls(monkeypatch, "_kernel_exp")
     for doc in (diagonal_spec(), *dense_specs()):
         built.clear()
         model = models.model_from_spec(doc)
-        assert built == []  # channel_table made every kernel with its factor
-        kernels = model.kernels
+        assert len(built) == len(model.channel)  # channel_table made every kernel with its factor
         trace = discrete.run(model, 300, tol=1e-11)
         oracle = discrete.bridge_oracle(model, start=trace.states[-2])
         discrete.entropy_report(trace, oracle)
-        assert built == [] and model.kernels is kernels
-        assert len(kernels) == len(model.channel)
-        for f, (m, kern) in zip(model.channel, kernels):
+        assert len(built) == len(model.channel)  # and nothing made one again
+        for f, m, kern in model.channel:
             assert kern.shape == f.shape and np.all(kern.max(axis=1) == 1.0)
             assert np.array_equal(m, f.min(axis=1))
             assert np.max(np.abs(kern - np.exp(m[:, None] - f))) < 1e-15
 
-    # factors handed over bare get their kernels built, once each
-    model = models.model_from_spec(diagonal_spec())
-    built.clear()
-    bare = discrete.DiscreteModel(model.grid, model.u_pot, model.v_pot, model.channel)
-    assert len(built) == 2
-    for (m, kern), (m_bare, kern_bare) in zip(model.kernels, bare.kernels):
-        assert np.array_equal(m, m_bare) and np.max(np.abs(kern - kern_bare)) < 1e-15
 
-
-def test_replaced_channel_gets_fresh_kernels(monkeypatch):
+def test_replaced_channel_runs_as_the_model_built_with_it(monkeypatch):
     model = models.model_from_spec(diagonal_spec())
     other = models.model_from_spec(diagonal_spec(tau=(0.3, 2.0)))
-    built = counted_calls(monkeypatch, "_scaled_kernel")
+    built = counted_calls(monkeypatch, "_kernel_exp")
     swapped = dataclasses.replace(model, channel=other.channel)
-    assert len(built) == 2
-    for (m, kern), (m_other, kern_other) in zip(swapped.kernels, other.kernels):
-        assert np.array_equal(m, m_other) and np.max(np.abs(kern - kern_other)) < 1e-15
-    # the swapped model runs as the model built with that channel does
+    # the swapped model carries the factors it was handed, kernels included: nothing is rebuilt
+    assert built == [] and all(a is b for a, b in zip(swapped.channel, other.channel))
     want = discrete.run(other, 300, tol=1e-11)
     got = discrete.run(swapped, 300, tol=1e-11)
     assert got.n_sweeps == want.n_sweeps
-    assert np.max(np.abs(np.subtract(got.h_pi2n_eta, want.h_pi2n_eta))) < 1e-14
+    for key in ("h_pi2n_eta", "h_eta_pi2n", "h_mu_pi2n1", "h_pi2n1_mu", "residuals"):
+        assert getattr(got, key) == getattr(want, key), key
+    for s_got, s_want in zip(got.states, want.states):
+        assert s_got.u.tobytes() == s_want.u.tobytes() and s_got.v.tobytes() == s_want.v.tobytes()
 
 
 # build-time validation reads the row minima of each channel table: a NaN or

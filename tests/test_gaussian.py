@@ -324,27 +324,30 @@ def test_proximal_invariance():
     for _ in range(5):
         d = int(rng.integers(1, 4))
         mu, _, k = random_model(rng, d)
-        out = g.proximal_step(mu, mu, k)
-        assert np.linalg.norm(out.mean - mu.mean) < 1e-12
-        assert np.linalg.norm(out.cov - mu.cov, 2) < 1e-12
+        out = g.proximal_chain(mu, mu, k, 3)
+        for n in range(1, 4):
+            assert np.linalg.norm(out.mean[n] - mu.mean) < 1e-12
+            assert np.linalg.norm(out.cov[n] - mu.cov, 2) < 1e-12
 
 
 def test_proximal_step_decomposes_three_times(decompositions):
-    # one eigh each: the forward covariance's inverse (which also validates
-    # it), the backward noise's clamp and the result's SPD check
+    # one eigh each, at any number of sweeps: the forward covariance's inverse
+    # (which also validates it), the backward noise's clamp and the stacked
+    # marginals' SPD check
     rng = np.random.default_rng(89)
     mu, nu, k = random_model(rng, 3)
-    decompositions.clear()
-    g.proximal_step(nu, mu, k)
-    assert decompositions == {"eigh": 3}
+    for steps in (1, 20):
+        decompositions.clear()
+        g.proximal_chain(nu, mu, k, steps)
+        assert decompositions == {"eigh": 3}
 
 
 def test_proximal_mean_contraction():
     mu = g.GaussianMeasure([0.0], [[1.0]])
     nu = g.GaussianMeasure([3.0], [[1.0]])
     k = g.LinearGaussianKernel([0.0], [[1.0]], [[1.0]])
-    out = g.proximal_step(nu, mu, k)
-    assert abs(out.mean[0] - 1.5) < 1e-13
+    out = g.proximal_chain(nu, mu, k, 1)
+    assert abs(out.mean[1, 0] - 1.5) < 1e-13
 
 
 def test_proximal_w2_and_entropy_decay():
@@ -355,9 +358,9 @@ def test_proximal_w2_and_entropy_decay():
     a = 1.0
     w0 = g.gelbrich_w2(nu, mu)
     h0 = g.gaussian_kl(nu, mu)
-    cur = nu
+    chain = g.proximal_chain(nu, mu, k, 20)
     for n in range(1, 21):
-        cur = g.proximal_step(cur, mu, k)
+        cur = g.GaussianMeasure(chain.mean[n], chain.cov[n])
         assert g.gelbrich_w2(cur, mu) <= b**n * w0 + 1e-13
         assert g.gaussian_kl(cur, mu) <= a * b ** (2 * (n - 1)) * h0 + 1e-13
 

@@ -7,6 +7,11 @@ OUT receives, one subdirectory per case:
 - the ``riccati``, ``gaussian``, ``discrete`` and ``bounds`` commands at
   their defaults and at the configs listed in ``CONFIGS`` below: each
   output file, with the command's stdout, stderr and exit code;
+- the benchmark's four ``grid`` operations at seed 0 (a 1-d N = 512
+  dense channel, a 2-d factored channel and a tabulated table among
+  them), as ``grid-<operation>/``: their configs and table are written by
+  ``perfbench.workloads.generate`` into a scratch directory, so only the
+  outputs are compared;
 - ``verify --json`` at seeds 0-4, as ``verify-seed<S>/stdout``;
 - the stdout of every script under ``demos/``.
 
@@ -25,9 +30,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import generate  # noqa: E402
 
 _KERNEL_3D = {"alpha": [0.0, 0.1, -0.2], "beta": [[1.0, 0.2, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 1.1]],
               "tau": [[0.8, 0.1, 0.0], [0.1, 0.6, 0.05], [0.0, 0.05, 0.9]]}
@@ -82,6 +90,11 @@ def main(argv=None) -> int:
             (case / "config.json").write_text(json.dumps({"command": command, "model": model}))
             cli += ["--config", str(case / "config.json")]
         _run(cli, case)
+    with tempfile.TemporaryDirectory() as work:
+        for op in generate("grid", 0, Path(work))["round"]:
+            case = out / op["id"]
+            # the operation's own --out prefix, last on its command line, is moved into the case
+            _run(["-m", "sinkbridge.cli", *op["argv"][:-1], str(case / op["command"])], case)
     for seed in SEEDS:
         _run(["-m", "sinkbridge.cli", "verify", "--json", "--seed", str(seed)], out / f"verify-seed{seed}")
     for script in sorted((ROOT / "demos").glob("*.py")):
